@@ -101,8 +101,7 @@ BM_RingAllReduce(benchmark::State& state)
         req.kind = coll::CollectiveKind::AllReduce;
         req.ranks = {0, 1, 2, 3, 4, 5, 6, 7};
         req.bytes = Bytes(1e8);
-        req.onComplete = [&done] { done = true; };
-        eng.run(std::move(req));
+        eng.run(req, [&done] { done = true; });
         s.run();
         benchmark::DoNotOptimize(done);
     }

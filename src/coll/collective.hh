@@ -7,7 +7,6 @@
 #ifndef CHARLLM_COLL_COLLECTIVE_HH
 #define CHARLLM_COLL_COLLECTIVE_HH
 
-#include <functional>
 #include <vector>
 
 #include "common/quantity.hh"
@@ -55,7 +54,9 @@ kernelClassFor(CollectiveKind k)
     }
 }
 
-/** One collective invocation. */
+/** One collective invocation. The completion callback is passed to
+ *  CollectiveEngine::run alongside, so a caller can keep one request
+ *  and re-fill it without reallocating its rank list. */
 struct CollectiveRequest
 {
     CollectiveKind kind = CollectiveKind::AllReduce;
@@ -98,9 +99,6 @@ struct CollectiveRequest
      * for AllToAll/SendRecv.
      */
     bool topologyAware = false;
-
-    /** Fired once, when every constituent transfer has completed. */
-    std::function<void()> onComplete;
 };
 
 } // namespace coll

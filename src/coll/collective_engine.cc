@@ -1,31 +1,12 @@
 #include "coll/collective_engine.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.hh"
 #include "net/calibration.hh"
 
 namespace charllm {
 namespace coll {
-
-namespace {
-
-/** Shared completion latch for the flows of one collective. */
-struct Latch
-{
-    int remaining = 0;
-    std::function<void()> onComplete;
-
-    void
-    arrive()
-    {
-        if (--remaining == 0 && onComplete)
-            onComplete();
-    }
-};
-
-} // namespace
 
 CollectiveEngine::CollectiveEngine(sim::Simulator& simulator,
                                    net::FlowNetwork& netw)
@@ -81,64 +62,93 @@ CollectiveEngine::wireBytesPerRank(const CollectiveRequest& request)
     return Bytes(0.0);
 }
 
+std::uint32_t
+CollectiveEngine::openLatch(int count, sim::EventFn done)
+{
+    std::uint32_t id;
+    if (!freeLatches.empty()) {
+        id = freeLatches.back();
+        freeLatches.pop_back();
+    } else {
+        id = static_cast<std::uint32_t>(latches.size());
+        latches.emplace_back();
+    }
+    latches[id].remaining = count;
+    latches[id].onComplete = std::move(done);
+    return id;
+}
+
 void
-CollectiveEngine::run(CollectiveRequest request)
+CollectiveEngine::arrive(std::uint32_t latch)
+{
+    Latch& l = latches[latch];
+    if (--l.remaining != 0)
+        return;
+    // Free the slot before firing: the callback may launch the next
+    // collective, which can reuse it.
+    sim::EventFn done = std::move(l.onComplete);
+    freeLatches.push_back(latch);
+    done();
+}
+
+void
+CollectiveEngine::run(const CollectiveRequest& request,
+                      sim::EventFn on_complete)
 {
     ++runCount;
     auto n = static_cast<int>(request.ranks.size());
     CHARLLM_ASSERT(n >= 1, "collective with no ranks");
     CHARLLM_ASSERT(request.bytes.value() >= 0.0,
                    "negative collective payload");
+    if (!on_complete)
+        on_complete = [] {};
 
     if (n == 1) {
         // Degenerate single-rank group: completes after launch latency.
         sim.schedule(sim::toTicks(net::calib::kIntraNodeLatencySec),
-                     [cb = std::move(request.onComplete)] {
-            if (cb)
-                cb();
-        });
+                     std::move(on_complete));
         return;
     }
 
     if (shouldRunHierarchically(request)) {
-        runHierarchical(request);
+        runHierarchical(request, std::move(on_complete));
         return;
     }
 
     switch (request.kind) {
       case CollectiveKind::AllReduce:
-        runRing(request, wireBytesPerRank(request), 2 * (n - 1));
+        runRing(request, wireBytesPerRank(request), 2 * (n - 1),
+                std::move(on_complete));
         break;
       case CollectiveKind::AllGather:
       case CollectiveKind::ReduceScatter:
-        runRing(request, wireBytesPerRank(request), n - 1);
+        runRing(request, wireBytesPerRank(request), n - 1,
+                std::move(on_complete));
         break;
       case CollectiveKind::Barrier:
-        runRing(request, Bytes(0.0), 2 * (n - 1));
+        runRing(request, Bytes(0.0), 2 * (n - 1), std::move(on_complete));
         break;
       case CollectiveKind::AllToAll:
-        runAllToAll(request);
+        runAllToAll(request, std::move(on_complete));
         break;
       case CollectiveKind::SendRecv:
-        runSendRecv(request);
+        runSendRecv(request, std::move(on_complete));
         break;
     }
 }
 
 void
 CollectiveEngine::runRing(const CollectiveRequest& request,
-                          Bytes per_rank_bytes, int steps)
+                          Bytes per_rank_bytes, int steps,
+                          sim::EventFn on_complete)
 {
     // Ring order follows sorted device ids, which matches how NCCL
     // builds rings over consecutive ranks: node-boundary hops are the
     // slow links and become the collective's bottleneck.
-    std::vector<int> ring = request.ranks;
+    std::vector<int>& ring = sortedScratch;
+    ring.assign(request.ranks.begin(), request.ranks.end());
     std::sort(ring.begin(), ring.end());
     auto n = static_cast<int>(ring.size());
-
-    auto latch = std::make_shared<Latch>();
-    latch->remaining = n;
-    latch->onComplete = request.onComplete;
 
     const auto& topo = network.topology();
     if (fold != nullptr) {
@@ -153,7 +163,7 @@ CollectiveEngine::runRing(const CollectiveRequest& request,
                 ++inst;
         }
         CHARLLM_ASSERT(inst >= 1, "ring with no instantiated member");
-        latch->remaining = inst;
+        std::uint32_t latch = openLatch(inst, std::move(on_complete));
         for (int i = 0; i < n; ++i) {
             int src = ring[static_cast<std::size_t>(i)];
             if (!fold->instantiated(src))
@@ -168,18 +178,19 @@ CollectiveEngine::runRing(const CollectiveRequest& request,
             if (fold->instantiated(dst)) {
                 network.transfer(fold->repOf(src), fold->repOf(dst),
                                  per_rank_bytes,
-                                 [latch] { latch->arrive(); }, extra);
+                                 [this, latch] { arrive(latch); }, extra);
             } else {
                 network.transferOnRoute(
                     wrapRoutes[static_cast<std::size_t>(
                         fold->repOf(src))],
                     per_rank_bytes,
                     extra + topo.messageLatency(src, dst),
-                    [latch] { latch->arrive(); });
+                    [this, latch] { arrive(latch); });
             }
         }
         return;
     }
+    std::uint32_t latch = openLatch(n, std::move(on_complete));
     for (int i = 0; i < n; ++i) {
         int src = ring[static_cast<std::size_t>(i)];
         int dst = ring[static_cast<std::size_t>((i + 1) % n)];
@@ -193,12 +204,13 @@ CollectiveEngine::runRing(const CollectiveRequest& request,
             extra += Seconds(net::calib::kUnchunkedHandshakeSec *
                              launches);
         network.transfer(src, dst, per_rank_bytes,
-                         [latch] { latch->arrive(); }, extra);
+                         [this, latch] { arrive(latch); }, extra);
     }
 }
 
 void
-CollectiveEngine::runAllToAll(const CollectiveRequest& request)
+CollectiveEngine::runAllToAll(const CollectiveRequest& request,
+                              sim::EventFn on_complete)
 {
     // AllToAll only arises from MoE dispatch, which the symmetry
     // analyzer refuses — collapsed runs can never reach this path.
@@ -206,10 +218,7 @@ CollectiveEngine::runAllToAll(const CollectiveRequest& request)
                    "AllToAll under rank-symmetry collapse");
     auto n = static_cast<int>(request.ranks.size());
     Bytes per_pair = request.bytes / static_cast<double>(n);
-
-    auto latch = std::make_shared<Latch>();
-    latch->remaining = n * (n - 1);
-    latch->onComplete = request.onComplete;
+    std::uint32_t latch = openLatch(n * (n - 1), std::move(on_complete));
 
     const auto& topo = network.topology();
     for (int i = 0; i < n; ++i) {
@@ -225,7 +234,7 @@ CollectiveEngine::runAllToAll(const CollectiveRequest& request)
                 extra += Seconds(net::calib::kUnchunkedHandshakeSec *
                                  launches);
             network.transfer(src, dst, per_pair,
-                             [latch] { latch->arrive(); }, extra);
+                             [this, latch] { arrive(latch); }, extra);
         }
     }
 }
@@ -243,118 +252,153 @@ CollectiveEngine::shouldRunHierarchically(
     // Needs multiple members on at least one node AND more than one
     // node; otherwise the flat ring is already optimal.
     const auto& topo = network.topology();
-    std::map<int, int> per_node;
+    nodeScratch.clear();
     for (int r : req.ranks)
-        ++per_node[topo.nodeOf(r)];
-    if (per_node.size() < 2)
+        nodeScratch.push_back(topo.nodeOf(r));
+    std::sort(nodeScratch.begin(), nodeScratch.end());
+    if (nodeScratch.front() == nodeScratch.back())
         return false;
-    for (const auto& [node, count] : per_node) {
-        if (count > 1)
-            return true;
-    }
-    return false;
+    return std::adjacent_find(nodeScratch.begin(), nodeScratch.end()) !=
+           nodeScratch.end();
 }
 
-void
-CollectiveEngine::runHierarchical(const CollectiveRequest& request)
+std::uint32_t
+CollectiveEngine::hierPlanFor()
 {
+    auto it = hierPlanIndex.find(sortedScratch);
+    if (it != hierPlanIndex.end())
+        return it->second;
+    // First sight of this rank set: partition the (sorted) group by
+    // node. Members per node must be uniform for shard-aligned
+    // inter-node rings; run() falls back to a flat ring otherwise.
     const auto& topo = network.topology();
-
-    // Partition the (sorted) group by node. Members per node must be
-    // uniform for shard-aligned inter-node rings; fall back to flat
-    // execution otherwise.
-    std::vector<int> sorted = request.ranks;
-    std::sort(sorted.begin(), sorted.end());
     std::map<int, std::vector<int>> by_node;
-    for (int r : sorted)
+    for (int r : sortedScratch)
         by_node[topo.nodeOf(r)].push_back(r);
+    HierPlan plan;
     std::size_t local = by_node.begin()->second.size();
-    for (const auto& [node, members] : by_node) {
-        if (members.size() != local) {
-            CollectiveRequest flat = request;
-            flat.topologyAware = false;
-            run(std::move(flat));
-            return;
-        }
-    }
-    auto n_nodes = by_node.size();
-
-    // Phase volumes. AllGather skips the leading reduce-scatter;
-    // ReduceScatter skips the trailing all-gather.
-    bool has_rs = request.kind != CollectiveKind::AllGather;
-    bool has_ag = request.kind != CollectiveKind::ReduceScatter;
-
-    auto intra_groups = std::make_shared<
-        std::vector<std::vector<int>>>();
-    for (const auto& [node, members] : by_node)
-        intra_groups->push_back(members);
-    // Inter-node rings: the k-th member of every node exchanges the
-    // k-th shard.
-    auto inter_groups = std::make_shared<
-        std::vector<std::vector<int>>>();
-    for (std::size_t k = 0; k < local; ++k) {
-        std::vector<int> ring;
+    plan.uniform = std::all_of(by_node.begin(), by_node.end(),
+                               [local](const auto& entry) {
+        return entry.second.size() == local;
+    });
+    if (plan.uniform) {
         for (const auto& [node, members] : by_node)
-            ring.push_back(members[k]);
-        inter_groups->push_back(ring);
+            plan.intra.push_back(members);
+        // Inter-node rings: the k-th member of every node exchanges
+        // the k-th shard.
+        for (std::size_t k = 0; k < local; ++k) {
+            std::vector<int> ring;
+            for (const auto& [node, members] : by_node)
+                ring.push_back(members[k]);
+            plan.inter.push_back(std::move(ring));
+        }
+    }
+    auto id = static_cast<std::uint32_t>(hierPlans.size());
+    hierPlans.push_back(std::move(plan));
+    hierPlanIndex.emplace(sortedScratch, id);
+    return id;
+}
+
+void
+CollectiveEngine::runHierarchical(const CollectiveRequest& request,
+                                  sim::EventFn on_complete)
+{
+    sortedScratch.assign(request.ranks.begin(), request.ranks.end());
+    std::sort(sortedScratch.begin(), sortedScratch.end());
+    std::uint32_t plan_id = hierPlanFor();
+    const HierPlan& plan = hierPlans[plan_id];
+    if (!plan.uniform) {
+        subRequest = request;
+        subRequest.topologyAware = false;
+        run(subRequest, std::move(on_complete));
+        return;
     }
 
-    auto launch_phase =
-        [this](const std::vector<std::vector<int>>& groups,
-               CollectiveKind kind, Bytes bytes, bool chunked,
-               int messages, std::function<void()> done) {
-        auto latch = std::make_shared<Latch>();
-        latch->remaining = static_cast<int>(groups.size());
-        latch->onComplete = std::move(done);
-        for (const auto& g : groups) {
-            CollectiveRequest sub;
-            sub.kind = kind;
-            sub.ranks = g;
-            sub.bytes = bytes;
-            sub.chunked = chunked;
-            sub.messages = messages;
-            sub.onComplete = [latch] { latch->arrive(); };
-            run(std::move(sub));
-        }
-    };
-
-    Bytes bytes = request.bytes;
-    bool chunked = request.chunked;
-    int messages = request.messages;
-    auto on_complete = request.onComplete;
-    Bytes shard = bytes / static_cast<double>(local);
-    CollectiveKind inter_kind =
-        request.kind == CollectiveKind::AllReduce
-            ? CollectiveKind::AllReduce
-            : request.kind;
-
-    auto phase3 = [=, this] {
-        if (!has_ag) {
-            if (on_complete)
-                on_complete();
-            return;
-        }
-        launch_phase(*intra_groups, CollectiveKind::AllGather, bytes,
-                     chunked, messages, on_complete);
-    };
-    auto phase2 = [=, this] {
-        if (n_nodes < 2) {
-            phase3();
-            return;
-        }
-        launch_phase(*inter_groups, inter_kind, shard, chunked,
-                     messages, phase3);
-    };
-    if (has_rs) {
-        launch_phase(*intra_groups, CollectiveKind::ReduceScatter,
-                     bytes, chunked, messages, phase2);
+    std::uint32_t id;
+    if (!freeHierOps.empty()) {
+        id = freeHierOps.back();
+        freeHierOps.pop_back();
     } else {
-        phase2();
+        id = static_cast<std::uint32_t>(hierOps.size());
+        hierOps.emplace_back();
+    }
+    HierOp& op = hierOps[id];
+    op.plan = plan_id;
+    op.interKind = request.kind;
+    op.bytes = request.bytes;
+    op.shard = request.bytes /
+               static_cast<double>(plan.intra.front().size());
+    op.chunked = request.chunked;
+    op.messages = request.messages;
+    // AllGather skips the leading reduce-scatter; ReduceScatter skips
+    // the trailing all-gather.
+    op.hasGather = request.kind != CollectiveKind::ReduceScatter;
+    op.onComplete = std::move(on_complete);
+    if (request.kind != CollectiveKind::AllGather) {
+        launchPhase(plan.intra, CollectiveKind::ReduceScatter,
+                    request.bytes, request.chunked, request.messages,
+                    [this, id] { hierExchange(id); });
+    } else {
+        hierExchange(id);
     }
 }
 
 void
-CollectiveEngine::runSendRecv(const CollectiveRequest& request)
+CollectiveEngine::launchPhase(const std::vector<std::vector<int>>& groups,
+                              CollectiveKind kind, Bytes bytes,
+                              bool chunked, int messages,
+                              sim::EventFn done)
+{
+    std::uint32_t latch =
+        openLatch(static_cast<int>(groups.size()), std::move(done));
+    for (const auto& g : groups) {
+        subRequest.kind = kind;
+        subRequest.ranks.assign(g.begin(), g.end());
+        subRequest.bytes = bytes;
+        subRequest.chunked = chunked;
+        subRequest.messages = messages;
+        subRequest.topologyAware = false;
+        run(subRequest, [this, latch] { arrive(latch); });
+    }
+}
+
+void
+CollectiveEngine::hierExchange(std::uint32_t id)
+{
+    const HierOp& op = hierOps[id];
+    const HierPlan& plan = hierPlans[op.plan];
+    if (plan.intra.size() < 2) {
+        hierGather(id);
+        return;
+    }
+    launchPhase(plan.inter, op.interKind, op.shard, op.chunked,
+                op.messages, [this, id] { hierGather(id); });
+}
+
+void
+CollectiveEngine::hierGather(std::uint32_t id)
+{
+    const HierOp& op = hierOps[id];
+    if (!op.hasGather) {
+        hierFinish(id);
+        return;
+    }
+    launchPhase(hierPlans[op.plan].intra, CollectiveKind::AllGather,
+                op.bytes, op.chunked, op.messages,
+                [this, id] { hierFinish(id); });
+}
+
+void
+CollectiveEngine::hierFinish(std::uint32_t id)
+{
+    sim::EventFn done = std::move(hierOps[id].onComplete);
+    freeHierOps.push_back(id);
+    done();
+}
+
+void
+CollectiveEngine::runSendRecv(const CollectiveRequest& request,
+                              sim::EventFn on_complete)
 {
     CHARLLM_ASSERT(request.ranks.size() == 2,
                    "SendRecv needs exactly {src, dst}");
@@ -371,11 +415,8 @@ CollectiveEngine::runSendRecv(const CollectiveRequest& request)
                            dst < fold->physWorld(),
                        "collapsed SendRecv with non-physical ranks");
     }
-    network.transfer(src, dst, request.bytes,
-                     [cb = request.onComplete] {
-        if (cb)
-            cb();
-    }, extra);
+    network.transfer(src, dst, request.bytes, std::move(on_complete),
+                     extra);
 }
 
 } // namespace coll

@@ -10,7 +10,7 @@
 #ifndef CHARLLM_COLL_COLLECTIVE_ENGINE_HH
 #define CHARLLM_COLL_COLLECTIVE_ENGINE_HH
 
-#include <memory>
+#include <map>
 #include <vector>
 
 #include "coll/collective.hh"
@@ -21,8 +21,11 @@ namespace charllm {
 namespace coll {
 
 /**
- * Collective executor. Stateless between invocations; each request is
- * turned into flows immediately.
+ * Collective executor. Each request is turned into flows immediately;
+ * the only state carried between calls is pooled bookkeeping (flow
+ * completion latches, hierarchical phase records, cached hierarchical
+ * plans and scratch buffers), so a steady-state run() allocates
+ * nothing.
  */
 class CollectiveEngine
 {
@@ -40,8 +43,12 @@ class CollectiveEngine
      */
     void setFold(const scale::SymmetryFold* f);
 
-    /** Launch a collective; the request's callback fires when done. */
-    void run(CollectiveRequest request);
+    /**
+     * Launch a collective. @p on_complete fires once, when every
+     * constituent transfer has arrived. The request is only read
+     * during the call.
+     */
+    void run(const CollectiveRequest& request, sim::EventFn on_complete);
 
     /**
      * Total bytes each rank puts on the wire for the request
@@ -55,18 +62,62 @@ class CollectiveEngine
     bool shouldRunHierarchically(const CollectiveRequest& req) const;
 
   private:
+    /** Shared completion counter for the flows of one collective (or
+     *  the sub-collectives of one hierarchical phase). */
+    struct Latch
+    {
+        int remaining = 0;
+        sim::EventFn onComplete;
+    };
+
+    /** Node partition of one hierarchical group, cached by rank set. */
+    struct HierPlan
+    {
+        bool uniform = false; //!< same member count on every node
+        std::vector<std::vector<int>> intra; //!< members per node
+        std::vector<std::vector<int>> inter; //!< k-th member per node
+    };
+
+    /** One in-flight hierarchical collective between phases. */
+    struct HierOp
+    {
+        std::uint32_t plan = 0;
+        CollectiveKind interKind = CollectiveKind::AllReduce;
+        Bytes bytes;
+        Bytes shard;
+        bool chunked = true;
+        int messages = 1;
+        bool hasGather = true;
+        sim::EventFn onComplete;
+    };
+
+    std::uint32_t openLatch(int count, sim::EventFn done);
+    /** Count one arrival; the last one frees the latch and fires it. */
+    void arrive(std::uint32_t latch);
+
     void runRing(const CollectiveRequest& request, Bytes per_rank_bytes,
-                 int steps);
-    void runAllToAll(const CollectiveRequest& request);
-    void runSendRecv(const CollectiveRequest& request);
+                 int steps, sim::EventFn on_complete);
+    void runAllToAll(const CollectiveRequest& request,
+                     sim::EventFn on_complete);
+    void runSendRecv(const CollectiveRequest& request,
+                     sim::EventFn on_complete);
 
     /**
      * Hierarchical ring collective: intra-node reduce-scatter,
      * inter-node shard exchange across node peers, intra-node
-     * all-gather. Phases chain; the request's callback fires after
-     * the last phase.
+     * all-gather. Phases chain through a pooled HierOp; the callback
+     * fires after the last phase.
      */
-    void runHierarchical(const CollectiveRequest& request);
+    void runHierarchical(const CollectiveRequest& request,
+                         sim::EventFn on_complete);
+    /** Plan for the rank set in sortedScratch (built on first use). */
+    std::uint32_t hierPlanFor();
+    void launchPhase(const std::vector<std::vector<int>>& groups,
+                     CollectiveKind kind, Bytes bytes, bool chunked,
+                     int messages, sim::EventFn done);
+    void hierExchange(std::uint32_t op);
+    void hierGather(std::uint32_t op);
+    void hierFinish(std::uint32_t op);
 
     sim::Simulator& sim;
     net::FlowNetwork& network;
@@ -75,6 +126,20 @@ class CollectiveEngine
     /** Per-physical-device wrap-around route (interned at setFold,
      *  so the hot path never allocates routes). */
     std::vector<const net::FlowNetwork::WeightedRoute*> wrapRoutes;
+
+    std::vector<Latch> latches;
+    std::vector<std::uint32_t> freeLatches;
+    std::vector<HierOp> hierOps;
+    std::vector<std::uint32_t> freeHierOps;
+    std::vector<HierPlan> hierPlans;
+    std::map<std::vector<int>, std::uint32_t> hierPlanIndex;
+
+    /** @name Reused scratch (refilled, never shrunk, per call)
+     * @{ */
+    std::vector<int> sortedScratch;
+    mutable std::vector<int> nodeScratch;
+    CollectiveRequest subRequest;
+    /** @} */
 };
 
 } // namespace coll

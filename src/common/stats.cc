@@ -66,7 +66,8 @@ TimeWeightedStats::accumulate(double until)
     if (dt > 0.0) {
         weighted += lastValue * dt;
         totalTime += dt;
-        segments.emplace_back(lastValue, dt);
+        if (lastValue < threshold)
+            belowTime += dt;
         lo = std::min(lo, lastValue);
         hi = std::max(hi, lastValue);
     }
@@ -100,16 +101,9 @@ TimeWeightedStats::mean() const
 }
 
 double
-TimeWeightedStats::fractionBelow(double threshold) const
+TimeWeightedStats::fractionBelow() const
 {
-    if (totalTime <= 0.0)
-        return 0.0;
-    double below = 0.0;
-    for (const auto& [value, dt] : segments) {
-        if (value < threshold)
-            below += dt;
-    }
-    return below / totalTime;
+    return totalTime > 0.0 ? belowTime / totalTime : 0.0;
 }
 
 Histogram::Histogram(double lo_, double hi_, std::size_t bins)

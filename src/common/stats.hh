@@ -44,10 +44,25 @@ class RunningStats
  * Time-weighted statistics for piecewise-constant signals (power, clock):
  * each value holds from the previous update time to the current one.
  * Used for average power, throttling ratios, etc.
+ *
+ * Constant memory: the one threshold query a signal needs is fixed at
+ * construction and accumulated as the signal runs, so nothing grows
+ * with simulated time and update() never allocates.
  */
 class TimeWeightedStats
 {
   public:
+    /**
+     * @param below_threshold fractionBelow() reports the share of time
+     *        the value sat strictly below this level; the default
+     *        (-inf) leaves that fraction at 0.
+     */
+    explicit TimeWeightedStats(
+        double below_threshold = -std::numeric_limits<double>::infinity())
+        : threshold(below_threshold)
+    {
+    }
+
     /**
      * Record that the signal took @p value starting at @p time (seconds).
      * The previously recorded value is weighted by the elapsed interval.
@@ -57,26 +72,30 @@ class TimeWeightedStats
     /** Close the last interval at @p time without changing the value. */
     void finish(double time);
 
+    /** Discard everything accumulated; keeps the threshold. */
+    void reset() { *this = TimeWeightedStats(threshold); }
+
     double mean() const;
     double min() const { return hasSample ? lo : 0.0; }
     double max() const { return hasSample ? hi : 0.0; }
     double duration() const { return totalTime; }
 
-    /** Fraction of observed time during which value < threshold. */
-    double fractionBelow(double threshold) const;
+    /** Fraction of observed time during which value < the threshold
+     *  given at construction. */
+    double fractionBelow() const;
 
   private:
     void accumulate(double until);
 
+    double threshold;
     bool hasSample = false;
     double lastTime = 0.0;
     double lastValue = 0.0;
     double weighted = 0.0;
     double totalTime = 0.0;
+    double belowTime = 0.0; //!< time spent with value < threshold
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    // Piecewise (value, duration) pairs for threshold queries.
-    std::vector<std::pair<double, double>> segments;
 };
 
 /** Fixed-bin histogram over [lo, hi); out-of-range samples clamp. */

@@ -26,8 +26,10 @@ Gpu::Gpu(int global_id, const GpuSpec& spec)
       compute(spec),
       governor(spec),
       tempC(calib::kRoomTempC),
-      powerCapW(spec.tdpWatts.value())
+      powerCapW(spec.tdpWatts.value()),
+      clockTw(calib::kThrottleClockThresholdRel)
 {
+    active.reserve(kActiveReserve);
     currentPower = computePower();
     powerTw.update(0.0, currentPower);
     tempTw.update(0.0, tempC);
@@ -41,7 +43,8 @@ std::uint64_t
 Gpu::kernelBegin(KernelClass cls, double sm_util, double now)
 {
     std::uint64_t token = nextToken++;
-    active.emplace(token, ActiveKernel{cls, sm_util});
+    // Tokens only grow, so appending keeps the set in token order.
+    active.push_back(ActiveKernel{token, cls, sm_util});
     if (isComputeClass(cls))
         ++activeComputeCount;
     else
@@ -53,9 +56,12 @@ Gpu::kernelBegin(KernelClass cls, double sm_util, double now)
 void
 Gpu::kernelEnd(std::uint64_t token, double now)
 {
-    auto it = active.find(token);
+    auto it = std::find_if(active.begin(), active.end(),
+                           [token](const ActiveKernel& k) {
+        return k.token == token;
+    });
     CHARLLM_ASSERT(it != active.end(), "unknown kernel token ", token);
-    if (isComputeClass(it->second.cls))
+    if (isComputeClass(it->cls))
         --activeComputeCount;
     else
         --activeCommCount;
@@ -73,7 +79,7 @@ double
 Gpu::occupancy() const
 {
     double occ = 0.0;
-    for (const auto& [token, k] : active) {
+    for (const ActiveKernel& k : active) {
         const auto& p = profileFor(k.cls);
         double contribution = p.occupancy;
         if (isComputeClass(k.cls))
@@ -87,7 +93,7 @@ double
 Gpu::warpsPerSm() const
 {
     double warps = 0.0;
-    for (const auto& [token, k] : active)
+    for (const ActiveKernel& k : active)
         warps += profileFor(k.cls).warpsPerSm;
     return warps;
 }
@@ -96,7 +102,7 @@ double
 Gpu::threadblocks() const
 {
     double blocks = 0.0;
-    for (const auto& [token, k] : active)
+    for (const ActiveKernel& k : active)
         blocks += profileFor(k.cls).threadblocks;
     return blocks;
 }
@@ -107,7 +113,7 @@ Gpu::computePower() const
     using namespace calib;
     double compute_act = 0.0;
     double comm_act = 0.0;
-    for (const auto& [token, k] : active) {
+    for (const ActiveKernel& k : active) {
         const auto& p = profileFor(k.cls);
         if (isComputeClass(k.cls)) {
             // Memory-bound kernels draw less core power.
@@ -199,7 +205,7 @@ Gpu::trafficBytes(TrafficClass cls) const
 double
 Gpu::throttleRatio() const
 {
-    return clockTw.fractionBelow(calib::kThrottleClockThresholdRel);
+    return clockTw.fractionBelow();
 }
 
 void
@@ -223,12 +229,12 @@ Gpu::resetStats(double now)
     for (double& t : traffic)
         t = 0.0;
     kernelTime = KernelTimeBreakdown();
-    powerTw = TimeWeightedStats();
-    tempTw = TimeWeightedStats();
-    clockTw = TimeWeightedStats();
-    occTw = TimeWeightedStats();
-    warpTw = TimeWeightedStats();
-    blockTw = TimeWeightedStats();
+    powerTw.reset();
+    tempTw.reset();
+    clockTw.reset();
+    occTw.reset();
+    warpTw.reset();
+    blockTw.reset();
     powerTw.update(now, currentPower);
     tempTw.update(now, tempC);
     clockTw.update(now, clockRel().value());

@@ -9,7 +9,7 @@
 #define CHARLLM_HW_GPU_HH
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "common/stats.hh"
 #include "hw/compute_model.hh"
@@ -150,9 +150,15 @@ class Gpu
   private:
     struct ActiveKernel
     {
+        std::uint64_t token;
         KernelClass cls;
         double smUtil;
     };
+
+    /** Active-set capacity reserved up front: a device runs at most a
+     *  compute kernel plus a few overlapped communication kernels, so
+     *  kernelBegin stays allocation-free. */
+    static constexpr std::size_t kActiveReserve = 8;
 
     /** Recompute power from current activity/clock and restat. */
     void refresh(double now);
@@ -166,7 +172,8 @@ class Gpu
     DvfsGovernor governor;
 
     std::uint64_t nextToken = 1;
-    std::map<std::uint64_t, ActiveKernel> active;
+    /** Kernels in flight, in ascending token (= issue) order. */
+    std::vector<ActiveKernel> active;
     int activeComputeCount = 0;
     int activeCommCount = 0;
 
@@ -182,7 +189,7 @@ class Gpu
 
     TimeWeightedStats powerTw;
     TimeWeightedStats tempTw;
-    TimeWeightedStats clockTw;
+    TimeWeightedStats clockTw; //!< fractionBelow = throttle ratio
     TimeWeightedStats occTw;
     TimeWeightedStats warpTw;
     TimeWeightedStats blockTw;

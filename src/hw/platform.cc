@@ -14,6 +14,7 @@ Platform::Platform(sim::Simulator& simulator, const GpuSpec& spec,
 {
     int total = num_nodes * layout.gpusPerNode();
     devices.reserve(static_cast<std::size_t>(total));
+    powers.resize(static_cast<std::size_t>(total));
     for (int i = 0; i < total; ++i)
         devices.push_back(std::make_unique<Gpu>(i, spec));
 }
@@ -53,7 +54,6 @@ void
 Platform::tick()
 {
     double now = sim.nowSeconds();
-    std::vector<Watts> powers(devices.size());
     for (std::size_t i = 0; i < devices.size(); ++i) {
         // Refreshing power via thermalUpdate below; read current draw.
         powers[i] = devices[i]->power();

@@ -81,6 +81,8 @@ class Platform
     std::vector<std::unique_ptr<Gpu>> devices;
     ThermalModel thermalNet;
     int nodes;
+    /** Per-tick power snapshot, sized once so tick() never allocates. */
+    std::vector<Watts> powers;
     ClockListener clockListener;
     bool started = false;
 };

@@ -18,6 +18,7 @@ ThermalModel::ThermalModel(const ChassisLayout& layout, int num_nodes,
     temps.assign(static_cast<std::size_t>(num_nodes) *
                      layout.slots.size(),
                  calib::kRoomTempC);
+    nextTemps.assign(temps.size(), 0.0);
     inletOffsets.assign(temps.size(), 0.0);
     faultRScale.assign(temps.size(), 1.0);
 }
@@ -83,7 +84,6 @@ ThermalModel::step(Seconds dt, const std::vector<Watts>& powers)
                    "power vector size mismatch");
     using namespace calib;
     int per_node = chassis.gpusPerNode();
-    std::vector<double> next = temps;
     for (std::size_t i = 0; i < temps.size(); ++i) {
         int node = static_cast<int>(i) / per_node;
         int slot = static_cast<int>(i) % per_node;
@@ -101,9 +101,9 @@ ThermalModel::step(Seconds dt, const std::vector<Watts>& powers)
             dT += dt.value() * kPackageCouplingPerSec *
                   (temps[peer] - temps[i]);
         }
-        next[i] = temps[i] + dT;
+        nextTemps[i] = temps[i] + dT;
     }
-    temps.swap(next);
+    temps.swap(nextTemps);
 }
 
 Celsius

@@ -84,6 +84,10 @@ class ThermalModel
     int nodes;
     double rTheta;
     std::vector<double> temps;
+    /** step()'s output buffer, swapped with temps every step: every
+     *  device reads its package peer's pre-step temperature, and the
+     *  step allocates nothing. */
+    std::vector<double> nextTemps;
     std::vector<double> inletOffsets;    //!< injected inlet delta (degC)
     std::vector<double> faultRScale;     //!< injected resistance scale
 };

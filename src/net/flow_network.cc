@@ -65,7 +65,7 @@ FlowNetwork::freeFlowSlot(std::uint32_t slot)
     Flow& flow = flowSlab[slot];
     flow.route = nullptr;
     flow.weights = nullptr;
-    flow.onComplete = nullptr;
+    flow.onComplete.reset();
     freeFlowSlots.push_back(slot);
 }
 
@@ -87,16 +87,14 @@ FlowNetwork::internRoute(std::vector<LinkId> links,
 
 FlowNetwork::FlowId
 FlowNetwork::transferOnRoute(const WeightedRoute* route, Bytes bytes,
-                             Seconds latency,
-                             std::function<void()> on_complete)
+                             Seconds latency, sim::EventFn on_complete)
 {
     double byte_count = bytes.value();
     CHARLLM_ASSERT(byte_count >= 0.0, "negative transfer size");
     CHARLLM_ASSERT(route != nullptr, "null weighted route");
     FlowId id = nextId++;
     if (byte_count <= 0.0) {
-        sim.schedule(sim::toTicks(latency.value()),
-                     [cb = std::move(on_complete)] { cb(); });
+        sim.schedule(sim::toTicks(latency.value()), std::move(on_complete));
         return id;
     }
     std::uint32_t slot = allocFlowSlot();
@@ -131,8 +129,7 @@ FlowNetwork::setLinkDerate(LinkId id, double factor)
 
 FlowNetwork::FlowId
 FlowNetwork::transfer(int src, int dst, Bytes bytes,
-                      std::function<void()> on_complete,
-                      Seconds extra_latency)
+                      sim::EventFn on_complete, Seconds extra_latency)
 {
     double byte_count = bytes.value();
     CHARLLM_ASSERT(byte_count >= 0.0, "negative transfer size");
@@ -143,15 +140,13 @@ FlowNetwork::transfer(int src, int dst, Bytes bytes,
         // Degenerate local copy: never enters the link graph.
         double duration = latency +
                           byte_count / calib::kLocalCopyBandwidth;
-        sim.schedule(sim::toTicks(duration),
-                     [cb = std::move(on_complete)] { cb(); });
+        sim.schedule(sim::toTicks(duration), std::move(on_complete));
         return id;
     }
 
     latency += topo.messageLatency(src, dst).value();
     if (byte_count <= 0.0) {
-        sim.schedule(sim::toTicks(latency),
-                     [cb = std::move(on_complete)] { cb(); });
+        sim.schedule(sim::toTicks(latency), std::move(on_complete));
         return id;
     }
 
@@ -218,7 +213,7 @@ FlowNetwork::joinFlow(std::uint32_t slot)
         }
         flow.rate = rate;
         ++fastJoins;
-        rebuildAggregates();
+        aggregatesDirty = true;
         scheduleNextCompletion();
     } else {
         recompute(now);
@@ -319,7 +314,7 @@ FlowNetwork::recompute(double now)
     }
 
     ++fullRecomputes;
-    rebuildAggregates();
+    aggregatesDirty = true;
     scheduleNextCompletion();
     (void)now;
 }
@@ -395,8 +390,12 @@ FlowNetwork::referenceRates() const
 }
 
 void
-FlowNetwork::rebuildAggregates()
+FlowNetwork::rebuildAggregates() const
 {
+    if (!aggregatesDirty)
+        return;
+    aggregatesDirty = false;
+    ++aggregateRebuilds;
     std::fill(gpuRateCache.begin(), gpuRateCache.end(), 0.0);
     std::fill(linkUsedCache.begin(), linkUsedCache.end(), 0.0);
     for (std::uint32_t slot : activeOrder) {
@@ -512,7 +511,7 @@ FlowNetwork::onCompletionEvent()
     if (uncontended) {
         if (!completedSlots.empty())
             ++fastCompletions;
-        rebuildAggregates();
+        aggregatesDirty = true;
         scheduleNextCompletion();
     } else {
         recompute(now);
@@ -531,6 +530,7 @@ FlowNetwork::gpuRate(int gpu, hw::TrafficClass cls) const
                       static_cast<std::size_t>(cls);
     if (gpu < 0 || idx >= gpuRateCache.size())
         return BytesPerSec(0.0);
+    rebuildAggregates();
     return BytesPerSec(gpuRateCache[idx]);
 }
 
@@ -541,6 +541,7 @@ FlowNetwork::linkUtilization(LinkId id) const
                                  topo.links().size(),
                   "link id ", id, " out of range [0, ",
                   topo.links().size(), ")");
+    rebuildAggregates();
     double used = linkUsedCache[static_cast<std::size_t>(id)];
     double capacity = topo.link(id).capacity.value();
     return capacity > 0.0 ? used / capacity : 0.0;

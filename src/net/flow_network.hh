@@ -17,8 +17,10 @@
  * flow arriving on (or departing from) links carrying no other flow
  * cannot change anyone else's allocation, so those events skip the
  * water-fill entirely. Aggregate per-(gpu, class) and per-link rates
- * are cached at allocation time, making the telemetry queries
- * gpuRate()/linkUtilization() O(1) lookups.
+ * are cached and rebuilt lazily: an allocation change only marks them
+ * dirty, and the first telemetry query after it (gpuRate() /
+ * linkUtilization()) pays one O(active flows x hops) rebuild. A run
+ * with no sampler attached never rebuilds them at all.
  */
 
 #ifndef CHARLLM_NET_FLOW_NETWORK_HH
@@ -58,9 +60,12 @@ class FlowNetwork
      * @p dst. @p on_complete fires when the last byte arrives.
      * @p extra_latency adds protocol overhead (e.g. un-chunked
      * rendezvous handshakes) on top of the topology's base latency.
+     * The completion is a move-only sim::EventFn: it rides in the
+     * flow's pooled slot and then in the event queue, so captures up
+     * to EventFn::kInlineBytes never touch the heap.
      */
     FlowId transfer(int src, int dst, Bytes bytes,
-                    std::function<void()> on_complete,
+                    sim::EventFn on_complete,
                     Seconds extra_latency = Seconds(0.0));
 
     /**
@@ -94,8 +99,7 @@ class FlowNetwork
      * negative @p bytes degenerates to a latency-only callback.
      */
     FlowId transferOnRoute(const WeightedRoute* route, Bytes bytes,
-                           Seconds latency,
-                           std::function<void()> on_complete);
+                           Seconds latency, sim::EventFn on_complete);
 
     /** Instantaneous aggregate rate seen at a GPU's ports, by class. */
     BytesPerSec gpuRate(int gpu, hw::TrafficClass cls) const;
@@ -146,6 +150,9 @@ class FlowNetwork
     std::uint64_t numFastJoins() const { return fastJoins; }
     /** Completion events that skipped the water-fill. */
     std::uint64_t numFastCompletions() const { return fastCompletions; }
+    /** Telemetry-cache rebuilds (at most one per allocation change,
+     *  and only when something queried the caches after it). */
+    std::uint64_t numAggregateRebuilds() const { return aggregateRebuilds; }
     /**
      * Disable the incremental fast paths so every change runs the full
      * water-fill (the pre-incremental behaviour). Used by equivalence
@@ -174,7 +181,7 @@ class FlowNetwork
         const std::vector<int>* weights = nullptr;
         double bytesRemaining = 0.0;
         double rate = 0.0;
-        std::function<void()> onComplete;
+        sim::EventFn onComplete;
     };
 
     /** Multiplicity of hop @p i of @p flow (1 for ordinary flows). */
@@ -203,8 +210,9 @@ class FlowNetwork
     /** Re-run max-min allocation and schedule the next completion. */
     void recompute(double now);
 
-    /** Rebuild the O(1) gpuRate/linkUtilization caches. */
-    void rebuildAggregates();
+    /** Rebuild the gpuRate/linkUtilization caches if an allocation
+     *  change has dirtied them since the last rebuild. */
+    void rebuildAggregates() const;
 
     /** (Re)schedule the completion event for the earliest finisher. */
     void scheduleNextCompletion();
@@ -231,14 +239,19 @@ class FlowNetwork
     std::vector<double> linkDerate; //!< capacity multiplier per link
     FlowId nextId = 1;
 
-    /** @name O(1) telemetry caches (rebuilt on allocation change) */
-    std::vector<double> gpuRateCache; //!< [gpu * numClasses + cls]
-    std::vector<double> linkUsedCache;
+    /** @name Telemetry caches (rebuilt on the first query after an
+     *  allocation change)
+     * @{ */
+    mutable std::vector<double> gpuRateCache; //!< [gpu * numClasses + cls]
+    mutable std::vector<double> linkUsedCache;
+    mutable bool aggregatesDirty = false;
+    mutable std::uint64_t aggregateRebuilds = 0;
+    /** @} */
 
     /** @name Reused scratch (cleared, never reallocated, per event) */
     std::vector<double> remainingScratch;
     std::vector<int> flowsOnScratch;
-    std::vector<std::function<void()>> completedCallbacks;
+    std::vector<sim::EventFn> completedCallbacks;
     std::vector<std::uint32_t> completedSlots;
 
     std::map<std::uint64_t, std::vector<LinkId>> routeCache;

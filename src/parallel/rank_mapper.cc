@@ -31,6 +31,7 @@ RankMapper::setDevicePermutation(std::vector<int> perm)
         deviceRank[static_cast<std::size_t>(dev)] =
             static_cast<int>(r);
     }
+    ++placementChanges;
 }
 
 void
@@ -47,6 +48,7 @@ RankMapper::swapDevices(int dev_a, int dev_b)
     devicePerm[static_cast<std::size_t>(rank_b)] = dev_a;
     deviceRank[static_cast<std::size_t>(dev_a)] = rank_b;
     deviceRank[static_cast<std::size_t>(dev_b)] = rank_a;
+    ++placementChanges;
 }
 
 int

@@ -51,6 +51,10 @@ class RankMapper
      */
     void swapDevices(int dev_a, int dev_b);
 
+    /** Bumped by every placement change: programs built against an
+     *  older version are stale. */
+    std::uint64_t placementVersion() const { return placementChanges; }
+
     const ParallelConfig& config() const { return cfg; }
     int worldSize() const { return cfg.worldSize(); }
 
@@ -89,6 +93,7 @@ class RankMapper
     ParallelConfig cfg;
     std::vector<int> devicePerm; //!< rank -> device
     std::vector<int> deviceRank; //!< device -> rank
+    std::uint64_t placementChanges = 0;
 };
 
 /**

@@ -24,6 +24,16 @@ channelKey(int src, int dst)
            static_cast<std::uint32_t>(dst);
 }
 
+/** First entry of a key-sorted (key, value) vector not below @p key. */
+template <typename Entries>
+auto
+keyLowerBound(Entries& entries, std::uint64_t key)
+{
+    return std::lower_bound(
+        entries.begin(), entries.end(), key,
+        [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+}
+
 } // namespace
 
 TrainingEngine::TrainingEngine(hw::Platform& platform,
@@ -71,6 +81,8 @@ TrainingEngine::run()
     maxCommitted = 0;
     committedDurations.assign(
         static_cast<std::size_t>(totalIterations), 0.0);
+    iterSpans.reserve(iterSpans.size() +
+                      static_cast<std::size_t>(totalIterations));
     if (opts.warmupIterations == 0)
         measureStart = plat.simulator().nowSeconds();
     startIteration();
@@ -96,18 +108,21 @@ TrainingEngine::run()
 void
 TrainingEngine::startIteration()
 {
-    program = builder.build(iteration);
+    const std::uint64_t placement = builder.placementVersion();
+    if (!builder.iterationInvariant() || builtPlacement != placement) {
+        program = builder.build(iteration);
+        builtPlacement = placement;
+    }
     int world = program.worldSize();
     CHARLLM_ASSERT(world == plat.numGpus(),
                    "program world size != platform size");
-    CHARLLM_ASSERT(instances.empty(),
+    CHARLLM_ASSERT(openInstances.empty(),
                    "collective instances leaked across iterations");
     ranks.assign(static_cast<std::size_t>(world), RankState());
     inFlight.assign(static_cast<std::size_t>(world), std::nullopt);
-    groupSeq.assign(static_cast<std::size_t>(world),
-                    std::vector<std::uint64_t>(program.groups.size(),
-                                               0));
-    channels.clear();
+    numGroups = program.groups.size();
+    groupSeq.assign(static_cast<std::size_t>(world) * numGroups, 0);
+    resetChannels();
     if (pendingStall.size() != static_cast<std::size_t>(world))
         pendingStall.assign(static_cast<std::size_t>(world), 0.0);
     ranksRemaining = world;
@@ -357,10 +372,10 @@ TrainingEngine::retimeCompute(int dev)
 void
 TrainingEngine::joinCollective(int dev, const Op& op)
 {
-    auto& seq = groupSeq[static_cast<std::size_t>(dev)]
-                        [static_cast<std::size_t>(op.groupId)];
+    auto& seq = groupSeq[static_cast<std::size_t>(dev) * numGroups +
+                         static_cast<std::size_t>(op.groupId)];
     std::uint64_t key = instanceKey(op.groupId, seq++);
-    auto& inst = instances[key];
+    CollectiveInstance& inst = openInstance(key);
     double now = plat.simulator().nowSeconds();
     hw::Gpu& gpu = plat.gpu(dev);
     std::uint64_t token = gpu.kernelBegin(op.cls, 0.0, now);
@@ -415,15 +430,15 @@ TrainingEngine::joinCollective(int dev, const Op& op)
 void
 TrainingEngine::launchCollective(std::uint64_t key)
 {
-    auto it = instances.find(key);
-    CHARLLM_ASSERT(it != instances.end(),
+    auto it = keyLowerBound(openInstances, key);
+    CHARLLM_ASSERT(it != openInstances.end() && it->first == key,
                    "launching unknown collective instance");
-    CollectiveInstance& inst = it->second;
+    const CollectiveInstance& inst = instancePool[it->second];
     const auto& group =
         program.groups[static_cast<std::size_t>(inst.groupId)];
-    coll::CollectiveRequest req;
+    coll::CollectiveRequest& req = request;
     req.kind = inst.ckind;
-    req.ranks = group;
+    req.ranks.assign(group.begin(), group.end());
     req.bytes = inst.bytes;
     req.chunked = inst.chunked;
     req.messages = inst.messages;
@@ -441,22 +456,52 @@ TrainingEngine::launchCollective(std::uint64_t key)
     }
     // Flows cannot be cancelled; on abort the completion arrives
     // from a dead epoch and drops itself here.
-    req.onComplete = [this, key, e = epoch] {
+    coll.run(req, [this, key, e = epoch] {
         if (e != epoch)
             return;
         onCollectiveDone(key);
-    };
-    inst.issued = true;
-    coll.run(std::move(req));
+    });
+}
+
+TrainingEngine::CollectiveInstance&
+TrainingEngine::openInstance(std::uint64_t key)
+{
+    auto it = keyLowerBound(openInstances, key);
+    if (it != openInstances.end() && it->first == key)
+        return instancePool[it->second];
+    std::uint32_t slot;
+    if (!freeInstances.empty()) {
+        slot = freeInstances.back();
+        freeInstances.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(instancePool.size());
+        instancePool.emplace_back();
+    }
+    openInstances.insert(it, {key, slot});
+    return instancePool[slot];
+}
+
+void
+TrainingEngine::releaseInstance(std::uint32_t slot)
+{
+    CollectiveInstance& inst = instancePool[slot];
+    inst.arrivals.clear();
+    inst.tokens.clear();
+    inst.causes.clear();
+    freeInstances.push_back(slot);
 }
 
 void
 TrainingEngine::onCollectiveDone(std::uint64_t key)
 {
-    auto it = instances.find(key);
-    CHARLLM_ASSERT(it != instances.end(), "unknown collective instance");
-    CollectiveInstance inst = std::move(it->second);
-    instances.erase(it);
+    auto it = keyLowerBound(openInstances, key);
+    CHARLLM_ASSERT(it != openInstances.end() && it->first == key,
+                   "unknown collective instance");
+    // Closed now, recycled only after the member loop below: advancing
+    // members may open new instances, which must not reuse this one.
+    const std::uint32_t slot = it->second;
+    openInstances.erase(it);
+    const CollectiveInstance& inst = instancePool[slot];
     double now = plat.simulator().nowSeconds();
 
     for (std::size_t i = 0; i < inst.arrivals.size(); ++i) {
@@ -501,6 +546,7 @@ TrainingEngine::onCollectiveDone(std::uint64_t key)
             advance(dev);
         }
     }
+    releaseInstance(slot);
 }
 
 void
@@ -514,83 +560,112 @@ TrainingEngine::issueSend(int dev, const Op& op)
     int peer = fold != nullptr ? fold->repOf(op.peerDevice)
                                : op.peerDevice;
     std::uint64_t ckey = channelKey(dev, peer);
-    Channel& ch = channels[ckey];
-    std::uint64_t seq = ch.sendSeq++;
+    std::uint64_t seq = channel(ckey).sendSeq++;
 
     hw::Gpu& gpu = plat.gpu(dev);
     std::uint64_t token = gpu.kernelBegin(hw::KernelClass::SendRecv,
                                           0.0, now);
     ++ranks[static_cast<std::size_t>(dev)].outstandingAsync;
     std::uint64_t sid = sendCounter++;
-    sends.emplace(sid, OutstandingSend{dev, now, token, op.name});
+    sends.push_back(OutstandingSend{
+        sid, dev, peer, ckey, seq, now, token, op.name,
+        critpath != nullptr ? critpath->head(dev) : -1});
 
-    coll::CollectiveRequest req;
+    coll::CollectiveRequest& req = request;
     req.kind = coll::CollectiveKind::SendRecv;
-    req.ranks = {dev, peer};
+    req.ranks.assign({dev, peer});
     req.bytes = op.bytes;
     req.chunked = op.chunked;
-    int dst = peer;
-    const char* name = op.name;
-    int sendCause = critpath != nullptr ? critpath->head(dev) : -1;
-    req.onComplete = [this, dev, dst, ckey, seq, sid, token, now, name,
-                      sendCause, e = epoch] {
+    req.messages = 1;
+    req.topologyAware = false;
+    coll.run(req, [this, sid, e = epoch] {
         if (e != epoch)
             return;
-        sends.erase(sid);
-        double done = plat.simulator().nowSeconds();
-        // Record before any advance (sender drain-unblock or receiver
-        // wake): the flow's completion is their causal head. A
-        // receiver already blocked on this sequence number marks the
-        // pipeline-bubble window from its recv posting to the flow
-        // start.
-        int rec = -1;
-        if (critpath != nullptr) {
-            double posted = -1.0;
-            const Channel& chPeek = channels[ckey];
-            if (chPeek.waiting &&
-                std::get<0>(*chPeek.waiting) == seq)
-                posted = std::get<1>(*chPeek.waiting);
-            rec = critpath->onP2PDone(
-                dev, dst, now, done, name, sendCause, posted,
-                plat.nodeOf(dev) != plat.nodeOf(dst));
-        }
-        // Sender side bookkeeping.
-        hw::Gpu& src_gpu = plat.gpu(dev);
-        src_gpu.kernelEnd(token, done);
-        src_gpu.addKernelTime(hw::KernelClass::SendRecv,
-                              Seconds(done - now));
-        emitTrace(dev, hw::KernelClass::SendRecv, name, now,
-                  done - now);
-        retimeCompute(dev);
-        auto& sst = ranks[static_cast<std::size_t>(dev)];
-        CHARLLM_ASSERT(sst.outstandingAsync > 0, "send underflow");
-        --sst.outstandingAsync;
-        if (sst.draining && sst.outstandingAsync == 0) {
-            sst.draining = false;
-            if (critpath != nullptr)
-                critpath->setHead(dev, rec);
-            advance(dev);
-        }
-        // Receiver side: wake a blocked recv or buffer the arrival.
-        Channel& channel = channels[ckey];
-        if (channel.waiting &&
-            std::get<0>(*channel.waiting) == seq) {
-            auto [wseq, arr, rx_token] = *channel.waiting;
-            channel.waiting.reset();
-            hw::Gpu& dst_gpu = plat.gpu(dst);
-            dst_gpu.kernelEnd(rx_token, done);
-            dst_gpu.addKernelTime(hw::KernelClass::SendRecv,
-                                  Seconds(done - arr));
-            emitTrace(dst, hw::KernelClass::SendRecv, "recv", arr,
-                      done - arr);
-            if (critpath != nullptr)
-                critpath->setHead(dst, rec);
-            advance(dst);
-        } else {
-            channel.ready.emplace(seq, done);
-        }
-    };
-    coll.run(std::move(req));
+        onSendDone(sid);
+    });
+}
+
+void
+TrainingEngine::onSendDone(std::uint64_t send_id)
+{
+    auto it = std::find_if(sends.begin(), sends.end(),
+                           [send_id](const OutstandingSend& s) {
+        return s.id == send_id;
+    });
+    CHARLLM_ASSERT(it != sends.end(), "unknown send ", send_id);
+    const OutstandingSend snd = *it;
+    sends.erase(it);
+    const int dev = snd.dev;
+    const int dst = snd.dst;
+    const double now = snd.startSec;
+    double done = plat.simulator().nowSeconds();
+    // Record before any advance (sender drain-unblock or receiver
+    // wake): the flow's completion is their causal head. A receiver
+    // already blocked on this sequence number marks the
+    // pipeline-bubble window from its recv posting to the flow start.
+    int rec = -1;
+    if (critpath != nullptr) {
+        double posted = -1.0;
+        const Channel& chPeek = channel(snd.channel);
+        if (chPeek.waiting && std::get<0>(*chPeek.waiting) == snd.seq)
+            posted = std::get<1>(*chPeek.waiting);
+        rec = critpath->onP2PDone(dev, dst, now, done, snd.name,
+                                  snd.cause, posted,
+                                  plat.nodeOf(dev) != plat.nodeOf(dst));
+    }
+    // Sender side bookkeeping.
+    hw::Gpu& src_gpu = plat.gpu(dev);
+    src_gpu.kernelEnd(snd.token, done);
+    src_gpu.addKernelTime(hw::KernelClass::SendRecv, Seconds(done - now));
+    emitTrace(dev, hw::KernelClass::SendRecv, snd.name, now, done - now);
+    retimeCompute(dev);
+    auto& sst = ranks[static_cast<std::size_t>(dev)];
+    CHARLLM_ASSERT(sst.outstandingAsync > 0, "send underflow");
+    --sst.outstandingAsync;
+    if (sst.draining && sst.outstandingAsync == 0) {
+        sst.draining = false;
+        if (critpath != nullptr)
+            critpath->setHead(dev, rec);
+        advance(dev);
+    }
+    // Receiver side: wake a blocked recv or buffer the arrival.
+    Channel& ch = channel(snd.channel);
+    if (ch.waiting && std::get<0>(*ch.waiting) == snd.seq) {
+        auto [wseq, arr, rx_token] = *ch.waiting;
+        ch.waiting.reset();
+        hw::Gpu& dst_gpu = plat.gpu(dst);
+        dst_gpu.kernelEnd(rx_token, done);
+        dst_gpu.addKernelTime(hw::KernelClass::SendRecv,
+                              Seconds(done - arr));
+        emitTrace(dst, hw::KernelClass::SendRecv, "recv", arr,
+                  done - arr);
+        if (critpath != nullptr)
+            critpath->setHead(dst, rec);
+        advance(dst);
+    } else {
+        ch.ready.emplace_back(snd.seq, done);
+    }
+}
+
+TrainingEngine::Channel&
+TrainingEngine::channel(std::uint64_t key)
+{
+    auto it = keyLowerBound(channels, key);
+    if (it == channels.end() || it->first != key)
+        it = channels.insert(it, {key, Channel()});
+    return it->second;
+}
+
+void
+TrainingEngine::resetChannels()
+{
+    for (auto& [key, ch] : channels) {
+        (void)key;
+        ch.sendSeq = 0;
+        ch.recvSeq = 0;
+        ch.ready.clear();
+        ch.waiting.reset();
+    }
 }
 
 bool
@@ -599,9 +674,10 @@ TrainingEngine::tryRecv(int dev, const Op& op)
     int peer = fold != nullptr ? fold->repOf(op.peerDevice)
                                : op.peerDevice;
     std::uint64_t ckey = channelKey(peer, dev);
-    Channel& ch = channels[ckey];
+    Channel& ch = channel(ckey);
     std::uint64_t seq = ch.recvSeq++;
-    auto it = ch.ready.find(seq);
+    auto it = std::find_if(ch.ready.begin(), ch.ready.end(),
+                           [seq](const auto& r) { return r.first == seq; });
     if (it != ch.ready.end()) {
         // Data already arrived: the receive completes immediately.
         ch.ready.erase(it);
@@ -692,8 +768,9 @@ TrainingEngine::abortIteration(int rollback, double resume_at_s)
                       now - slot->startTime);
             slot.reset();
         }
-        for (auto& [key, inst] : instances) {
+        for (const auto& [key, slot] : openInstances) {
             (void)key;
+            const CollectiveInstance& inst = instancePool[slot];
             for (std::size_t i = 0; i < inst.arrivals.size(); ++i) {
                 int dev = inst.arrivals[i].first;
                 double arr = inst.arrivals[i].second;
@@ -702,10 +779,10 @@ TrainingEngine::abortIteration(int rollback, double resume_at_s)
                 gpu.addKernelTime(inst.cls, Seconds(now - arr));
                 emitTrace(dev, inst.cls, inst.name, arr, now - arr);
             }
+            releaseInstance(slot);
         }
-        instances.clear();
-        for (auto& [sid, snd] : sends) {
-            (void)sid;
+        openInstances.clear();
+        for (const OutstandingSend& snd : sends) {
             hw::Gpu& gpu = plat.gpu(snd.dev);
             gpu.kernelEnd(snd.token, now);
             gpu.addKernelTime(hw::KernelClass::SendRecv,
@@ -728,7 +805,7 @@ TrainingEngine::abortIteration(int rollback, double resume_at_s)
                       now - arr);
             ch.waiting.reset();
         }
-        channels.clear();
+        resetChannels();
         iterSpans.push_back(IterationSpan{
             iteration, iteration < opts.warmupIterations, iterStart,
             now, /*replay=*/iteration < maxCommitted,
@@ -739,7 +816,7 @@ TrainingEngine::abortIteration(int rollback, double resume_at_s)
         // Failure detected inside a boundary pause: nothing was in
         // flight, the cancelled pendingStart is the only teardown.
         sends.clear();
-        channels.clear();
+        resetChannels();
     }
     std::fill(pendingStall.begin(), pendingStall.end(), 0.0);
     pendingRestartSec = 0.0;

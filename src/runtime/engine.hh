@@ -9,8 +9,8 @@
 #ifndef CHARLLM_RUNTIME_ENGINE_HH
 #define CHARLLM_RUNTIME_ENGINE_HH
 
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -190,7 +190,7 @@ class TrainingEngine
      *  collective tears shared gradient state and forces a rollback,
      *  while a boundary fault lets an elastic shrink keep all
      *  committed work. */
-    bool collectiveInFlight() const { return !instances.empty(); }
+    bool collectiveInFlight() const { return !openInstances.empty(); }
 
     bool runFinished() const { return finished; }
 
@@ -233,7 +233,6 @@ class TrainingEngine
         std::vector<int> causes; //!< per-member head at join
                                  //!< (critical path only)
         bool async = false;
-        bool issued = false;
         hw::KernelClass cls = hw::KernelClass::AllReduce;
         const char* name = "";
         // Launch metadata stashed at join time so a deferred launch
@@ -250,21 +249,30 @@ class TrainingEngine
     {
         std::uint64_t sendSeq = 0;
         std::uint64_t recvSeq = 0;
-        // Sends whose data has fully arrived, by sequence number.
-        std::map<std::uint64_t, double> ready;
+        // Sends whose data arrived before their receive was posted:
+        // (sequence number, arrival time).
+        std::vector<std::pair<std::uint64_t, double>> ready;
         // Blocked receiver (seq, arrival time, gpu token).
         std::optional<std::tuple<std::uint64_t, double, std::uint64_t>>
             waiting;
     };
 
-    /** A send whose network flow is still in flight (needed so aborts
-     *  can close the sender-side kernel span). */
+    /** A send whose network flow is still in flight. It carries
+     *  everything the completion needs (and what aborts need to close
+     *  the sender-side kernel span), so the completion callback
+     *  captures only {engine, id, epoch} and stays inline in
+     *  sim::EventFn. */
     struct OutstandingSend
     {
+        std::uint64_t id = 0;
         int dev = 0;
+        int dst = 0;
+        std::uint64_t channel = 0; //!< channelKey(dev, dst)
+        std::uint64_t seq = 0;     //!< sequence number on the channel
         double startSec = 0.0;
         std::uint64_t token = 0;
         const char* name = "";
+        int cause = -1; //!< critical-path head at issue
     };
 
     void startIteration();
@@ -304,12 +312,26 @@ class TrainingEngine
 
     void joinCollective(int dev, const Op& op);
 
+    /** The open instance for @p key, opened from the pool if new. */
+    CollectiveInstance& openInstance(std::uint64_t key);
+
+    /** Return a finished instance's record to the pool. */
+    void releaseInstance(std::uint32_t slot);
+
     /** Launch the fully-arrived collective instance @p key. */
     void launchCollective(std::uint64_t key);
 
     void onCollectiveDone(std::uint64_t key);
     void issueSend(int dev, const Op& op);
+    void onSendDone(std::uint64_t send_id);
     bool tryRecv(int dev, const Op& op);
+
+    /** The channel for (src << 32 | dst), created on first use. */
+    Channel& channel(std::uint64_t key);
+
+    /** Empty every channel, keeping the entries and their buffers. */
+    void resetChannels();
+
     void rankDone(int dev);
     void emitTrace(int dev, hw::KernelClass cls, const char* name,
                    double start, double dur);
@@ -322,14 +344,27 @@ class TrainingEngine
     TraceSink trace;
 
     Program program;
+    /** Placement version program was built for; it is rebuilt per
+     *  iteration only when the builder's output varies by iteration. */
+    std::optional<std::uint64_t> builtPlacement;
     std::vector<RankState> ranks;
     std::vector<std::optional<InFlightCompute>> inFlight;
-    // Collective instances keyed by (groupId << 32 | seq).
-    std::map<std::uint64_t, CollectiveInstance> instances;
-    std::vector<std::vector<std::uint64_t>> groupSeq; //!< [dev][group]
-    std::map<std::uint64_t, Channel> channels; //!< (src << 32 | dst)
-    std::map<std::uint64_t, OutstandingSend> sends;
+    // Collective instances keyed by (groupId << 32 | seq). Records live
+    // in a pool (a deque: references survive its growth, and finished
+    // records keep their vectors' capacity); the open ones are indexed
+    // by key in ascending order.
+    std::deque<CollectiveInstance> instancePool;
+    std::vector<std::uint32_t> freeInstances;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> openInstances;
+    std::vector<std::uint64_t> groupSeq; //!< [dev * numGroups + group]
+    std::size_t numGroups = 0;
+    /** P2P channels keyed by (src << 32 | dst), ascending. Entries
+     *  persist across iterations (reset, never erased). */
+    std::vector<std::pair<std::uint64_t, Channel>> channels;
+    std::vector<OutstandingSend> sends; //!< ascending id
     std::uint64_t sendCounter = 0;
+    /** Reused for every collective and send launch. */
+    coll::CollectiveRequest request;
 
     int iteration = 0;
     int totalIterations = 0;

@@ -25,8 +25,9 @@ namespace runtime {
 
 /**
  * Program construction. One builder per experiment; build() is called
- * once per iteration (MoE routing imbalance is re-drawn per
- * iteration, everything else is deterministic).
+ * once per iteration when the program varies by iteration (MoE
+ * routing imbalance is re-drawn per iteration, elastic shrink changes
+ * the live replicas), once per run otherwise.
  */
 class ProgramBuilder
 {
@@ -68,6 +69,21 @@ class ProgramBuilder
 
     /** Build the schedule for iteration @p iteration. */
     Program build(int iteration) const;
+
+    /**
+     * True when build() returns the same program for every iteration
+     * of one placement: no MoE routing draws and no elastic liveness
+     * mask. The engine then rebuilds only when placementVersion()
+     * moves.
+     */
+    bool
+    iterationInvariant() const
+    {
+        return !cfg.isMoe() && elastic == nullptr;
+    }
+
+    /** The rank mapper's placement version (see RankMapper). */
+    std::uint64_t placementVersion() const { return map.placementVersion(); }
 
     /**
      * Analytic bubble fraction: (pp-1)/(v*m + pp-1) — the classic

@@ -1,0 +1,253 @@
+/**
+ * @file
+ * Steady-state allocation gates. This binary replaces the global
+ * allocation functions with counting ones, so each test can assert how
+ * many heap allocations a stretch of simulation performed:
+ *
+ *  - the 2 ms governor tick (thermal step, DVFS, per-GPU statistics)
+ *    allocates nothing;
+ *  - a measured training iteration, from one commit to the next,
+ *    allocates nothing once the pools have warmed up;
+ *  - a long run performs exactly as many allocations as a short one,
+ *    so retained memory is O(devices), not O(simulated time).
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "coll/collective_engine.hh"
+#include "core/cluster.hh"
+#include "hw/platform.hh"
+#include "net/flow_network.hh"
+#include "net/topology.hh"
+#include "parallel/rank_mapper.hh"
+#include "runtime/engine.hh"
+#include "runtime/program_builder.hh"
+#include "sim/simulator.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> allocations{0};
+
+void*
+countedAlloc(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+std::uint64_t
+allocationCount()
+{
+    return allocations.load(std::memory_order_relaxed);
+}
+
+} // namespace
+
+void*
+operator new(std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void*
+operator new[](std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+using namespace charllm;
+
+/** Small dense model: a measured iteration takes milliseconds. */
+model::TransformerConfig
+smallModel()
+{
+    model::TransformerConfig c;
+    c.name = "Small-3B";
+    c.numLayers = 16;
+    c.hiddenSize = 2560;
+    c.numHeads = 20;
+    c.numQueryGroups = 20;
+    c.ffnHiddenSize = 4 * 2560;
+    c.vocabSize = 32000;
+    c.seqLength = 1024;
+    return c;
+}
+
+/** Records the allocation counter at every committed iteration. */
+struct CommitProbe : runtime::ResilienceController
+{
+    std::vector<std::uint64_t> allocsAtCommit;
+
+    CommitProbe() { allocsAtCommit.reserve(64); }
+
+    double
+    onIterationCommitted(int, double, double, bool) override
+    {
+        allocsAtCommit.push_back(allocationCount());
+        return 0.0;
+    }
+};
+
+/** Everything the engine needs, on two H100 nodes (the PP boundary
+ *  crosses the IB fabric), TP2-PP2-DP4. */
+struct Stack
+{
+    explicit Stack(const runtime::TrainOptions& train, int measured)
+        : cluster(core::h100Cluster(2)),
+          topo(cluster.network),
+          plat(simulator, cluster.gpu, cluster.chassis, cluster.numNodes),
+          netw(simulator, topo),
+          colls(simulator, netw),
+          map(parallel::ParallelConfig::forWorld(16, 2, 2)),
+          builder(smallModel(), map, train),
+          engine(plat, netw, colls, builder, engineOptions(measured))
+    {
+        engine.setResilienceController(&probe);
+        plat.start();
+    }
+
+    static runtime::EngineOptions
+    engineOptions(int measured)
+    {
+        runtime::EngineOptions o;
+        o.warmupIterations = 2;
+        o.measuredIterations = measured;
+        return o;
+    }
+
+    core::ClusterSpec cluster;
+    sim::Simulator simulator;
+    net::Topology topo;
+    hw::Platform plat;
+    net::FlowNetwork netw;
+    coll::CollectiveEngine colls;
+    parallel::RankMapper map;
+    runtime::ProgramBuilder builder;
+    runtime::TrainingEngine engine;
+    CommitProbe probe;
+};
+
+runtime::TrainOptions
+denseOptions()
+{
+    runtime::TrainOptions t;
+    t.globalBatchSize = 16;
+    return t;
+}
+
+TEST(SteadyStateAlloc, GovernorTickAllocatesNothing)
+{
+    core::ClusterSpec cluster = core::h100Cluster(2);
+    sim::Simulator simulator;
+    hw::Platform plat(simulator, cluster.gpu, cluster.chassis,
+                      cluster.numNodes);
+    // Keep the devices busy so the governor has power to react to.
+    for (int g = 0; g < plat.numGpus(); ++g) {
+        plat.gpu(g).kernelBegin(hw::KernelClass::Gemm, 1.0, 0.0);
+        plat.gpu(g).kernelBegin(hw::KernelClass::AllReduce, 0.0, 0.0);
+    }
+    std::uint64_t before = allocationCount();
+    for (int i = 0; i < 5000; ++i)
+        plat.tick();
+    EXPECT_EQ(allocationCount() - before, 0u);
+    EXPECT_GT(plat.gpu(0).temperature().value(), 25.0);
+}
+
+TEST(SteadyStateAlloc, KernelBeginEndAllocatesNothing)
+{
+    hw::Gpu gpu(0, core::h100Cluster(1).gpu);
+    std::uint64_t before = allocationCount();
+    double now = 0.0;
+    for (int i = 0; i < 10000; ++i) {
+        auto a = gpu.kernelBegin(hw::KernelClass::Gemm, 0.8, now);
+        auto b = gpu.kernelBegin(hw::KernelClass::SendRecv, 0.0, now);
+        now += 1e-3;
+        gpu.kernelEnd(a, now);
+        gpu.kernelEnd(b, now);
+    }
+    EXPECT_EQ(allocationCount() - before, 0u);
+}
+
+TEST(SteadyStateAlloc, MeasuredIterationAllocatesNothing)
+{
+    // Each variant drives a different engine or collective path:
+    // async overlapped gradient buckets, recompute ops, hierarchical
+    // (topology-aware) collectives, interleaved virtual stages.
+    struct Variant
+    {
+        const char* name;
+        void (*apply)(runtime::TrainOptions&);
+    };
+    const Variant variants[] = {
+        {"base", [](runtime::TrainOptions&) {}},
+        {"cc-overlap", [](runtime::TrainOptions& t) { t.ccOverlap = true; }},
+        {"act-recompute",
+         [](runtime::TrainOptions& t) { t.actRecompute = true; }},
+        {"topology-aware",
+         [](runtime::TrainOptions& t) { t.topologyAwareCollectives = true; }},
+        {"interleaved",
+         [](runtime::TrainOptions& t) { t.virtualStages = 2; }},
+    };
+    for (const Variant& v : variants) {
+        runtime::TrainOptions train = denseOptions();
+        v.apply(train);
+        Stack s(train, 4);
+        s.engine.run();
+        const auto& at = s.probe.allocsAtCommit;
+        ASSERT_EQ(at.size(), 6u) << v.name;
+        // Iterations 0-1 warm up, iteration 2 is the first measured
+        // one; by then every pool has reached its high-water mark.
+        for (std::size_t i = 3; i < at.size(); ++i)
+            EXPECT_EQ(at[i] - at[i - 1], 0u)
+                << v.name << ", iteration " << i;
+    }
+}
+
+TEST(SteadyStateAlloc, LongRunAllocatesNoMoreThanShortRun)
+{
+    auto run_allocs = [](int measured) {
+        std::uint64_t before = allocationCount();
+        {
+            Stack s(denseOptions(), measured);
+            s.engine.run();
+        }
+        return allocationCount() - before;
+    };
+    EXPECT_EQ(run_allocs(30), run_allocs(3));
+}
+
+} // namespace

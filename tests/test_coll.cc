@@ -33,8 +33,7 @@ struct CollFixture : ::testing::Test
         req.ranks = std::move(ranks);
         req.bytes = Bytes(bytes);
         req.chunked = chunked;
-        req.onComplete = [&] { done = sim.nowSeconds(); };
-        eng.run(std::move(req));
+        eng.run(req, [&] { done = sim.nowSeconds(); });
         sim.run();
         return done;
     }
@@ -149,8 +148,7 @@ TEST_F(CollFixture, CrossNodeAllReduceBottleneckedByNic)
     req.kind = CollectiveKind::AllReduce;
     req.ranks = {0, 1, 2, 3, 4, 5, 6, 7};
     req.bytes = Bytes(bytes);
-    req.onComplete = [&] { intra = sim2.nowSeconds(); };
-    eng2.run(std::move(req));
+    eng2.run(req, [&] { intra = sim2.nowSeconds(); });
     sim2.run();
     // NIC (12.5 GB/s) vs NVLink (450 GB/s): cross-node much slower.
     EXPECT_GT(cross, 5.0 * intra);
@@ -173,8 +171,7 @@ TEST_F(CollFixture, AllToAllLocalityAdvantage)
     req.kind = CollectiveKind::AllToAll;
     req.ranks = {0, 1, 2, 3, 8, 9, 10, 11}; // half on each node
     req.bytes = Bytes(bytes);
-    req.onComplete = [&] { spread = sim2.nowSeconds(); };
-    eng2.run(std::move(req));
+    eng2.run(req, [&] { spread = sim2.nowSeconds(); });
     sim2.run();
     EXPECT_GT(spread, 3.0 * local);
 }
@@ -194,8 +191,7 @@ TEST_F(CollFixture, SendRecvUnchunkedPaysHandshake)
     req.ranks = {0, 8};
     req.bytes = Bytes(1e6);
     req.chunked = false;
-    req.onComplete = [&] { unchunked = sim2.nowSeconds(); };
-    eng2.run(std::move(req));
+    eng2.run(req, [&] { unchunked = sim2.nowSeconds(); });
     sim2.run();
     EXPECT_NEAR(unchunked - chunked,
                 net::calib::kUnchunkedHandshakeSec, 1e-6);
@@ -239,11 +235,10 @@ TEST_F(CollFixture, ConcurrentCollectivesContend)
         req.kind = CollectiveKind::AllReduce;
         req.ranks = {g * 4 + 0, g * 4 + 1, g * 4 + 2, g * 4 + 3};
         req.bytes = Bytes(bytes);
-        req.onComplete = [&] {
+        eng2.run(req, [&] {
             ++done;
             t_last = sim2.nowSeconds();
-        };
-        eng2.run(std::move(req));
+        });
     }
     sim2.run();
     EXPECT_EQ(done, 2);
@@ -292,8 +287,7 @@ TEST_F(CollFixture, HierarchicalAllReduceBeatsFlatAcrossNodes)
     req.ranks = ranks;
     req.bytes = Bytes(bytes);
     req.topologyAware = true;
-    req.onComplete = [&] { hier = sim2.nowSeconds(); };
-    eng.run(std::move(req));
+    eng.run(req, [&] { hier = sim2.nowSeconds(); });
     sim2.run();
     ASSERT_GT(hier, 0.0);
     EXPECT_LT(hier, flat * 0.75);
@@ -312,8 +306,7 @@ TEST_F(CollFixture, HierarchicalFallsBackForIntraNodeGroup)
     req.ranks = {0, 1, 2, 3, 4, 5, 6, 7};
     req.bytes = Bytes(1e9);
     req.topologyAware = true;
-    req.onComplete = [&] { t_aware = sim.nowSeconds(); };
-    eng.run(std::move(req));
+    eng.run(req, [&] { t_aware = sim.nowSeconds(); });
     sim.run();
     sim::Simulator sim2;
     net::FlowNetwork netw2(sim2, topo);
@@ -322,9 +315,8 @@ TEST_F(CollFixture, HierarchicalFallsBackForIntraNodeGroup)
     req2.kind = CollectiveKind::AllReduce;
     req2.ranks = {0, 1, 2, 3, 4, 5, 6, 7};
     req2.bytes = Bytes(1e9);
-    req2.onComplete = [&] { t_flat = sim2.nowSeconds(); };
     CollectiveEngine eng2(sim2, netw2);
-    eng2.run(std::move(req2));
+    eng2.run(req2, [&] { t_flat = sim2.nowSeconds(); });
     sim2.run();
     EXPECT_NEAR(t_aware, t_flat, t_flat * 0.01);
 }
@@ -346,8 +338,7 @@ TEST_F(CollFixture, HierarchicalAllGatherAndReduceScatterComplete)
         req.ranks = ranks;
         req.bytes = Bytes(5e8);
         req.topologyAware = true;
-        req.onComplete = [&] { done = s.nowSeconds(); };
-        eng.run(std::move(req));
+        eng.run(req, [&] { done = s.nowSeconds(); });
         s.run();
         EXPECT_GT(done, 0.0) << collectiveKindName(kind);
     }

@@ -5,8 +5,9 @@
  * derates) is driven through the incremental solver and through a twin
  * forced to run the full water-fill on every change (the
  * pre-incremental behaviour); completion times, completion order, and
- * the O(1) telemetry caches must match exactly — not approximately —
- * since the fast paths are required to be bit-identical.
+ * the lazily rebuilt telemetry caches must match exactly — not
+ * approximately — since the fast paths are required to be
+ * bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -231,6 +232,31 @@ TEST(FlowIncremental, UncontendedJoinAndCompletionTakeFastPath)
                            calib::kProtocolEfficiency);
     EXPECT_NEAR(t1, solo, solo * 0.02);
     EXPECT_NEAR(t2, solo, solo * 0.02);
+}
+
+TEST(FlowIncremental, AggregatesRebuildOnlyWhenQueriedAfterChange)
+{
+    sim::Simulator s;
+    Topology topo(Topology::hgxParams(2));
+    FlowNetwork netw(s, topo);
+    // Inter-node flows: every source GPU drives its PCIe port.
+    for (int i = 0; i < 8; ++i)
+        netw.transfer(i, i + 8, Bytes(1e9), [] {});
+    double rate = 0.0;
+    std::uint64_t after_queries = 0;
+    s.schedule(sim::toTicks(0.002), [&] {
+        rate = netw.gpuRate(0, hw::TrafficClass::Pcie).value();
+        (void)netw.linkUtilization(topo.pcieOutLink(0));
+        (void)netw.gpuRate(1, hw::TrafficClass::Pcie);
+        after_queries = netw.numAggregateRebuilds();
+    });
+    s.run();
+    EXPECT_GT(rate, 0.0);
+    // Three queries after the last change cost one rebuild, and the
+    // many allocation changes nobody queried cost none.
+    EXPECT_EQ(after_queries, 1u);
+    EXPECT_EQ(netw.numAggregateRebuilds(), 1u);
+    EXPECT_GT(netw.numFullRecomputes() + netw.numFastJoins(), 1u);
 }
 
 TEST(FlowIncremental, ForceFullRecomputeDisablesFastPaths)

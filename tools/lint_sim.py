@@ -27,8 +27,8 @@ Three rule families, all scoped to the library tree (src/):
    (type-erased heap captures) and std::make_shared (per-event
    refcounted records) both cost an allocation per use and are what
    the zero-allocation overhaul removed. New uses are banned; the
-   sanctioned boundary-API exceptions (FlowNetwork's user-facing
-   completion callbacks and traffic sink) live in the allowlist.
+   sanctioned exception (FlowNetwork's traffic sink, set once per
+   run) lives in the allowlist.
    src/obs/ is held to the same standard: metric increments sit on
    instrumented hot paths.
 

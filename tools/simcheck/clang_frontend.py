@@ -18,7 +18,7 @@ import os
 import re
 
 from cxxlex import Token
-from ir import CallSite, FileModel, Function, Param, RangeFor
+from ir import FileModel, Function, Param, RangeFor
 
 # libclang majors we have validated the cursor walk against. Anything
 # else is refused in --frontend=clang (and skipped in auto) so a silent
@@ -111,9 +111,6 @@ _RNG_TYPE_RE = re.compile(
     r"\b(mt19937(_64)?|default_random_engine|minstd_rand0?|"
     r"ranlux24|ranlux48|knuth_b|Rng)\b")
 
-_SCHEDULE_FNS = {"schedule", "scheduleAt", "every"}
-
-
 class _Lowerer:
     def __init__(self, cindex, rel: str):
         self.cindex = cindex
@@ -170,8 +167,8 @@ class _Lowerer:
         self.model.tokens = [self._tok(t) for t in tu.get_tokens(extent=ext)]
         return self.model
 
-    def _lower_function(self, cur, parent_fn: Function | None = None,
-                        event_handler: bool = False) -> None:
+    def _lower_function(self, cur,
+                        parent_fn: Function | None = None) -> None:
         K = self.K
         body = None
         for ch in cur.get_children():
@@ -193,8 +190,6 @@ class _Lowerer:
             access=self._access(cur),
             is_header=self.model.is_header,
             is_lambda=(cur.kind == K.LAMBDA_EXPR),
-            is_event_handler=event_handler,
-            parent=parent_fn.qname if parent_fn else None,
         )
         if parent_fn is not None:
             fn.qname = f"{parent_fn.qname}::<lambda@{cur.location.line}>"
@@ -241,15 +236,6 @@ class _Lowerer:
                         expr_name=rng.spelling or "",
                         expr_type=rng.type.spelling,
                         line=ch.location.line))
-            elif kind == K.CALL_EXPR:
-                if ch.spelling:
-                    fn.calls.append(CallSite(callee=ch.spelling,
-                                             line=ch.location.line))
-                if ch.spelling in _SCHEDULE_FNS:
-                    for gc in ch.walk_preorder():
-                        if gc.kind == K.LAMBDA_EXPR:
-                            self._lower_function(
-                                gc, parent_fn=fn, event_handler=True)
             self._walk_body(ch, fn)
 
 

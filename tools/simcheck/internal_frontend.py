@@ -9,10 +9,7 @@ understands exactly as much C++ as the rules need:
  - variable declarations whose type is "interesting" (containers, RNG
    engines, raw pointers, plain double)
  - range-for statements and the entity they iterate
- - call sites by unqualified callee name
- - lambdas, including whether one is passed to the event-scheduling
-   API (schedule / scheduleAt / every) and therefore runs on the
-   event-dispatch hot path
+ - lambdas (their captures see the enclosing function's declarations)
 
 Macro bodies are not expanded; the simulator library is macro-light by
 policy (CHARLLM_ASSERT/CHECK only), so this costs nothing in practice.
@@ -23,7 +20,7 @@ real AST and is preferred when python3-clang is installed.
 from __future__ import annotations
 
 from cxxlex import DIRECTIVE, ID, PUNCT, Token, find_matching, tokenize
-from ir import CallSite, FileModel, Function, Param, RangeFor
+from ir import FileModel, Function, Param, RangeFor
 
 KEYWORDS = {
     "alignas", "alignof", "asm", "auto", "bool", "break", "case", "catch",
@@ -41,16 +38,13 @@ KEYWORDS = {
     "final", "override",
 }
 
-# Call-expression names that are control flow / casts, not functions.
+# Call-like names that are control flow / casts, not functions.
 NOT_CALLS = {
     "if", "for", "while", "switch", "return", "sizeof", "alignof",
     "static_cast", "dynamic_cast", "reinterpret_cast", "const_cast",
     "decltype", "noexcept", "catch", "assert", "defined", "typeid",
     "static_assert", "alignas", "throw", "new", "delete", "requires",
 }
-
-# Functions whose callable argument runs on the event-dispatch path.
-SCHEDULE_FNS = {"schedule", "scheduleAt", "every"}
 
 _QUALIFIERS = {"const", "constexpr", "inline", "static", "virtual",
                "explicit", "friend", "mutable", "typename", "volatile",
@@ -504,7 +498,7 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _parse_body(self, fn: Function, start: int, end: int) -> None:
-        """Extract decls, range-fors, calls, lambdas from [start, end)."""
+        """Extract decls, range-fors, lambdas from [start, end)."""
         toks = self.toks
         lambda_spans: list[tuple[int, int]] = []
         i = start
@@ -532,19 +526,6 @@ class _Parser:
             if decl_end is not None:
                 i = decl_end
                 continue
-
-            # Call site.
-            if t.kind == ID and text not in KEYWORDS and \
-                    text not in NOT_CALLS and i + 1 < end and \
-                    toks[i + 1].text == "(":
-                fn.calls.append(CallSite(callee=text, line=t.line))
-            # Call with explicit template args: name<T>(...).
-            elif t.kind == ID and text not in KEYWORDS and \
-                    text not in NOT_CALLS and i + 1 < end and \
-                    toks[i + 1].text == "<":
-                after = self._skip_angles(i + 1, end)
-                if after < end and self.toks[after].text == "(":
-                    fn.calls.append(CallSite(callee=text, line=t.line))
 
             i += 1
 
@@ -608,45 +589,13 @@ class _Parser:
             access=parent.access,
             is_header=parent.is_header,
             is_lambda=True,
-            parent=parent.qname,
         )
         lam.decls.update(parent.decls)  # captures see enclosing decls
         for p in params:
             lam.decls[p.name] = p.type_str
-        # Passed to the scheduling API? Look back for `schedule(` /
-        # `scheduleAt(` / `every(` with this lambda inside its parens.
-        lam.is_event_handler = self._inside_schedule_call(i)
         self._parse_body(lam, j + 1, body_close)
         self.model.functions.append(lam)
         return (i, body_close)
-
-    def _inside_schedule_call(self, i: int) -> bool:
-        """Walk back over balanced groups looking for `scheduleFn(`."""
-        toks = self.toks
-        depth = 0
-        j = i - 1
-        hops = 0
-        while j >= 0 and hops < 400:
-            t = toks[j].text
-            if t in (")", "]", "}"):
-                depth += 1
-            elif t in ("(", "[", "{"):
-                if depth == 0:
-                    if t == "(" and j >= 1 and \
-                            toks[j - 1].text in SCHEDULE_FNS:
-                        return True
-                    if t != "(":
-                        return False
-                    # Nested group (e.g. an argument expr); keep going.
-                    j -= 1
-                    hops += 1
-                    continue
-                depth -= 1
-            elif depth == 0 and t == ";":
-                return False
-            j -= 1
-            hops += 1
-        return False
 
     def _maybe_range_for(self, fn: Function, start: int, end: int) -> None:
         toks = self.toks

@@ -6,8 +6,8 @@ is written once and behaves identically under either frontend.
 
 The model is deliberately small — it carries exactly what the rules
 need: functions with parameter/return types and access, variable
-declarations with textual types, range-for statements, call edges by
-callee name, and the raw token stream for pattern rules.
+declarations with textual types, range-for statements, and the raw
+token stream for pattern rules.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ class RangeFor:
 
 
 @dataclass
-class CallSite:
-    callee: str  # unqualified callee name
-    line: int
-
-
-@dataclass
 class Function:
     """A function definition (or lambda) with its analyzed body."""
 
@@ -62,15 +56,9 @@ class Function:
     access: str = "free"  # public | protected | private | free
     is_header: bool = False
     is_lambda: bool = False
-    is_event_handler: bool = False  # lambda passed to schedule*/every
-    parent: str | None = None  # enclosing function qname for lambdas
     tokens: list[Token] = field(default_factory=list)  # body tokens
     decls: dict[str, str] = field(default_factory=dict)  # name -> type
     range_fors: list[RangeFor] = field(default_factory=list)
-    calls: list[CallSite] = field(default_factory=list)
-
-    def callee_names(self) -> set[str]:
-        return {c.callee for c in self.calls}
 
 
 @dataclass

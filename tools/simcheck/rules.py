@@ -1,6 +1,6 @@
 """simcheck rules: the simulator's semantic contracts over the IR.
 
-Three families, mirroring the contracts in DESIGN.md §5/§6:
+Two families, mirroring the contracts in DESIGN.md §5:
 
 Determinism ("same seed -> byte-identical telemetry"):
   det-unordered-iter     iteration over std::unordered_{map,set} —
@@ -18,18 +18,16 @@ Unit soundness (common/quantity.hh, now enforced across ALL of src/):
   unit-value-escape      public header function returning a raw
                          Quantity::value() double across the API
 
-Hot-path allocation (by reachability, not directory):
-  hot-alloc              heap-allocating construct in a function
-                         statically reachable from EventQueue dispatch
-                         or the FlowNetwork solve entry points
+Hot-path allocation is not a static rule: tests/test_alloc.cc counts
+the heap allocations of a steady-state iteration and requires zero.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ir import FileModel, Finding, Function
+from ir import FileModel, Finding
 
 UNORDERED_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
 ORDERED_ASSOC_RE = re.compile(
@@ -40,42 +38,9 @@ RNG_NO_SEED_MSG = (
 
 UNIT_SUFFIX_RE = re.compile(r"_(w|j|c|bps|s)$")
 
-HEAP_TOKENS = {
-    "make_shared": "std::make_shared allocates a control block per call",
-    "make_unique": "std::make_unique heap-allocates per call",
-    "push_back": "container growth can reallocate on the hot path",
-    "emplace_back": "container growth can reallocate on the hot path",
-    "resize": "resize can reallocate on the hot path",
-    "reserve": "reserve allocates on the hot path",
-}
-
-# Default reachability roots: EventQueue dispatch + FlowNetwork solve
-# entry points, plus every lambda handed to the scheduling API (those
-# are the event bodies the dispatcher actually runs).
-DEFAULT_HOT_ROOTS = [
-    "EventQueue::runOne",
-    "EventQueue::runUntil",
-    "EventQueue::peekNext",
-    "FlowNetwork::startFlow",
-    "FlowNetwork::progress",
-    "FlowNetwork::recompute",
-    "FlowNetwork::onCompletionEvent",
-    "Simulator::dispatchNext",
-    # Critical-path recorder entry points: called from op-completion
-    # event handlers, so they sit on the dispatch path whenever
-    # tracing is enabled. Slab growth past the reserve is the only
-    # sanctioned allocation (see allowlist).
-    "CriticalPathRecorder::onComputeDone",
-    "CriticalPathRecorder::onCollectiveDone",
-    "CriticalPathRecorder::onP2PDone",
-    "CriticalPathRecorder::beginIteration",
-    "CriticalPathRecorder::endIteration",
-]
-
 
 @dataclass
 class RuleConfig:
-    hot_roots: list[str] = field(default_factory=lambda: list(DEFAULT_HOT_ROOTS))
     # Value-escape boundary dirs where .value() returns are the point
     # (CSV/trace/NVML writers) — scoped out of unit-value-escape.
     value_boundary_dirs: tuple = ()
@@ -94,8 +59,6 @@ RULES = [
      "unit-suffixed raw double parameter/return/member"),
     ("unit-value-escape",
      "public header API returning Quantity::value() as raw double"),
-    ("hot-alloc",
-     "heap allocation reachable from event dispatch / flow solve"),
 ]
 
 
@@ -131,7 +94,6 @@ class Analyzer:
             "det-unseeded-rng": self.check_unseeded_rng,
             "unit-raw-double": self.check_unit_raw_double,
             "unit-value-escape": self.check_value_escape,
-            "hot-alloc": self.check_hot_alloc,
         }
         for rule, fn in checks.items():
             if only_rules is None or rule in only_rules:
@@ -369,70 +331,4 @@ class Analyzer:
                             "the unit at the call boundary; return the "
                             "typed quantity (escape hatches belong at "
                             "CSV/trace/NVML writers)",
-                            fn.qname)
-
-    # -- hot-path allocation --------------------------------------------
-
-    def check_hot_alloc(self) -> None:
-        by_name: dict[str, list[Function]] = {}
-        by_qname: dict[str, Function] = {}
-        for fm in self.models:
-            for fn in fm.functions:
-                by_name.setdefault(fn.name, []).append(fn)
-                by_qname[fn.qname] = fn
-
-        roots: list[Function] = []
-        for fn in by_qname.values():
-            if fn.is_event_handler:
-                roots.append(fn)
-            else:
-                for root_pat in self.config.hot_roots:
-                    if fn.qname.endswith(root_pat):
-                        roots.append(fn)
-                        break
-
-        # BFS over the name-resolved call graph, src-defined only.
-        reachable: set[str] = set()
-        frontier = list(roots)
-        while frontier:
-            fn = frontier.pop()
-            if fn.qname in reachable:
-                continue
-            reachable.add(fn.qname)
-            for callee in fn.callee_names():
-                for target in by_name.get(callee, []):
-                    if target.qname not in reachable:
-                        frontier.append(target)
-            # A lambda defined inside a reachable function runs (at the
-            # latest) when that function invokes or schedules it.
-            for cand in by_qname.values():
-                if cand.parent == fn.qname and cand.qname not in reachable:
-                    frontier.append(cand)
-
-        for fm in self.models:
-            for fn in fm.functions:
-                if fn.qname not in reachable:
-                    continue
-                toks = fn.tokens
-                for i, t in enumerate(toks):
-                    reason = None
-                    if t.text == "new":
-                        # `new` as operator-new definitions or
-                        # placement-new are still allocations from the
-                        # rule's perspective; delete-expressions not.
-                        reason = "operator new allocates per call"
-                    elif t.text in HEAP_TOKENS:
-                        if i + 1 < len(toks) and toks[i + 1].text == "(":
-                            reason = HEAP_TOKENS[t.text]
-                    elif t.text == "function" and i >= 2 and \
-                            toks[i - 1].text == "::" and \
-                            toks[i - 2].text == "std":
-                        reason = ("std::function may heap-allocate "
-                                  "captured state")
-                    if reason:
-                        self._emit(
-                            "hot-alloc", fm, t.line,
-                            f"{reason} (reachable from "
-                            "event dispatch / flow solve; keep the "
-                            "per-event path allocation-free)",
                             fn.qname)

@@ -4,8 +4,7 @@
 Enforces the simulator's semantic contracts where the regex lint
 (tools/lint_sim.py) can't see: container iteration semantics, pointer
 ordering, RNG seeding, unit-suffixed raw doubles across all of src/,
-Quantity::value() escapes on public APIs, and hot-path allocation by
-call-graph reachability from event dispatch / flow solve.
+and Quantity::value() escapes on public APIs.
 
 Frontends (--frontend):
   auto      libclang (clang.cindex over compile_commands.json) when
@@ -32,7 +31,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import internal_frontend  # noqa: E402
 from ir import FileModel, Finding  # noqa: E402
-from rules import DEFAULT_HOT_ROOTS, RULES, Analyzer, RuleConfig  # noqa: E402
+from rules import RULES, Analyzer, RuleConfig  # noqa: E402
 
 REPO = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -111,9 +110,6 @@ def main() -> int:
                     help="write machine-readable findings JSON")
     ap.add_argument("--rules", metavar="R1,R2",
                     help="run only these rules (comma-separated)")
-    ap.add_argument("--hot-roots", metavar="PAT1,PAT2",
-                    help="override hot-path reachability roots "
-                         "(qname suffixes; fixtures use this)")
     ap.add_argument("--check-allowlist", action="store_true",
                     help="fail if any allowlist entry is stale")
     ap.add_argument("--list-rules", action="store_true")
@@ -166,8 +162,6 @@ def main() -> int:
             sources[rel] = f.read().splitlines()
 
     config = RuleConfig()
-    if args.hot_roots:
-        config.hot_roots = [p for p in args.hot_roots.split(",") if p]
     only = set(args.rules.split(",")) if args.rules else None
     if only:
         known = {r for r, _ in RULES}
