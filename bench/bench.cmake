@@ -6,11 +6,24 @@ add_library(charllm_benchutil STATIC ${CMAKE_SOURCE_DIR}/bench/bench_util.cc)
 target_include_directories(charllm_benchutil PUBLIC ${CMAKE_SOURCE_DIR}/bench)
 target_link_libraries(charllm_benchutil PUBLIC charllm_core charllm_scale)
 
+# `<bench> FLAG` must exit RC with output matching REGEX (the output is
+# echoed only on exit code RC). The short timeout fails a bench that
+# ignores argv and starts its sweep.
+function(charllm_add_flag_test name suffix flag rc regex)
+    add_test(NAME ${name}.${suffix} COMMAND sh -c
+        "out=$(\"$0\" ${flag} 2>&1); test $? -eq ${rc} && echo \"$out\""
+        $<TARGET_FILE:${name}>)
+    set_tests_properties(${name}.${suffix} PROPERTIES
+        PASS_REGULAR_EXPRESSION "${regex}" TIMEOUT 10)
+endfunction()
+
 function(charllm_add_bench name)
     add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cc)
     target_link_libraries(${name} PRIVATE charllm_benchutil)
     set_target_properties(${name} PROPERTIES
         RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+    charllm_add_flag_test(${name} help --help 0 "usage:")
+    charllm_add_flag_test(${name} bogus_flag --bogus 2 "unknown argument")
 endfunction()
 
 charllm_add_bench(bench_table1_models)

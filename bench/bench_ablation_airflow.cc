@@ -31,16 +31,9 @@ uniformlyCooled(core::ClusterSpec cluster)
     return cluster;
 }
 
-struct Outcome
-{
-    double tput = 0.0;
-    double gap = 0.0;
-    double throttle = 0.0;
-};
-
-Outcome
-run(const core::ClusterSpec& cluster,
-    const std::vector<int>& perm = {})
+core::ExperimentConfig
+config(const core::ClusterSpec& cluster,
+       const std::vector<int>& perm = {})
 {
     auto cfg = benchutil::sweepConfig(
         cluster, model::gpt3_175b(),
@@ -48,24 +41,15 @@ run(const core::ClusterSpec& cluster,
     cfg.train.actRecompute = true;
     cfg.warmupIterations = 2;
     cfg.devicePermutation = perm;
-    auto r = core::Experiment::run(cfg);
-    Outcome o;
-    o.tput = r.tokensPerSecond;
-    double lo = 1e30, hi = -1e30;
-    for (const auto& g : r.gpus) {
-        lo = std::min(lo, g.avgTempC);
-        hi = std::max(hi, g.avgTempC);
-    }
-    o.gap = hi - lo;
-    o.throttle = r.throttleRatio;
-    return o;
+    return cfg;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Ablation",
                       "Airflow preheat vs counterfactual uniform "
                       "cooling (GPT3-175B TP4-PP8, H200)");
@@ -75,32 +59,40 @@ main()
     auto par = parallel::ParallelConfig::forWorld(32, 4, 8);
     auto plan = core::coldFirstPlacement(real, par);
 
-    auto o_real = run(real);
-    auto o_real_placed = run(real, plan.devicePermutation);
-    auto o_uniform = run(uniform);
-    auto o_uniform_placed = run(uniform, plan.devicePermutation);
+    auto rows = benchutil::runSweep(
+        {config(real), config(real, plan.devicePermutation),
+         config(uniform), config(uniform, plan.devicePermutation)},
+        flags);
 
     TextTable t({"chassis", "placement", "tokens/s", "temp gap(C)",
                  "throttle"});
     auto row = [&](const char* chassis, const char* place,
-                   const Outcome& o) {
-        t.addRow({chassis, place, formatFixed(o.tput, 0),
-                  formatFixed(o.gap, 1),
-                  formatFixed(100.0 * o.throttle, 1) + "%"});
+                   const core::ExperimentResult& r) {
+        double lo = 1e30, hi = -1e30;
+        for (const auto& g : r.gpus) {
+            lo = std::min(lo, g.avgTempC);
+            hi = std::max(hi, g.avgTempC);
+        }
+        t.addRow({chassis, place, formatFixed(r.tokensPerSecond, 0),
+                  formatFixed(hi - lo, 1),
+                  formatFixed(100.0 * r.throttleRatio, 1) + "%"});
     };
-    row("front-to-back airflow", "baseline", o_real);
-    row("front-to-back airflow", "thermal-aware", o_real_placed);
-    row("uniform cooling", "baseline", o_uniform);
-    row("uniform cooling", "thermal-aware", o_uniform_placed);
+    row("front-to-back airflow", "baseline", rows[0].result);
+    row("front-to-back airflow", "thermal-aware", rows[1].result);
+    row("uniform cooling", "baseline", rows[2].result);
+    row("uniform cooling", "thermal-aware", rows[3].result);
     t.print();
 
+    auto tput = [&rows](std::size_t i) {
+        return rows[i].result.tokensPerSecond;
+    };
     std::printf(
         "\nImbalance cost: %.1f%% throughput lost to airflow preheat.\n"
         "Placement gain with imbalance: %+.1f%%; without: %+.1f%%\n"
         "(thermal-aware scheduling only pays off when the physical\n"
         "imbalance it exploits exists).\n",
-        100.0 * (o_uniform.tput / o_real.tput - 1.0),
-        100.0 * (o_real_placed.tput / o_real.tput - 1.0),
-        100.0 * (o_uniform_placed.tput / o_uniform.tput - 1.0));
+        100.0 * (tput(2) / tput(0) - 1.0),
+        100.0 * (tput(1) / tput(0) - 1.0),
+        100.0 * (tput(3) / tput(2) - 1.0));
     return 0;
 }

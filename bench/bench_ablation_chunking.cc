@@ -16,31 +16,39 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Ablation",
                       "Chunked vs un-chunked TP+PP SendRecv "
                       "(GPT3-175B, H200, act enabled)");
 
-    auto cluster = core::h200Cluster();
-    TextTable t({"config", "p2p transport", "iter(s)", "tokens/s",
-                 "SendRecv(s)", "speedup"});
+    std::vector<core::ExperimentConfig> configs;
     for (const auto& par :
          {parallel::ParallelConfig::forWorld(32, 8, 4),
           parallel::ParallelConfig::forWorld(32, 4, 8),
           parallel::ParallelConfig::forWorld(32, 2, 16)}) {
-        double base_tput = 0.0;
         for (bool chunk : {false, true}) {
-            auto cfg = benchutil::sweepConfig(cluster,
+            auto cfg = benchutil::sweepConfig(core::h200Cluster(),
                                               model::gpt3_175b(), par);
             cfg.train.actRecompute = true;
             cfg.train.chunkP2p = chunk;
-            auto r = core::Experiment::run(cfg);
-            if (!r.feasible)
-                continue;
-            if (!chunk)
-                base_tput = r.tokensPerSecond;
-            t.addRow({par.label(),
+            configs.push_back(cfg);
+        }
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+
+    TextTable t({"config", "p2p transport", "iter(s)", "tokens/s",
+                 "SendRecv(s)", "speedup"});
+    double base_tput = 0.0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& cfg = configs[i];
+        const auto& r = rows[i].result;
+        bool chunk = cfg.train.chunkP2p;
+        if (!chunk)
+            base_tput = r.feasible ? r.tokensPerSecond : 0.0;
+        if (r.feasible) {
+            t.addRow({cfg.par.label(),
                       chunk ? "chunked (counterfactual)"
                             : "un-chunked (measured reality)",
                       formatFixed(r.avgIterationSeconds, 2),
@@ -53,7 +61,8 @@ main()
                                              base_tput -
                                          1.0))});
         }
-        t.addSeparator();
+        if (chunk)
+            t.addSeparator();
     }
     t.print();
     std::printf(

@@ -97,14 +97,6 @@ main(int argc, char** argv)
                          return true;
                      }});
     auto flags = benchutil::sweepFlags(argc, argv, extra);
-    if (flags.backend != sim::BackendKind::Des) {
-        // Elastic shrink/grow is a timeline phenomenon; the
-        // analytical backend has no world to reconfigure.
-        std::fprintf(stderr, "the elastic sweep needs the DES "
-                             "backend (drop --backend=%s)\n",
-                     sim::backendKindName(flags.backend));
-        return 2;
-    }
 
     benchutil::banner("Ablation",
                       "MTBF x spare pool x policy -> goodput "
@@ -154,7 +146,7 @@ main(int argc, char** argv)
         }
     }
 
-    auto rows = benchutil::runSweep(configs, flags.threads);
+    auto rows = benchutil::runSweep(configs, flags);
 
     CsvWriter csv;
     csv.header({"seed", "gpu_mtbf_s", "policy", "pool", "ettr",

@@ -19,8 +19,9 @@ using namespace charllm;
 using namespace charllm::unit_literals;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Ablation",
                       "Fault scenarios -> step-time degradation "
                       "(GPT3-30B, H100, TP8-PP4)");
@@ -53,20 +54,27 @@ main()
     rows.push_back({"fail-stop gpu5 + remap",
                     faults::scenarios::failStop(5, 2.0_s, 0.0), true});
 
-    TextTable t({"scenario", "iter(s)", "slowdown", "events",
-                 "gpu0 peakT", "throttle"});
-    double healthy_iter = 0.0;
+    std::vector<core::ExperimentConfig> configs;
     for (const auto& row : rows) {
         auto cfg = benchutil::sweepConfig(cluster, model::gpt3_30b(),
                                           par);
         cfg.faultScenario = row.scenario;
         cfg.elasticRemap = row.remap;
-        auto r = core::Experiment::run(cfg);
+        configs.push_back(cfg);
+    }
+    auto results = benchutil::runSweep(configs, flags);
+
+    TextTable t({"scenario", "iter(s)", "slowdown", "events",
+                 "gpu0 peakT", "throttle"});
+    double healthy_iter = 0.0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& r = results[i].result;
         if (!r.feasible)
             continue;
-        if (row.scenario.empty())
+        if (rows[i].scenario.empty())
             healthy_iter = r.avgIterationSeconds;
-        t.addRow({row.name, benchutil::fmtSec(r.avgIterationSeconds),
+        t.addRow({rows[i].name,
+                  benchutil::fmtSec(r.avgIterationSeconds),
                   strprintf("%.2fx",
                             r.avgIterationSeconds / healthy_iter),
                   strprintf("%zu", r.faultLog.size()),

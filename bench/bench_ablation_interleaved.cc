@@ -18,8 +18,9 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Ablation",
                       "Interleaved (virtual-stage) pipeline "
                       "scheduling, GPT3-30B TP2-PP8, H200");
@@ -28,22 +29,28 @@ main()
     auto m = model::gpt3_30b(); // 48 layers: divisible by 8*v, v<=3
     auto par = parallel::ParallelConfig::forWorld(32, 2, 8); // dp 2
 
-    TextTable t({"microbatches/replica", "v (chunks)", "bubble",
-                 "iter(s)", "tokens/s", "SendRecv(s)", "speedup"});
+    std::vector<core::ExperimentConfig> configs;
     for (int mbsize : {8, 4, 1}) {
-        double base_tput = 0.0;
         for (int v : {1, 2, 3}) {
             auto cfg = benchutil::sweepConfig(cluster, m, par);
             cfg.train.microbatchSize = mbsize;
             cfg.train.virtualStages = v;
-            int replica_mb = 128 / par.dp / mbsize;
-            if (replica_mb % par.pp != 0)
-                continue;
-            auto r = core::Experiment::run(cfg);
-            if (!r.feasible)
-                continue;
-            if (v == 1)
-                base_tput = r.tokensPerSecond;
+            if (128 / par.dp / mbsize % par.pp == 0)
+                configs.push_back(cfg);
+        }
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+
+    TextTable t({"microbatches/replica", "v (chunks)", "bubble",
+                 "iter(s)", "tokens/s", "SendRecv(s)", "speedup"});
+    double base_tput = 0.0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& r = rows[i].result;
+        int v = configs[i].train.virtualStages;
+        int replica_mb = 128 / par.dp / configs[i].train.microbatchSize;
+        if (v == 1)
+            base_tput = r.feasible ? r.tokensPerSecond : 0.0;
+        if (r.feasible) {
             double p = par.pp, mm = replica_mb;
             t.addRow({std::to_string(replica_mb), std::to_string(v),
                       strprintf("%.1f%%", 100.0 * (p - 1.0) /
@@ -58,7 +65,8 @@ main()
                                              base_tput -
                                          1.0))});
         }
-        t.addSeparator();
+        if (v == 3)
+            t.addSeparator();
     }
     t.print();
     std::printf(

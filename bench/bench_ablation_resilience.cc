@@ -70,14 +70,6 @@ main(int argc, char** argv)
                          return true;
                      }});
     auto flags = benchutil::sweepFlags(argc, argv, extra);
-    if (flags.backend != sim::BackendKind::Des) {
-        // The analytical backend has no failure timeline to drive
-        // checkpoint/rollback through, so this sweep is DES-only.
-        std::fprintf(stderr, "the resilience sweep needs the DES "
-                             "backend (drop --backend=%s)\n",
-                     sim::backendKindName(flags.backend));
-        return 2;
-    }
 
     benchutil::banner("Ablation",
                       "Checkpoint interval x MTBF -> goodput/ETTR "
@@ -118,7 +110,7 @@ main(int argc, char** argv)
         }
     }
 
-    auto rows = benchutil::runSweep(configs, flags.threads);
+    auto rows = benchutil::runSweep(configs, flags);
 
     CsvWriter csv;
     csv.header({"seed", "gpu_mtbf_s", "interval_req_s", "interval_s",

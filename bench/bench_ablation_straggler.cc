@@ -16,8 +16,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
 
 #include "bench_util.hh"
@@ -41,49 +39,43 @@ main(int argc, char** argv)
                      "(the analytical backend has no event timeline); "
                      "skipping the straggler-dominance checks\n");
 
-    auto cluster = core::h200Cluster();
-    TextTable t({"config", "fault", "iter(s)", "slowdown",
-                 "faulty-node clock", "healthy clock",
-                 "faulty-node path share"});
-
-    auto writeReport = [](const std::string& path,
-                          const std::string& label,
-                          const std::string& reportJson) {
-        std::ofstream out(path, std::ios::binary);
-        if (out && (out << "{\"label\":\"" << jsonEscape(label)
-                        << "\",\"critical_path\":" << reportJson
-                        << "}"))
-            std::printf("wrote critical-path report: %s\n",
-                        path.c_str());
-        else
-            std::fprintf(stderr,
-                         "failed to write critical-path report: %s\n",
-                         path.c_str());
-    };
-
-    int violations = 0;
-    bool wroteCritPath = false;
-    for (const auto& par :
-         {parallel::ParallelConfig::forWorld(32, 8, 4),
-          parallel::ParallelConfig::forWorld(32, 2, 16),
-          parallel::ParallelConfig::forWorld(32, 2, 1)}) {
-        double healthy_iter = 0.0;
-        std::shared_ptr<obs::CriticalPathReport> cleanReport;
-        std::string cleanLabel;
-        for (double cap : {0.0, 400.0, 150.0}) {
-            auto cfg = benchutil::sweepConfig(cluster,
+    const std::vector<parallel::ParallelConfig> pars = {
+        parallel::ParallelConfig::forWorld(32, 8, 4),
+        parallel::ParallelConfig::forWorld(32, 2, 16),
+        parallel::ParallelConfig::forWorld(32, 2, 1)};
+    const std::vector<double> caps = {0.0, 400.0, 150.0};
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& par : pars) {
+        for (double cap : caps) {
+            auto cfg = benchutil::sweepConfig(core::h200Cluster(),
                                               model::gpt3_30b(), par);
-            cfg.backend = flags.backend;
             cfg.enableCriticalPath = critpath;
             if (cap > 0.0)
                 cfg.nodePowerCaps = {{1, cap}};
-            auto r = core::Experiment::run(cfg);
+            configs.push_back(cfg);
+        }
+    }
+    // --critical-path names the capped/clean report pair written below.
+    auto sweep_flags = flags;
+    sweep_flags.critPathPath.clear();
+    auto rows = benchutil::runSweep(configs, sweep_flags);
+
+    TextTable t({"config", "fault", "iter(s)", "slowdown",
+                 "faulty-node clock", "healthy clock",
+                 "faulty-node path share"});
+    int violations = 0;
+    bool wroteCritPath = false;
+    std::size_t i = 0;
+    for (const auto& par : pars) {
+        double healthy_iter = 0.0;
+        const core::ExperimentResult* clean = nullptr;
+        for (double cap : caps) {
+            const auto& r = rows[i++].result;
             if (!r.feasible)
                 continue;
             if (cap == 0.0) {
                 healthy_iter = r.avgIterationSeconds;
-                cleanReport = r.critPath;
-                cleanLabel = r.label;
+                clean = &r;
             }
             double faulty_clk = 0.0, ok_clk = 0.0;
             for (int g = 0; g < 32; ++g) {
@@ -123,11 +115,10 @@ main(int argc, char** argv)
                 }
                 if (cap > 0.0 && !wroteCritPath &&
                     !flags.critPathPath.empty()) {
-                    writeReport(flags.critPathPath, r.label,
-                                r.critPath->toJson());
-                    if (cleanReport)
-                        writeReport(flags.critPathPath + ".clean",
-                                    cleanLabel, cleanReport->toJson());
+                    benchutil::writeCriticalPath(flags.critPathPath, r);
+                    if (clean != nullptr && clean->critPath)
+                        benchutil::writeCriticalPath(
+                            flags.critPathPath + ".clean", *clean);
                     wroteCritPath = true;
                 }
             }

@@ -18,10 +18,9 @@ using namespace charllm;
 
 namespace {
 
+/** Render one case from its flat and topology-aware rows. */
 void
-runCase(const char* name, const core::ClusterSpec& cluster,
-        const model::TransformerConfig& m,
-        const parallel::ParallelConfig& par, bool zero1)
+printCase(const char* name, const benchutil::SweepRow* rows)
 {
     std::printf("=== %s ===\n", name);
     TextTable t({"collectives", "iter(s)", "tokens/s", "AllReduce+RS "
@@ -29,10 +28,7 @@ runCase(const char* name, const core::ClusterSpec& cluster,
                  "speedup"});
     double base_tput = 0.0;
     for (bool aware : {false, true}) {
-        auto cfg = benchutil::sweepConfig(cluster, m, par);
-        cfg.train.zero1 = zero1;
-        cfg.train.topologyAwareCollectives = aware;
-        auto r = core::Experiment::run(cfg);
+        const auto& r = rows[aware ? 1 : 0].result;
         if (!r.feasible) {
             std::printf("OOM\n");
             return;
@@ -59,26 +55,37 @@ runCase(const char* name, const core::ClusterSpec& cluster,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Ablation",
                       "Topology-aware (hierarchical) collectives");
 
+    std::vector<core::ExperimentConfig> configs;
+    auto add = [&configs](const core::ClusterSpec& cluster,
+                          const model::TransformerConfig& m,
+                          const parallel::ParallelConfig& par,
+                          bool zero1) {
+        for (bool aware : {false, true}) {
+            auto cfg = benchutil::sweepConfig(cluster, m, par);
+            cfg.train.zero1 = zero1;
+            cfg.train.topologyAwareCollectives = aware;
+            configs.push_back(cfg);
+        }
+    };
     // FSDP: per-microbatch gathers/scatters over node-spanning rings.
-    runCase("GPT3-13B TP2-FSDP8 on 2 nodes",
-            core::h200Cluster(2), model::gpt3_13b(),
-            parallel::ParallelConfig::forWorld(16, 2, 1, 1, true),
-            false);
-
+    add(core::h200Cluster(2), model::gpt3_13b(),
+        parallel::ParallelConfig::forWorld(16, 2, 1, 1, true), false);
     // ZeRO-1 variant: reduce-scatter + all-gather rings.
-    runCase("GPT3-13B TP1-DP16 on 2 nodes (ZeRO-1)",
-            core::h200Cluster(2), model::gpt3_13b(),
-            parallel::ParallelConfig::forWorld(16, 1, 1), true);
-
+    add(core::h200Cluster(2), model::gpt3_13b(),
+        parallel::ParallelConfig::forWorld(16, 1, 1), true);
     // TP2 x DP16 spanning all four nodes.
-    runCase("GPT3-30B TP2-DP16 on 4 nodes (ZeRO-1)",
-            core::h200Cluster(4), model::gpt3_30b(),
-            parallel::ParallelConfig::forWorld(32, 2, 1), true);
+    add(core::h200Cluster(4), model::gpt3_30b(),
+        parallel::ParallelConfig::forWorld(32, 2, 1), true);
+    auto rows = benchutil::runSweep(configs, flags);
+    printCase("GPT3-13B TP2-FSDP8 on 2 nodes", &rows[0]);
+    printCase("GPT3-13B TP1-DP16 on 2 nodes (ZeRO-1)", &rows[2]);
+    printCase("GPT3-30B TP2-DP16 on 4 nodes (ZeRO-1)", &rows[4]);
 
     std::printf(
         "Expected: hierarchical execution shortens the node-spanning\n"

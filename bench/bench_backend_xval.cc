@@ -180,6 +180,7 @@ presets()
     return out;
 }
 
+// Not benchutil::runSweep: each backend's sweep is timed on its own.
 std::vector<core::ExperimentResult>
 runAll(std::vector<core::ExperimentConfig> configs,
        sim::BackendKind backend, int threads, double* wall_seconds)

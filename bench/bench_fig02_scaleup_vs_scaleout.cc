@@ -20,58 +20,59 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 2",
                       "Scale-up (32xH200) vs scale-out (64xH100)");
 
-    auto h200 = core::h200Cluster();
-    auto h100 = core::h100Cluster();
     std::vector<model::TransformerConfig> models = {
         model::gpt3_175b(), model::llama3_70b(),
         model::mixtral_8x22b(), model::mixtral_8x7b()};
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& cluster :
+         {core::h200Cluster(), core::h100Cluster()}) {
+        for (const auto& m : models) {
+            for (const auto& par : core::paperConfigs(m, cluster)) {
+                auto base = benchutil::sweepConfig(cluster, m, par);
+                auto act = base;
+                act.train.actRecompute = true;
+                auto cc = base;
+                cc.train.ccOverlap = true;
+                configs.push_back(base);
+                configs.push_back(act);
+                configs.push_back(cc);
+            }
+        }
+    }
+    auto rows = benchutil::runSweep(configs, flags);
 
-    struct Cell
-    {
-        bool feasible = false;
-        double tput = 0.0;
-        double eff = 0.0;
-    };
-
-    for (const auto& cluster : {h200, h100}) {
+    for (std::size_t i = 0; i < rows.size();) {
+        const auto& cluster = configs[i].cluster;
         std::printf("--- %d x %s ---\n", cluster.numGpus(),
                     cluster.gpu.name.c_str());
         TextTable t({"model", "config", "variant", "tokens/s",
                      "tokens/J"});
         std::string last_model;
-        Cell best_any;
-        for (const auto& m : models) {
-            if (!last_model.empty())
+        for (; i < rows.size() &&
+               configs[i].cluster.name == cluster.name;
+             ++i) {
+            const auto& cfg = configs[i];
+            const auto& r = rows[i].result;
+            if (!last_model.empty() && cfg.model.name != last_model)
                 t.addSeparator();
-            last_model = m.name;
-            for (const auto& par :
-                 core::paperConfigs(m, cluster)) {
-                for (int variant = 0; variant < 3; ++variant) {
-                    auto cfg = benchutil::sweepConfig(cluster, m, par);
-                    const char* vname = "Base";
-                    if (variant == 1) {
-                        cfg.train.actRecompute = true;
-                        vname = "act";
-                    } else if (variant == 2) {
-                        cfg.train.ccOverlap = true;
-                        vname = "cc";
-                    }
-                    auto r = core::Experiment::run(cfg);
-                    if (!r.feasible) {
-                        t.addRow({m.name, par.label(), vname, "OOM",
-                                  "OOM"});
-                        continue;
-                    }
-                    t.addRow({m.name, par.label(), vname,
-                              formatFixed(r.tokensPerSecond, 0),
-                              formatFixed(r.tokensPerJoule, 3)});
-                }
+            last_model = cfg.model.name;
+            const char* vname = cfg.train.actRecompute ? "act"
+                                : cfg.train.ccOverlap  ? "cc"
+                                                       : "Base";
+            if (!r.feasible) {
+                t.addRow({cfg.model.name, cfg.par.label(), vname,
+                          "OOM", "OOM"});
+                continue;
             }
+            t.addRow({cfg.model.name, cfg.par.label(), vname,
+                      formatFixed(r.tokensPerSecond, 0),
+                      formatFixed(r.tokensPerJoule, 3)});
         }
         t.print();
         std::printf("\n");

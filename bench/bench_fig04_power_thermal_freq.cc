@@ -18,58 +18,53 @@
 using namespace charllm;
 using benchutil::sweepConfig;
 
+namespace {
+
+/** Each model's paper configs, plus the recompute variant where the
+ *  base does not fit ("act" unlocks configurations that are OOM
+ *  under stashing) and for deep PP generally. */
+void
+addConfigs(std::vector<core::ExperimentConfig>& configs,
+           const core::ClusterSpec& cluster,
+           const std::vector<model::TransformerConfig>& models)
+{
+    for (const auto& m : models) {
+        for (const auto& par : core::paperConfigs(m, cluster)) {
+            auto base = sweepConfig(cluster, m, par);
+            configs.push_back(base);
+            auto act = base;
+            act.train.actRecompute = true;
+            if (!core::Experiment::fits(base) || par.pp >= 16)
+                configs.push_back(act);
+        }
+    }
+}
+
+} // namespace
+
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 4",
                       "Power / temperature / frequency across models "
                       "and parallelism");
-    // --trace=/--metrics= apply to the H200 sweep (the figure's top
-    // panel); the MI250 sweep below runs plain.
-    auto flags = benchutil::sweepFlags(argc, argv);
 
-    // --- H200 cluster -----------------------------------------------------
-    {
-        auto cluster = core::h200Cluster();
-        std::vector<core::ExperimentConfig> configs;
-        for (const auto& m :
-             {model::gpt3_175b(), model::llama3_70b(),
-              model::mixtral_8x22b(), model::mixtral_8x7b()}) {
-            for (const auto& par : core::paperConfigs(m, cluster)) {
-                auto base = sweepConfig(cluster, m, par);
-                configs.push_back(base);
-                // "act" unlocks configurations that are OOM under
-                // stashing; include the recompute variant when the
-                // base does not fit (and for deep PP generally).
-                auto act = base;
-                act.train.actRecompute = true;
-                if (!core::Experiment::fits(base) || par.pp >= 16)
-                    configs.push_back(act);
-            }
-        }
-        std::printf("--- 32 x H200 ---\n");
-        benchutil::printSystemMetrics(
-            benchutil::runSweep(configs, flags));
-        std::printf("\n");
-    }
+    std::vector<core::ExperimentConfig> configs;
+    addConfigs(configs, core::h200Cluster(),
+               {model::gpt3_175b(), model::llama3_70b(),
+                model::mixtral_8x22b(), model::mixtral_8x7b()});
+    const std::size_t h200_rows = configs.size();
+    // MI250 runs the scaled-down ~30B models (Sec. 3.2).
+    addConfigs(configs, core::mi250Cluster(),
+               {model::gpt3_30b(), model::llama3_30b()});
+    auto rows = benchutil::runSweep(configs, flags);
+    auto split = rows.begin() + static_cast<std::ptrdiff_t>(h200_rows);
 
-    // --- MI250 cluster (scaled-down ~30B models, Sec. 3.2) -----------------
-    {
-        auto cluster = core::mi250Cluster();
-        std::vector<core::ExperimentConfig> configs;
-        for (const auto& m :
-             {model::gpt3_30b(), model::llama3_30b()}) {
-            for (const auto& par : core::paperConfigs(m, cluster)) {
-                auto base = sweepConfig(cluster, m, par);
-                configs.push_back(base);
-                auto act = base;
-                act.train.actRecompute = true;
-                if (!core::Experiment::fits(base) || par.pp >= 16)
-                    configs.push_back(act);
-            }
-        }
-        std::printf("--- 32 x MI250 GCDs ---\n");
-        benchutil::printSystemMetrics(benchutil::runSweep(configs));
-    }
+    std::printf("--- 32 x H200 ---\n");
+    benchutil::printSystemMetrics({rows.begin(), split});
+    std::printf("\n");
+    std::printf("--- 32 x MI250 GCDs ---\n");
+    benchutil::printSystemMetrics({split, rows.end()});
     return 0;
 }

@@ -41,34 +41,32 @@ printGrid(const char* title, const core::ExperimentResult& r,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 5",
                       "Per-GPU NVLink and PCIe traffic, H200 cluster");
 
-    auto cluster = core::h200Cluster();
-    struct Case
-    {
-        model::TransformerConfig m;
-        parallel::ParallelConfig par;
-        bool act;
-    };
-    std::vector<Case> cases = {
-        {model::gpt3_175b(),
-         parallel::ParallelConfig::forWorld(32, 8, 4), true},
-        {model::gpt3_175b(),
-         parallel::ParallelConfig::forWorld(32, 2, 16), true},
-        {model::mixtral_8x22b(),
-         parallel::ParallelConfig::forWorld(32, 4, 4, 2), true},
-        {model::mixtral_8x22b(),
-         parallel::ParallelConfig::forWorld(32, 1, 4, 8), true},
-    };
-    for (const auto& c : cases) {
-        auto cfg = benchutil::sweepConfig(cluster, c.m, c.par);
-        cfg.train.actRecompute = c.act;
-        auto r = core::Experiment::run(cfg);
-        std::printf("=== %s %s ===\n", c.m.name.c_str(),
-                    c.par.label().c_str());
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& [m, par] :
+         {std::pair{model::gpt3_175b(),
+                    parallel::ParallelConfig::forWorld(32, 8, 4)},
+          std::pair{model::gpt3_175b(),
+                    parallel::ParallelConfig::forWorld(32, 2, 16)},
+          std::pair{model::mixtral_8x22b(),
+                    parallel::ParallelConfig::forWorld(32, 4, 4, 2)},
+          std::pair{model::mixtral_8x22b(),
+                    parallel::ParallelConfig::forWorld(32, 1, 4, 8)}}) {
+        auto cfg = benchutil::sweepConfig(core::h200Cluster(), m, par);
+        cfg.train.actRecompute = true;
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& r = rows[i].result;
+        std::printf("=== %s %s ===\n", configs[i].model.name.c_str(),
+                    configs[i].par.label().c_str());
         if (!r.feasible) {
             std::printf("OOM\n\n");
             continue;

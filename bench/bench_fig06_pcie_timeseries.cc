@@ -21,15 +21,9 @@ using namespace charllm;
 namespace {
 
 void
-runCase(const parallel::ParallelConfig& par)
+printCase(const parallel::ParallelConfig& par,
+          const core::ExperimentResult& r)
 {
-    auto cluster = core::h200Cluster();
-    auto cfg = benchutil::sweepConfig(cluster, model::gpt3_175b(),
-                                      par);
-    cfg.train.actRecompute = true;
-    cfg.enableSampler = true;
-    cfg.samplePeriodSec = 0.02;
-    auto r = core::Experiment::run(cfg);
     if (!r.feasible) {
         std::printf("%s: OOM\n", par.label().c_str());
         return;
@@ -84,12 +78,25 @@ runCase(const parallel::ParallelConfig& par)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 6",
                       "Aggregate PCIe throughput over time (node 0, "
                       "GPT3-175B)");
-    runCase(parallel::ParallelConfig::forWorld(32, 8, 4));
-    runCase(parallel::ParallelConfig::forWorld(32, 2, 16));
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& par :
+         {parallel::ParallelConfig::forWorld(32, 8, 4),
+          parallel::ParallelConfig::forWorld(32, 2, 16)}) {
+        auto cfg = benchutil::sweepConfig(core::h200Cluster(),
+                                          model::gpt3_175b(), par);
+        cfg.train.actRecompute = true;
+        cfg.enableSampler = true;
+        cfg.samplePeriodSec = 0.02;
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        printCase(configs[i].par, rows[i].result);
     return 0;
 }

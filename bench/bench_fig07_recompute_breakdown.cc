@@ -15,14 +15,15 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 7",
                       "Kernel latency breakdown, without/with "
                       "activation recomputation (H200)");
 
     auto cluster = core::h200Cluster();
-    std::vector<benchutil::SweepRow> rows;
+    std::vector<core::ExperimentConfig> configs;
     for (const auto& m :
          {model::gpt3_175b(), model::mixtral_8x22b()}) {
         for (const auto& par : core::paperConfigs(m, cluster)) {
@@ -31,12 +32,12 @@ main()
             for (bool act : {false, true}) {
                 auto cfg = benchutil::sweepConfig(cluster, m, par);
                 cfg.train.actRecompute = act;
-                rows.push_back(benchutil::runSweep({cfg})[0]);
+                configs.push_back(cfg);
             }
         }
     }
     benchutil::printBreakdown(
         "Per-rank-mean kernel time per iteration (shares of total):",
-        rows);
+        benchutil::runSweep(configs, flags));
     return 0;
 }

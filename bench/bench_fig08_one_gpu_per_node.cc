@@ -17,14 +17,15 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 8",
                       "1-GPU-per-node kernel latency breakdown");
 
     auto cluster =
         core::oneGpuPerNodeCluster(core::h200Cluster(), 4);
-    std::vector<benchutil::SweepRow> rows;
+    std::vector<core::ExperimentConfig> configs;
     struct Case
     {
         int tp, pp, ep;
@@ -43,11 +44,11 @@ main()
                                    : 1);
             auto cfg = benchutil::sweepConfig(cluster, m, par);
             cfg.train.actRecompute = true;
-            rows.push_back(benchutil::runSweep({cfg})[0]);
+            configs.push_back(cfg);
         }
     }
     benchutil::printBreakdown(
         "Per-rank-mean kernel time per iteration (shares of total):",
-        rows);
+        benchutil::runSweep(configs, flags));
     return 0;
 }

@@ -21,6 +21,7 @@ using benchutil::sweepConfig;
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 9",
                       "H200: optimization techniques vs power, "
                       "temperature, clocks");
@@ -44,9 +45,7 @@ main(int argc, char** argv)
             configs.push_back(cc);
         }
     }
-    benchutil::printSystemMetrics(
-        benchutil::runSweep(configs,
-                            benchutil::sweepFlags(argc, argv)));
+    benchutil::printSystemMetrics(benchutil::runSweep(configs, flags));
     std::printf(
         "\nExpected: act rows trail their Base rows in eff(norm)\n"
         "unless Base is OOM; cc rows raise peak temperature and\n"

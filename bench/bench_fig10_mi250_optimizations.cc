@@ -17,6 +17,7 @@ using benchutil::sweepConfig;
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 10",
                       "MI250: optimization techniques vs power, "
                       "temperature, clocks");
@@ -37,9 +38,7 @@ main(int argc, char** argv)
             configs.push_back(cc);
         }
     }
-    benchutil::printSystemMetrics(
-        benchutil::runSweep(configs,
-                            benchutil::sweepFlags(argc, argv)));
+    benchutil::printSystemMetrics(benchutil::runSweep(configs, flags));
     std::printf(
         "\nExpected: the chiplet GCDs run close to their (higher)\n"
         "junction limits; intra-package skew keeps the second GCD of\n"

@@ -19,17 +19,12 @@ using namespace charllm;
 namespace {
 
 void
-runCase(bool cc)
+printCase(const core::ExperimentConfig& cfg,
+          const core::ExperimentResult& r)
 {
-    auto cluster = core::h200Cluster();
-    auto par = parallel::ParallelConfig::forWorld(32, 4, 8);
-    auto cfg = benchutil::sweepConfig(cluster, model::llama3_70b(),
-                                      par);
-    cfg.train.actRecompute = true;
-    cfg.train.ccOverlap = cc;
-    auto r = core::Experiment::run(cfg);
     std::printf("=== %s %s (iteration %.2f s) ===\n",
-                par.label().c_str(), cc ? "+cc" : "(no overlap)",
+                cfg.par.label().c_str(),
+                cfg.train.ccOverlap ? "+cc" : "(no overlap)",
                 r.avgIterationSeconds);
     TextTable t({"pp rank", "compute", "AllReduce", "SendRecv",
                  "total"});
@@ -54,12 +49,23 @@ runCase(bool cc)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 11",
                       "Llama3-70B per-pipeline-rank breakdown, "
                       "without vs with cc-overlap");
-    runCase(false);
-    runCase(true);
+    std::vector<core::ExperimentConfig> configs;
+    for (bool cc : {false, true}) {
+        auto cfg = benchutil::sweepConfig(
+            core::h200Cluster(), model::llama3_70b(),
+            parallel::ParallelConfig::forWorld(32, 4, 8));
+        cfg.train.actRecompute = true;
+        cfg.train.ccOverlap = cc;
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        printCase(configs[i], rows[i].result);
     return 0;
 }

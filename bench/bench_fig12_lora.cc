@@ -18,8 +18,9 @@ using namespace charllm;
 using benchutil::sweepConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 12",
                       "LoRA fine-tuning vs full training (H200)");
 
@@ -38,7 +39,7 @@ main()
             configs.push_back(cfg);
         }
     }
-    benchutil::printSystemMetrics(benchutil::runSweep(configs));
+    benchutil::printSystemMetrics(benchutil::runSweep(configs, flags));
     std::printf(
         "\nExpected: LoRA rows beat their full-training counterparts\n"
         "in normalized efficiency at lower average power; trends\n"

@@ -20,6 +20,7 @@ using benchutil::sweepConfig;
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 13",
                       "H200 microbatch scaling (act enabled)");
 
@@ -35,9 +36,7 @@ main(int argc, char** argv)
             }
         }
     }
-    benchutil::printSystemMetrics(
-        benchutil::runSweep(configs,
-                            benchutil::sweepFlags(argc, argv)));
+    benchutil::printSystemMetrics(benchutil::runSweep(configs, flags));
     std::printf(
         "\nExpected: TP8-FSDP gains >3x from mb1 -> mb4 (coarser\n"
         "gathers over the shared NIC); TP8-PP4 gains modestly\n"

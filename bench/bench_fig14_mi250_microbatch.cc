@@ -19,6 +19,7 @@ using benchutil::sweepConfig;
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 14",
                       "MI250 microbatch scaling (act enabled)");
 
@@ -36,9 +37,7 @@ main(int argc, char** argv)
             }
         }
     }
-    benchutil::printSystemMetrics(
-        benchutil::runSweep(configs,
-                            benchutil::sweepFlags(argc, argv)));
+    benchutil::printSystemMetrics(benchutil::runSweep(configs, flags));
     std::printf(
         "\nExpected: efficiency is non-decreasing in microbatch size\n"
         "for most rows (memory-capacity-limited, not thermally\n"

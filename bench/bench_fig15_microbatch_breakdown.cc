@@ -19,45 +19,49 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 15",
                       "GPT3-175B kernel breakdown, microbatch 1 vs 4 "
                       "(H200, act enabled)");
 
     auto cluster = core::h200Cluster();
+    const auto pars = core::paperConfigs(model::gpt3_175b(), cluster);
+    std::vector<core::ExperimentConfig> configs;
     for (int mb : {1, 4}) {
-        std::printf("--- microbatch %d ---\n", mb);
-        std::vector<benchutil::SweepRow> rows;
-        std::vector<double> skews;
-        for (const auto& par :
-             core::paperConfigs(model::gpt3_175b(), cluster)) {
+        for (const auto& par : pars) {
             auto cfg = benchutil::sweepConfig(
                 cluster, model::gpt3_175b(), par);
             cfg.train.actRecompute = true;
             cfg.train.microbatchSize = mb;
-            auto row = benchutil::runSweep({cfg})[0];
-            // Comm-time skew across ranks (max/min of comm share).
-            if (row.result.feasible) {
-                double lo = 1e30, hi = 0.0;
-                for (const auto& g : row.result.gpus) {
-                    double comm = g.breakdown.commTotal();
-                    lo = std::min(lo, comm);
-                    hi = std::max(hi, comm);
-                }
-                skews.push_back(lo > 1e-9 ? hi / lo : 0.0);
-            } else {
-                skews.push_back(0.0);
-            }
-            rows.push_back(std::move(row));
+            configs.push_back(cfg);
         }
+    }
+    auto all = benchutil::runSweep(configs, flags);
+
+    for (std::size_t first = 0; first < all.size(); first += pars.size()) {
+        auto begin = all.begin() + static_cast<std::ptrdiff_t>(first);
+        std::vector<benchutil::SweepRow> rows(
+            begin, begin + static_cast<std::ptrdiff_t>(pars.size()));
+        std::printf("--- microbatch %d ---\n",
+                    configs[first].train.microbatchSize);
         benchutil::printBreakdown("Per-rank-mean kernel time:", rows);
+        // Comm-time skew across ranks (max/min of comm share).
         TextTable t({"config", "comm-skew (max/min across ranks)"});
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            t.addRow({rows[i].variant,
-                      rows[i].result.feasible
-                          ? strprintf("%.1fx", skews[i])
-                          : std::string("OOM")});
+        for (const auto& row : rows) {
+            if (!row.result.feasible) {
+                t.addRow({row.variant, "OOM"});
+                continue;
+            }
+            double lo = 1e30, hi = 0.0;
+            for (const auto& gpu : row.result.gpus) {
+                double comm = gpu.breakdown.commTotal();
+                lo = std::min(lo, comm);
+                hi = std::max(hi, comm);
+            }
+            t.addRow({row.variant,
+                      strprintf("%.1fx", lo > 1e-9 ? hi / lo : 0.0)});
         }
         t.print();
         std::printf("\n");

@@ -56,8 +56,10 @@ describe(const core::ClusterSpec& cluster, double load_watts)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    // Nothing is simulated: flags are parsed for --help/strictness.
+    benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 16",
                       "Airflow and cooling layout of the evaluated "
                       "nodes");

@@ -57,24 +57,31 @@ printHeatmap(const char* title, const core::ExperimentResult& r,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 17",
                       "H200 thermal and throttling heatmaps");
 
-    auto cluster = core::h200Cluster();
+    std::vector<core::ExperimentConfig> configs;
     for (const auto& par :
          {parallel::ParallelConfig::forWorld(32, 8, 4),
           parallel::ParallelConfig::forWorld(32, 4, 8),
           parallel::ParallelConfig::forWorld(32, 2, 16)}) {
-        auto cfg = benchutil::sweepConfig(cluster,
+        auto cfg = benchutil::sweepConfig(core::h200Cluster(),
                                           model::gpt3_175b(), par);
         cfg.train.actRecompute = true;
         cfg.warmupIterations = 2; // reach thermal steady state
-        auto r = core::Experiment::run(cfg);
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& r = rows[i].result;
         if (!r.feasible)
             continue;
-        std::printf("=== GPT3-175B %s ===\n", par.label().c_str());
+        std::printf("=== GPT3-175B %s ===\n",
+                    configs[i].par.label().c_str());
         printHeatmap("(a) average temperature (C):", r, false, 4, 8);
         printHeatmap("(b) normalized throttle ratio (0..1):", r,
                      true, 4, 8);

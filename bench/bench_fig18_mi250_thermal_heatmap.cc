@@ -16,23 +16,30 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 18",
                       "MI250 thermal and throttling heatmaps");
 
-    auto cluster = core::mi250Cluster();
+    std::vector<core::ExperimentConfig> configs;
     for (const auto& par :
          {parallel::ParallelConfig::forWorld(32, 4, 8),
           parallel::ParallelConfig::forWorld(32, 2, 16)}) {
-        auto cfg = benchutil::sweepConfig(cluster, model::gpt3_30b(),
-                                          par);
+        auto cfg = benchutil::sweepConfig(core::mi250Cluster(),
+                                          model::gpt3_30b(), par);
         cfg.train.actRecompute = true;
         cfg.warmupIterations = 2;
-        auto r = core::Experiment::run(cfg);
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto& r = rows[i].result;
         if (!r.feasible)
             continue;
-        std::printf("=== GPT3-30B %s ===\n", par.label().c_str());
+        std::printf("=== GPT3-30B %s ===\n",
+                    configs[i].par.label().c_str());
         TextTable t({"node", "package", "GCD0 temp", "GCD1 temp",
                      "skew", "GCD0 thr", "GCD1 thr"});
         double skew_min = 1e30, skew_max = -1e30;

@@ -19,17 +19,11 @@ using namespace charllm;
 namespace {
 
 void
-runCase(const model::TransformerConfig& m,
-        const parallel::ParallelConfig& par)
+printCase(const core::ExperimentConfig& cfg,
+          const core::ExperimentResult& r)
 {
-    auto cluster = core::h200Cluster();
-    auto cfg = benchutil::sweepConfig(cluster, m, par);
-    cfg.train.actRecompute = true;
-    cfg.warmupIterations = 0; // show the warm-up transient too
-    cfg.measuredIterations = 2;
-    cfg.enableSampler = true;
-    cfg.samplePeriodSec = 0.25;
-    auto r = core::Experiment::run(cfg);
+    const auto& m = cfg.model;
+    const auto& par = cfg.par;
     if (!r.feasible) {
         std::printf("%s %s: OOM\n", m.name.c_str(),
                     par.label().c_str());
@@ -58,13 +52,27 @@ runCase(const model::TransformerConfig& m,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 19",
                       "Thermal/power time series: front vs rear GPU");
-    runCase(model::gpt3_175b(),
-            parallel::ParallelConfig::forWorld(32, 4, 8));
-    runCase(model::mixtral_8x22b(),
-            parallel::ParallelConfig::forWorld(32, 1, 4, 8));
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& [m, par] :
+         {std::pair{model::gpt3_175b(),
+                    parallel::ParallelConfig::forWorld(32, 4, 8)},
+          std::pair{model::mixtral_8x22b(),
+                    parallel::ParallelConfig::forWorld(32, 1, 4, 8)}}) {
+        auto cfg = benchutil::sweepConfig(core::h200Cluster(), m, par);
+        cfg.train.actRecompute = true;
+        cfg.warmupIterations = 0; // show the warm-up transient too
+        cfg.measuredIterations = 2;
+        cfg.enableSampler = true;
+        cfg.samplePeriodSec = 0.25;
+        configs.push_back(cfg);
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        printCase(configs[i], rows[i].result);
     return 0;
 }

@@ -20,28 +20,28 @@ using namespace charllm;
 
 namespace {
 
-void
-runModel(const model::TransformerConfig& m,
-         const core::ClusterSpec& cluster, int pp,
-         const std::vector<int>& deltas)
+/** One placement study: TP4 stages of @c m on @c cluster. */
+struct Study
 {
-    auto par = parallel::ParallelConfig::forWorld(
-        cluster.numGpus(), 4, pp);
-    auto make = [&]() {
-        auto cfg = benchutil::sweepConfig(cluster, m, par);
-        cfg.train.actRecompute = true;
-        cfg.warmupIterations = 2;
-        return cfg;
-    };
-    auto base = core::Experiment::run(make());
+    model::TransformerConfig m;
+    core::ClusterSpec cluster;
+    int pp;
+    std::vector<int> deltas;
+};
+
+/** @p rows: baseline, symmetric, then one asymmetric row per delta. */
+void
+printStudy(const Study& s, const benchutil::SweepRow* rows)
+{
+    const auto& m = s.m;
+    const auto& base = rows[0].result;
     if (!base.feasible) {
         std::printf("%s: baseline OOM\n", m.name.c_str());
         return;
     }
-    auto plan = core::coldFirstPlacement(cluster, par);
 
     std::printf("=== %s (%d stages of TP4 on %d nodes) ===\n",
-                m.name.c_str(), pp, cluster.numNodes);
+                m.name.c_str(), s.pp, s.cluster.numNodes);
     TextTable t({"placement", "layers/stage", "eff vs base",
                  "avgP(W)", "pkT(C)", "throttle", "temp gap(C)"});
     auto temp_gap = [](const core::ExperimentResult& r) {
@@ -64,25 +64,15 @@ runModel(const model::TransformerConfig& m,
                   formatFixed(100.0 * r.throttleRatio, 1) + "%",
                   formatFixed(temp_gap(r), 1)});
     };
-    add("baseline (consecutive ids)",
-        std::to_string(m.numLayers / pp), base);
-
-    auto sym_cfg = make();
-    sym_cfg.devicePermutation = plan.devicePermutation;
-    add("symmetric (cold/hot stages)",
-        std::to_string(m.numLayers / pp),
-        core::Experiment::run(sym_cfg));
-
-    for (int delta : deltas) {
-        auto asym_cfg = make();
-        asym_cfg.devicePermutation = plan.devicePermutation;
-        asym_cfg.train.stageLayers =
-            core::asymmetricStageLayers(plan, m.numLayers, delta);
-        int base_layers = m.numLayers / pp;
-        add(strprintf("asymmetric (delta=%d)", delta),
-            strprintf("%d/%d", base_layers + delta,
-                      base_layers - delta),
-            core::Experiment::run(asym_cfg));
+    int base_layers = m.numLayers / s.pp;
+    add("baseline (consecutive ids)", std::to_string(base_layers), base);
+    add("symmetric (cold/hot stages)", std::to_string(base_layers),
+        rows[1].result);
+    for (std::size_t d = 0; d < s.deltas.size(); ++d) {
+        add(strprintf("asymmetric (delta=%d)", s.deltas[d]),
+            strprintf("%d/%d", base_layers + s.deltas[d],
+                      base_layers - s.deltas[d]),
+            rows[2 + d].result);
     }
     t.print();
     std::printf("\n");
@@ -91,12 +81,39 @@ runModel(const model::TransformerConfig& m,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 21",
                       "Thermal-aware pipeline stage placement");
-    runModel(model::llama3_70b(), core::h200Cluster(2), 4, {1});
-    runModel(model::gpt3_175b(), core::h200Cluster(4), 8, {1, 2});
+    const std::vector<Study> studies = {
+        {model::llama3_70b(), core::h200Cluster(2), 4, {1}},
+        {model::gpt3_175b(), core::h200Cluster(4), 8, {1, 2}},
+    };
+    // The placement plan does not depend on the baseline's result.
+    std::vector<core::ExperimentConfig> configs;
+    for (const auto& s : studies) {
+        auto par = parallel::ParallelConfig::forWorld(
+            s.cluster.numGpus(), 4, s.pp);
+        auto plan = core::coldFirstPlacement(s.cluster, par);
+        auto cfg = benchutil::sweepConfig(s.cluster, s.m, par);
+        cfg.train.actRecompute = true;
+        cfg.warmupIterations = 2;
+        configs.push_back(cfg);
+        cfg.devicePermutation = plan.devicePermutation;
+        configs.push_back(cfg);
+        for (int delta : s.deltas) {
+            cfg.train.stageLayers =
+                core::asymmetricStageLayers(plan, s.m.numLayers, delta);
+            configs.push_back(cfg);
+        }
+    }
+    auto rows = benchutil::runSweep(configs, flags);
+    const benchutil::SweepRow* next = rows.data();
+    for (const auto& s : studies) {
+        printStudy(s, next);
+        next += 2 + s.deltas.size();
+    }
     std::printf(
         "Expected: symmetric placement gains a few percent by\n"
         "isolating thermal effects; asymmetric allocation helps when\n"

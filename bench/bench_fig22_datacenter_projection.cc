@@ -46,13 +46,9 @@ constexpr int kAnalyticalCheckMaxWorld = 4096;
 
 void
 project(const core::ClusterSpec& cluster,
-        const parallel::ParallelConfig& par, double bw_mult)
+        const parallel::ParallelConfig& par, double bw_mult,
+        const core::ExperimentResult& r)
 {
-    // Measure the DP=1 baseline on the simulated cluster.
-    auto cfg = benchutil::sweepConfig(cluster, model::gpt3_175b(),
-                                      par);
-    cfg.train.actRecompute = true;
-    auto r = core::Experiment::run(cfg);
     if (!r.feasible) {
         std::printf("%s %s: baseline OOM\n\n",
                     cluster.name.c_str(), par.label().c_str());
@@ -317,7 +313,7 @@ main(int argc, char** argv)
 {
     std::string symmetry = "off";
     std::string out_path;
-    benchutil::sweepFlags(
+    auto flags = benchutil::sweepFlags(
         argc, argv,
         {{"--symmetry=",
           "on|off: mechanistic collapsed-DES scaling runs instead of "
@@ -338,15 +334,26 @@ main(int argc, char** argv)
 
     benchutil::banner("Figure 22",
                       "Datacenter-scale projection (up to 8K GPUs)");
+    // Not runSweep: each mechanistic run is timed and RSS-read alone.
     if (symmetry == "on")
         return mechanistic(out_path);
 
-    // DP=1 requires tp*pp to cover the cluster.
-    project(core::h200Cluster(),
-            parallel::ParallelConfig::forWorld(32, 2, 16), 1.0);
-    project(core::h100Cluster(),
-            parallel::ParallelConfig::forWorld(64, 2, 32), 1.0);
-    project(core::h200Cluster(),
-            parallel::ParallelConfig::forWorld(32, 2, 16), 8.0);
+    // Measure the DP=1 baselines on the simulated clusters; DP=1
+    // requires tp*pp to cover the cluster.
+    auto baseline = [](const core::ClusterSpec& cluster, int pp) {
+        auto cfg = benchutil::sweepConfig(
+            cluster, model::gpt3_175b(),
+            parallel::ParallelConfig::forWorld(cluster.numGpus(), 2, pp));
+        cfg.train.actRecompute = true;
+        return cfg;
+    };
+    std::vector<core::ExperimentConfig> configs = {
+        baseline(core::h200Cluster(), 16), baseline(core::h100Cluster(), 32),
+        baseline(core::h200Cluster(), 16)};
+    const double bw_mults[] = {1.0, 1.0, 8.0};
+    auto rows = benchutil::runSweep(configs, flags);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        project(configs[i].cluster, configs[i].par, bw_mults[i],
+                rows[i].result);
     return 0;
 }

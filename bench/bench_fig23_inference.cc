@@ -18,8 +18,9 @@ using namespace charllm;
 using benchutil::sweepConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner("Figure 23",
                       "Distributed inference: microbatch sweep "
                       "(H200, GPT3-175B)");
@@ -37,14 +38,17 @@ main()
             configs.push_back(cfg);
         }
     }
-    benchutil::printSystemMetrics(benchutil::runSweep(configs));
-
-    // Training reference point for the power comparison.
+    // Training reference point for the power comparison, run last.
     auto train_cfg = sweepConfig(
         cluster, model::gpt3_175b(),
         parallel::ParallelConfig::forWorld(32, 2, 16));
     train_cfg.train.actRecompute = true;
-    auto train = core::Experiment::run(train_cfg);
+    configs.push_back(train_cfg);
+    auto rows = benchutil::runSweep(configs, flags);
+    const auto train = std::move(rows.back().result);
+    rows.pop_back();
+
+    benchutil::printSystemMetrics(rows);
     std::printf("\nTraining reference (TP2-PP16+act): %.0f W avg, "
                 "%.0f W peak.\nExpected: inference rows draw less "
                 "average power at comparable peaks.\n",

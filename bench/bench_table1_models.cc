@@ -12,8 +12,10 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    // Nothing is simulated: flags are parsed for --help/strictness.
+    benchutil::sweepFlags(argc, argv);
     benchutil::banner("Table 1", "Evaluated model configurations");
 
     TextTable t({"Model", "Type", "Params", "Layers", "Hidden",

@@ -82,6 +82,7 @@ toImpact(const Comparison& c, const core::ExperimentResult& rb,
 int
 main(int argc, char** argv)
 {
+    auto flags = benchutil::sweepFlags(argc, argv);
     benchutil::banner(
         "Table 2",
         "Evaluated parallelism and optimization techniques");
@@ -172,7 +173,6 @@ main(int argc, char** argv)
         configs.push_back(c.base);
         configs.push_back(c.with);
     }
-    auto flags = benchutil::sweepFlags(argc, argv);
     auto rows = benchutil::runSweep(std::move(configs), flags);
 
     std::vector<Impact> impacts;

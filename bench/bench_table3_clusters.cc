@@ -11,8 +11,10 @@
 using namespace charllm;
 
 int
-main()
+main(int argc, char** argv)
 {
+    // Nothing is simulated: flags are parsed for --help/strictness.
+    benchutil::sweepFlags(argc, argv);
     benchutil::banner("Table 3",
                       "Hardware specifications of evaluated clusters");
 

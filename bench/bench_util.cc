@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "common/strings.hh"
@@ -16,11 +17,17 @@ namespace benchutil {
 
 namespace {
 
-bool
-writeText(const std::string& path, const std::string& text)
+/** Write @p text to @p path and say so (on stderr when it fails). */
+void
+writeArtifact(const char* what, const std::string& path,
+              const std::string& text)
 {
     std::ofstream out(path, std::ios::binary);
-    return static_cast<bool>(out && (out << text));
+    if (out && (out << text))
+        std::printf("wrote %s: %s\n", what, path.c_str());
+    else
+        std::fprintf(stderr, "failed to write %s: %s\n", what,
+                     path.c_str());
 }
 
 } // namespace
@@ -49,37 +56,26 @@ sweepConfig(const core::ClusterSpec& cluster,
 }
 
 std::vector<SweepRow>
-runSweep(const std::vector<core::ExperimentConfig>& configs,
-         int threads)
-{
-    core::SweepRunner runner(threads);
-    std::vector<core::ExperimentResult> results = runner.run(configs);
-    std::vector<SweepRow> rows;
-    rows.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto& cfg = configs[i];
-        SweepRow row;
-        row.model = cfg.model.name;
-        std::string label = cfg.par.label();
-        if (cfg.train.actRecompute)
-            label += "+act";
-        if (cfg.train.ccOverlap)
-            label += "+cc";
-        if (cfg.train.microbatchSize != 1)
-            label += " mb" + std::to_string(cfg.train.microbatchSize);
-        row.variant = label;
-        row.result = std::move(results[i]);
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-std::vector<SweepRow>
 runSweep(std::vector<core::ExperimentConfig> configs,
          const SweepFlags& flags)
 {
-    for (auto& cfg : configs)
+    for (auto& cfg : configs) {
         cfg.backend = flags.backend;
+        // The analytical backend has no event timeline: refuse the
+        // configs that need one instead of reaching its asserts.
+        const char* needs = !cfg.faultScenario.empty() ? "a fault scenario"
+                            : cfg.resilience.enabled   ? "resilience"
+                            : cfg.enableSampler ? "the telemetry sampler"
+                                                : nullptr;
+        if (needs != nullptr &&
+            flags.backend == sim::BackendKind::Analytical) {
+            std::fprintf(stderr,
+                         "%s: %s needs the DES backend (drop "
+                         "--backend=analytical)\n",
+                         cfg.label().c_str(), needs);
+            std::exit(2);
+        }
+    }
 
     bool tracing = !flags.tracePath.empty() && !configs.empty() &&
                    flags.backend == sim::BackendKind::Des;
@@ -105,56 +101,44 @@ runSweep(std::vector<core::ExperimentConfig> configs,
     std::vector<core::ExperimentResult> results = runner.run(
         configs, flags.metricsPath.empty() ? nullptr : &registry);
 
-    if (tracing) {
-        if (writeText(flags.tracePath,
-                      core::unifiedTraceJson(results.front())))
-            std::printf("wrote unified trace: %s\n",
-                        flags.tracePath.c_str());
-        else
-            std::fprintf(stderr, "failed to write trace: %s\n",
-                         flags.tracePath.c_str());
-    }
-    if (critpath) {
-        const core::ExperimentResult& front = results.front();
-        if (front.critPath &&
-            writeText(flags.critPathPath,
-                      "{\"label\":\"" + jsonEscape(front.label) +
-                          "\",\"critical_path\":" +
-                          front.critPath->toJson() + "}"))
-            std::printf("wrote critical-path report: %s\n",
-                        flags.critPathPath.c_str());
-        else
-            std::fprintf(stderr,
-                         "failed to write critical-path report: %s\n",
-                         flags.critPathPath.c_str());
-    }
-    if (!flags.metricsPath.empty()) {
-        if (writeText(flags.metricsPath, registry.toJson()))
-            std::printf("wrote metrics: %s\n",
-                        flags.metricsPath.c_str());
-        else
-            std::fprintf(stderr, "failed to write metrics: %s\n",
-                         flags.metricsPath.c_str());
-    }
+    if (tracing)
+        writeArtifact("unified trace", flags.tracePath,
+                      core::unifiedTraceJson(results.front()));
+    if (critpath)
+        writeCriticalPath(flags.critPathPath, results.front());
+    if (!flags.metricsPath.empty())
+        writeArtifact("metrics", flags.metricsPath, registry.toJson());
 
     std::vector<SweepRow> rows;
     rows.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto& cfg = configs[i];
-        SweepRow row;
-        row.model = cfg.model.name;
-        std::string label = cfg.par.label();
-        if (cfg.train.actRecompute)
-            label += "+act";
-        if (cfg.train.ccOverlap)
-            label += "+cc";
-        if (cfg.train.microbatchSize != 1)
-            label += " mb" + std::to_string(cfg.train.microbatchSize);
-        row.variant = label;
-        row.result = std::move(results[i]);
-        rows.push_back(std::move(row));
+        const auto& train = configs[i].train;
+        std::string variant = configs[i].par.label();
+        if (train.actRecompute)
+            variant += "+act";
+        if (train.ccOverlap)
+            variant += "+cc";
+        if (train.microbatchSize != 1)
+            variant += " mb" + std::to_string(train.microbatchSize);
+        rows.push_back({configs[i].model.name, std::move(variant),
+                        std::move(results[i])});
     }
     return rows;
+}
+
+void
+writeCriticalPath(const std::string& path,
+                  const core::ExperimentResult& r)
+{
+    if (r.critPath)
+        writeArtifact("critical-path report", path,
+                      "{\"label\":\"" + jsonEscape(r.label) +
+                          "\",\"critical_path\":" +
+                          r.critPath->toJson() + "}");
+    else
+        std::fprintf(stderr,
+                     "failed to write critical-path report: %s\n",
+                     path.c_str());
 }
 
 namespace {
@@ -196,27 +180,18 @@ sweepFlags(int argc, char** argv, const std::vector<ExtraFlag>& extra)
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h")
             printUsage(argv[0], extra, 0);
-        if (arg.rfind("--trace=", 0) == 0) {
-            flags.tracePath = arg.substr(8);
-            if (flags.tracePath.empty()) {
-                std::fprintf(stderr, "empty path in '%s'\n",
-                             arg.c_str());
-                std::exit(2);
+        std::string* path = nullptr;
+        for (auto [prefix, dst] :
+             {std::pair{"--trace=", &flags.tracePath},
+              std::pair{"--metrics=", &flags.metricsPath},
+              std::pair{"--critical-path=", &flags.critPathPath}}) {
+            if (arg.rfind(prefix, 0) == 0) {
+                path = dst;
+                *path = arg.substr(std::strlen(prefix));
             }
-            continue;
         }
-        if (arg.rfind("--metrics=", 0) == 0) {
-            flags.metricsPath = arg.substr(10);
-            if (flags.metricsPath.empty()) {
-                std::fprintf(stderr, "empty path in '%s'\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            continue;
-        }
-        if (arg.rfind("--critical-path=", 0) == 0) {
-            flags.critPathPath = arg.substr(16);
-            if (flags.critPathPath.empty()) {
+        if (path != nullptr) {
+            if (path->empty()) {
                 std::fprintf(stderr, "empty path in '%s'\n",
                              arg.c_str());
                 std::exit(2);
@@ -234,16 +209,13 @@ sweepFlags(int argc, char** argv, const std::vector<ExtraFlag>& extra)
             }
             continue;
         }
-        std::string value;
-        bool is_threads = false;
-        if (arg.rfind("--threads=", 0) == 0) {
-            value = arg.substr(10);
-            is_threads = true;
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            value = arg.substr(2);
-            is_threads = true;
-        }
-        if (is_threads) {
+        // --threads=N, or -jN with a nonempty N.
+        std::size_t skip = arg.rfind("--threads=", 0) == 0 ? 10
+                           : arg.rfind("-j", 0) == 0 && arg.size() > 2
+                               ? 2
+                               : 0;
+        if (skip > 0) {
+            std::string value = arg.substr(skip);
             char* end = nullptr;
             long parsed = std::strtol(value.c_str(), &end, 10);
             if (end == value.c_str() || *end != '\0' || parsed < 0) {
@@ -278,12 +250,6 @@ sweepFlags(int argc, char** argv, const std::vector<ExtraFlag>& extra)
         }
     }
     return flags;
-}
-
-int
-sweepThreads(int argc, char** argv)
-{
-    return sweepFlags(argc, argv).threads;
 }
 
 std::map<std::string, double>

@@ -39,18 +39,6 @@ struct SweepRow
     core::ExperimentResult result;
 };
 
-/**
- * Run a sweep over configurations, skipping infeasible ones (they are
- * reported as such, mirroring the paper's config screening).
- *
- * Runs execute on a core::SweepRunner pool: @p threads workers
- * (0 = one per hardware core, 1 = serial). Results and rendered
- * tables are byte-identical regardless of thread count.
- */
-std::vector<SweepRow>
-runSweep(const std::vector<core::ExperimentConfig>& configs,
-         int threads = 0);
-
 /** Standard bench command-line knobs (see sweepFlags). */
 struct SweepFlags
 {
@@ -66,15 +54,21 @@ struct SweepFlags
 };
 
 /**
- * Observability-aware sweep: like runSweep(configs, threads), plus
+ * The one bench driver: run every config on flags.backend on a
+ * core::SweepRunner pool of flags.threads workers and return one
+ * labelled row per config, in order (infeasible configs come back
+ * with feasible == false, the paper's config screening). Output is
+ * byte-identical at any thread count. Also:
+ *  - under the analytical backend, a config that needs the event
+ *    timeline (fault scenario, resilience, sampler) is refused before
+ *    anything runs: its label and the reason go to stderr, exit 2;
  *  - with flags.tracePath set, the first configuration runs with the
  *    kernel trace and telemetry sampler enabled and its merged
  *    Perfetto timeline (kernel spans + counter tracks + fault
  *    overlays + iteration markers) is written there;
  *  - with flags.critPathPath set, the first configuration runs with
- *    causal critical-path tracing and the attribution report
- *    ({"label":...,"critical_path":{...}}, the tools/rundiff.py input
- *    format) is written there;
+ *    causal critical-path tracing and its report (writeCriticalPath)
+ *    is written there;
  *  - with flags.metricsPath set, the sweep self-profiles (event-queue
  *    / flow-solver counters, per-task wall times) and the metrics
  *    registry dump is written there.
@@ -82,6 +76,11 @@ struct SweepFlags
 std::vector<SweepRow>
 runSweep(std::vector<core::ExperimentConfig> configs,
          const SweepFlags& flags);
+
+/** Write @p r's critical-path report to @p path as
+ *  {"label":...,"critical_path":{...}}, the tools/rundiff.py input. */
+void writeCriticalPath(const std::string& path,
+                       const core::ExperimentResult& r);
 
 /** A bench-specific flag handled alongside the shared knobs. */
 struct ExtraFlag
@@ -95,20 +94,14 @@ struct ExtraFlag
 
 /**
  * Parse the standard bench knobs: `--threads=N` (or `-jN`),
- * `--trace=FILE`, `--metrics=FILE`, plus any bench-specific
- * @p extra flags. Strict: an unknown flag, a positional argument, or
- * a malformed value prints a message and exits nonzero; `--help`
- * lists every flag and exits 0.
+ * `--trace=FILE`, `--metrics=FILE`, `--critical-path=FILE`,
+ * `--backend=KIND`, plus any bench-specific @p extra flags. Strict:
+ * an unknown flag, a positional argument, or a malformed value
+ * prints a message and exits 2; `--help` lists every flag and exits
+ * 0.
  */
 SweepFlags sweepFlags(int argc, char** argv,
                       const std::vector<ExtraFlag>& extra = {});
-
-/**
- * Parse the standard bench thread knob: `--threads=N` (or `-jN`).
- * Returns 0 (auto) when absent; exits with a message on a malformed
- * value.
- */
-int sweepThreads(int argc, char** argv);
 
 /**
  * Normalize tokens-per-joule per model, best configuration == 1.0

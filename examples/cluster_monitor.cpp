@@ -3,13 +3,12 @@
  * Cluster monitoring demo: runs a training job while collecting
  * telemetry the way the paper's modified Zeus does — through the
  * (simulated) NVML API and a periodic sampler — then writes the
- * Zeus-style CSV, a Chakra-style Chrome trace, the unified Perfetto
- * timeline (kernels + counter tracks + iteration markers + causal
+ * Zeus-style CSV, the unified Perfetto timeline (kernel spans + fault
+ * overlays + counter tracks + iteration markers + causal
  * critical-path segments on one clock), a phase/energy attribution
  * summary, and the simulator's self-profiling metrics dump.
  *
- * Outputs: ./telemetry.csv, ./kernel_trace.json,
- *          ./unified_trace.json, ./metrics.json
+ * Outputs: ./telemetry.csv, ./unified_trace.json, ./metrics.json
  */
 
 #include <cstdio>
@@ -103,14 +102,6 @@ main()
 
     if (sampler.toCsv().writeTo("telemetry.csv"))
         std::printf("wrote telemetry.csv\n");
-    std::FILE* f = std::fopen("kernel_trace.json", "w");
-    if (f) {
-        std::string json = trace.toChromeJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote kernel_trace.json (open in "
-                    "chrome://tracing or Perfetto)\n");
-    }
 
     // The unified timeline: kernel spans, per-GPU counter tracks, and
     // iteration markers merged on the simulated clock.

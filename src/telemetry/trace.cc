@@ -1,9 +1,6 @@
 #include "telemetry/trace.hh"
 
 #include <algorithm>
-#include <sstream>
-
-#include "common/strings.hh"
 
 namespace charllm {
 namespace telemetry {
@@ -48,43 +45,6 @@ KernelTrace::horizonSec() const
             horizon = std::max(horizon, f.startSec + f.durSec);
     }
     return horizon;
-}
-
-std::string
-KernelTrace::toChromeJson() const
-{
-    std::ostringstream os;
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (const auto& e : events) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
-           << hw::kernelClassName(e.cls)
-           << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.device
-           << ",\"ts\":" << e.startSec * 1e6
-           << ",\"dur\":" << e.durSec * 1e6 << "}";
-    }
-    // Fault overlay rows: open-ended spans are clipped to the last
-    // kernel's end so the JSON never carries negative durations.
-    double horizon = 0.0;
-    for (const auto& e : events)
-        horizon = std::max(horizon, e.startSec + e.durSec);
-    for (const auto& f : faults) {
-        double dur = f.durSec >= 0.0
-                         ? f.durSec
-                         : std::max(horizon - f.startSec, 0.0);
-        if (!first)
-            os << ',';
-        first = false;
-        os << "{\"name\":\"" << jsonEscape(f.name)
-           << "\",\"cat\":\"fault\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-           << f.device << ",\"ts\":" << f.startSec * 1e6
-           << ",\"dur\":" << dur * 1e6 << "}";
-    }
-    os << "]}";
-    return os.str();
 }
 
 } // namespace telemetry

@@ -1,9 +1,10 @@
 /**
  * @file
  * Chakra-style kernel trace: per-device kernel events with class,
- * name, start, and duration, exportable as Chrome trace JSON. The
- * paper collects execution traces with the Chakra profiler; this is
- * the simulation-side equivalent.
+ * name, start, and duration, exported (with its fault overlays) by
+ * obs::TraceBuilder as Chrome/Perfetto JSON. The paper collects
+ * execution traces with the Chakra profiler; this is the
+ * simulation-side equivalent.
  *
  * Event names are interned `const char*` pointers: the runtime always
  * emits string literals, so the common record() path stores the
@@ -107,9 +108,6 @@ class KernelTrace
 
     /** Latest kernel/fault end time (0 when empty). */
     double horizonSec() const;
-
-    /** Serialize as Chrome trace ("traceEvents") JSON. */
-    std::string toChromeJson() const;
 
   private:
     std::vector<TraceEvent> events;

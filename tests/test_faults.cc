@@ -16,6 +16,7 @@
 #include "faults/scenarios.hh"
 #include "net/flow_network.hh"
 #include "net/topology.hh"
+#include "obs/trace_builder.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -52,6 +53,15 @@ h100Config()
     cfg.warmupIterations = 1;
     cfg.measuredIterations = 2;
     return cfg;
+}
+
+/** The run's kernel spans and fault overlays as Chrome/Perfetto JSON. */
+std::string
+traceJson(const core::ExperimentResult& r)
+{
+    obs::TraceBuilder builder;
+    builder.addKernels(*r.trace);
+    return builder.toJson();
 }
 
 /** Serialize a result's telemetry series exactly like Sampler::toCsv. */
@@ -221,7 +231,7 @@ TEST(FaultExperiment, DegradedPodSlowsStepTimeWithAttribution)
     // The trace overlays fault spans for both scenario legs.
     ASSERT_TRUE(degraded.trace);
     EXPECT_FALSE(degraded.trace->faultSpans().empty());
-    std::string json = degraded.trace->toChromeJson();
+    std::string json = traceJson(degraded);
     EXPECT_NE(json.find("\"cat\":\"fault\""), std::string::npos);
     EXPECT_NE(json.find("hot-inlet"), std::string::npos);
     EXPECT_NE(json.find("link-flap"), std::string::npos);
@@ -243,7 +253,7 @@ TEST(FaultExperiment, SameSeedProducesByteIdenticalOutputs)
     ASSERT_TRUE(a.feasible);
     EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
     EXPECT_EQ(seriesCsv(a), seriesCsv(b));
-    EXPECT_EQ(a.trace->toChromeJson(), b.trace->toChromeJson());
+    EXPECT_EQ(traceJson(a), traceJson(b));
     ASSERT_EQ(a.faultLog.size(), b.faultLog.size());
     for (std::size_t i = 0; i < a.faultLog.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.faultLog[i].startSec, b.faultLog[i].startSec);

@@ -152,8 +152,6 @@ TEST_P(MemoryProperty, FootprintMonotonicInKnobs)
 {
     auto [tp, pp, mb] = GetParam();
     auto cfg = model::gpt3_30b();
-    if (pp > cfg.numLayers)
-        GTEST_SKIP();
     auto par = parallel::ParallelConfig::forWorld(tp * pp, tp, pp);
     parallel::MemoryPlanner planner(cfg, par);
     parallel::MemoryOptions opts;
@@ -186,6 +184,7 @@ TEST_P(MemoryProperty, FootprintMonotonicInKnobs)
     EXPECT_EQ(layers, cfg.numLayers);
 }
 
+// Every pp in the grid is within GPT3-30B's 48 layers.
 INSTANTIATE_TEST_SUITE_P(
     MemorySweep, MemoryProperty,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
@@ -202,8 +201,6 @@ struct MapperProperty
 TEST_P(MapperProperty, GroupsPartitionTheWorld)
 {
     auto [tp, pp, dp, ep] = GetParam();
-    if (dp % ep != 0)
-        GTEST_SKIP();
     parallel::ParallelConfig cfg;
     cfg.tp = tp;
     cfg.pp = pp;
@@ -248,12 +245,22 @@ TEST_P(MapperProperty, GroupsPartitionTheWorld)
         EXPECT_EQ(devs[static_cast<std::size_t>(d)], d);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MapperSweep, MapperProperty,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(1, 2, 4),
-                       ::testing::Values(1, 2, 8),
-                       ::testing::Values(1, 2, 8)));
+/** (tp, pp, dp, ep) grid; expert groups must divide the DP width. */
+std::vector<std::tuple<int, int, int, int>>
+mapperTuples()
+{
+    std::vector<std::tuple<int, int, int, int>> out;
+    for (int tp : {1, 2, 4})
+        for (int pp : {1, 2, 4})
+            for (int dp : {1, 2, 8})
+                for (int ep : {1, 2, 8})
+                    if (dp % ep == 0)
+                        out.emplace_back(tp, pp, dp, ep);
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(MapperSweep, MapperProperty,
+                         ::testing::ValuesIn(mapperTuples()));
 
 // ---- thermal model properties -----------------------------------------------------
 
@@ -317,8 +324,6 @@ struct EngineProperty
 TEST_P(EngineProperty, InvariantsHoldAcrossDesignSpace)
 {
     auto [tp, pp, act, cc] = GetParam();
-    if (tp * pp > 8)
-        GTEST_SKIP() << "layout exceeds the 8-GPU test cluster";
     core::ExperimentConfig cfg;
     cfg.cluster = core::h200Cluster(1);
     cfg.model = tiny();
@@ -365,11 +370,22 @@ TEST_P(EngineProperty, InvariantsHoldAcrossDesignSpace)
     EXPECT_DOUBLE_EQ(r.avgIterationSeconds, r2.avgIterationSeconds);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    DesignSpace, EngineProperty,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(1, 2, 4),
-                       ::testing::Bool(), ::testing::Bool()));
+/** (tp, pp, act, cc) grid; tp*pp fits the 8-GPU test cluster. */
+std::vector<std::tuple<int, int, bool, bool>>
+engineTuples()
+{
+    std::vector<std::tuple<int, int, bool, bool>> out;
+    for (int tp : {1, 2, 4})
+        for (int pp : {1, 2, 4})
+            for (bool act : {false, true})
+                for (bool cc : {false, true})
+                    if (tp * pp <= 8)
+                        out.emplace_back(tp, pp, act, cc);
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(DesignSpace, EngineProperty,
+                         ::testing::ValuesIn(engineTuples()));
 
 // ---- MoE engine sweep ------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
+#include "obs/trace_builder.hh"
 #include "sim/simulator.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/simnvml.hh"
@@ -136,13 +137,23 @@ TEST(KernelTrace, RecordsAndFilters)
     EXPECT_DOUBLE_EQ(late[hw::KernelClass::Gemm], 0.25);
 }
 
+/** The trace's Chrome/Perfetto export (obs::TraceBuilder). */
+std::string
+chromeJson(const KernelTrace& trace)
+{
+    obs::TraceBuilder builder;
+    builder.addKernels(trace);
+    return builder.toJson();
+}
+
 TEST(KernelTrace, ChromeJsonWellFormed)
 {
     KernelTrace trace;
     trace.record(3, hw::KernelClass::SendRecv, "p2p", 0.5, 0.1);
-    std::string json = trace.toChromeJson();
+    std::string json = chromeJson(trace);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
+    // One Chrome process per device.
+    EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
     EXPECT_NE(json.find("\"cat\":\"SendRecv\""), std::string::npos);
 }
 
@@ -160,7 +171,7 @@ TEST(KernelTrace, InternedNamesAreStableAndEscaped)
     EXPECT_STREQ(trace.all()[0].name, "layer \"0\" attn");
     EXPECT_STREQ(trace.all()[1].name, "tail\n");
     // Export escapes the quotes and the newline.
-    std::string json = trace.toChromeJson();
+    std::string json = chromeJson(trace);
     EXPECT_NE(json.find("layer \\\"0\\\" attn"), std::string::npos);
     EXPECT_NE(json.find("tail\\n"), std::string::npos);
     EXPECT_EQ(json.find('\n'), std::string::npos);
