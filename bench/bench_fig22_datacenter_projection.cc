@@ -40,9 +40,10 @@ constexpr int kTp = 8;
 constexpr int kPp = 4;
 
 /** The analytical backend walks every logical rank (no collapse), so
- *  its cross-check is restricted to worlds where that stays cheap;
- *  beyond it the rows are gated on determinism and the projector. */
-constexpr int kAnalyticalCheckMaxWorld = 4096;
+ *  its cross-check stops where its per-device state gets expensive:
+ *  ~150 MB at world 16384, ~600 MB at 65536. Beyond it the rows are
+ *  gated on determinism and the projector. */
+constexpr int kAnalyticalCheckMaxWorld = 16384;
 
 void
 project(const core::ClusterSpec& cluster,

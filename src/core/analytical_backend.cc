@@ -1,9 +1,10 @@
 #include "core/analytical_backend.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <map>
 
 #include "coll/cost_model.hh"
 #include "common/logging.hh"
@@ -74,16 +75,54 @@ ringSteps(coll::CollectiveKind kind, int n)
     }
 }
 
-/** Members on the most-populated node (ring bandwidth sharing). */
-int
-maxMembersPerNode(const std::vector<int>& devices, int gpus_per_node)
+/** One past the last member of the node run that starts at @p begin:
+ *  an ascending member list keeps each node's members contiguous. */
+std::size_t
+nodeRunEnd(std::span<const int> sorted, std::size_t begin, int gpus_per_node)
 {
-    std::map<int, int> per_node;
-    int local = 1;
-    for (int d : devices)
-        local = std::max(local, ++per_node[d / gpus_per_node]);
-    return local;
+    int node = sorted[begin] / gpus_per_node;
+    std::size_t end = begin + 1;
+    while (end < sorted.size() && sorted[end] / gpus_per_node == node)
+        ++end;
+    return end;
 }
+
+/** Wall time of one ring hop of latency @p lat and bandwidth @p bw. */
+double
+ringHopSeconds(coll::CollectiveKind kind, int n, double bytes,
+               bool chunked, int launches, double lat, double bw)
+{
+    double extra = (ringSteps(kind, n) * launches - 1) * lat;
+    if (!chunked)
+        extra += net::calib::kUnchunkedHandshakeSec * launches;
+    return lat + extra + wirePerRank(kind, bytes, n) / bw;
+}
+
+/** A collective priced once per program: its identity and cost. */
+struct PricedCollective
+{
+    coll::CollectiveKind kind;
+    std::uint64_t bytesBits; //!< effective bytes, bit pattern
+    bool chunked;
+    int messages;
+    bool topologyAware;
+    double seconds;
+};
+
+/** One program group's pricing state: the ascending member list and
+ *  every distinct collective already priced on it. */
+struct GroupPricing
+{
+    std::vector<int> sorted;
+    std::vector<PricedCollective> priced;
+};
+
+/** A device's position in the sorted member list of one group. */
+struct RingSlot
+{
+    int group;
+    int position;
+};
 
 } // namespace
 
@@ -185,21 +224,30 @@ AnalyticalBackend::hopBandwidth(int src, int dst,
 }
 
 double
-AnalyticalBackend::collectiveSeconds(const std::vector<int>& devices,
+AnalyticalBackend::collectiveSeconds(std::span<const int> sorted,
                                      coll::CollectiveKind kind,
                                      Bytes bytes, bool chunked,
                                      int messages,
                                      bool topology_aware) const
 {
     const auto& net = cfg.cluster.network;
-    int n = static_cast<int>(devices.size());
+    int n = static_cast<int>(sorted.size());
     if (n <= 1)
         return net::calib::kIntraNodeLatencySec;
     int launches = std::max(messages, 1);
     int gpn = net.gpusPerNode;
 
-    std::vector<int> sorted = devices;
-    std::sort(sorted.begin(), sorted.end());
+    // Members are ascending, so each node's members form one run.
+    int nodes = 0;
+    int local = 1; // members on the most-populated node
+    std::size_t first_run = nodeRunEnd(sorted, 0, gpn);
+    bool uniform = true;
+    for (std::size_t i = 0; i < sorted.size(); ++nodes) {
+        std::size_t end = nodeRunEnd(sorted, i, gpn);
+        local = std::max(local, static_cast<int>(end - i));
+        uniform = uniform && end - i == first_run;
+        i = end;
+    }
 
     // Hierarchical decomposition, mirroring
     // coll::CollectiveEngine::runHierarchical.
@@ -207,49 +255,32 @@ AnalyticalBackend::collectiveSeconds(const std::vector<int>& devices,
         (kind == coll::CollectiveKind::AllReduce ||
          kind == coll::CollectiveKind::AllGather ||
          kind == coll::CollectiveKind::ReduceScatter)) {
-        std::map<int, std::vector<int>> by_node;
-        for (int d : sorted)
-            by_node[d / gpn].push_back(d);
-        std::size_t local = by_node.begin()->second.size();
-        bool uniform = true;
-        bool any_multi = false;
-        for (const auto& [node, members] : by_node) {
-            uniform = uniform && members.size() == local;
-            any_multi = any_multi || members.size() > 1;
-        }
-        if (by_node.size() >= 2 && any_multi && uniform) {
+        if (nodes >= 2 && local > 1 && uniform) {
             bool has_rs = kind != coll::CollectiveKind::AllGather;
             bool has_ag = kind != coll::CollectiveKind::ReduceScatter;
-            coll::CollectiveKind inter_kind =
-                kind == coll::CollectiveKind::AllReduce
-                    ? coll::CollectiveKind::AllReduce
-                    : kind;
-            Bytes shard = bytes / static_cast<double>(local);
-            double t = 0.0;
-            for (const auto& [node, members] : by_node) {
-                double trs = collectiveSeconds(
-                    members, coll::CollectiveKind::ReduceScatter,
-                    bytes, chunked, launches, false);
-                double tag = collectiveSeconds(
-                    members, coll::CollectiveKind::AllGather, bytes,
-                    chunked, launches, false);
-                double phase = (has_rs ? trs : 0.0) +
-                               (has_ag ? tag : 0.0);
-                t = std::max(t, phase);
-                break; // members per node are uniform; one is enough
-            }
-            std::vector<int> ring;
-            for (const auto& [node, members] : by_node)
-                ring.push_back(members[0]);
-            t += collectiveSeconds(ring, inter_kind, shard, chunked,
-                                   launches, false);
+            // Members per node are uniform; the first node stands for
+            // every node's intra-node phase.
+            auto members = sorted.first(first_run);
+            double trs = collectiveSeconds(
+                members, coll::CollectiveKind::ReduceScatter, bytes,
+                chunked, launches, false);
+            double tag = collectiveSeconds(
+                members, coll::CollectiveKind::AllGather, bytes, chunked,
+                launches, false);
+            double t = (has_rs ? trs : 0.0) + (has_ag ? tag : 0.0);
+            // The inter-node ring joins one member per node, so every
+            // hop crosses nodes and costs the same.
+            Bytes shard = bytes / static_cast<double>(first_run);
+            t += ringHopSeconds(kind, nodes, shard.value(), chunked,
+                                launches, net.interLatency.value(),
+                                hopBandwidth(sorted[0], sorted[first_run],
+                                             1));
             return t;
         }
         // Non-uniform groups fall back to the flat ring, as the DES
         // collective engine does.
     }
 
-    int local = maxMembersPerNode(sorted, gpn);
     double intra_lat = net.intraLatency.value();
     double inter_lat = net.interLatency.value();
 
@@ -263,12 +294,10 @@ AnalyticalBackend::collectiveSeconds(const std::vector<int>& devices,
         if (net.chiplet)
             intra_bw = net.xgmiPortBw.value() *
                        net::calib::kProtocolEfficiency;
-        for (int d : sorted) {
-            int same = 0;
-            for (int p : sorted) {
-                if (p != d && p / gpn == d / gpn)
-                    ++same;
-            }
+        // Every member of a node run sees the same peer split.
+        for (std::size_t i = 0; i < sorted.size();) {
+            std::size_t end = nodeRunEnd(sorted, i, gpn);
+            int same = static_cast<int>(end - i) - 1;
             int cross = n - 1 - same;
             if (cross > 0)
                 max_lat = std::max(max_lat, inter_lat);
@@ -279,6 +308,7 @@ AnalyticalBackend::collectiveSeconds(const std::vector<int>& devices,
                                        net::calib::kProtocolEfficiency)
                                 : 0.0;
             t_path = std::max(t_path, std::max(t_intra, t_pcie));
+            i = end;
         }
         // NIC: all cross-node pairs of every co-located sibling group
         // funnel through one per-node port.
@@ -297,36 +327,30 @@ AnalyticalBackend::collectiveSeconds(const std::vector<int>& devices,
 
     // Ring collectives (AllReduce / AllGather / ReduceScatter /
     // Barrier): the collective finishes when its slowest flow does.
-    double wire = wirePerRank(kind, bytes.value(),
-                              static_cast<double>(n));
-    int steps = ringSteps(kind, n);
     double t = 0.0;
     for (int i = 0; i < n; ++i) {
         int src = sorted[static_cast<std::size_t>(i)];
         int dst = sorted[static_cast<std::size_t>((i + 1) % n)];
         double lat = (src / gpn == dst / gpn) ? intra_lat : inter_lat;
-        double extra = (steps * launches - 1) * lat;
-        if (!chunked)
-            extra += net::calib::kUnchunkedHandshakeSec * launches;
-        double hop = lat + extra + wire / hopBandwidth(src, dst, local);
-        t = std::max(t, hop);
+        t = std::max(t, ringHopSeconds(kind, n, bytes.value(), chunked,
+                                       launches, lat,
+                                       hopBandwidth(src, dst, local)));
     }
     return t;
 }
 
 void
-AnalyticalBackend::attributeRing(DeviceSummary& dev, int device,
-                                 const std::vector<int>& sorted,
-                                 Bytes wire) const
+AnalyticalBackend::attributeRing(DeviceSummary& dev,
+                                 std::span<const int> sorted,
+                                 int position, Bytes wire) const
 {
     int gpn = cfg.cluster.network.gpusPerNode;
     int n = static_cast<int>(sorted.size());
-    auto it = std::find(sorted.begin(), sorted.end(), device);
-    if (it == sorted.end() || n < 2)
+    if (n < 2)
         return;
-    int i = static_cast<int>(it - sorted.begin());
-    int next = sorted[static_cast<std::size_t>((i + 1) % n)];
-    int prev = sorted[static_cast<std::size_t>((i + n - 1) % n)];
+    int device = sorted[static_cast<std::size_t>(position)];
+    int next = sorted[static_cast<std::size_t>((position + 1) % n)];
+    int prev = sorted[static_cast<std::size_t>((position + n - 1) % n)];
     // A device's scale-up (or PCIe) ports carry its ring segment out
     // and the predecessor's segment in — matching how the DES flow
     // network attributes link bytes to port-owning GPUs.
@@ -346,8 +370,64 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
     int gpn = net.gpusPerNode;
     int world = program.worldSize();
 
-    // Collective cost per (group, kind, bytes, ...) is identical for
-    // every member; cache by op identity within this program.
+    // A collective's cost is identical for every member of its group,
+    // so each distinct (group, kind, bytes, chunking, launches,
+    // topology) is priced once per program. Groups are deduplicated by
+    // member list, so the memo is exact, not an approximation.
+    std::vector<GroupPricing> groups(program.groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        groups[g].sorted = program.groups[g];
+        std::sort(groups[g].sorted.begin(), groups[g].sorted.end());
+    }
+    auto price = [this](GroupPricing& group, const runtime::Op& op,
+                        Bytes bytes) {
+        std::uint64_t bits = std::bit_cast<std::uint64_t>(bytes.value());
+        for (const PricedCollective& p : group.priced) {
+            if (p.kind == op.ckind && p.bytesBits == bits &&
+                p.chunked == op.chunked && p.messages == op.messages &&
+                p.topologyAware == op.topologyAware)
+                return p.seconds;
+        }
+        double seconds = collectiveSeconds(group.sorted, op.ckind, bytes,
+                                           op.chunked, op.messages,
+                                           op.topologyAware);
+        group.priced.push_back({op.ckind, bits, op.chunked, op.messages,
+                                op.topologyAware, seconds});
+        return seconds;
+    };
+
+    // Each device's ring position in every group it belongs to, laid
+    // out CSR-style: device d owns slots [slotStart[d], slotStart[d+1]).
+    std::vector<int> slotStart(static_cast<std::size_t>(world) + 1, 0);
+    for (const GroupPricing& group : groups) {
+        for (int d : group.sorted)
+            ++slotStart[static_cast<std::size_t>(d) + 1];
+    }
+    for (int d = 0; d < world; ++d)
+        slotStart[static_cast<std::size_t>(d) + 1] +=
+            slotStart[static_cast<std::size_t>(d)];
+    std::vector<RingSlot> slots(
+        static_cast<std::size_t>(slotStart.back()));
+    {
+        std::vector<int> fill(slotStart.begin(), slotStart.end() - 1);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            const auto& sorted = groups[g].sorted;
+            for (std::size_t i = 0; i < sorted.size(); ++i) {
+                int& next = fill[static_cast<std::size_t>(sorted[i])];
+                slots[static_cast<std::size_t>(next++)] = {
+                    static_cast<int>(g), static_cast<int>(i)};
+            }
+        }
+    }
+    auto ring_position = [&](int d, int group) {
+        for (int k = slotStart[static_cast<std::size_t>(d)];
+             k < slotStart[static_cast<std::size_t>(d) + 1]; ++k) {
+            if (slots[static_cast<std::size_t>(k)].group == group)
+                return slots[static_cast<std::size_t>(k)].position;
+        }
+        CHARLLM_PANIC("device ", d, " is not a member of group ", group);
+    };
+
     std::vector<DeviceSummary> out(static_cast<std::size_t>(world));
     for (int d = 0; d < world; ++d) {
         DeviceSummary& dev = out[static_cast<std::size_t>(d)];
@@ -377,19 +457,16 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                 break;
               }
               case runtime::OpType::Collective: {
-                const auto& group = program.groups
-                    [static_cast<std::size_t>(op.groupId)];
+                GroupPricing& group =
+                    groups[static_cast<std::size_t>(op.groupId)];
+                const auto& sorted = group.sorted;
                 Bytes bytes = op.bytes;
                 // Overlapped collectives contend with concurrent
                 // compute (engine applies kOverlapCommPenalty).
                 if (op.async)
                     bytes *= hw::calib::kOverlapCommPenalty;
-                c.commSec = collectiveSeconds(
-                    group, op.ckind, bytes, op.chunked, op.messages,
-                    op.topologyAware);
+                c.commSec = price(group, op, bytes);
                 c.powerActivity = profile.powerActivity;
-                std::vector<int> sorted = group;
-                std::sort(sorted.begin(), sorted.end());
                 double n = static_cast<double>(sorted.size());
                 if (op.ckind == coll::CollectiveKind::AllToAll) {
                     double per_pair = bytes.value() / n;
@@ -403,7 +480,7 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                     }
                 } else {
                     attributeRing(
-                        dev, d, sorted,
+                        dev, sorted, ring_position(d, op.groupId),
                         Bytes(wirePerRank(op.ckind, bytes.value(),
                                           n)));
                 }

@@ -21,6 +21,7 @@
 #ifndef CHARLLM_CORE_ANALYTICAL_BACKEND_HH
 #define CHARLLM_CORE_ANALYTICAL_BACKEND_HH
 
+#include <span>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -92,13 +93,16 @@ class AnalyticalBackend final : public sim::Backend
 
     std::vector<DeviceSummary> summarize(
         const runtime::Program& program) const;
-    double collectiveSeconds(const std::vector<int>& devices,
+    /** Cost of one collective over the ascending member list
+     *  @p sorted. Allocation-free. */
+    double collectiveSeconds(std::span<const int> sorted,
                              coll::CollectiveKind kind, Bytes bytes,
                              bool chunked, int messages,
                              bool topology_aware) const;
     double hopBandwidth(int src, int dst, int local_members) const;
-    void attributeRing(DeviceSummary& dev, int device,
-                       const std::vector<int>& sorted, Bytes wire) const;
+    /** Ring traffic of the member at @p position of @p sorted. */
+    void attributeRing(DeviceSummary& dev, std::span<const int> sorted,
+                       int position, Bytes wire) const;
     DeviceWalk walkDevice(const DeviceSummary& dev, double clock) const;
     double iterationSeconds(const std::vector<DeviceWalk>& walks) const;
 

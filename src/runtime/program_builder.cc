@@ -1,6 +1,7 @@
 #include "runtime/program_builder.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "parallel/memory_planner.hh"
@@ -143,6 +144,42 @@ ProgramBuilder::groupIdFor(BuildContext& ctx,
 }
 
 int
+ProgramBuilder::tpGroupId(BuildContext& ctx, int rank) const
+{
+    const auto& par = map.config();
+    parallel::RankCoords c = map.coordsOf(rank);
+    int& id = ctx.tpGroupIds[static_cast<std::size_t>(
+        c.dpIdx + par.dp * c.ppIdx)];
+    if (id < 0)
+        id = groupIdFor(ctx, map.tpGroupDevices(rank));
+    return id;
+}
+
+int
+ProgramBuilder::dpGroupId(BuildContext& ctx, int rank) const
+{
+    const auto& par = map.config();
+    parallel::RankCoords c = map.coordsOf(rank);
+    int& id = ctx.dpGroupIds[static_cast<std::size_t>(
+        c.tpIdx + par.tp * c.ppIdx)];
+    if (id < 0)
+        id = groupIdFor(ctx, dpGroupAlive(rank));
+    return id;
+}
+
+int
+ProgramBuilder::epGroupId(BuildContext& ctx, int rank) const
+{
+    const auto& par = map.config();
+    parallel::RankCoords c = map.coordsOf(rank);
+    int& id = ctx.epGroupIds[static_cast<std::size_t>(
+        c.tpIdx + par.tp * (c.ppIdx + par.pp * (c.dpIdx / par.ep)))];
+    if (id < 0)
+        id = groupIdFor(ctx, map.epGroupDevices(rank));
+    return id;
+}
+
+int
 ProgramBuilder::deviceAtStage(int rank, int stage) const
 {
     parallel::RankCoords c = map.coordsOf(rank);
@@ -187,7 +224,7 @@ ProgramBuilder::emitForward(BuildContext& ctx, int rank, int mb,
         ag.cls = hw::KernelClass::AllGather;
         ag.name = "fsdp-allgather";
         ag.ckind = coll::CollectiveKind::AllGather;
-        ag.groupId = groupIdFor(ctx, dpGroupAlive(rank));
+        ag.groupId = dpGroupId(ctx, rank);
         ag.bytes = stageParamBytes(stage);
         ag.messages = static_cast<int>(layersOnStage(stage));
         ag.topologyAware = opts.topologyAwareCollectives;
@@ -229,7 +266,7 @@ ProgramBuilder::emitForward(BuildContext& ctx, int rank, int mb,
     // Megatron TP allreduce after the attention block.
     int tp_group = -1;
     if (par.tp > 1) {
-        tp_group = groupIdFor(ctx, map.tpGroupDevices(rank));
+        tp_group = tpGroupId(ctx, rank);
         Op ar;
         ar.type = OpType::Collective;
         ar.cls = hw::KernelClass::AllReduce;
@@ -247,7 +284,7 @@ ProgramBuilder::emitForward(BuildContext& ctx, int rank, int mb,
     // MoE dispatch all-to-all (routes tokens to expert owners).
     int ep_group = -1;
     if (moe) {
-        ep_group = groupIdFor(ctx, map.epGroupDevices(rank));
+        ep_group = epGroupId(ctx, rank);
         Op a2a;
         a2a.type = OpType::Collective;
         a2a.cls = hw::KernelClass::AllToAll;
@@ -405,7 +442,7 @@ ProgramBuilder::emitBackward(BuildContext& ctx, int rank, int mb,
 
     int ep_group = -1;
     if (moe) {
-        ep_group = groupIdFor(ctx, map.epGroupDevices(rank));
+        ep_group = epGroupId(ctx, rank);
         Op a2a;
         a2a.type = OpType::Collective;
         a2a.cls = hw::KernelClass::AllToAll;
@@ -451,7 +488,7 @@ ProgramBuilder::emitBackward(BuildContext& ctx, int rank, int mb,
 
     int tp_group = -1;
     if (par.tp > 1) {
-        tp_group = groupIdFor(ctx, map.tpGroupDevices(rank));
+        tp_group = tpGroupId(ctx, rank);
         Op ar;
         ar.type = OpType::Collective;
         ar.cls = hw::KernelClass::AllReduce;
@@ -522,7 +559,7 @@ ProgramBuilder::emitBackward(BuildContext& ctx, int rank, int mb,
         rs.cls = hw::KernelClass::ReduceScatter;
         rs.name = "fsdp-reducescatter";
         rs.ckind = coll::CollectiveKind::ReduceScatter;
-        rs.groupId = groupIdFor(ctx, dpGroupAlive(rank));
+        rs.groupId = dpGroupId(ctx, rank);
         rs.bytes = gradBytesPerGpu(stage);
         rs.messages = static_cast<int>(layersOnStage(stage));
         rs.topologyAware = opts.topologyAwareCollectives;
@@ -541,7 +578,7 @@ ProgramBuilder::emitBackward(BuildContext& ctx, int rank, int mb,
         gb.name = "dp-grad-bucket";
         gb.ckind = opts.zero1 ? coll::CollectiveKind::ReduceScatter
                               : coll::CollectiveKind::AllReduce;
-        gb.groupId = groupIdFor(ctx, dpGroupAlive(rank));
+        gb.groupId = dpGroupId(ctx, rank);
         gb.bytes = gradBytesPerGpu(stage) /
                    std::max(bucket_count, 1);
         gb.topologyAware = opts.topologyAwareCollectives;
@@ -580,7 +617,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
             sync.ckind = opts.zero1
                              ? coll::CollectiveKind::ReduceScatter
                              : coll::CollectiveKind::AllReduce;
-            sync.groupId = groupIdFor(ctx, dpGroupAlive(rank));
+            sync.groupId = dpGroupId(ctx, rank);
             sync.bytes = gradBytesPerGpu(stage);
             sync.topologyAware = opts.topologyAwareCollectives;
             ops.push_back(sync);
@@ -612,7 +649,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
         ag.cls = hw::KernelClass::AllGather;
         ag.name = "zero1-param-allgather";
         ag.ckind = coll::CollectiveKind::AllGather;
-        ag.groupId = groupIdFor(ctx, dpGroupAlive(rank));
+        ag.groupId = dpGroupId(ctx, rank);
         ag.bytes = stageParamBytes(stage) * trainable_fraction;
         ag.topologyAware = opts.topologyAwareCollectives;
         ops.push_back(ag);
@@ -737,6 +774,11 @@ ProgramBuilder::build(int iteration) const
                   static_cast<unsigned>(iteration) * 0x85ebca6bULL + 1);
     ctx.program.deviceOps.resize(static_cast<std::size_t>(
         fold != nullptr ? fold->physWorld() : map.worldSize()));
+    const auto& par = map.config();
+    ctx.tpGroupIds.assign(static_cast<std::size_t>(par.dp * par.pp), -1);
+    ctx.dpGroupIds.assign(static_cast<std::size_t>(par.tp * par.pp), -1);
+    ctx.epGroupIds.assign(
+        static_cast<std::size_t>(par.tp * par.pp * (par.dp / par.ep)), -1);
     for (int rank = 0; rank < map.worldSize(); ++rank) {
         // Under collapse only replica-0 ranks execute; folded ranks'
         // behaviour is implied by their representative. Groups still
@@ -768,7 +810,7 @@ ProgramBuilder::build(int iteration) const
         }
         ctx.program.groupExpected.push_back(expected);
     }
-    return ctx.program;
+    return std::move(ctx.program);
 }
 
 } // namespace runtime

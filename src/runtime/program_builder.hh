@@ -96,10 +96,25 @@ class ProgramBuilder
     {
         Program program;
         std::map<std::vector<int>, int> groupIds;
+        /** Group id per group coordinate, -1 until first resolved: TP
+         *  groups by (dp, pp), DP groups by (tp, pp), EP groups by
+         *  (tp, pp, ep block). One build sees one liveness mask. */
+        std::vector<int> tpGroupIds;
+        std::vector<int> dpGroupIds;
+        std::vector<int> epGroupIds;
         Rng rng;
     };
 
     int groupIdFor(BuildContext& ctx, std::vector<int> devices) const;
+
+    /** @name @p rank's TP / DP (survivors only) / EP group id, resolved
+     *  once per build through groupIdFor, so ids keep first-encounter
+     *  order.
+     * @{ */
+    int tpGroupId(BuildContext& ctx, int rank) const;
+    int dpGroupId(BuildContext& ctx, int rank) const;
+    int epGroupId(BuildContext& ctx, int rank) const;
+    /** @} */
 
     /** deviceOps slot of logical device @p dev (physical under fold). */
     std::size_t

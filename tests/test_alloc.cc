@@ -9,7 +9,9 @@
  *  - a measured training iteration, from one commit to the next,
  *    allocates nothing once the pools have warmed up;
  *  - a long run performs exactly as many allocations as a short one,
- *    so retained memory is O(devices), not O(simulated time).
+ *    so retained memory is O(devices), not O(simulated time);
+ *  - the analytical backend's lowering allocates linearly in devices,
+ *    not in devices x group size.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "coll/collective_engine.hh"
+#include "core/analytical_backend.hh"
 #include "core/cluster.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
@@ -248,6 +251,34 @@ TEST(SteadyStateAlloc, LongRunAllocatesNoMoreThanShortRun)
         return allocationCount() - before;
     };
     EXPECT_EQ(run_allocs(30), run_allocs(3));
+}
+
+TEST(AnalyticalAlloc, LoweringAllocatesLinearlyInDevices)
+{
+    // The datacenter-scale GPT3-175B TP8-PP4 config: growing the world
+    // grows the DP groups with it, so any per-device copy of a group
+    // (or per-call node bucketing) shows up as quadratic growth.
+    auto lower_allocs = [](int dp) {
+        core::ExperimentConfig cfg;
+        int world = 8 * 4 * dp;
+        cfg.cluster = core::h200Cluster(world / 8);
+        cfg.model = model::gpt3_175b();
+        cfg.par = parallel::ParallelConfig::forWorld(world, 8, 4);
+        cfg.train.actRecompute = true;
+        cfg.train.globalBatchSize = 4 * dp;
+        cfg.warmupIterations = 1;
+        cfg.measuredIterations = 1;
+        cfg.backend = sim::BackendKind::Analytical;
+        core::AnalyticalBackend backend;
+        std::uint64_t before = allocationCount();
+        backend.lower(cfg);
+        return allocationCount() - before;
+    };
+    std::uint64_t small = lower_allocs(32); // world 1024
+    std::uint64_t large = lower_allocs(128); // world 4096
+    EXPECT_LE(static_cast<double>(large), 4.5 * static_cast<double>(small))
+        << "world 1024: " << small << " allocations, world 4096: "
+        << large;
 }
 
 } // namespace

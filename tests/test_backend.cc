@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "bench_util.hh"
 #include "core/analytical_backend.hh"
+#include "core/catalog.hh"
 #include "core/cluster.hh"
 #include "core/des_backend.hh"
 #include "core/experiment.hh"
@@ -194,6 +197,121 @@ TEST(AnalyticalBackend, IsDeterministic)
     auto b = Experiment::run(cfg);
     EXPECT_EQ(a.avgIterationSeconds, b.avgIterationSeconds);
     EXPECT_EQ(a.totalEnergyJ, b.totalEnergyJ);
+}
+
+/** An analytical run with actRecompute, 1 warmup + 2 measured
+ *  iterations (MoE models re-draw routing, so each gets a summary). */
+ExperimentConfig
+goldenConfig(const ClusterSpec& cluster, const model::TransformerConfig& m,
+             const parallel::ParallelConfig& par)
+{
+    ExperimentConfig cfg;
+    cfg.cluster = cluster;
+    cfg.model = m;
+    cfg.par = par;
+    cfg.warmupIterations = 1;
+    cfg.measuredIterations = 2;
+    cfg.backend = sim::BackendKind::Analytical;
+    cfg.train.actRecompute = true;
+    return cfg;
+}
+
+/** FNV-1a over the bit patterns of every GPU's traffic, breakdown,
+ *  power, temperature, clock, occupancy and energy, in GPU order. */
+std::uint64_t
+perGpuDigest(const ExperimentResult& r)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffU;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (const GpuResult& g : r.gpus) {
+        mix(g.pcieBytes);
+        mix(g.scaleUpBytes);
+        for (double s : g.breakdown.seconds)
+            mix(s);
+        mix(g.avgPowerW);
+        mix(g.peakPowerW);
+        mix(g.avgTempC);
+        mix(g.avgClockGhz);
+        mix(g.avgOccupancy);
+        mix(g.energyJ);
+    }
+    return h;
+}
+
+TEST(AnalyticalBackend, MatchesGoldenValuesBitwise)
+{
+    // Values recorded from the backend that re-priced every collective
+    // for every member device. Pricing each distinct collective once
+    // must not move a single bit.
+    struct Golden
+    {
+        const char* name;
+        ExperimentConfig cfg;
+        double avgIterationSeconds;
+        double totalEnergyJ;
+        std::uint64_t perGpu;
+    };
+    std::vector<Golden> cases;
+    auto tp8 = goldenConfig(h200Cluster(16), model::gpt3_175b(),
+                            parallel::ParallelConfig::forWorld(128, 8, 4));
+    cases.push_back({"h200-tp8-pp4-dp4", tp8, 0x1.9138caeaea372p+4,
+                     0x1.3012e742df535p+21, 0xe9b05d99437606a3ULL});
+    tp8.train.topologyAwareCollectives = true;
+    cases.push_back({"h200-tp8-pp4-dp4-topo", tp8, 0x1.9138caeaea372p+4,
+                     0x1.3012e742df535p+21, 0xe9b05d99437606a3ULL});
+    // Four DP members per node: hierarchical AllGather/ReduceScatter
+    // (ZeRO-1) and overlapped gradient buckets.
+    auto hier = goldenConfig(h200Cluster(4), model::gpt3_30b(),
+                             parallel::ParallelConfig::forWorld(32, 2, 2));
+    hier.train.topologyAwareCollectives = true;
+    hier.train.zero1 = true;
+    hier.train.ccOverlap = true;
+    cases.push_back({"h200-tp2-pp2-dp8-hierarchical", hier,
+                     0x1.3899360ff328bp+3, 0x1.41e287300aeeap+18,
+                     0xe7d25e25d7dfdb13ULL});
+    // A strided placement scatters every group across nodes unevenly:
+    // unsorted member lists and non-uniform hierarchical fallbacks.
+    for (int r = 0; r < 32; ++r)
+        hier.devicePermutation.push_back(r * 7 % 32);
+    cases.push_back({"h200-tp2-pp2-dp8-permuted", hier,
+                     0x1.051c96511ce13p+5, 0x1.1e56f79c33c5bp+19,
+                     0x5ebac6acb196cc51ULL});
+    cases.push_back(
+        {"h200-mixtral-ep8-pp4",
+         goldenConfig(h200Cluster(4), model::mixtral_8x7b(),
+                      parallel::ParallelConfig::forWorld(32, 1, 4, 8)),
+         0x1.883bc4debf562p+2, 0x1.895efb6739feap+17,
+         0xd7f0111ce9981729ULL});
+    cases.push_back(
+        {"mi250-tp4-pp8",
+         goldenConfig(mi250Cluster(), model::llama3_30b(),
+                      parallel::ParallelConfig::forWorld(32, 4, 8)),
+         0x1.89086dc8d0e46p+6, 0x1.38f0cc70c0679p+20,
+         0x4927bf41eb46abebULL});
+    // Figure 8's one GPU per node: every group falls back to the flat
+    // ring even with topology-aware collectives on.
+    auto one = goldenConfig(oneGpuPerNodeCluster(h200Cluster(), 4),
+                            model::gpt3_13b(),
+                            parallel::ParallelConfig::forWorld(4, 2, 2));
+    one.train.topologyAwareCollectives = true;
+    cases.push_back({"one-gpu-per-node-tp2-pp2", one, 0x1.8c037f07e318p+5,
+                     0x1.a56019288e36cp+17, 0x358d53dee9fb1debULL});
+
+    for (const Golden& c : cases) {
+        SCOPED_TRACE(c.name);
+        auto r = Experiment::run(c.cfg);
+        ASSERT_TRUE(r.feasible);
+        EXPECT_EQ(r.avgIterationSeconds, c.avgIterationSeconds);
+        EXPECT_EQ(r.totalEnergyJ, c.totalEnergyJ);
+        EXPECT_EQ(perGpuDigest(r), c.perGpu);
+    }
 }
 
 TEST(AnalyticalBackend, AppliesMemoryScreen)
