@@ -28,8 +28,8 @@
  *    output is the typed relative clock ClockRel (1.0 = nominal)
  *  - the raw magnitude leaves the type system only through .value(),
  *    at output boundaries (CSV, Chrome trace, NVML facade, report
- *    structs); tools/lint_sim.py polices unit-suffixed raw-double
- *    parameters in physics headers
+ *    structs); simcheck's unit-raw-double rule polices unit-suffixed
+ *    raw doubles across src/
  */
 
 #ifndef CHARLLM_COMMON_UNITS_HH

@@ -3,7 +3,7 @@
  * Metrics registry: named counters, gauges, and log-bucketed
  * histograms for simulator self-profiling.
  *
- * Design contract (enforced by tools/lint_sim.py):
+ * Design contract (enforced by simcheck's obs-header-alloc rule):
  *  - The increment path never allocates. Counter::inc, Gauge::set and
  *    Histogram::observe are plain member stores on fixed-size state.
  *  - Zero overhead when disabled. Components that accept an optional

@@ -18,6 +18,7 @@
 #ifndef CHARLLM_SIM_EVENT_QUEUE_HH
 #define CHARLLM_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -504,9 +505,11 @@ class EventQueue
             for (;;) {
                 std::size_t child = 2 * hole + 1;
                 if (child + 1 < n) {
-                    // Overlap the next level's (data-dependent) loads.
-                    __builtin_prefetch(&heap[4 * hole + 3]);
-                    __builtin_prefetch(&heap[4 * hole + 5]);
+                    // Overlap the next level's (data-dependent) loads;
+                    // clamp to the last entry so the address stays
+                    // inside the heap near the leaves.
+                    __builtin_prefetch(&heap[std::min(4 * hole + 3, n)]);
+                    __builtin_prefetch(&heap[std::min(4 * hole + 5, n)]);
                     child += firesBefore(heap[child + 1], heap[child]);
                 } else if (child >= n)
                     break;

@@ -182,13 +182,11 @@ class _Lowerer:
         fn = Function(
             qname=self._qname(cur) or f"<fn@{cur.location.line}>",
             name=cur.spelling or f"<fn@{cur.location.line}>",
-            file=self.model.path,
             line=cur.location.line,
             return_type=cur.result_type.spelling
             if cur.result_type else "",
             params=params,
             access=self._access(cur),
-            is_header=self.model.is_header,
             is_lambda=(cur.kind == K.LAMBDA_EXPR),
         )
         if parent_fn is not None:

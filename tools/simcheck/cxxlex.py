@@ -1,10 +1,9 @@
 """Comment- and string-literal-aware C++ tokenizer.
 
-The regex lint (tools/lint_sim.py) works line-by-line and cannot see
-multi-line constructs or distinguish `//` inside a string literal from
-a comment. simcheck rules run on a token stream instead: comments are
-dropped, string/char literals survive as single STR/CHR tokens, and
-every token carries its 1-based source line for reporting.
+simcheck rules run on this token stream, not on source lines:
+comments are dropped, string/char literals survive as single STR/CHR
+tokens (a `//` inside a literal is not a comment), and every token
+carries its 1-based source line for reporting.
 
 This is a lexer, not a preprocessor: macros are not expanded and
 `#include`s are not followed. Directive lines are emitted as a single

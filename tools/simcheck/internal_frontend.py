@@ -428,12 +428,10 @@ class _Parser:
         fn = Function(
             qname=qname,
             name=name,
-            file=self.model.path,
             line=toks[name_idx].line,
             return_type=return_type,
             params=params,
             access=access if (cls or qcls) else "free",
-            is_header=self.model.is_header,
         )
         for p in params:
             fn.decls[p.name] = p.type_str
@@ -582,12 +580,10 @@ class _Parser:
         lam = Function(
             qname=f"{parent.qname}::<lambda@{toks[i].line}>",
             name=f"<lambda@{toks[i].line}>",
-            file=self.model.path,
             line=toks[i].line,
             return_type="",
             params=params,
             access=parent.access,
-            is_header=parent.is_header,
             is_lambda=True,
         )
         lam.decls.update(parent.decls)  # captures see enclosing decls

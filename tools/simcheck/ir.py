@@ -25,15 +25,6 @@ class Param:
 
 
 @dataclass
-class VarDecl:
-    """A named variable with a textual type: local, member, or param."""
-
-    name: str
-    type_str: str
-    line: int
-
-
-@dataclass
 class RangeFor:
     """`for (decl : expr)` — expr_name is the iterated entity if it is a
     simple identifier / member access, else ''."""
@@ -49,12 +40,10 @@ class Function:
 
     qname: str  # qualified, e.g. charllm::net::FlowNetwork::recompute
     name: str  # unqualified
-    file: str  # repo-relative posix path
     line: int
     return_type: str
     params: list[Param] = field(default_factory=list)
     access: str = "free"  # public | protected | private | free
-    is_header: bool = False
     is_lambda: bool = False
     tokens: list[Token] = field(default_factory=list)  # body tokens
     decls: dict[str, str] = field(default_factory=dict)  # name -> type

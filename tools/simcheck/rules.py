@@ -1,6 +1,6 @@
 """simcheck rules: the simulator's semantic contracts over the IR.
 
-Two families, mirroring the contracts in DESIGN.md §5:
+Three families, mirroring the contracts in DESIGN.md §5:
 
 Determinism ("same seed -> byte-identical telemetry"):
   det-unordered-iter     iteration over std::unordered_{map,set} —
@@ -11,6 +11,8 @@ Determinism ("same seed -> byte-identical telemetry"):
                          default-compare sort of a pointer vector)
   det-unseeded-rng       RNG engine constructed with no seed argument;
                          seeds must flow from config structs
+  det-ambient-entropy    rand(), std::random_device, wall clocks,
+                         time(NULL) and getenv() anywhere in src/
 
 Unit soundness (common/quantity.hh, now enforced across ALL of src/):
   unit-raw-double        unit-suffixed (_w/_j/_c/_bps/_s) parameter,
@@ -18,15 +20,23 @@ Unit soundness (common/quantity.hh, now enforced across ALL of src/):
   unit-value-escape      public header function returning a raw
                          Quantity::value() double across the API
 
-Hot-path allocation is not a static rule: tests/test_alloc.cc counts
-the heap allocations of a steady-state iteration and requires zero.
+Library hygiene (token rules):
+  lib-iostream           <iostream>/<ostream>/<istream> in library code
+  hot-path-alloc         std::function or make_shared in src/sim,
+                         src/net or src/obs
+  obs-header-alloc       allocation-prone construct in a src/obs header,
+                         where the inline metric increment paths live
+
+tests/test_alloc.cc backs the allocation rules dynamically: a
+steady-state iteration must make zero heap allocations.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
 
+from cxxlex import DIRECTIVE, ID, match_seq
 from ir import FileModel, Finding
 
 UNORDERED_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
@@ -38,12 +48,95 @@ RNG_NO_SEED_MSG = (
 
 UNIT_SUFFIX_RE = re.compile(r"_(w|j|c|bps|s)$")
 
+# Ambient-entropy names; the AMBIENT_CALLS ones only when called as free
+# functions (qualified or not): x.rand() is some class's own API.
+AMBIENT = dict.fromkeys(
+    ("system_clock", "steady_clock", "high_resolution_clock"),
+    "wall-clock time breaks replay; use the simulator clock") | {
+    "random_device": "std::random_device is nondeterministic; seed "
+                     "common/rng.hh explicitly",
+    "rand": "rand() is ambient entropy; use common/rng.hh with an "
+            "explicit seed",
+    "time": "time(NULL) is ambient entropy; use the simulator clock",
+    "getenv": "environment lookups hide config; pass options structs "
+              "instead",
+}
+AMBIENT_CALLS = ("rand", "time", "getenv")
+TIME_NULL_ARGS = ("NULL", "nullptr", "0")
 
-@dataclass
-class RuleConfig:
-    # Value-escape boundary dirs where .value() returns are the point
-    # (CSV/trace/NVML writers) — scoped out of unit-value-escape.
-    value_boundary_dirs: tuple = ()
+# The internal lexer keeps `#include <iostream>` as one directive token;
+# libclang splits it into `#`, `include`, `<`, `iostream`, `>`.
+STREAM_INCLUDE_RE = re.compile(r"#\s*include\s*<(iostream|ostream|istream)>")
+STREAM_HEADERS = ("iostream", "ostream", "istream")
+
+HOT_PATH_DIRS = ("src/sim/", "src/net/", "src/obs/")
+OBS_ALLOC_NAMES = ("new", "make_shared", "make_unique", "push_back",
+                   "emplace_back")
+
+
+def _is_call(toks, i: int) -> bool:
+    """Token @p i is called, and not as a member (`.`/`->`)."""
+    return match_seq(toks, i + 1, ["("]) and \
+        (i == 0 or toks[i - 1].text not in (".", "->"))
+
+
+def _is_std_function(toks, i: int) -> bool:
+    return toks[i].text == "function" and i >= 2 and \
+        toks[i - 1].text == "::" and toks[i - 2].text == "std"
+
+
+def _ambient_entropy(toks, i: int) -> str | None:
+    t = toks[i]
+    if t.kind != ID or t.text not in AMBIENT:
+        return None
+    if t.text in AMBIENT_CALLS and not _is_call(toks, i):
+        return None
+    if t.text == "time" and not (match_seq(toks, i + 3, [")"]) and
+                                 toks[i + 2].text in TIME_NULL_ARGS):
+        return None
+    return AMBIENT[t.text]
+
+
+def _stream_include(toks, i: int) -> str | None:
+    t = toks[i]
+    if (t.kind == DIRECTIVE and STREAM_INCLUDE_RE.search(t.text)) or (
+            match_seq(toks, i, ["#", "include", "<", "*", ">"]) and
+            toks[i + 3].text in STREAM_HEADERS):
+        return ("library code must not use std streams; use the CSV/trace "
+                "writers or return data")
+    return None
+
+
+def _hot_path_alloc(toks, i: int) -> str | None:
+    if _is_std_function(toks, i):
+        return ("std::function heap-allocates captured state on the event "
+                "hot path; use sim::EventFn (or a concrete callable type)")
+    if toks[i].text == "make_shared":
+        return ("per-event shared_ptr records defeat the slab allocator; "
+                "use the pooled event/flow slabs")
+    return None
+
+
+def _obs_header_alloc(toks, i: int) -> str | None:
+    text = toks[i].text
+    if text in OBS_ALLOC_NAMES or _is_std_function(toks, i) or (
+            text in ("resize", "reserve") and match_seq(toks, i + 1, ["("])):
+        return (f"'{text}' may allocate in an obs header; the inline metric "
+                "increment path must not allocate — declare here, define "
+                "in the .cc")
+    return None
+
+
+# rule -> (which files it applies to, message for a hit at token i).
+TOKEN_RULES = {
+    "det-ambient-entropy": (lambda fm: True, _ambient_entropy),
+    "lib-iostream": (lambda fm: True, _stream_include),
+    "hot-path-alloc": (lambda fm: fm.path.startswith(HOT_PATH_DIRS),
+                       _hot_path_alloc),
+    "obs-header-alloc": (
+        lambda fm: fm.is_header and fm.path.startswith("src/obs/"),
+        _obs_header_alloc),
+}
 
 
 RULES = [
@@ -59,6 +152,11 @@ RULES = [
      "unit-suffixed raw double parameter/return/member"),
     ("unit-value-escape",
      "public header API returning Quantity::value() as raw double"),
+    ("det-ambient-entropy",
+     "rand, random_device, wall clock, time(NULL) or getenv"),
+    ("lib-iostream", "std stream header included in library code"),
+    ("hot-path-alloc", "std::function or make_shared on the hot path"),
+    ("obs-header-alloc", "allocation-prone construct in a src/obs header"),
 ]
 
 
@@ -70,11 +168,9 @@ def _snippet(fm: FileModel, line: int, source_lines: list[str]) -> str:
 
 class Analyzer:
     def __init__(self, models: list[FileModel],
-                 sources: dict[str, list[str]],
-                 config: RuleConfig | None = None):
+                 sources: dict[str, list[str]]):
         self.models = models
         self.sources = sources  # path -> source lines (for snippets)
-        self.config = config or RuleConfig()
         self.findings: list[Finding] = []
 
     # -- helpers --------------------------------------------------------
@@ -94,12 +190,21 @@ class Analyzer:
             "det-unseeded-rng": self.check_unseeded_rng,
             "unit-raw-double": self.check_unit_raw_double,
             "unit-value-escape": self.check_value_escape,
-        }
+        } | {rule: partial(self.scan_tokens, rule, *spec)
+             for rule, spec in TOKEN_RULES.items()}
         for rule, fn in checks.items():
             if only_rules is None or rule in only_rules:
                 fn()
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
+
+    def scan_tokens(self, rule: str, applies, message_at) -> None:
+        for fm in self.models:
+            if applies(fm):
+                for i, t in enumerate(fm.tokens):
+                    message = message_at(fm.tokens, i)
+                    if message:
+                        self._emit(rule, fm, t.line, message)
 
     # -- determinism ----------------------------------------------------
 
@@ -293,8 +398,6 @@ class Analyzer:
     def check_value_escape(self) -> None:
         for fm in self.models:
             if not fm.is_header:
-                continue
-            if fm.path.startswith(self.config.value_boundary_dirs or ()):
                 continue
             for fn in fm.functions:
                 if fn.is_lambda or fn.access not in ("public", "free"):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""simcheck — AST-level simulation contract checker.
+"""simcheck — the simulator's static contract checker.
 
-Enforces the simulator's semantic contracts where the regex lint
-(tools/lint_sim.py) can't see: container iteration semantics, pointer
-ordering, RNG seeding, unit-suffixed raw doubles across all of src/,
-and Quantity::value() escapes on public APIs.
+Enforces determinism (container iteration order, pointer ordering, RNG
+seeding, ambient entropy), unit soundness (unit-suffixed raw doubles,
+Quantity::value() escapes on public APIs) and library hygiene (std
+streams, hot-path and obs-header allocations) over src/.
 
 Frontends (--frontend):
   auto      libclang (clang.cindex over compile_commands.json) when
@@ -31,7 +31,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import internal_frontend  # noqa: E402
 from ir import FileModel, Finding  # noqa: E402
-from rules import RULES, Analyzer, RuleConfig  # noqa: E402
+from rules import RULES, Analyzer  # noqa: E402
 
 REPO = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -161,7 +161,6 @@ def main() -> int:
         with open(path, encoding="utf-8", errors="replace") as f:
             sources[rel] = f.read().splitlines()
 
-    config = RuleConfig()
     only = set(args.rules.split(",")) if args.rules else None
     if only:
         known = {r for r, _ in RULES}
@@ -171,7 +170,7 @@ def main() -> int:
                   file=sys.stderr)
             return 2
 
-    analyzer = Analyzer(models, sources, config)
+    analyzer = Analyzer(models, sources)
     findings = analyzer.run(only)
 
     entries = load_allowlist(args.allowlist)

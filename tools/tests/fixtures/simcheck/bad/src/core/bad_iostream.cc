@@ -1,4 +1,4 @@
-// Fixture: the iostream rule must fire on the include.
+// Fixture: lib-iostream must fire on the include.
 #include <iostream>
 
 namespace fixture {

@@ -1,4 +1,4 @@
-// Fixture: hot-path rules must fire in src/sim/.
+// Fixture: hot-path-alloc must fire on both constructs in src/sim/.
 #include <functional>
 #include <memory>
 

@@ -1,6 +1,9 @@
 // Fixture: deterministic, allocation-free counterparts of every bad
 // pattern: seeded RNG, id-keyed ordered map, stable-id ordering, and a
 // dispatch root that only writes through preallocated storage.
+// Prose mentions rand(), std::random_device, getenv, steady_clock and
+// #include <iostream> only in comments, which must not trip the rules.
+/* Block comments mentioning time(NULL) must not trip either. */
 #include <algorithm>
 #include <array>
 #include <map>
@@ -8,6 +11,9 @@
 #include <vector>
 
 namespace fixture {
+
+// A string containing a protocol separator is not a comment start.
+const char* kDocsUrl = "https://example.com/docs";
 
 struct Node {
     int id;
@@ -37,6 +43,14 @@ sortThem(std::vector<Node*>& nodes)
 {
     std::sort(nodes.begin(), nodes.end(),
               [](const Node* a, const Node* b) { return a->id < b->id; });
+}
+
+// A member call named like a libc entropy source is the class's own API.
+template <typename Source>
+unsigned
+draw(Source& source)
+{
+    return source.rand();
 }
 
 class EventQueue {

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Fixture tests for tools/simcheck (stdlib unittest; no pytest).
 
-Each of the six rules must fire on its bad fixture and stay silent on
-the clean tree; the allowlist must suppress and --check-allowlist must
-flag stale entries; the JSON report must carry the documented schema.
+Every rule must fire on its bad fixture and stay silent on the clean
+tree; the allowlist must suppress and --check-allowlist must flag stale
+entries; the JSON report must carry the documented schema. The lexer
+tests pin the comment- and literal-awareness the token rules rely on.
 Tests run the internal frontend so they pass in environments without
 libclang; when clang.cindex IS importable, a cross-frontend smoke test
 checks the clang path agrees on the fixtures.
@@ -23,9 +24,16 @@ REPO = HERE.parent.parent
 SIMCHECK = REPO / "tools" / "simcheck" / "simcheck.py"
 FIXTURES = HERE / "fixtures" / "simcheck"
 
+sys.path.insert(0, str(SIMCHECK.parent))
+from cxxlex import STR, Token, tokenize  # noqa: E402
+from ir import FileModel  # noqa: E402
+from rules import Analyzer  # noqa: E402
+
 ALL_RULES = (
     "det-unordered-iter", "det-pointer-key", "det-pointer-compare",
-    "det-unseeded-rng", "unit-raw-double", "unit-value-escape",
+    "det-unseeded-rng", "det-ambient-entropy", "unit-raw-double",
+    "unit-value-escape", "lib-iostream", "hot-path-alloc",
+    "obs-header-alloc",
 )
 
 
@@ -52,16 +60,23 @@ class BadFixtureTest(unittest.TestCase):
 
     def test_expected_sites(self):
         r = run_simcheck(*bad_tree_args())
-        expect = (
-            ("det-unordered-iter", "det_unordered.cc"),
-            ("det-pointer-key", "det_pointer_key.cc"),
-            ("det-pointer-compare", "det_pointer_compare.cc"),
-            ("det-unseeded-rng", "det_unseeded_rng.cc"),
-            ("unit-raw-double", "unit_raw_double.hh"),
-            ("unit-value-escape", "unit_value_escape.hh"),
-        )
-        for rule, fname in expect:
-            self.assertRegex(r.stdout, rf"{fname}:\d+: \[{rule}\]")
+        # random_device (line 14) follows a "https://..." literal whose
+        # `//` must not start a comment; 17 is std::rand().
+        sites = [f"core/bad_determinism.cc:{n}: [det-ambient-entropy]"
+                 for n in (14, 16, 17, 18, 20, 22)] + [
+            "core/bad_iostream.cc:2: [lib-iostream]",
+            "det_pointer_compare.cc:15: [det-pointer-compare]",
+            "det_pointer_key.cc:11: [det-pointer-key]",
+            "det_unordered.cc:11: [det-unordered-iter]",
+            "det_unseeded_rng.cc:9: [det-unseeded-rng]",
+            "obs/bad_counter.hh:11: [obs-header-alloc]",
+            "sim/bad_hot_path.cc:11: [hot-path-alloc]",
+            "sim/bad_hot_path.cc:16: [hot-path-alloc]",
+            "unit_raw_double.hh:9: [unit-raw-double]",
+            "unit_value_escape.hh:15: [unit-value-escape]",
+        ]
+        for site in sites:
+            self.assertIn(f"src/{site}", r.stdout)
 
     def test_rule_filter(self):
         r = run_simcheck(*bad_tree_args(), "--rules", "det-unseeded-rng")
@@ -71,6 +86,47 @@ class BadFixtureTest(unittest.TestCase):
     def test_unknown_rule_rejected(self):
         r = run_simcheck(*bad_tree_args(), "--rules", "no-such-rule")
         self.assertEqual(r.returncode, 2)
+
+
+class LexerTest(unittest.TestCase):
+    """Comments vanish and literals stay opaque, so a banned name is an
+    `id` token only where it is code."""
+
+    CASES = (  # source, ids present, ids absent, string literals
+        ('const char* d = "https://x.io"; std::random_device rd;',
+         {"random_device"}, set(), ['"https://x.io"']),
+        ("int x = 1; // rand() in prose", {"x"}, {"rand"}, []),
+        (r'auto s = "a\"b // c"; f();', {"f"}, set(), [r'"a\"b // c"']),
+        ("int y; /* steady_clock prose */ g();", {"g"}, {"steady_clock"},
+         []),
+        ("start /* opens\nrand() still inside\ndone */ h();",
+         {"start", "h"}, {"rand"}, []),
+        ('auto s = "/* not a comment"; k();', {"k"}, set(),
+         ['"/* not a comment"']),
+    )
+
+    def test_comments_and_literals_hide_banned_names(self):
+        for src, present, absent, strings in self.CASES:
+            with self.subTest(src=src):
+                toks = tokenize(src)
+                ids = {t.text for t in toks if t.kind == "id"}
+                self.assertLessEqual(present, ids)
+                self.assertFalse(absent & ids)
+                self.assertEqual(
+                    [t.text for t in toks if t.kind == STR], strings)
+
+
+class LibclangTokenShapeTest(unittest.TestCase):
+    def test_split_include_is_flagged(self):
+        # libclang lexes `#include <iostream>` as five tokens; the bad
+        # fixture tree covers the internal lexer's one directive token.
+        toks = [Token(kind, text, 1) for kind, text in (
+            ("punct", "#"), ("id", "include"), ("punct", "<"),
+            ("id", "iostream"), ("punct", ">"))]
+        found = Analyzer([FileModel("src/core/x.cc", False, toks)],
+                         {}).run({"lib-iostream"})
+        self.assertEqual([(f.rule, f.line) for f in found],
+                         [("lib-iostream", 1)])
 
 
 class CleanFixtureTest(unittest.TestCase):
