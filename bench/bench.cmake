@@ -63,6 +63,9 @@ charllm_add_bench(bench_ablation_topology)
 charllm_add_bench(bench_ablation_airflow)
 charllm_add_bench(bench_ablation_straggler)
 charllm_add_bench(bench_ablation_faults)
+# core::validate refuses a fault scenario on the analytical backend.
+charllm_add_flag_test(bench_ablation_faults analytical_refused
+    --backend=analytical 2 "needs the DES backend")
 charllm_add_bench(bench_ablation_interleaved)
 charllm_add_bench(bench_ablation_chunking)
 charllm_add_bench(bench_ablation_resilience)

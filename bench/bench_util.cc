@@ -59,23 +59,17 @@ std::vector<SweepRow>
 runSweep(std::vector<core::ExperimentConfig> configs,
          const SweepFlags& flags)
 {
+    bool invalid = false;
     for (auto& cfg : configs) {
         cfg.backend = flags.backend;
-        // The analytical backend has no event timeline: refuse the
-        // configs that need one instead of reaching its asserts.
-        const char* needs = !cfg.faultScenario.empty() ? "a fault scenario"
-                            : cfg.resilience.enabled   ? "resilience"
-                            : cfg.enableSampler ? "the telemetry sampler"
-                                                : nullptr;
-        if (needs != nullptr &&
-            flags.backend == sim::BackendKind::Analytical) {
-            std::fprintf(stderr,
-                         "%s: %s needs the DES backend (drop "
-                         "--backend=analytical)\n",
-                         cfg.label().c_str(), needs);
-            std::exit(2);
+        for (const std::string& problem : core::validate(cfg)) {
+            std::fprintf(stderr, "%s: %s\n", cfg.label().c_str(),
+                         problem.c_str());
+            invalid = true;
         }
     }
+    if (invalid)
+        std::exit(2);
 
     bool tracing = !flags.tracePath.empty() && !configs.empty() &&
                    flags.backend == sim::BackendKind::Des;

@@ -59,9 +59,10 @@ struct SweepFlags
  * labelled row per config, in order (infeasible configs come back
  * with feasible == false, the paper's config screening). Output is
  * byte-identical at any thread count. Also:
- *  - under the analytical backend, a config that needs the event
- *    timeline (fault scenario, resilience, sampler) is refused before
- *    anything runs: its label and the reason go to stderr, exit 2;
+ *  - a config core::validate rejects prints `label: problem` lines
+ *    to stderr and exits 2 before anything runs; under
+ *    --backend=analytical that covers a fault scenario, resilience
+ *    and the telemetry sampler;
  *  - with flags.tracePath set, the first configuration runs with the
  *    kernel trace and telemetry sampler enabled and its merged
  *    Perfetto timeline (kernel spans + counter tracks + fault

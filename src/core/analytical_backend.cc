@@ -8,7 +8,6 @@
 
 #include "coll/cost_model.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "hw/activity_profile.hh"
 #include "hw/calibration.hh"
 #include "hw/compute_model.hh"
@@ -140,45 +139,13 @@ AnalyticalBackend::dataParallelAllReduceSeconds(int nodes,
 }
 
 void
-AnalyticalBackend::lower(const ExperimentConfig& config)
+AnalyticalBackend::prepare()
 {
-    CHARLLM_ASSERT(!lowered, "AnalyticalBackend::lower called twice");
-    lowered = true;
-
-    cfg = config;
-    cfg.par.validate();
-    CHARLLM_ASSERT(cfg.par.worldSize() == cfg.cluster.numGpus(),
-                   "parallel world (", cfg.par.worldSize(),
-                   ") != cluster size (", cfg.cluster.numGpus(), ")");
-    // The analytical estimator has no event timeline, so transient
-    // subsystems cannot be modeled. Refuse loudly instead of silently
-    // returning wrong numbers (DESIGN.md "Fidelity backends").
-    CHARLLM_ASSERT(cfg.faultScenario.empty(),
-                   "fault scenarios need the DES backend");
-    CHARLLM_ASSERT(!cfg.resilience.enabled,
-                   "the resilience subsystem needs the DES backend");
-    if (cfg.model.isMoe())
-        cfg.train.zero1 = false;
-
-    result.label = cfg.label();
-
-    int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-    int microbatches =
-        std::max(1, per_replica / cfg.train.microbatchSize);
-    parallel::MemoryPlanner planner(cfg.model, cfg.par);
-    auto memory_opts = memoryOptionsFor(cfg, microbatches);
-    result.memory = planner.worstStage(memory_opts);
-    if (cfg.checkMemory &&
-        !planner.fits(cfg.cluster.gpu.memoryBytes, memory_opts)) {
-        result.feasible = false;
-        return;
-    }
-
     parallel::RankMapper mapper(cfg.par);
     if (!cfg.devicePermutation.empty())
         mapper.setDevicePermutation(cfg.devicePermutation);
     runtime::ProgramBuilder builder(cfg.model, mapper, cfg.train);
-    tokensPerIter = builder.tokensPerIteration();
+    result.tokensPerIteration = builder.tokensPerIteration();
     bubbleFraction = builder.pipelineBubbleFraction();
 
     int total = cfg.warmupIterations + cfg.measuredIterations;
@@ -651,16 +618,9 @@ AnalyticalBackend::iterationSeconds(
 }
 
 void
-AnalyticalBackend::execute()
+AnalyticalBackend::run()
 {
     using namespace hw::calib;
-    CHARLLM_ASSERT(lowered && !executed,
-                   "AnalyticalBackend::execute needs exactly one "
-                   "prior lower");
-    executed = true;
-    if (!result.feasible)
-        return;
-
     const hw::GpuSpec& spec = cfg.cluster.gpu;
     int world = cfg.cluster.numGpus();
     double tdp = spec.tdpWatts.value();
@@ -787,11 +747,7 @@ AnalyticalBackend::execute()
     result.measureStartSec = measure_start;
     double iters = static_cast<double>(cfg.measuredIterations);
     result.avgIterationSeconds = measured_total / iters;
-    result.tokensPerIteration = tokensPerIter;
-    result.tokensPerSecond =
-        result.tokensPerIteration / result.avgIterationSeconds;
 
-    RunningStats power_avg, temp_avg, clock_avg, throttle_avg;
     for (int d = 0; d < world; ++d) {
         // Average the per-iteration walks over the measured window.
         DeviceWalk mean;
@@ -819,7 +775,7 @@ AnalyticalBackend::execute()
         double t_avg = result.avgIterationSeconds;
         double clk = clocks[static_cast<std::size_t>(d)];
 
-        GpuResult g;
+        GpuResult& g = result.gpus.emplace_back();
         g.avgPowerW = powers[static_cast<std::size_t>(d)].value();
         g.peakPowerW = power_at(std::min(mean.peakActivity, 1.20), clk);
         Celsius temp = thermal.steadyState(d, powers);
@@ -836,36 +792,9 @@ AnalyticalBackend::execute()
         g.pcieBytes = pcie / iters;
         g.scaleUpBytes = scale_up / iters;
         g.breakdown = mean.breakdown;
-
-        result.totalEnergyJ += g.energyJ;
-        result.meanBreakdown.merge(g.breakdown);
-        result.peakPowerW = std::max(result.peakPowerW, g.peakPowerW);
-        result.peakTempC = std::max(result.peakTempC, g.peakTempC);
-        power_avg.add(g.avgPowerW);
-        temp_avg.add(g.avgTempC);
-        clock_avg.add(g.avgClockGhz);
-        throttle_avg.add(g.throttleRatio);
-        result.gpus.push_back(std::move(g));
     }
-    for (double& s : result.meanBreakdown.seconds)
-        s /= static_cast<double>(world);
-    result.avgPowerW = power_avg.mean();
-    result.avgTempC = temp_avg.mean();
-    result.avgClockGhz = clock_avg.mean();
-    result.throttleRatio = throttle_avg.mean();
-
-    double tokens_measured = result.tokensPerIteration * iters;
-    result.energyPerTokenJ = result.totalEnergyJ / tokens_measured;
-    result.tokensPerJoule = tokens_measured / result.totalEnergyJ;
     // No event queue ran: telemetry series stay empty, the trace stays
     // null, and the simulator self-profiling counters stay zero.
-}
-
-ExperimentResult
-AnalyticalBackend::results()
-{
-    CHARLLM_ASSERT(executed, "AnalyticalBackend::results before execute");
-    return std::move(result);
 }
 
 } // namespace core

@@ -13,9 +13,10 @@
  * tolerance contract, and bench_backend_xval for the cross-validation
  * that enforces it.
  *
- * Unsupported features (loud CHARLLM_ASSERT, never silent): fault
- * scenarios, the resilience subsystem, telemetry sampling, and kernel
- * traces — all are inherently transient phenomena.
+ * core::validate refuses what it cannot model, loudly: a fault
+ * scenario, the resilience subsystem and the telemetry sampler, all
+ * transient phenomena. It produces no kernel trace or critical path
+ * either; those results stay null.
  */
 
 #ifndef CHARLLM_CORE_ANALYTICAL_BACKEND_HH
@@ -26,18 +27,14 @@
 
 #include "core/experiment.hh"
 #include "runtime/op.hh"
-#include "sim/backend.hh"
 
 namespace charllm {
 namespace core {
 
 /** Closed-form estimate of one experiment (no event queue). */
-class AnalyticalBackend final : public sim::Backend
+class AnalyticalBackend final : public ExperimentBackend
 {
   public:
-    void lower(const ExperimentConfig& config) override;
-    void execute() override;
-    ExperimentResult results() override;
     const char* name() const override { return "analytical"; }
 
     /**
@@ -51,6 +48,9 @@ class AnalyticalBackend final : public sim::Backend
         Seconds latency);
 
   private:
+    void prepare() override;
+    void run() override;
+
     /** Clock-independent cost summary of one runtime::Op. */
     struct OpCost
     {
@@ -106,16 +106,11 @@ class AnalyticalBackend final : public sim::Backend
     DeviceWalk walkDevice(const DeviceSummary& dev, double clock) const;
     double iterationSeconds(const std::vector<DeviceWalk>& walks) const;
 
-    ExperimentConfig cfg;
-    ExperimentResult result;
     /** Summaries for iterations [0, warmup+measured); non-MoE models
      *  are deterministic across iterations and share one entry. */
     std::vector<std::vector<DeviceSummary>> iterationSummaries;
     std::vector<int> summaryOfIteration;
     double bubbleFraction = 0.0;
-    double tokensPerIter = 0.0;
-    bool lowered = false;
-    bool executed = false;
 };
 
 } // namespace core

@@ -1,7 +1,5 @@
 #include "core/des_backend.hh"
 
-#include <algorithm>
-
 #include "coll/collective_engine.hh"
 #include "common/logging.hh"
 #include "faults/fault_injector.hh"
@@ -17,42 +15,8 @@ namespace charllm {
 namespace core {
 
 void
-DesBackend::lower(const ExperimentConfig& config)
+DesBackend::run()
 {
-    CHARLLM_ASSERT(!lowered, "DesBackend::lower called twice");
-    lowered = true;
-
-    cfg = config;
-    cfg.par.validate();
-    CHARLLM_ASSERT(cfg.par.worldSize() == cfg.cluster.numGpus(),
-                   "parallel world (", cfg.par.worldSize(),
-                   ") != cluster size (", cfg.cluster.numGpus(), ")");
-    // The paper disables ZeRO-1 for MoE models (NeMo/Megatron limits).
-    if (cfg.model.isMoe())
-        cfg.train.zero1 = false;
-
-    result.label = cfg.label();
-
-    int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-    int microbatches =
-        std::max(1, per_replica / cfg.train.microbatchSize);
-    parallel::MemoryPlanner planner(cfg.model, cfg.par);
-    auto memory_opts = memoryOptionsFor(cfg, microbatches);
-    result.memory = planner.worstStage(memory_opts);
-    if (cfg.checkMemory &&
-        !planner.fits(cfg.cluster.gpu.memoryBytes, memory_opts))
-        result.feasible = false;
-}
-
-void
-DesBackend::execute()
-{
-    CHARLLM_ASSERT(lowered && !executed,
-                   "DesBackend::execute needs exactly one prior lower");
-    executed = true;
-    if (!result.feasible)
-        return;
-
     // ---- rank-symmetry decision ----------------------------------------
     scale::SymmetryFold fold;
     {
@@ -113,19 +77,6 @@ DesBackend::execute()
             resil::DryPoolPolicy::ElasticShrink) {
         CHARLLM_ASSERT(!collapsed, "elastic shrink under symmetry "
                                    "collapse (analyzer must refuse)");
-        CHARLLM_CHECK(cfg.par.ep == 1,
-                      "elastic DP shrink requires ep == 1: expert "
-                      "groups span DP replicas, so dropping a replica "
-                      "would orphan experts");
-        CHARLLM_CHECK(cfg.par.dp >= 2,
-                      "elastic DP shrink requires dp >= 2 (got dp=",
-                      cfg.par.dp, "): a single replica cannot shrink");
-        CHARLLM_CHECK(!(cfg.resilience.recovery.elastic.rebalance &&
-                        cfg.train.virtualStages > 1),
-                      "elastic batch rebalance is not supported with "
-                      "interleaved pipeline schedules (virtualStages "
-                      "> 1): the rebalanced microbatch count breaks "
-                      "the interleaving invariants");
         elastic_world = std::make_unique<parallel::ElasticWorld>(
             cfg.par.dp, cfg.train.globalBatchSize,
             cfg.train.microbatchSize,
@@ -160,15 +111,9 @@ DesBackend::execute()
 
     std::unique_ptr<resil::RecoveryManager> recovery;
     if (cfg.resilience.enabled) {
-        CHARLLM_ASSERT(cfg.faultScenario.empty(),
-                       "resilience and the legacy fault scenario are "
-                       "mutually exclusive: the recovery state machine "
-                       "owns fault handling");
-        int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-        int microbatches =
-            std::max(1, per_replica / cfg.train.microbatchSize);
         Bytes state = resil::CheckpointModel::rankStateBytes(
-            cfg.model, cfg.par, memoryOptionsFor(cfg, microbatches));
+            cfg.model, cfg.par,
+            memoryOptionsFor(cfg, microbatchesPerReplica(cfg)));
         resil::StoragePath storage;
         storage.pcieBw = cfg.cluster.network.pcieBw;
         storage.nicBw = cfg.cluster.network.nicBw;
@@ -248,12 +193,9 @@ DesBackend::execute()
     result.iterationSeconds = engine.iterationSeconds();
     result.avgIterationSeconds = engine.avgIterationSeconds();
     result.tokensPerIteration = builder.tokensPerIteration();
-    result.tokensPerSecond =
-        result.tokensPerIteration / result.avgIterationSeconds;
     result.measureStartSec = engine.measureStartSeconds();
 
     double iters = static_cast<double>(cfg.measuredIterations);
-    RunningStats power_avg, temp_avg, clock_avg, throttle_avg;
     // Aggregate over the LOGICAL world in device order; under collapse
     // logical device d reads its representative's statistics, giving
     // the identical sequence of floating-point adds as a full run.
@@ -262,7 +204,7 @@ DesBackend::execute()
     for (int i = 0; i < logical_world; ++i) {
         const hw::Gpu& gpu =
             platform.gpu(collapsed ? fold.repOf(i) : i);
-        GpuResult g;
+        GpuResult& g = result.gpus.emplace_back();
         g.avgPowerW = gpu.powerStats().mean();
         g.peakPowerW = gpu.powerStats().max();
         g.avgTempC = gpu.tempStats().mean();
@@ -283,27 +225,7 @@ DesBackend::execute()
         g.breakdown = gpu.breakdown();
         for (double& s : g.breakdown.seconds)
             s /= iters;
-
-        result.totalEnergyJ += g.energyJ;
-        result.meanBreakdown.merge(g.breakdown);
-        result.peakPowerW = std::max(result.peakPowerW, g.peakPowerW);
-        result.peakTempC = std::max(result.peakTempC, g.peakTempC);
-        power_avg.add(g.avgPowerW);
-        temp_avg.add(g.avgTempC);
-        clock_avg.add(g.avgClockGhz);
-        throttle_avg.add(g.throttleRatio);
-        result.gpus.push_back(std::move(g));
     }
-    for (double& s : result.meanBreakdown.seconds)
-        s /= static_cast<double>(logical_world);
-    result.avgPowerW = power_avg.mean();
-    result.avgTempC = temp_avg.mean();
-    result.avgClockGhz = clock_avg.mean();
-    result.throttleRatio = throttle_avg.mean();
-
-    double tokens_measured = result.tokensPerIteration * iters;
-    result.energyPerTokenJ = result.totalEnergyJ / tokens_measured;
-    result.tokensPerJoule = tokens_measured / result.totalEnergyJ;
 
     if (sampler) {
         result.series.reserve(
@@ -330,13 +252,6 @@ DesBackend::execute()
     result.counters.capture(simulator, network);
     if (injector)
         result.counters.faultsInjected = injector->numScheduled();
-}
-
-ExperimentResult
-DesBackend::results()
-{
-    CHARLLM_ASSERT(executed, "DesBackend::results before execute");
-    return std::move(result);
 }
 
 } // namespace core

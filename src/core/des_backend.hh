@@ -12,25 +12,18 @@
 #define CHARLLM_CORE_DES_BACKEND_HH
 
 #include "core/experiment.hh"
-#include "sim/backend.hh"
 
 namespace charllm {
 namespace core {
 
 /** Full event-driven simulation of one experiment. */
-class DesBackend final : public sim::Backend
+class DesBackend final : public ExperimentBackend
 {
   public:
-    void lower(const ExperimentConfig& config) override;
-    void execute() override;
-    ExperimentResult results() override;
     const char* name() const override { return "des"; }
 
   private:
-    ExperimentConfig cfg;
-    ExperimentResult result;
-    bool lowered = false;
-    bool executed = false;
+    void run() override;
 };
 
 } // namespace core

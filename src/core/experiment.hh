@@ -24,6 +24,7 @@
 #include "runtime/engine.hh"
 #include "runtime/options.hh"
 #include "scale/symmetry.hh"
+#include "sim/backend.hh"
 #include "sim/backend_kind.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace.hh"
@@ -45,8 +46,8 @@ struct ExperimentConfig
     /**
      * Fidelity backend executing this experiment (sim::Backend). Des
      * is the full event-driven reference; Analytical is the
-     * closed-form estimator (no fault/resilience/telemetry support —
-     * see DESIGN.md "Fidelity backends" for the contract).
+     * closed-form estimator, which core::validate refuses for a fault
+     * scenario, resilience and the sampler (DESIGN.md §9).
      */
     sim::BackendKind backend = sim::BackendKind::Des;
 
@@ -203,19 +204,29 @@ struct ExperimentResult
 /**
  * Runs experiments. Stateless; each run constructs the fidelity
  * backend named by config.backend (sim::makeBackend) and drives its
- * lower -> execute -> results pipeline.
+ * lower -> execute -> results pipeline (exit 1 if validate fails).
  */
 class Experiment
 {
   public:
     static ExperimentResult run(const ExperimentConfig& config);
 
-    /**
-     * Check feasibility (HBM fit) without running; mirrors the memory
-     * screen the run() call applies.
-     */
+    /** HBM fit without running: the screen lower() applies. */
     static bool fits(const ExperimentConfig& config);
 };
+
+/**
+ * Every problem that keeps @p config from running, one message each
+ * (empty = runnable). The analytical backend has no event timeline,
+ * so it refuses a fault scenario, resilience and the telemetry
+ * sampler; it also leaves the kernel trace and critical path null.
+ * Allocates only to report a problem or to check a
+ * devicePermutation, so it is O(1) in the world size.
+ */
+std::vector<std::string> validate(const ExperimentConfig& config);
+
+/** Microbatches per data-parallel replica (at least one). */
+int microbatchesPerReplica(const ExperimentConfig& cfg);
 
 /**
  * Memory-planner options implied by an experiment config (shared by
@@ -223,6 +234,35 @@ class Experiment
  */
 parallel::MemoryOptions memoryOptionsFor(const ExperimentConfig& cfg,
                                          int microbatches);
+
+/**
+ * The front door of both fidelity backends, and their sim::Backend
+ * lifecycle. lower() exits listing every validate() problem, turns
+ * ZeRO-1 off for MoE models (as the paper runs them) and applies the
+ * HBM screen. execute() runs a feasible config, then folds
+ * result.gpus into the cluster-level fields in device order.
+ */
+class ExperimentBackend : public sim::Backend
+{
+  public:
+    void lower(const ExperimentConfig& config) final;
+    void execute() final;
+    ExperimentResult results() final;
+
+  protected:
+    /** Build state for the valid, feasible cfg. */
+    virtual void prepare() {}
+    /** Run cfg: fill result.gpus in device order, plus
+     *  avgIterationSeconds and tokensPerIteration (the fold reads
+     *  them) and the other run-level fields. */
+    virtual void run() = 0;
+
+    ExperimentConfig cfg;
+    ExperimentResult result;
+
+  private:
+    int phase = 0; //!< 0 new, 1 lowered, 2 executed
+};
 
 } // namespace core
 } // namespace charllm

@@ -12,7 +12,10 @@
  * through this interface, so swapping fidelity is a config field, not
  * a code path.
  *
- * Contract shared by all implementations:
+ * Contract shared by all implementations (core::ExperimentBackend):
+ *  - lower() exits listing every core::validate problem; that is
+ *    where the analytical backend refuses a fault scenario,
+ *    resilience and the telemetry sampler.
  *  - lower() must be called exactly once, before execute();
  *    results() only after execute(). Implementations assert this.
  *  - A Backend instance runs one experiment; it is not reusable.

@@ -281,4 +281,25 @@ TEST(AnalyticalAlloc, LoweringAllocatesLinearlyInDevices)
         << large;
 }
 
+TEST(ValidateAlloc, ValidConfigAllocatesNothingAtAnyWorld)
+{
+    // core::validate sits in front of every run: a valid config must
+    // cost no allocation and no per-device work (devicePermutation
+    // empty), whatever the world size.
+    for (int dp : {32, 128, 2048}) {
+        core::ExperimentConfig cfg;
+        int world = 8 * 4 * dp;
+        cfg.cluster = core::h200Cluster(world / 8);
+        cfg.model = model::gpt3_175b();
+        cfg.par = parallel::ParallelConfig::forWorld(world, 8, 4);
+        cfg.train.globalBatchSize = 4 * dp;
+        cfg.nodePowerCaps = {{0, 300.0}};
+        cfg.backend = sim::BackendKind::Analytical;
+        std::uint64_t before = allocationCount();
+        bool valid = core::validate(cfg).empty();
+        EXPECT_EQ(allocationCount() - before, 0u) << "world " << world;
+        EXPECT_TRUE(valid) << "world " << world;
+    }
+}
+
 } // namespace

@@ -3,8 +3,8 @@
  * Tests for the pluggable fidelity backends (sim::Backend): backend
  * name parsing, DES determinism (byte-identical repeated runs),
  * analytical-vs-DES cross-validation on a small preset, the memory
- * screen on both backends, and loud rejection of features the
- * analytical estimator cannot model.
+ * screen on both backends, and the analytical backend's refusals, which
+ * come from core::validate (test_core tables every message).
  */
 
 #include <gtest/gtest.h>
@@ -327,14 +327,16 @@ TEST(AnalyticalBackend, RejectsFaultScenarios)
 {
     auto cfg = smallConfig(2, 4, sim::BackendKind::Analytical);
     cfg.faultScenario = faults::scenarios::straggler(0, 0.5);
-    EXPECT_DEATH(Experiment::run(cfg), "DES backend");
+    EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                "a fault scenario needs the DES backend");
 }
 
 TEST(AnalyticalBackend, RejectsResilience)
 {
     auto cfg = smallConfig(2, 4, sim::BackendKind::Analytical);
     cfg.resilience.enabled = true;
-    EXPECT_DEATH(Experiment::run(cfg), "DES backend");
+    EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                "resilience needs the DES backend");
 }
 
 // ---- the strict --backend= flag parser ---------------------------------------

@@ -14,8 +14,11 @@
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/thermal_placement.hh"
+#include "faults/scenarios.hh"
 
+#include <cstring>
 #include <fstream>
+#include <functional>
 
 namespace {
 
@@ -160,6 +163,234 @@ TEST_F(CoreFixture, InfeasibleConfigRejected)
     auto r = Experiment::run(cfg);
     EXPECT_FALSE(r.feasible);
     EXPECT_TRUE(r.iterationSeconds.empty());
+}
+
+// ---- config validation -----------------------------------------------------
+
+/** One invalid config: an edit of smallConfig(2, 2) (8 GPUs on one
+ *  H200 node, dp 2, global batch 16) and the message it must get. */
+struct InvalidConfigRow
+{
+    const char* name;
+    std::function<void(ExperimentConfig&)> edit;
+    const char* message;
+};
+
+void
+enableElasticShrink(ExperimentConfig& c)
+{
+    c.resilience.enabled = true;
+    c.resilience.recovery.dryPolicy = resil::DryPoolPolicy::ElasticShrink;
+}
+
+/** The first rows of invalidConfigRows(): the hand-written probes. */
+constexpr std::size_t kProbeRows = 8;
+
+const std::vector<InvalidConfigRow>&
+invalidConfigRows()
+{
+    using C = ExperimentConfig&;
+    static const std::vector<InvalidConfigRow> rows = {
+        // The kProbeRows hand-written probes: five panicked, one
+        // segfaulted and two ran without a message before validate.
+        {"zero measured iterations", [](C c) { c.measuredIterations = 0; },
+         "measuredIterations must be >= 1"},
+        {"zero sample period",
+         [](C c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = 0.0;
+         },
+         "samplePeriodSec must be positive"},
+        {"negative sample period",
+         [](C c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = -0.01;
+         },
+         "samplePeriodSec must be positive"},
+        {"batch not divisible by dp",
+         [](C c) { c.train.globalBatchSize = 17; },
+         "global batch (17) not a positive multiple of dp (2)"},
+        {"short device permutation",
+         [](C c) { c.devicePermutation = {0, 1, 2}; },
+         "devicePermutation has 3 entries for a world of 8"},
+        {"power cap past the cluster",
+         [](C c) { c.nodePowerCaps = {{7, 300.0}}; },
+         "nodePowerCaps names node 7 of a 1-node cluster"},
+        {"negative warmup", [](C c) { c.warmupIterations = -1; },
+         "warmupIterations must be >= 0"},
+        {"negative power cap", [](C c) { c.nodePowerCaps = {{0, -5.0}}; },
+         "must be positive (got -5)"},
+        // The rest of validate's checks.
+        {"device permutation with a repeat",
+         [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
+         "devicePermutation is not a permutation"},
+        {"device permutation out of range",
+         [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 8}; },
+         "devicePermutation is not a permutation"},
+        {"zero power cap", [](C c) { c.nodePowerCaps = {{0, 0.0}}; },
+         "watts on node 0 must be positive"},
+        {"zero tensor parallelism", [](C c) { c.par.tp = 0; },
+         "parallel widths must be positive"},
+        {"ep not dividing dp", [](C c) { c.par.ep = 3; },
+         "ep (3) must divide dp (2)"},
+        {"FSDP with pipeline stages", [](C c) { c.par.fsdp = true; },
+         "FSDP configs use pp == 1"},
+        {"world larger than the cluster",
+         [](C c) { c.par = parallel::ParallelConfig::forWorld(16, 2, 2); },
+         "parallel world (16) != cluster size (8)"},
+        {"replica batch not divisible by microbatch",
+         [](C c) { c.train.microbatchSize = 3; },
+         "replica batch (8) not divisible by microbatch size (3)"},
+        {"stage layers not covering the model",
+         [](C c) { c.train.stageLayers = {8, 7}; },
+         "stageLayers must give pp (2) stages summing to numLayers (16)"},
+        {"stage layers for the wrong depth",
+         [](C c) { c.train.stageLayers = {16}; }, "stageLayers must give"},
+        {"interleaving without a pipeline",
+         [](C c) {
+             c.par = parallel::ParallelConfig::forWorld(8, 2, 1);
+             c.train.virtualStages = 2;
+         },
+         "needs pp > 1"},
+        {"interleaving with asymmetric stages",
+         [](C c) {
+             c.train.virtualStages = 2;
+             c.train.stageLayers = {9, 7};
+         },
+         "incompatible with asymmetric stageLayers"},
+        {"interleaved inference",
+         [](C c) {
+             c.train.virtualStages = 2;
+             c.train.inference = true;
+         },
+         "interleaving applies to training pipelines"},
+        {"interleaving that does not divide the layers",
+         [](C c) { c.train.virtualStages = 3; },
+         "pp * virtualStages (6) must divide numLayers (16)"},
+        {"interleaving with an odd microbatch count",
+         [](C c) {
+             c.train.microbatchSize = 8;
+             c.train.virtualStages = 2;
+         },
+         "microbatch count (1) divisible by pp (2)"},
+        {"sampler retention cap of one",
+         [](C c) {
+             c.enableSampler = true;
+             c.maxSamplesPerGpu = 1;
+         },
+         "maxSamplesPerGpu must be 0"},
+        {"faults with resilience",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 0.5);
+             c.resilience.enabled = true;
+         },
+         "mutually exclusive"},
+        // Elastic-shrink preconditions.
+        {"elastic shrink with expert parallelism",
+         [](C c) {
+             enableElasticShrink(c);
+             c.par.ep = 2;
+         },
+         "elastic DP shrink requires ep == 1"},
+        {"elastic shrink on one replica",
+         [](C c) {
+             enableElasticShrink(c);
+             c.par = parallel::ParallelConfig::forWorld(8, 2, 4);
+         },
+         "elastic DP shrink requires dp >= 2"},
+        {"elastic rebalance with interleaving",
+         [](C c) {
+             enableElasticShrink(c);
+             c.resilience.recovery.elastic.rebalance = true;
+             c.train.virtualStages = 2;
+         },
+         "elastic batch rebalance is not supported"},
+        // The analytical backend's refusals.
+        {"analytical fault scenario",
+         [](C c) {
+             c.backend = sim::BackendKind::Analytical;
+             c.faultScenario = faults::scenarios::straggler(0, 0.5);
+         },
+         "a fault scenario needs the DES backend"},
+        {"analytical resilience",
+         [](C c) {
+             c.backend = sim::BackendKind::Analytical;
+             c.resilience.enabled = true;
+         },
+         "resilience needs the DES backend"},
+        {"analytical sampler",
+         [](C c) {
+             c.backend = sim::BackendKind::Analytical;
+             c.enableSampler = true;
+         },
+         "the telemetry sampler needs the DES backend"},
+    };
+    return rows;
+}
+
+TEST_F(CoreFixture, ValidateNamesEveryInvalidConfig)
+{
+    for (const InvalidConfigRow& row : invalidConfigRows()) {
+        SCOPED_TRACE(row.name);
+        ExperimentConfig cfg = smallConfig(2, 2);
+        row.edit(cfg);
+        std::string problems;
+        for (const std::string& p : validate(cfg))
+            problems += p + "\n";
+        EXPECT_NE(problems.find(row.message), std::string::npos)
+            << problems;
+    }
+}
+
+TEST_F(CoreFixture, ValidateAcceptsValidConfigs)
+{
+    for (auto backend :
+         {sim::BackendKind::Des, sim::BackendKind::Analytical}) {
+        for (auto [tp, pp] : {std::pair{1, 1}, {2, 4}, {8, 1}, {1, 8}}) {
+            ExperimentConfig cfg = smallConfig(tp, pp);
+            cfg.backend = backend;
+            EXPECT_TRUE(validate(cfg).empty()) << cfg.label();
+        }
+    }
+    ExperimentConfig cfg = smallConfig(2, 2);
+    cfg.devicePermutation = {7, 6, 5, 4, 3, 2, 1, 0};
+    cfg.nodePowerCaps = {{0, 300.0}};
+    cfg.train.virtualStages = 2;
+    enableElasticShrink(cfg);
+    EXPECT_TRUE(validate(cfg).empty());
+    cfg.train.virtualStages = 1;
+    cfg.train.stageLayers = {9, 7};
+    EXPECT_TRUE(validate(cfg).empty());
+}
+
+TEST_F(CoreFixture, RunExitsOnEveryProbeWithItsMessage)
+{
+    // Exit code 1 with the message, never an abort or a signal.
+    for (std::size_t i = 0; i < kProbeRows; ++i) {
+        const InvalidConfigRow& row = invalidConfigRows()[i];
+        SCOPED_TRACE(row.name);
+        ExperimentConfig cfg = smallConfig(2, 2);
+        row.edit(cfg);
+        std::string pattern = "cannot run: .*";
+        for (const char* c = row.message; *c != '\0'; ++c) {
+            if (std::strchr("()[]{}.*+?^$|\\", *c) != nullptr)
+                pattern += '\\';
+            pattern += *c;
+        }
+        EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                    pattern);
+    }
+}
+
+TEST_F(CoreFixture, RunExitsWithEveryProblemListed)
+{
+    ExperimentConfig cfg = smallConfig(2, 2);
+    cfg.measuredIterations = 0;
+    cfg.nodePowerCaps = {{7, 300.0}};
+    EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                "fatal: config 'Small-3B H200 TP2-PP2-DP2' cannot run: "
+                "measuredIterations must be >= 1 \\(got 0\\); "
+                "nodePowerCaps names node 7 of a 1-node cluster");
 }
 
 TEST_F(CoreFixture, SamplerSeriesCollected)
