@@ -2,9 +2,10 @@
  * @file
  * DES <-> analytical cross-validation harness. Runs one preset per
  * figure family on both fidelity backends, reports per-metric relative
- * error (iteration time, energy, tokens/s) against the declared
- * tolerance table, and measures the analytical speedup. Exits nonzero
- * when any preset exceeds its tolerance, so CI can gate backend drift.
+ * error (iteration time, energy, tokens/s) from core::compareResults
+ * against the preset's row of core::toleranceTable(), and measures the
+ * analytical speedup. Exits nonzero when any preset exceeds its
+ * tolerance, so CI can gate backend drift.
  *
  * With --out=FILE a JSON artifact is written (per-preset errors,
  * tolerances, wall times, speedup) for tools/perf_smoke.py, which
@@ -13,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -22,48 +22,33 @@
 #include "bench_util.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
+#include "core/compare.hh"
 #include "core/sweep_runner.hh"
 
 using namespace charllm;
 using benchutil::sweepConfig;
+using core::Metric;
 
 namespace {
-
-/** Per-metric relative-error tolerances for one preset. */
-struct Tolerance
-{
-    double iterTime;
-    double energy;
-    double tokensPerSec;
-};
 
 struct Preset
 {
     std::string name; //!< figure family this preset stands in for
     std::vector<core::ExperimentConfig> configs;
-    Tolerance tol;
+    const core::ToleranceRow* tol = nullptr; //!< backend-xval/<name>
 };
 
-/** Worst relative error per metric across a preset's configs. */
+/** A preset's worst relative error per metric, and every breach. */
 struct ErrorSummary
 {
-    double iterTime = 0.0;
-    double energy = 0.0;
-    double tokensPerSec = 0.0;
+    core::Comparison worst;
     int compared = 0; //!< configs feasible on both backends
 };
 
-double
-relErr(double a, double b)
-{
-    return std::fabs(a - b) / std::max(std::fabs(b), 1e-12);
-}
-
 /**
  * One preset per figure family of the paper reproduction, sized so the
- * DES side stays CI-friendly. Tolerances are calibrated against the
- * current models (see DESIGN.md "Fidelity backends") with headroom for
- * minor recalibration; widening one is a reviewed change.
+ * DES side stays CI-friendly. Each preset's tolerance is the
+ * core::toleranceTable() row "backend-xval/<preset>" (DESIGN.md §9).
  */
 std::vector<Preset>
 presets()
@@ -84,7 +69,6 @@ presets()
         auto wide = sweepConfig(
             cluster, m, parallel::ParallelConfig::forWorld(32, 8, 4));
         p.configs = {base, act, cc, wide};
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -101,7 +85,6 @@ presets()
             cfg.train.microbatchSize = mb;
             p.configs.push_back(cfg);
         }
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -114,7 +97,6 @@ presets()
             if (par.ep > 1 && par.tp <= 2 && p.configs.size() < 3)
                 p.configs.push_back(sweepConfig(cluster, m, par));
         }
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -130,7 +112,6 @@ presets()
             cluster, m, parallel::ParallelConfig::forWorld(32, 8, 4));
         b.train.actRecompute = true;
         p.configs = {a, b};
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -147,7 +128,6 @@ presets()
             cfg.train.microbatchSize = mb;
             p.configs.push_back(cfg);
         }
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -161,7 +141,6 @@ presets()
         auto zero = cfg;
         zero.train.zero1 = true;
         p.configs = {cfg, zero};
-        p.tol = {0.10, 0.10, 0.10};
         out.push_back(std::move(p));
     }
 
@@ -171,6 +150,7 @@ presets()
     // per-program walks, which is exactly the regime the >=100x
     // speedup target describes.
     for (auto& p : out) {
+        p.tol = &core::tolerance("backend-xval/" + p.name);
         for (auto& cfg : p.configs) {
             cfg.warmupIterations = 1;
             cfg.measuredIterations = 4;
@@ -230,52 +210,34 @@ main(int argc, char** argv)
                           flags.threads, &ana_wall);
         ErrorSummary& e = errors[i];
         for (std::size_t c = 0; c < p.configs.size(); ++c) {
-            if (!des[c].feasible || !ana[c].feasible) {
-                // Feasibility itself must agree: both backends share
-                // the memory screen.
-                if (des[c].feasible != ana[c].feasible) {
-                    std::fprintf(stderr,
-                                 "%s: feasibility mismatch on %s\n",
-                                 p.name.c_str(),
-                                 des[c].label.c_str());
-                    tolerance_ok = false;
-                }
+            auto cmp = core::compareResults(ana[c], des[c], *p.tol);
+            for (const std::string& breach : cmp.breaches)
+                e.worst.breaches.push_back(des[c].label + ": " + breach);
+            if (!des[c].feasible || !ana[c].feasible)
                 continue;
-            }
             ++e.compared;
-            e.iterTime = std::max(
-                e.iterTime, relErr(ana[c].avgIterationSeconds,
-                                   des[c].avgIterationSeconds));
-            e.energy = std::max(e.energy,
-                                relErr(ana[c].totalEnergyJ,
-                                       des[c].totalEnergyJ));
-            e.tokensPerSec = std::max(
-                e.tokensPerSec, relErr(ana[c].tokensPerSecond,
-                                       des[c].tokensPerSecond));
+            for (std::size_t m = 0; m < core::kNumMetrics; ++m)
+                e.worst.error[m] = std::max(e.worst.error[m], cmp.error[m]);
         }
-        if (e.compared == 0) {
-            std::fprintf(stderr, "%s: no feasible configs compared\n",
-                         p.name.c_str());
-            tolerance_ok = false;
-        }
+        if (e.compared == 0)
+            e.worst.breaches.push_back("no feasible configs compared");
+        for (const std::string& breach : e.worst.breaches)
+            std::fprintf(stderr, "%s: %s\n", p.name.c_str(), breach.c_str());
+        tolerance_ok = tolerance_ok && e.worst.ok();
     }
 
     TextTable t({"preset", "configs", "iter-time err", "energy err",
                  "tok/s err", "tolerance", "status"});
     for (std::size_t i = 0; i < all.size(); ++i) {
         const auto& p = all[i];
-        const auto& e = errors[i];
-        bool ok = e.compared > 0 && e.iterTime <= p.tol.iterTime &&
-                  e.energy <= p.tol.energy &&
-                  e.tokensPerSec <= p.tol.tokensPerSec;
-        if (!ok)
-            tolerance_ok = false;
-        t.addRow({p.name, std::to_string(e.compared),
-                  strprintf("%.1f%%", 100.0 * e.iterTime),
-                  strprintf("%.1f%%", 100.0 * e.energy),
-                  strprintf("%.1f%%", 100.0 * e.tokensPerSec),
-                  strprintf("%.0f%%", 100.0 * p.tol.iterTime),
-                  ok ? "OK" : "FAIL"});
+        const auto& e = errors[i].worst;
+        t.addRow({p.name, std::to_string(errors[i].compared),
+                  strprintf("%.1f%%", 100.0 * e[Metric::IterationTime]),
+                  strprintf("%.1f%%", 100.0 * e[Metric::Energy]),
+                  strprintf("%.1f%%", 100.0 * e[Metric::TokensPerSecond]),
+                  strprintf("%.0f%%",
+                            100.0 * (*p.tol)[Metric::IterationTime]),
+                  e.ok() ? "OK" : "FAIL"});
     }
     t.print();
 
@@ -291,14 +253,15 @@ main(int argc, char** argv)
         std::string json = "{\n  \"presets\": {\n";
         for (std::size_t i = 0; i < all.size(); ++i) {
             const auto& p = all[i];
-            const auto& e = errors[i];
+            const auto& e = errors[i].worst;
             json += strprintf(
                 "    \"%s\": {\"configs\": %d, "
                 "\"iter_time_err\": %.6f, \"energy_err\": %.6f, "
                 "\"tokens_per_sec_err\": %.6f, \"tolerance\": %.4f}%s"
                 "\n",
-                p.name.c_str(), e.compared, e.iterTime, e.energy,
-                e.tokensPerSec, p.tol.iterTime,
+                p.name.c_str(), errors[i].compared, e[Metric::IterationTime],
+                e[Metric::Energy], e[Metric::TokensPerSecond],
+                (*p.tol)[Metric::IterationTime],
                 i + 1 < all.size() ? "," : "");
         }
         json += strprintf("  },\n  \"des_wall_seconds\": %.6f,\n"

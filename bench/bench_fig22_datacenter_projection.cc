@@ -16,20 +16,20 @@
  * to MECHANISTIC event-driven runs: rank-symmetry collapse folds the
  * DP replicas onto tp*pp physical devices (DESIGN.md §12), so worlds
  * of 16K-64K GPUs execute for real at the cost of a 32-GPU run. Each
- * row is run twice (byte-determinism check) and cross-checked against
- * scale::Projector and the analytical backend; `--out=FILE` writes a
- * JSON artifact (events/sec, peak RSS) that tools/perf_smoke.py gates.
+ * row is run twice (every output must match) and cross-checked
+ * against scale::Projector and the analytical backend; `--out=FILE`
+ * writes a JSON artifact (events/sec, peak RSS) that
+ * tools/perf_smoke.py gates.
  */
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "core/compare.hh"
 #include "scale/projector.hh"
 
 using namespace charllm;
@@ -120,21 +120,17 @@ struct MechRow
     core::ExperimentResult des;
     double projIterSec = 0.0;
     double anaIterSec = 0.0;
+    core::Comparison projCheck; //!< projector vs des (if projected)
+    core::Comparison anaCheck;  //!< analytical vs des (if run)
     double wallSec = 0.0;
     double aggEventsPerSec = 0.0;
     long peakRssKb = 0;
     bool deterministic = false;
 };
 
-double
-relErr(double a, double b)
-{
-    double denom = std::max(std::abs(b), 1e-12);
-    return std::abs(a - b) / denom;
-}
-
-/** Run one collapsed world twice (determinism) plus the analytical
- *  cross-check; dies loudly if collapse was refused. */
+/** Run one collapsed world twice (determinism: every output equal)
+ *  plus the analytical cross-check; dies loudly if collapse was
+ *  refused. */
 MechRow
 runMechanistic(int dp, int microbatches, const scale::Projector* proj)
 {
@@ -158,29 +154,39 @@ runMechanistic(int dp, int microbatches, const scale::Projector* proj)
     row.peakRssKb = benchutil::peakRssKb();
 
     // Byte-determinism: the collapsed partitioned schedule must
-    // reproduce itself exactly.
-    auto again = core::Experiment::run(cfg);
-    row.deterministic =
-        again.avgIterationSeconds == row.des.avgIterationSeconds &&
-        again.totalEnergyJ == row.des.totalEnergyJ &&
-        again.peakTempC == row.des.peakTempC;
+    // reproduce every output exactly.
+    auto repeat = core::compareResults(core::Experiment::run(cfg), row.des,
+                                       core::tolerance("bitwise"));
+    row.deterministic = repeat.ok();
     CHARLLM_CHECK(row.deterministic,
                   "collapsed run is not byte-deterministic at world ",
-                  row.world);
+                  row.world, ": ", repeat.breaches.front());
 
     // Cross-check 1: the analytical backend on the same config.
     if (row.world <= kAnalyticalCheckMaxWorld) {
         auto ana_cfg = cfg;
         ana_cfg.backend = sim::BackendKind::Analytical;
         ana_cfg.symmetryCollapse = false;
-        row.anaIterSec =
-            core::Experiment::run(ana_cfg).avgIterationSeconds;
+        auto ana = core::Experiment::run(ana_cfg);
+        row.anaIterSec = ana.avgIterationSeconds;
+        row.anaCheck = core::compareResults(
+            ana, row.des, core::tolerance("fig22/analytical"));
     }
 
     // Cross-check 2: the strong-scaling projector (when the DP point
-    // shares the projector's fixed global batch).
-    if (proj != nullptr)
-        row.projIterSec = proj->project(dp, 1.0).iterationSeconds.value();
+    // shares the projector's fixed global batch), which predicts the
+    // iteration time only.
+    if (proj != nullptr) {
+        core::ExperimentResult projected;
+        projected.label = row.des.label;
+        projected.avgIterationSeconds =
+            proj->project(dp, 1.0).iterationSeconds.value();
+        row.projIterSec = projected.avgIterationSeconds;
+        row.projCheck = core::compareResults(
+            projected, row.des,
+            core::tolerance(dp <= 4 ? "fig22/projector-dp<=4"
+                                    : "fig22/projector"));
+    }
     return row;
 }
 
@@ -242,35 +248,24 @@ mechanistic(const std::string& out_path)
                   r.deterministic ? "yes" : "NO"});
     t.print();
 
-    // Cross-validation gates. The analytical backend models the full
-    // config (observed agreement <1%; gate at 5%). The projector is a
-    // first-order model that misses NIC sharing across the node's TP
-    // ranks and the bubble-fraction growth as strong scaling shrinks
-    // the microbatch count (observed 41%/73% at dp=4/16), so it is
-    // gated at factor-of-two level: it catches gross regressions in
-    // the mechanistic path, not fine disagreement.
+    // Cross-validation gates (core::toleranceTable() rows fig22/*).
+    // The analytical backend models the full config (observed
+    // agreement <1%; gate at 5%). The projector is a first-order model
+    // that misses NIC sharing across the node's TP ranks and the
+    // bubble-fraction growth as strong scaling shrinks the microbatch
+    // count (observed 41%/73% at dp=4/16), so it is gated at
+    // factor-of-two level: it catches gross regressions in the
+    // mechanistic path, not fine disagreement.
     bool ok = true;
     for (const auto& r : rows) {
-        if (r.anaIterSec > 0.0) {
-            double ana_err =
-                relErr(r.anaIterSec, r.des.avgIterationSeconds);
-            if (ana_err > 0.05) {
-                std::printf("FAIL: analytical mismatch at world %d: "
-                            "%.1f%%\n",
-                            r.world, 100.0 * ana_err);
-                ok = false;
-            }
-        }
-        if (r.projIterSec > 0.0) {
-            double proj_err =
-                relErr(r.projIterSec, r.des.avgIterationSeconds);
-            double tol = r.dp <= 4 ? 0.50 : 1.00;
-            if (proj_err > tol) {
-                std::printf("FAIL: projector mismatch at world %d: "
-                            "%.1f%%\n",
-                            r.world, 100.0 * proj_err);
-                ok = false;
-            }
+        for (auto [what, check] : {std::pair{"analytical", &r.anaCheck},
+                                   {"projector", &r.projCheck}}) {
+            if (check->ok())
+                continue;
+            std::printf("FAIL: %s mismatch at world %d: %.1f%%\n", what,
+                        r.world,
+                        100.0 * (*check)[core::Metric::IterationTime]);
+            ok = false;
         }
     }
 

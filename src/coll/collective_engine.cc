@@ -41,25 +41,36 @@ CollectiveEngine::setFold(const scale::SymmetryFold* f)
 }
 
 Bytes
-CollectiveEngine::wireBytesPerRank(const CollectiveRequest& request)
+CollectiveEngine::wireBytesPerRank(CollectiveKind kind, Bytes bytes, int n)
 {
-    auto n = static_cast<double>(request.ranks.size());
-    if (n <= 1.0)
+    if (n <= 1)
         return Bytes(0.0);
-    switch (request.kind) {
+    auto ranks = static_cast<double>(n);
+    switch (kind) {
       case CollectiveKind::AllReduce:
-        return 2.0 * request.bytes * (n - 1.0) / n;
+        return 2.0 * bytes * (ranks - 1.0) / ranks;
       case CollectiveKind::AllGather:
       case CollectiveKind::ReduceScatter:
-        return request.bytes * (n - 1.0) / n;
       case CollectiveKind::AllToAll:
-        return request.bytes * (n - 1.0) / n;
+        return bytes * (ranks - 1.0) / ranks;
       case CollectiveKind::SendRecv:
-        return request.bytes;
+        return bytes;
       case CollectiveKind::Barrier:
         return Bytes(0.0);
     }
     return Bytes(0.0);
+}
+
+int
+CollectiveEngine::ringSteps(CollectiveKind kind, int n)
+{
+    switch (kind) {
+      case CollectiveKind::AllReduce:
+      case CollectiveKind::Barrier:
+        return 2 * (n - 1);
+      default:
+        return n - 1;
+    }
 }
 
 std::uint32_t
@@ -117,16 +128,11 @@ CollectiveEngine::run(const CollectiveRequest& request,
 
     switch (request.kind) {
       case CollectiveKind::AllReduce:
-        runRing(request, wireBytesPerRank(request), 2 * (n - 1),
-                std::move(on_complete));
-        break;
       case CollectiveKind::AllGather:
       case CollectiveKind::ReduceScatter:
-        runRing(request, wireBytesPerRank(request), n - 1,
-                std::move(on_complete));
-        break;
       case CollectiveKind::Barrier:
-        runRing(request, Bytes(0.0), 2 * (n - 1), std::move(on_complete));
+        runRing(request, wireBytesPerRank(request.kind, request.bytes, n),
+                ringSteps(request.kind, n), std::move(on_complete));
         break;
       case CollectiveKind::AllToAll:
         runAllToAll(request, std::move(on_complete));

@@ -51,10 +51,17 @@ class CollectiveEngine
     void run(const CollectiveRequest& request, sim::EventFn on_complete);
 
     /**
-     * Total bytes each rank puts on the wire for the request
-     * (algorithm-dependent; used by tests and traffic accounting).
+     * Total bytes each of @p n ranks puts on the wire for a @p kind
+     * collective of @p bytes (algorithm-dependent; the analytical
+     * backend prices and attributes traffic with it too).
      */
-    static Bytes wireBytesPerRank(const CollectiveRequest& request);
+    static Bytes wireBytesPerRank(CollectiveKind kind, Bytes bytes, int n);
+
+    /**
+     * Latency-bound steps of the ring algorithm for @p kind over @p n
+     * ranks. AllToAll and SendRecv are not rings; they count n - 1.
+     */
+    static int ringSteps(CollectiveKind kind, int n);
 
     std::uint64_t numCollectivesRun() const { return runCount; }
 

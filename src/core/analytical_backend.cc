@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
+#include "coll/collective_engine.hh"
 #include "coll/cost_model.hh"
 #include "common/logging.hh"
 #include "hw/activity_profile.hh"
@@ -22,58 +22,6 @@ namespace core {
 
 namespace {
 
-/** Ops executed after the pipelined 1F1B body (gradient sync, optimizer
- *  step); their time adds to the iteration serially instead of being
- *  inflated by the pipeline-bubble factor. Must match the names emitted
- *  by runtime::ProgramBuilder::emitIterationTail. */
-bool
-isTailOp(const char* name)
-{
-    static const char* const kTailNames[] = {
-        "dp-grad-sync", "dp-grad-drain", "optimizer-step",
-        "zero1-param-allgather", "iteration-drain",
-    };
-    for (const char* t : kTailNames) {
-        if (std::strcmp(name, t) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** Wire bytes each rank moves, mirroring
- *  coll::CollectiveEngine::wireBytesPerRank. */
-double
-wirePerRank(coll::CollectiveKind kind, double bytes, double n)
-{
-    if (n <= 1.0)
-        return 0.0;
-    switch (kind) {
-      case coll::CollectiveKind::AllReduce:
-        return 2.0 * bytes * (n - 1.0) / n;
-      case coll::CollectiveKind::AllGather:
-      case coll::CollectiveKind::ReduceScatter:
-      case coll::CollectiveKind::AllToAll:
-        return bytes * (n - 1.0) / n;
-      case coll::CollectiveKind::SendRecv:
-        return bytes;
-      case coll::CollectiveKind::Barrier:
-        return 0.0;
-    }
-    return 0.0;
-}
-
-int
-ringSteps(coll::CollectiveKind kind, int n)
-{
-    switch (kind) {
-      case coll::CollectiveKind::AllReduce:
-      case coll::CollectiveKind::Barrier:
-        return 2 * (n - 1);
-      default:
-        return n - 1;
-    }
-}
-
 /** One past the last member of the node run that starts at @p begin:
  *  an ascending member list keeps each node's members contiguous. */
 std::size_t
@@ -88,13 +36,16 @@ nodeRunEnd(std::span<const int> sorted, std::size_t begin, int gpus_per_node)
 
 /** Wall time of one ring hop of latency @p lat and bandwidth @p bw. */
 double
-ringHopSeconds(coll::CollectiveKind kind, int n, double bytes,
+ringHopSeconds(coll::CollectiveKind kind, int n, Bytes bytes,
                bool chunked, int launches, double lat, double bw)
 {
-    double extra = (ringSteps(kind, n) * launches - 1) * lat;
+    double extra =
+        (coll::CollectiveEngine::ringSteps(kind, n) * launches - 1) * lat;
     if (!chunked)
         extra += net::calib::kUnchunkedHandshakeSec * launches;
-    return lat + extra + wirePerRank(kind, bytes, n) / bw;
+    return lat + extra +
+           coll::CollectiveEngine::wireBytesPerRank(kind, bytes, n).value() /
+               bw;
 }
 
 /** A collective priced once per program: its identity and cost. */
@@ -238,7 +189,7 @@ AnalyticalBackend::collectiveSeconds(std::span<const int> sorted,
             // The inter-node ring joins one member per node, so every
             // hop crosses nodes and costs the same.
             Bytes shard = bytes / static_cast<double>(first_run);
-            t += ringHopSeconds(kind, nodes, shard.value(), chunked,
+            t += ringHopSeconds(kind, nodes, shard, chunked,
                                 launches, net.interLatency.value(),
                                 hopBandwidth(sorted[0], sorted[first_run],
                                              1));
@@ -299,7 +250,7 @@ AnalyticalBackend::collectiveSeconds(std::span<const int> sorted,
         int src = sorted[static_cast<std::size_t>(i)];
         int dst = sorted[static_cast<std::size_t>((i + 1) % n)];
         double lat = (src / gpn == dst / gpn) ? intra_lat : inter_lat;
-        t = std::max(t, ringHopSeconds(kind, n, bytes.value(), chunked,
+        t = std::max(t, ringHopSeconds(kind, n, bytes, chunked,
                                        launches, lat,
                                        hopBandwidth(src, dst, local)));
     }
@@ -405,7 +356,7 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
             OpCost c;
             c.type = op.type;
             c.cls = op.cls;
-            c.tail = isTailOp(op.name);
+            c.tail = op.tail;
             c.async = op.async;
             const auto& profile = hw::activityProfileFor(op.cls);
             c.occupancy = profile.occupancy;
@@ -434,9 +385,9 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                     bytes *= hw::calib::kOverlapCommPenalty;
                 c.commSec = price(group, op, bytes);
                 c.powerActivity = profile.powerActivity;
-                double n = static_cast<double>(sorted.size());
                 if (op.ckind == coll::CollectiveKind::AllToAll) {
-                    double per_pair = bytes.value() / n;
+                    double per_pair = bytes.value() /
+                                      static_cast<double>(sorted.size());
                     for (int p : sorted) {
                         if (p == d)
                             continue;
@@ -448,8 +399,9 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                 } else {
                     attributeRing(
                         dev, sorted, ring_position(d, op.groupId),
-                        Bytes(wirePerRank(op.ckind, bytes.value(),
-                                          n)));
+                        coll::CollectiveEngine::wireBytesPerRank(
+                            op.ckind, bytes,
+                            static_cast<int>(sorted.size())));
                 }
                 break;
               }

@@ -152,6 +152,60 @@ validate(const ExperimentConfig& config)
     require(!elastic || !res.recovery.elastic.rebalance || !interleaved,
             "elastic batch rebalance is not supported with interleaved "
             "pipeline schedules (virtualStages > 1)");
+    // The ranges resil::FailureGenerator, CheckpointModel and
+    // RecoveryManager assert.
+    if (res.enabled) {
+        const resil::MtbfProfile& mtbf = res.mtbf;
+        const resil::RecoveryConfig& rec = res.recovery;
+        const resil::RetryPolicy& retry = rec.retry;
+        const auto& net = config.cluster.network;
+        require(res.horizonSec > 0.0,
+                "resilience.horizonSec must be positive (got ",
+                res.horizonSec, ")");
+        require(mtbf.linkMtbfSec <= 0.0 || mtbf.linkClearMeanSec > 0.0,
+                "mtbf.linkClearMeanSec must be positive when "
+                "linkMtbfSec > 0");
+        require((mtbf.switchMtbfSec <= 0.0 || mtbf.nodesPerSwitch >= 1) &&
+                    (mtbf.pduMtbfSec <= 0.0 || mtbf.nodesPerPdu >= 1),
+                "mtbf failure domains need >= 1 node");
+        require(res.checkpoint.storeGBps > 0.0 && net.pcieBw.value() > 0.0 &&
+                    net.nicBw.value() > 0.0,
+                "checkpoint.storeGBps and the PCIe and NIC bandwidths must "
+                "be positive (got ", res.checkpoint.storeGBps, " GB/s)");
+        require(retry.maxAttempts >= 1 &&
+                    retry.initialBackoff.value() > 0.0 &&
+                    retry.backoffMultiplier >= 1.0 &&
+                    retry.maxBackoff.value() >= retry.initialBackoff.value(),
+                "recovery.retry needs maxAttempts >= 1 (got ",
+                retry.maxAttempts, "), initialBackoff > 0, "
+                "backoffMultiplier >= 1 and maxBackoff >= initialBackoff");
+        require(rec.gpuFailDerate > 0.0 && rec.gpuFailDerate < 1.0 &&
+                    rec.linkFaultDerate > 0.0 && rec.linkFaultDerate <= 1.0,
+                "recovery.gpuFailDerate must be in (0, 1) (got ",
+                rec.gpuFailDerate, ") and linkFaultDerate in (0, 1]");
+        require(rec.spares.capacity >= 0 &&
+                    rec.spares.acquire.value() > 0.0 &&
+                    rec.reboot.value() > 0.0,
+                "recovery.spares.capacity must be >= 0 (got ",
+                rec.spares.capacity, "), spares.acquire and reboot > 0");
+        require(rec.elastic.quiesce.value() >= 0.0 &&
+                    rec.elastic.groupReinit.value() >= 0.0,
+                "recovery.elastic costs must be >= 0");
+    }
+
+    // Model shape (model::ModelAnalytics).
+    const model::TransformerConfig& m = config.model;
+    require(m.numLayers > 0 && m.hiddenSize > 0 && m.numHeads > 0 &&
+                m.seqLength > 0,
+            "model numLayers, hiddenSize, numHeads and seqLength must be "
+            "positive (got ", m.numLayers, ", ", m.hiddenSize, ", ",
+            m.numHeads, ", ", m.seqLength, ")");
+    require(m.numQueryGroups > 0 && m.numHeads % m.numQueryGroups == 0,
+            "model numQueryGroups (", m.numQueryGroups,
+            ") must divide numHeads (", m.numHeads, ")");
+    require(!m.isMoe() || (m.topK > 0 && m.topK <= m.numExperts),
+            "MoE topK (", m.topK, ") must be in 1..numExperts (",
+            m.numExperts, ")");
 
     // The analytical estimator has no event timeline to model these.
     bool des = config.backend == sim::BackendKind::Des;

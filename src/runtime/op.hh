@@ -48,6 +48,9 @@ struct Op
     int messages = 1; //!< back-to-back launches (per-layer collectives)
     bool async = false; //!< cc-overlap: issue and continue
     bool topologyAware = false; //!< hierarchical node-spanning rings
+    /** Runs after the pipelined body (gradient sync, optimizer step,
+     *  final drain): its time adds to the iteration serially. */
+    bool tail = false;
 
     // P2P payload (bytes/chunked shared with collective fields).
     int peerDevice = -1;

@@ -607,6 +607,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
             Op drain;
             drain.type = OpType::Drain;
             drain.name = "dp-grad-drain";
+            drain.tail = true;
             ops.push_back(drain);
         } else {
             Op sync;
@@ -614,6 +615,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
             sync.cls = opts.zero1 ? hw::KernelClass::ReduceScatter
                                   : hw::KernelClass::AllReduce;
             sync.name = "dp-grad-sync";
+            sync.tail = true;
             sync.ckind = opts.zero1
                              ? coll::CollectiveKind::ReduceScatter
                              : coll::CollectiveKind::AllReduce;
@@ -638,6 +640,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
     opt.type = OpType::Compute;
     opt.cls = hw::KernelClass::Optimizer;
     opt.name = "optimizer-step";
+    opt.tail = true;
     opt.flops = Flops(trainable * kOptimizerFlopsPerParam / shard);
     opt.hbmBytes = Bytes(trainable * kOptimizerBytesPerParam / shard);
     ops.push_back(opt);
@@ -648,6 +651,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
         ag.type = OpType::Collective;
         ag.cls = hw::KernelClass::AllGather;
         ag.name = "zero1-param-allgather";
+        ag.tail = true;
         ag.ckind = coll::CollectiveKind::AllGather;
         ag.groupId = dpGroupId(ctx, rank);
         ag.bytes = stageParamBytes(stage) * trainable_fraction;
@@ -658,6 +662,7 @@ ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
     Op drain;
     drain.type = OpType::Drain;
     drain.name = "iteration-drain";
+    drain.tail = true;
     ops.push_back(drain);
 }
 
@@ -686,6 +691,7 @@ ProgramBuilder::emitRank(BuildContext& ctx, int rank) const
         Op drain;
         drain.type = OpType::Drain;
         drain.name = "iteration-drain";
+        drain.tail = true;
         ctx.program.deviceOps[opSlot(map.deviceOf(rank))]
             .push_back(drain);
         return;

@@ -96,21 +96,28 @@ TEST(CostModel, AllToAllMonotonicInSize)
 
 TEST(WireVolume, MatchesAlgorithmFactors)
 {
-    CollectiveRequest req;
-    req.bytes = Bytes(8e9);
-    req.ranks = {0, 1, 2, 3, 4, 5, 6, 7};
-    req.kind = CollectiveKind::AllReduce;
-    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(req).value(),
+    Bytes bytes(8e9);
+    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(CollectiveKind::AllReduce,
+                                                   bytes, 8)
+                    .value(),
                 2.0 * 8e9 * 7.0 / 8.0, 1.0);
-    req.kind = CollectiveKind::AllGather;
-    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(req).value(),
+    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(CollectiveKind::AllGather,
+                                                   bytes, 8)
+                    .value(),
                 8e9 * 7.0 / 8.0, 1.0);
-    req.kind = CollectiveKind::AllToAll;
-    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(req).value(),
+    EXPECT_NEAR(CollectiveEngine::wireBytesPerRank(CollectiveKind::AllToAll,
+                                                   bytes, 8)
+                    .value(),
                 8e9 * 7.0 / 8.0, 1.0);
-    req.ranks = {3};
-    EXPECT_DOUBLE_EQ(CollectiveEngine::wireBytesPerRank(req).value(),
+    EXPECT_DOUBLE_EQ(CollectiveEngine::wireBytesPerRank(
+                         CollectiveKind::AllReduce, bytes, 1)
+                         .value(),
                      0.0);
+    EXPECT_EQ(CollectiveEngine::ringSteps(CollectiveKind::AllReduce, 8), 14);
+    EXPECT_EQ(CollectiveEngine::ringSteps(CollectiveKind::Barrier, 8), 14);
+    EXPECT_EQ(CollectiveEngine::ringSteps(CollectiveKind::AllGather, 8), 7);
+    EXPECT_EQ(CollectiveEngine::ringSteps(CollectiveKind::ReduceScatter, 8),
+              7);
 }
 
 // ---- flow execution ---------------------------------------------------------

@@ -2,15 +2,21 @@
  * @file
  * Tests for the core experiment layer: cluster presets (Table 3),
  * configuration catalog, the Experiment API's metric accounting, the
- * memory screen, and thermal-aware placement plans.
+ * memory screen, config validation, the fast-vs-reference comparison
+ * and its tolerance table, and thermal-aware placement plans.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <numeric>
 
+#include "common/strings.hh"
 #include "core/catalog.hh"
 #include "core/cluster.hh"
+#include "core/compare.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/thermal_placement.hh"
@@ -176,23 +182,31 @@ struct InvalidConfigRow
     const char* message;
 };
 
+resil::ResilienceConfig&
+enableResilience(ExperimentConfig& c)
+{
+    c.resilience.enabled = true;
+    return c.resilience;
+}
+
 void
 enableElasticShrink(ExperimentConfig& c)
 {
-    c.resilience.enabled = true;
-    c.resilience.recovery.dryPolicy = resil::DryPoolPolicy::ElasticShrink;
+    enableResilience(c).recovery.dryPolicy =
+        resil::DryPoolPolicy::ElasticShrink;
 }
 
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 8;
+constexpr std::size_t kProbeRows = 16;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
 {
     using C = ExperimentConfig&;
     static const std::vector<InvalidConfigRow> rows = {
-        // The kProbeRows hand-written probes: five panicked, one
-        // segfaulted and two ran without a message before validate.
+        // The kProbeRows hand-written probes. Before validate checked
+        // them, the first eight panicked (five), segfaulted (one) or
+        // ran without a message (two); the other eight panicked.
         {"zero measured iterations", [](C c) { c.measuredIterations = 0; },
          "measuredIterations must be >= 1"},
         {"zero sample period",
@@ -220,6 +234,33 @@ invalidConfigRows()
          "warmupIterations must be >= 0"},
         {"negative power cap", [](C c) { c.nodePowerCaps = {{0, -5.0}}; },
          "must be positive (got -5)"},
+        {"zero failure horizon",
+         [](C c) { enableResilience(c).horizonSec = 0.0; },
+         "resilience.horizonSec must be positive (got 0)"},
+        {"zero retry attempts",
+         [](C c) { enableResilience(c).recovery.retry.maxAttempts = 0; },
+         "recovery.retry needs maxAttempts >= 1 (got 0)"},
+        {"GPU fail derate of one",
+         [](C c) { enableResilience(c).recovery.gpuFailDerate = 1.0; },
+         "recovery.gpuFailDerate must be in (0, 1) (got 1)"},
+        {"negative spare capacity",
+         [](C c) { enableResilience(c).recovery.spares.capacity = -1; },
+         "recovery.spares.capacity must be >= 0 (got -1)"},
+        {"zero checkpoint store bandwidth",
+         [](C c) { enableResilience(c).checkpoint.storeGBps = 0.0; },
+         "checkpoint.storeGBps and the PCIe and NIC bandwidths must be "
+         "positive (got 0 GB/s)"},
+        {"link failures that never clear",
+         [](C c) {
+             enableResilience(c).mtbf.linkMtbfSec = 600.0;
+             c.resilience.mtbf.linkClearMeanSec = 0.0;
+         },
+         "mtbf.linkClearMeanSec must be positive when linkMtbfSec > 0"},
+        {"query groups not dividing heads",
+         [](C c) { c.model.numQueryGroups = 3; },
+         "model numQueryGroups (3) must divide numHeads (20)"},
+        {"zero hidden size", [](C c) { c.model.hiddenSize = 0; },
+         "seqLength must be positive (got 16, 0, 20, 1024)"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
@@ -285,6 +326,33 @@ invalidConfigRows()
              c.resilience.enabled = true;
          },
          "mutually exclusive"},
+        // Resilience and model ranges past the probes.
+        {"PDU domain of no nodes",
+         [](C c) {
+             enableResilience(c).mtbf.pduMtbfSec = 600.0;
+             c.resilience.mtbf.nodesPerPdu = 0;
+         },
+         "mtbf failure domains need >= 1 node"},
+        {"checkpointing over a dead NIC",
+         [](C c) {
+             enableResilience(c);
+             c.cluster.network.nicBw = BytesPerSec(0.0);
+         },
+         "the PCIe and NIC bandwidths must be positive"},
+        {"zero link fault derate",
+         [](C c) { enableResilience(c).recovery.linkFaultDerate = 0.0; },
+         "linkFaultDerate in (0, 1]"},
+        {"negative elastic quiesce",
+         [](C c) {
+             enableResilience(c).recovery.elastic.quiesce = Seconds(-1.0);
+         },
+         "recovery.elastic costs must be >= 0"},
+        {"MoE topK past the experts",
+         [](C c) {
+             c.model.numExperts = 4;
+             c.model.topK = 5;
+         },
+         "MoE topK (5) must be in 1..numExperts (4)"},
         // Elastic-shrink preconditions.
         {"elastic shrink with expert parallelism",
          [](C c) {
@@ -361,6 +429,11 @@ TEST_F(CoreFixture, ValidateAcceptsValidConfigs)
     cfg.train.virtualStages = 1;
     cfg.train.stageLayers = {9, 7};
     EXPECT_TRUE(validate(cfg).empty());
+    // A disabled resilience config is not range-checked.
+    cfg.resilience.enabled = false;
+    cfg.resilience.horizonSec = 0.0;
+    cfg.resilience.recovery.retry.maxAttempts = 0;
+    EXPECT_TRUE(validate(cfg).empty());
 }
 
 TEST_F(CoreFixture, RunExitsOnEveryProbeWithItsMessage)
@@ -391,6 +464,116 @@ TEST_F(CoreFixture, RunExitsWithEveryProblemListed)
                 "fatal: config 'Small-3B H200 TP2-PP2-DP2' cannot run: "
                 "measuredIterations must be >= 1 \\(got 0\\); "
                 "nodePowerCaps names node 7 of a 1-node cluster");
+}
+
+// ---- fast-vs-reference comparison ------------------------------------------
+
+const std::vector<std::string> kNoBreaches;
+
+/** The @p k-th double inside the object at @p p, one ulp up. */
+void
+bumpDouble(void* p, std::size_t k = 0)
+{
+    double v;
+    char* at = static_cast<char*>(p) + k * sizeof v;
+    std::memcpy(&v, at, sizeof v);
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+    std::memcpy(at, &v, sizeof v);
+}
+
+TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
+{
+    auto ref = Experiment::run(smallConfig(2, 2));
+    ASSERT_TRUE(ref.feasible);
+    EXPECT_NEAR(relativeError(1.1, 1.0), 0.1, 1e-12);
+    EXPECT_DEATH(tolerance("no-such-row"), "no tolerance row");
+    double ExperimentResult::*metric[kNumMetrics] = {
+        &ExperimentResult::avgIterationSeconds,
+        &ExperimentResult::tokensPerSecond, &ExperimentResult::totalEnergyJ,
+        &ExperimentResult::avgPowerW};
+    for (const ToleranceRow& row : toleranceTable()) {
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(compareResults(ref, ref, row).breaches, kNoBreaches);
+        for (std::size_t i = 0; i < kNumMetrics; ++i) {
+            auto m = static_cast<Metric>(i);
+            if (std::isinf(row[m]))
+                continue;
+            ExperimentResult within = ref;
+            within.*metric[i] *= 1.0 - 0.5 * row[m];
+            EXPECT_EQ(compareResults(within, ref, row).breaches, kNoBreaches);
+            ExperimentResult beyond = ref;
+            beyond.*metric[i] *= 1.0 + 1.5 * row[m];
+            auto cmp = compareResults(beyond, ref, row);
+            EXPECT_NEAR(cmp[m], 1.5 * row[m], 1e-9);
+            ASSERT_EQ(cmp.breaches.size(), 1u) << metricName(m);
+            EXPECT_EQ(cmp.breaches[0].rfind(metricName(m), 0), 0u)
+                << cmp.breaches[0];
+        }
+    }
+}
+
+TEST_F(CoreFixture, CompareBitwiseCatchesOneUlpAnywhere)
+{
+    auto cfg = smallConfig(2, 2);
+    cfg.enableSampler = true;
+    const auto ref = Experiment::run(cfg);
+    ASSERT_EQ(ref.series.size(), 8u);
+    // One edit of a copy of ref is exactly one breach, naming @p field.
+    using Edit = std::function<void(ExperimentResult&)>;
+    auto expect_breach = [&ref](const std::string& field, const Edit& edit) {
+        ExperimentResult fast = ref;
+        edit(fast);
+        auto cmp = compareResults(fast, ref, tolerance("bitwise"));
+        ASSERT_EQ(cmp.breaches.size(), 1u) << field;
+        EXPECT_EQ(cmp.breaches[0].rfind(field, 0), 0u) << cmp.breaches[0];
+    };
+    // Every double of the first and last GPU's result, and every number
+    // and the fault tag of their first and last telemetry sample.
+    for (std::size_t g : {0, 7}) {
+        for (std::size_t k = 0; k < sizeof(GpuResult) / sizeof(double); ++k)
+            expect_breach(strprintf("gpus[%zu].", g),
+                          [&](auto& r) { bumpDouble(&r.gpus[g], k); });
+        std::size_t s = g == 0 ? 0 : ref.series[g].size() - 1;
+        std::string where = strprintf("series[%zu][%zu].", g, s);
+        for (std::size_t k = 0; k * sizeof(double) <
+                                offsetof(telemetry::Sample, fault);
+             ++k)
+            expect_breach(where,
+                          [&](auto& r) { bumpDouble(&r.series[g][s], k); });
+        expect_breach(where + "fault",
+                      [&](auto& r) { r.series[g][s].fault = "straggler"; });
+    }
+    // The run-level outputs.
+    expect_breach("label", [](auto& r) { r.label += "+"; });
+    expect_breach("memory.activations",
+                  [](auto& r) { bumpDouble(&r.memory.activations); });
+    expect_breach("iterationSeconds[1]",
+                  [](auto& r) { bumpDouble(&r.iterationSeconds[1]); });
+    expect_breach("iterationSeconds: 1 entries",
+                  [](auto& r) { r.iterationSeconds.pop_back(); });
+    expect_breach("avgIterationSeconds",
+                  [](auto& r) { bumpDouble(&r.avgIterationSeconds); });
+    expect_breach("measureStartSec",
+                  [](auto& r) { bumpDouble(&r.measureStartSec); });
+    expect_breach("meanBreakdown[",
+                  [](auto& r) { bumpDouble(&r.meanBreakdown); });
+    expect_breach("gpus: 7 entries", [](auto& r) { r.gpus.pop_back(); });
+}
+
+TEST_F(CoreFixture, CompareBreachesOnFeasibilityUnderEveryRow)
+{
+    auto feasible = Experiment::run(smallConfig(2, 2));
+    ExperimentResult infeasible = feasible;
+    infeasible.feasible = false;
+    for (const ToleranceRow& row : toleranceTable()) {
+        for (auto [fast, ref] : {std::pair{&feasible, &infeasible},
+                                 {&infeasible, &feasible}}) {
+            auto cmp = compareResults(*fast, *ref, row);
+            ASSERT_EQ(cmp.breaches.size(), 1u) << row.name;
+            EXPECT_EQ(cmp.breaches[0].rfind("feasibility", 0), 0u)
+                << row.name;
+        }
+    }
 }
 
 TEST_F(CoreFixture, SamplerSeriesCollected)
@@ -449,8 +632,8 @@ TEST_F(CoreFixture, DeterministicResults)
 {
     auto a = Experiment::run(smallConfig(2, 4));
     auto b = Experiment::run(smallConfig(2, 4));
-    EXPECT_DOUBLE_EQ(a.avgIterationSeconds, b.avgIterationSeconds);
-    EXPECT_DOUBLE_EQ(a.totalEnergyJ, b.totalEnergyJ);
+    EXPECT_EQ(compareResults(b, a, tolerance("bitwise")).breaches,
+              kNoBreaches);
 }
 
 TEST_F(CoreFixture, RearGpusRunHotter)

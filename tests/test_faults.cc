@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/cluster.hh"
+#include "core/compare.hh"
 #include "core/experiment.hh"
 #include "faults/fault_injector.hh"
 #include "faults/scenarios.hh"
@@ -62,31 +63,6 @@ traceJson(const core::ExperimentResult& r)
     obs::TraceBuilder builder;
     builder.addKernels(*r.trace);
     return builder.toJson();
-}
-
-/** Serialize a result's telemetry series exactly like Sampler::toCsv. */
-std::string
-seriesCsv(const core::ExperimentResult& r)
-{
-    CsvWriter csv;
-    csv.header({"time_s", "gpu", "power_w", "temp_c", "clock_ghz",
-                "occupancy", "pcie_bps", "scaleup_bps", "fault"});
-    for (std::size_t g = 0; g < r.series.size(); ++g) {
-        for (const auto& s : r.series[g]) {
-            csv.beginRow();
-            csv.cell(s.time.value());
-            csv.cell(static_cast<int>(g));
-            csv.cell(s.powerWatts.value());
-            csv.cell(s.tempC.value());
-            csv.cell(s.clockGhz);
-            csv.cell(s.occupancy);
-            csv.cell(s.pcieRate.value());
-            csv.cell(s.scaleUpRate.value());
-            csv.cell(std::string(s.fault));
-            csv.endRow();
-        }
-    }
-    return csv.str();
 }
 
 // ---- injector unit tests ---------------------------------------------------
@@ -251,8 +227,9 @@ TEST(FaultExperiment, SameSeedProducesByteIdenticalOutputs)
     };
     auto a = make(), b = make();
     ASSERT_TRUE(a.feasible);
-    EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
-    EXPECT_EQ(seriesCsv(a), seriesCsv(b));
+    // Every output, telemetry series and fault tags included.
+    EXPECT_EQ(core::compareResults(b, a, core::tolerance("bitwise")).breaches,
+              std::vector<std::string>{});
     EXPECT_EQ(traceJson(a), traceJson(b));
     ASSERT_EQ(a.faultLog.size(), b.faultLog.size());
     for (std::size_t i = 0; i < a.faultLog.size(); ++i) {

@@ -17,6 +17,7 @@
 #include "hw/calibration.hh"
 #include "coll/cost_model.hh"
 #include "core/cluster.hh"
+#include "core/compare.hh"
 #include "core/experiment.hh"
 #include "hw/thermal_model.hh"
 #include "net/calibration.hh"
@@ -365,9 +366,11 @@ TEST_P(EngineProperty, InvariantsHoldAcrossDesignSpace)
     EXPECT_GE(r.throttleRatio, 0.0);
     EXPECT_LE(r.throttleRatio, 1.0);
 
-    // Determinism.
-    auto r2 = core::Experiment::run(cfg);
-    EXPECT_DOUBLE_EQ(r.avgIterationSeconds, r2.avgIterationSeconds);
+    // Determinism: every output, bit for bit.
+    EXPECT_EQ(core::compareResults(core::Experiment::run(cfg), r,
+                                   core::tolerance("bitwise"))
+                  .breaches,
+              std::vector<std::string>{});
 }
 
 /** (tp, pp, act, cc) grid; tp*pp fits the 8-GPU test cluster. */

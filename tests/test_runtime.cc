@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "coll/collective_engine.hh"
@@ -200,6 +201,30 @@ TEST(Builder, CcOverlapMarksAsyncAndDrains)
     }
     EXPECT_GT(async_colls, 0);
     EXPECT_GT(countOps(p, OpType::Drain), p.worldSize()); // cc drains
+}
+
+TEST(Builder, TailOpsCloseEveryProgram)
+{
+    // The iteration tail (gradient sync, optimizer step, ZeRO-1
+    // gather, final drain) is a suffix of every device's program. Its
+    // bit sits in Op's padding.
+    EXPECT_EQ(sizeof(Op), 80u);
+    parallel::RankMapper map(parallel::ParallelConfig::forWorld(8, 2, 2));
+    auto is_tail = [](const Op& op) { return op.tail; };
+    for (int variant = 0; variant < 4; ++variant) {
+        TrainOptions opts;
+        opts.globalBatchSize = 8;
+        opts.ccOverlap = variant == 1;
+        opts.zero1 = variant == 2;
+        opts.inference = variant == 3;
+        std::size_t tail = variant == 2 ? 4 : variant == 3 ? 1 : 3;
+        Program p = ProgramBuilder(tinyModel(), map, opts).build(0);
+        for (const auto& ops : p.deviceOps) {
+            auto first = std::find_if(ops.begin(), ops.end(), is_tail);
+            EXPECT_EQ(static_cast<std::size_t>(ops.end() - first), tail);
+            EXPECT_TRUE(std::all_of(first, ops.end(), is_tail)) << variant;
+        }
+    }
 }
 
 TEST(Builder, MoeEmitsAllToAll)

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/catalog.hh"
+#include "core/compare.hh"
 #include "core/sweep_runner.hh"
 
 namespace {
@@ -41,59 +43,6 @@ smallSweep()
     return configs;
 }
 
-void
-expectBreakdownEq(const hw::KernelTimeBreakdown& a,
-                  const hw::KernelTimeBreakdown& b)
-{
-    for (std::size_t i = 0; i < hw::kNumKernelClasses; ++i)
-        EXPECT_EQ(a.seconds[i], b.seconds[i]);
-}
-
-void
-expectResultEq(const ExperimentResult& a, const ExperimentResult& b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.memory.weights, b.memory.weights);
-    EXPECT_EQ(a.memory.gradients, b.memory.gradients);
-    EXPECT_EQ(a.memory.optimizer, b.memory.optimizer);
-    EXPECT_EQ(a.memory.activations, b.memory.activations);
-    EXPECT_EQ(a.memory.workspace, b.memory.workspace);
-    EXPECT_EQ(a.iterationSeconds, b.iterationSeconds);
-    EXPECT_EQ(a.avgIterationSeconds, b.avgIterationSeconds);
-    EXPECT_EQ(a.tokensPerIteration, b.tokensPerIteration);
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.totalEnergyJ, b.totalEnergyJ);
-    EXPECT_EQ(a.energyPerTokenJ, b.energyPerTokenJ);
-    EXPECT_EQ(a.tokensPerJoule, b.tokensPerJoule);
-    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
-    EXPECT_EQ(a.peakPowerW, b.peakPowerW);
-    EXPECT_EQ(a.avgTempC, b.avgTempC);
-    EXPECT_EQ(a.peakTempC, b.peakTempC);
-    EXPECT_EQ(a.avgClockGhz, b.avgClockGhz);
-    EXPECT_EQ(a.throttleRatio, b.throttleRatio);
-    EXPECT_EQ(a.measureStartSec, b.measureStartSec);
-    expectBreakdownEq(a.meanBreakdown, b.meanBreakdown);
-    ASSERT_EQ(a.gpus.size(), b.gpus.size());
-    for (std::size_t g = 0; g < a.gpus.size(); ++g) {
-        const GpuResult& ga = a.gpus[g];
-        const GpuResult& gb = b.gpus[g];
-        EXPECT_EQ(ga.avgPowerW, gb.avgPowerW);
-        EXPECT_EQ(ga.peakPowerW, gb.peakPowerW);
-        EXPECT_EQ(ga.avgTempC, gb.avgTempC);
-        EXPECT_EQ(ga.peakTempC, gb.peakTempC);
-        EXPECT_EQ(ga.avgClockGhz, gb.avgClockGhz);
-        EXPECT_EQ(ga.throttleRatio, gb.throttleRatio);
-        EXPECT_EQ(ga.avgOccupancy, gb.avgOccupancy);
-        EXPECT_EQ(ga.avgWarps, gb.avgWarps);
-        EXPECT_EQ(ga.avgThreadblocks, gb.avgThreadblocks);
-        EXPECT_EQ(ga.energyJ, gb.energyJ);
-        EXPECT_EQ(ga.pcieBytes, gb.pcieBytes);
-        EXPECT_EQ(ga.scaleUpBytes, gb.scaleUpBytes);
-        expectBreakdownEq(ga.breakdown, gb.breakdown);
-    }
-}
-
 TEST(SweepRunner, ThreadCountResolution)
 {
     EXPECT_GE(SweepRunner::defaultThreads(), 1);
@@ -121,7 +70,10 @@ TEST(SweepRunner, ParallelResultsIdenticalToSerial)
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("config " + std::to_string(i) + ", threads " +
                          std::to_string(threads));
-            expectResultEq(serial[i], parallel[i]);
+            EXPECT_EQ(compareResults(parallel[i], serial[i],
+                                     tolerance("bitwise"))
+                          .breaches,
+                      std::vector<std::string>{});
         }
     }
 }

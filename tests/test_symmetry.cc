@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "core/cluster.hh"
+#include "core/compare.hh"
 #include "core/experiment.hh"
 #include "faults/scenarios.hh"
 #include "net/flow_network.hh"
@@ -203,80 +204,22 @@ foldableConfig(int tp, int pp, int dp)
     return cfg;
 }
 
+/** @p fast (collapsed or partitioned) against the @p full reference:
+ *  every output bit for bit, plus the phase attribution over the
+ *  expanded trace, which compareResults does not cover. */
 void
-expectBitwiseEqual(const ExperimentResult& full,
-                   const ExperimentResult& coll)
+expectSameRun(const ExperimentResult& full, const ExperimentResult& fast)
 {
     ASSERT_TRUE(full.feasible);
-    ASSERT_TRUE(coll.feasible);
-
-    // Headline metrics.
-    EXPECT_EQ(full.avgIterationSeconds, coll.avgIterationSeconds);
-    EXPECT_EQ(full.tokensPerIteration, coll.tokensPerIteration);
-    EXPECT_EQ(full.tokensPerSecond, coll.tokensPerSecond);
-    EXPECT_EQ(full.totalEnergyJ, coll.totalEnergyJ);
-    EXPECT_EQ(full.energyPerTokenJ, coll.energyPerTokenJ);
-    EXPECT_EQ(full.tokensPerJoule, coll.tokensPerJoule);
-    EXPECT_EQ(full.avgPowerW, coll.avgPowerW);
-    EXPECT_EQ(full.peakPowerW, coll.peakPowerW);
-    EXPECT_EQ(full.avgTempC, coll.avgTempC);
-    EXPECT_EQ(full.peakTempC, coll.peakTempC);
-    EXPECT_EQ(full.avgClockGhz, coll.avgClockGhz);
-    EXPECT_EQ(full.throttleRatio, coll.throttleRatio);
-    ASSERT_EQ(full.iterationSeconds.size(),
-              coll.iterationSeconds.size());
-    for (std::size_t i = 0; i < full.iterationSeconds.size(); ++i)
-        EXPECT_EQ(full.iterationSeconds[i], coll.iterationSeconds[i]);
-
-    // Per-GPU stats over the whole logical world, including the
-    // per-kernel-class energy/time breakdown.
-    ASSERT_EQ(full.gpus.size(), coll.gpus.size());
-    for (std::size_t i = 0; i < full.gpus.size(); ++i) {
-        const GpuResult& a = full.gpus[i];
-        const GpuResult& b = coll.gpus[i];
-        EXPECT_EQ(a.avgPowerW, b.avgPowerW) << "gpu " << i;
-        EXPECT_EQ(a.peakPowerW, b.peakPowerW) << "gpu " << i;
-        EXPECT_EQ(a.avgTempC, b.avgTempC) << "gpu " << i;
-        EXPECT_EQ(a.peakTempC, b.peakTempC) << "gpu " << i;
-        EXPECT_EQ(a.avgClockGhz, b.avgClockGhz) << "gpu " << i;
-        EXPECT_EQ(a.throttleRatio, b.throttleRatio) << "gpu " << i;
-        EXPECT_EQ(a.energyJ, b.energyJ) << "gpu " << i;
-        EXPECT_EQ(a.pcieBytes, b.pcieBytes) << "gpu " << i;
-        EXPECT_EQ(a.scaleUpBytes, b.scaleUpBytes) << "gpu " << i;
-        for (std::size_t c = 0; c < a.breakdown.seconds.size(); ++c)
-            EXPECT_EQ(a.breakdown.seconds[c], b.breakdown.seconds[c])
-                << "gpu " << i << " class " << c;
-    }
-    for (std::size_t c = 0; c < full.meanBreakdown.seconds.size(); ++c)
-        EXPECT_EQ(full.meanBreakdown.seconds[c],
-                  coll.meanBreakdown.seconds[c]);
-
-    // Telemetry series (what the CSV writers serialize), sample by
-    // sample, over the logical world.
-    ASSERT_EQ(full.series.size(), coll.series.size());
-    for (std::size_t g = 0; g < full.series.size(); ++g) {
-        ASSERT_EQ(full.series[g].size(), coll.series[g].size())
-            << "gpu " << g;
-        for (std::size_t s = 0; s < full.series[g].size(); ++s) {
-            const telemetry::Sample& a = full.series[g][s];
-            const telemetry::Sample& b = coll.series[g][s];
-            EXPECT_EQ(a.time.value(), b.time.value());
-            EXPECT_EQ(a.powerWatts.value(), b.powerWatts.value());
-            EXPECT_EQ(a.tempC.value(), b.tempC.value());
-            EXPECT_EQ(a.clockGhz, b.clockGhz);
-            EXPECT_EQ(a.occupancy, b.occupancy);
-            EXPECT_EQ(a.pcieRate.value(), b.pcieRate.value());
-            EXPECT_EQ(a.scaleUpRate.value(), b.scaleUpRate.value());
-            EXPECT_STREQ(a.fault, b.fault);
-        }
-    }
+    EXPECT_EQ(compareResults(fast, full, tolerance("bitwise")).breaches,
+              std::vector<std::string>{});
 
     // Phase attribution (compute / exposed-comm / bubble / idle splits
     // with integrated energy) over the expanded trace.
     ASSERT_NE(full.trace, nullptr);
-    ASSERT_NE(coll.trace, nullptr);
+    ASSERT_NE(fast.trace, nullptr);
     auto pa = obs::attributePhases(*full.trace, full.series);
-    auto pb = obs::attributePhases(*coll.trace, coll.series);
+    auto pb = obs::attributePhases(*fast.trace, fast.series);
     ASSERT_EQ(pa.gpus.size(), pb.gpus.size());
     for (std::size_t g = 0; g < pa.gpus.size(); ++g)
         for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
@@ -305,7 +248,7 @@ TEST_P(CollapseBitwise, MatchesFullRun)
     EXPECT_EQ(coll.symmetry.physicalWorld, 4);
     EXPECT_EQ(coll.symmetry.logicalWorld, 4 * dp);
     EXPECT_FALSE(full.symmetry.requested);
-    expectBitwiseEqual(full, coll);
+    expectSameRun(full, coll);
 }
 
 INSTANTIATE_TEST_SUITE_P(DpSweep, CollapseBitwise,
@@ -319,7 +262,7 @@ TEST(CollapseBitwise, WithCcOverlap)
     cfg.symmetryCollapse = true;
     auto coll = Experiment::run(cfg);
     ASSERT_TRUE(coll.symmetry.collapsed) << coll.symmetry.reason;
-    expectBitwiseEqual(full, coll);
+    expectSameRun(full, coll);
 }
 
 TEST(CollapseBitwise, WithActRecompute)
@@ -330,7 +273,7 @@ TEST(CollapseBitwise, WithActRecompute)
     cfg.symmetryCollapse = true;
     auto coll = Experiment::run(cfg);
     ASSERT_TRUE(coll.symmetry.collapsed) << coll.symmetry.reason;
-    expectBitwiseEqual(full, coll);
+    expectSameRun(full, coll);
 }
 
 TEST(CollapseBitwise, MultiGpuNodesNodeAlignedTp)
@@ -351,7 +294,7 @@ TEST(CollapseBitwise, MultiGpuNodesNodeAlignedTp)
     auto coll = Experiment::run(cfg);
     ASSERT_TRUE(coll.symmetry.collapsed) << coll.symmetry.reason;
     EXPECT_EQ(coll.symmetry.physicalWorld, 16);
-    expectBitwiseEqual(full, coll);
+    expectSameRun(full, coll);
 }
 
 TEST(CollapseBitwise, SerialDispatchMatchesPartitioned)
@@ -366,7 +309,7 @@ TEST(CollapseBitwise, SerialDispatchMatchesPartitioned)
     ASSERT_TRUE(part.symmetry.collapsed);
     EXPECT_EQ(serial.symmetry.domains, 1);
     EXPECT_EQ(part.symmetry.domains, 1 + 4);
-    expectBitwiseEqual(serial, part);
+    expectSameRun(serial, part);
 }
 
 // ---- validity guard: auto-fallback with a recorded reason --------------------
@@ -383,8 +326,8 @@ TEST(CollapseGuard, MoeFallsBackAndRecordsReason)
     EXPECT_FALSE(r.symmetry.collapsed);
     EXPECT_NE(r.symmetry.reason.find("MoE"), std::string::npos);
     // Fallback is a full-fidelity run, not a degraded one.
-    EXPECT_EQ(r.avgIterationSeconds, base.avgIterationSeconds);
-    EXPECT_EQ(r.totalEnergyJ, base.totalEnergyJ);
+    EXPECT_EQ(compareResults(r, base, tolerance("bitwise")).breaches,
+              std::vector<std::string>{});
 }
 
 TEST(CollapseGuard, FaultScenarioFallsBack)
