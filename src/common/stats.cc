@@ -86,6 +86,39 @@ TimeWeightedStats::update(double time, double value)
 }
 
 void
+TimeWeightedStats::updateRun(double first, double last, std::int64_t n,
+                             double sum, double lo_value, double hi_value,
+                             double last_value)
+{
+    CHARLLM_ASSERT(n >= 0 && last >= first, "invalid run");
+    update(first, last_value);
+    if (n == 0)
+        return;
+    double span = last - first;
+    if (span > 0.0) {
+        CHARLLM_ASSERT(hi_value < threshold || lo_value >= threshold,
+                       "the threshold splits a run");
+        weighted += sum * (span / static_cast<double>(n));
+        totalTime += span;
+        if (hi_value < threshold)
+            belowTime += span;
+        lo = std::min(lo, lo_value);
+        hi = std::max(hi, hi_value);
+    }
+    lastTime = last;
+}
+
+void
+TimeWeightedStats::restart(double time)
+{
+    bool had = hasSample;
+    double value = lastValue;
+    reset();
+    if (had)
+        update(time, value);
+}
+
+void
 TimeWeightedStats::finish(double time)
 {
     if (!hasSample)

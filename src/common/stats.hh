@@ -7,6 +7,7 @@
 #define CHARLLM_COMMON_STATS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -69,11 +70,24 @@ class TimeWeightedStats
      */
     void update(double time, double value);
 
+    /**
+     * Record @p n + 1 updates at evenly spaced times in one call:
+     * update(first + k (last - first) / n, v_k) for k = 0..n, where
+     * v_0..v_{n-1} sum to @p sum and lie in [@p lo, @p hi], and v_n is
+     * @p last_value. The threshold must not split v_0..v_{n-1}.
+     */
+    void updateRun(double first, double last, std::int64_t n, double sum,
+                   double lo, double hi, double last_value);
+
     /** Close the last interval at @p time without changing the value. */
     void finish(double time);
 
     /** Discard everything accumulated; keeps the threshold. */
     void reset() { *this = TimeWeightedStats(threshold); }
+
+    /** Discard everything accumulated; the current value holds from
+     *  @p time on. */
+    void restart(double time);
 
     double mean() const;
     double min() const { return hasSample ? lo : 0.0; }

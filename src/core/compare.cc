@@ -17,31 +17,73 @@ namespace {
 
 constexpr double kOff = std::numeric_limits<double>::infinity();
 
+/** Bounds on iteration time, tokens/s, energy and average power, with
+ *  the thermal metrics ungated. */
+constexpr std::array<double, kNumMetrics>
+headline(double iter, double tokens, double energy, double power)
+{
+    return {iter, tokens, energy, power, kOff, kOff, kOff, kOff};
+}
+
+constexpr double kThermal = 1e-9;
+
 /** The tolerance table; bounds in Metric order (iteration time,
- *  tokens/s, energy, average power). Widening one is reviewed here. */
+ *  tokens/s, energy, average power, peak and mean temperature, throttle
+ *  ratio, mean clock). Widening one is reviewed here. */
 constexpr ToleranceRow kTable[] = {
     // Repeated runs, parallel sweeps and collapsed-vs-full runs.
-    {"bitwise", {kOff, kOff, kOff, kOff}, true},
+    {"bitwise", headline(kOff, kOff, kOff, kOff), true},
     // bench_backend_xval: analytical vs DES, one row per preset.
-    {"backend-xval/fig09-optimizations", {0.10, 0.10, 0.10, kOff}},
-    {"backend-xval/fig13-microbatch", {0.10, 0.10, 0.10, kOff}},
-    {"backend-xval/table2-moe", {0.10, 0.10, 0.10, kOff}},
-    {"backend-xval/fig10-mi250", {0.10, 0.10, 0.10, kOff}},
-    {"backend-xval/fig23-inference", {0.10, 0.10, 0.10, kOff}},
-    {"backend-xval/fig02-scaleout", {0.10, 0.10, 0.10, kOff}},
+    {"backend-xval/fig09-optimizations", headline(0.10, 0.10, 0.10, kOff)},
+    {"backend-xval/fig13-microbatch", headline(0.10, 0.10, 0.10, kOff)},
+    {"backend-xval/table2-moe", headline(0.10, 0.10, 0.10, kOff)},
+    {"backend-xval/fig10-mi250", headline(0.10, 0.10, 0.10, kOff)},
+    {"backend-xval/fig23-inference", headline(0.10, 0.10, 0.10, kOff)},
+    {"backend-xval/fig02-scaleout", headline(0.10, 0.10, 0.10, kOff)},
     // A short analytical run vs DES (test_backend): a ballpark.
-    {"analytical-smoke", {0.35, 0.35, 0.35, 0.30}},
+    {"analytical-smoke", headline(0.35, 0.35, 0.35, 0.30)},
     // fig22 --symmetry=on vs collapsed DES: the analytical backend, and
     // the first-order scale::Projector (a factor-of-two gate).
-    {"fig22/analytical", {0.05, kOff, kOff, kOff}},
-    {"fig22/projector-dp<=4", {0.50, kOff, kOff, kOff}},
-    {"fig22/projector", {1.00, kOff, kOff, kOff}},
+    {"fig22/analytical", headline(0.05, kOff, kOff, kOff)},
+    {"fig22/projector-dp<=4", headline(0.50, kOff, kOff, kOff)},
+    {"fig22/projector", headline(1.00, kOff, kOff, kOff)},
+    // Lazy governor ticks (closed-form temperatures) vs the eager
+    // forward-Euler twin: the same discrete model, so only rounding,
+    // per GPU as well as per cluster (ThermalTwin).
+    {"thermal",
+     {kThermal, kThermal, kThermal, kThermal, kThermal, kThermal, kThermal,
+      kThermal},
+     false, true},
 };
 
 using R = ExperimentResult;
 constexpr double R::*kMetricFields[kNumMetrics] = {
     &R::avgIterationSeconds, &R::tokensPerSecond, &R::totalEnergyJ,
-    &R::avgPowerW};
+    &R::avgPowerW,           &R::peakTempC,       &R::avgTempC,
+    &R::throttleRatio,       &R::avgClockGhz};
+
+/** Each metric's GpuResult field, if a GPU has one. */
+constexpr double GpuResult::*kGpuMetricFields[kNumMetrics] = {
+    nullptr,
+    nullptr,
+    &GpuResult::energyJ,
+    &GpuResult::avgPowerW,
+    &GpuResult::peakTempC,
+    &GpuResult::avgTempC,
+    &GpuResult::throttleRatio,
+    &GpuResult::avgClockGhz};
+
+/** The telemetry::Sample reading each metric bounds, if any. */
+using SampleField = double (*)(const telemetry::Sample&);
+constexpr SampleField kSampleMetricFields[kNumMetrics] = {
+    nullptr,
+    nullptr,
+    nullptr,
+    [](const telemetry::Sample& s) { return s.powerWatts.value(); },
+    nullptr,
+    [](const telemetry::Sample& s) { return s.tempC.value(); },
+    nullptr,
+    [](const telemetry::Sample& s) { return s.clockGhz; }};
 
 constexpr std::pair<const char*, double R::*> kClusterFields[] = {
     {"avgIterationSeconds", &R::avgIterationSeconds},
@@ -131,6 +173,13 @@ struct ExactDiff
     }
 };
 
+/** The larger error, or a NaN. */
+double
+worse(double err, double e)
+{
+    return e <= err ? err : e;
+}
+
 /** Every output the bitwise row covers. */
 void
 compareExactly(const R& fast, const R& ref, std::vector<std::string>& out)
@@ -178,8 +227,16 @@ const char*
 metricName(Metric m)
 {
     constexpr const char* kNames[kNumMetrics] = {
-        "iteration time", "tokens/s", "energy", "average power"};
+        "iteration time",   "tokens/s",         "energy",
+        "average power",    "peak temperature", "mean temperature",
+        "throttle ratio",   "mean clock"};
     return kNames[std::size_t(m)];
+}
+
+double R::*
+metricField(Metric m)
+{
+    return kMetricFields[std::size_t(m)];
 }
 
 double
@@ -187,6 +244,13 @@ relativeError(double fast, double reference)
 {
     return std::fabs(fast - reference) /
            std::max(std::fabs(reference), 1e-12);
+}
+
+double
+metricError(Metric m, double fast, double reference)
+{
+    return m == Metric::ThrottleRatio ? std::fabs(fast - reference)
+                                      : relativeError(fast, reference);
 }
 
 std::span<const ToleranceRow>
@@ -215,14 +279,42 @@ compareResults(const R& fast, const R& reference, const ToleranceRow& row)
             fast.feasible ? "feasible" : "infeasible",
             reference.feasible ? "feasible" : "infeasible"));
     bool both = fast.feasible && reference.feasible;
+    bool per_gpu = both && row.perGpu &&
+                   ExactDiff{out.breaches}.sameSize(
+                       "gpus", fast.gpus.size(), reference.gpus.size());
+    bool per_sample =
+        per_gpu && ExactDiff{out.breaches}.sameSize(
+                       "series", fast.series.size(), reference.series.size());
+    for (std::size_t g = 0; per_sample && g < fast.series.size(); ++g)
+        per_sample = ExactDiff{out.breaches}.sameSize(
+            strprintf("series[%zu]", g), fast.series[g].size(),
+            reference.series[g].size());
+    auto samples = [&](Metric m, SampleField read) {
+        double err = 0.0;
+        for (std::size_t g = 0; per_sample && g < fast.series.size(); ++g) {
+            for (std::size_t k = 0; k < fast.series[g].size(); ++k)
+                err = worse(err, metricError(m, read(fast.series[g][k]),
+                                             read(reference.series[g][k])));
+        }
+        return err;
+    };
     for (std::size_t i = 0; both && i < kNumMetrics; ++i) {
-        double err = relativeError(fast.*kMetricFields[i],
-                                   reference.*kMetricFields[i]);
+        auto m = Metric(i);
+        double err = metricError(m, fast.*kMetricFields[i],
+                                 reference.*kMetricFields[i]);
+        const auto gpu_field = kGpuMetricFields[i];
+        for (std::size_t g = 0; per_gpu && gpu_field && g < fast.gpus.size();
+             ++g)
+            err = worse(err, metricError(m, fast.gpus[g].*gpu_field,
+                                         reference.gpus[g].*gpu_field));
+        if (auto read = kSampleMetricFields[i])
+            err = worse(err, samples(m, read));
         out.error[i] = err;
         if (!(err <= row.bound[i]))
             out.breaches.push_back(strprintf(
-                "%s: relative error %.1f%% exceeds %.0f%%",
-                metricName(Metric(i)), 100.0 * err, 100.0 * row.bound[i]));
+                "%s: %s error %.3g exceeds %.3g", metricName(m),
+                m == Metric::ThrottleRatio ? "absolute" : "relative", err,
+                row.bound[i]));
     }
     if (row.bitwise)
         compareExactly(fast, reference, out.breaches);

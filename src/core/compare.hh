@@ -27,15 +27,26 @@ enum class Metric
     TokensPerSecond, //!< tokensPerSecond
     Energy,          //!< totalEnergyJ
     AvgPower,        //!< avgPowerW
+    PeakTemp,        //!< peakTempC
+    AvgTemp,         //!< avgTempC
+    ThrottleRatio,   //!< throttleRatio: a share of time, bounded absolutely
+    AvgClock,        //!< avgClockGhz
 };
 
-inline constexpr std::size_t kNumMetrics = 4;
+inline constexpr std::size_t kNumMetrics = 8;
 
 /** Readable metric name, as breaches report it. */
 const char* metricName(Metric m);
 
+/** The ExperimentResult field metric @p m reads. */
+double ExperimentResult::*metricField(Metric m);
+
 /** |fast - reference| / max(|reference|, 1e-12). */
 double relativeError(double fast, double reference);
+
+/** The error a row bounds for @p m: relativeError, except the absolute
+ *  difference for ThrottleRatio, which is already a share in [0, 1]. */
+double metricError(Metric m, double fast, double reference);
 
 /** One named fidelity contract. */
 struct ToleranceRow
@@ -45,6 +56,11 @@ struct ToleranceRow
     std::array<double, kNumMetrics> bound;
     /** Also require every output to be equal (==). */
     bool bitwise = false;
+    /** Also bound every GPU's own value of each metric a GpuResult
+     *  carries (all but iteration time and tokens/s), and each
+     *  telemetry sample's power, temperature and clock under the
+     *  average power, mean temperature and mean clock bounds. */
+    bool perGpu = false;
 
     double operator[](Metric m) const { return bound[std::size_t(m)]; }
 };
@@ -58,7 +74,8 @@ const ToleranceRow& tolerance(std::string_view name);
 /** What compareResults found. */
 struct Comparison
 {
-    /** Relative error per Metric (zero unless both runs are feasible). */
+    /** metricError per Metric, the worst over GPUs under a perGpu row
+     *  (zero unless both runs are feasible). */
     std::array<double, kNumMetrics> error{};
     /** One readable line per breach; empty means within the row. */
     std::vector<std::string> breaches;

@@ -58,7 +58,8 @@ DesBackend::run()
     hw::Platform platform(simulator, cfg.cluster.gpu,
                           cfg.cluster.chassis,
                           collapsed ? fold.physNodes()
-                                    : cfg.cluster.numNodes);
+                                    : cfg.cluster.numNodes,
+                          tickMode);
     net::FlowNetwork network(simulator, topology);
     coll::CollectiveEngine collectives(simulator, network);
     if (collapsed)
@@ -250,6 +251,7 @@ DesBackend::run()
         result.goodputValid = true;
     }
     result.counters.capture(simulator, network);
+    result.counters.capture(platform);
     if (injector)
         result.counters.faultsInjected = injector->numScheduled();
 }

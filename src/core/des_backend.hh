@@ -12,6 +12,7 @@
 #define CHARLLM_CORE_DES_BACKEND_HH
 
 #include "core/experiment.hh"
+#include "hw/platform.hh"
 
 namespace charllm {
 namespace core {
@@ -20,10 +21,19 @@ namespace core {
 class DesBackend final : public ExperimentBackend
 {
   public:
+    /** @param ticks hw::TickMode::Eager selects the governor's
+     *         reference twin (tests and the thermal cross-check). */
+    explicit DesBackend(hw::TickMode ticks = hw::TickMode::Lazy)
+        : tickMode(ticks)
+    {
+    }
+
     const char* name() const override { return "des"; }
 
   private:
     void run() override;
+
+    hw::TickMode tickMode;
 };
 
 } // namespace core

@@ -1,19 +1,40 @@
 #include "hw/dvfs.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "hw/calibration.hh"
 
 namespace charllm {
 namespace hw {
 
-DvfsGovernor::DvfsGovernor(const GpuSpec& s) : spec(s) {}
+DvfsGovernor::DvfsGovernor(const GpuSpec& s)
+    : spec(s),
+      edges{s.targetTempC.value(),
+            (s.throttleTempC - CelsiusDelta(calib::kThermalHysteresisC))
+                .value(),
+            s.throttleTempC.value()}
+{
+}
 
 void
 DvfsGovernor::reset()
 {
     clock = 1.0;
     reason = ThrottleReason::None;
+}
+
+std::pair<double, double>
+DvfsGovernor::zoneBounds(int z) const
+{
+    // zone() tests the edges from the top down, so a band ends at the
+    // lowest edge above it.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double lo = z == 0 ? -kInf : edges[static_cast<std::size_t>(z - 1)];
+    double hi = kInf;
+    for (int k = z; k < 3; ++k)
+        hi = std::min(hi, edges[static_cast<std::size_t>(k)]);
+    return {lo, hi};
 }
 
 ClockRel
@@ -23,8 +44,9 @@ DvfsGovernor::evaluate(Celsius temp, Watts power, bool compute_bound)
 
     double min_rel = spec.minRel().value();
     double boost_rel = spec.boostRel().value();
+    int band = zone(temp);
 
-    if (temp >= spec.throttleTempC) {
+    if (band == 3) {
         // Hard thermal slowdown: step down proportionally to the
         // overshoot so deep excursions recover quickly.
         double overshoot = (temp - spec.throttleTempC).value();
@@ -34,12 +56,12 @@ DvfsGovernor::evaluate(Celsius temp, Watts power, bool compute_bound)
     } else if (power > spec.tdpWatts) {
         clock = std::max(min_rel, clock - kClockStepRel);
         reason = ThrottleReason::PowerCap;
-    } else if (temp >= spec.throttleTempC - CelsiusDelta(kThermalHysteresisC)) {
+    } else if (band == 2) {
         // Hysteresis band just under the throttle point: hold the
         // derated clock (only boost clocks keep easing toward nominal).
         if (clock > 1.0)
             clock = std::max(1.0, clock - kClockStepRel);
-    } else if (temp >= spec.targetTempC) {
+    } else if (band == 1) {
         // Soft zone: ease toward nominal from either side. Recovery
         // toward 1.0 must happen here too, otherwise a clock throttled
         // below nominal is stuck while the temperature sits between the

@@ -7,6 +7,9 @@
 #ifndef CHARLLM_HW_DVFS_HH
 #define CHARLLM_HW_DVFS_HH
 
+#include <array>
+#include <utility>
+
 #include "hw/gpu_spec.hh"
 
 namespace charllm {
@@ -55,6 +58,23 @@ class DvfsGovernor
      */
     ClockRel evaluate(Celsius temp, Watts power, bool compute_bound);
 
+    /**
+     * The temperature band evaluate() branches on: 0 below the
+     * setpoint, 1 from the setpoint to the hysteresis band, 2 in the
+     * hysteresis band, 3 at or above the throttle point. Inside one
+     * band, with power and workload unchanged, an evaluation that left
+     * the clock and reason as they were leaves them so again.
+     */
+    int
+    zone(Celsius temp) const
+    {
+        double t = temp.value();
+        return t >= edges[2] ? 3 : t >= edges[1] ? 2 : t >= edges[0] ? 1 : 0;
+    }
+
+    /** Band @p z of zone() as the interval [lo, hi) of temperatures. */
+    std::pair<double, double> zoneBounds(int z) const;
+
     ClockRel clockRel() const { return ClockRel(clock); }
     ThrottleReason lastReason() const { return reason; }
 
@@ -63,6 +83,9 @@ class DvfsGovernor
 
   private:
     GpuSpec spec;
+    /** zone()'s band edges: the setpoint, the hysteresis band floor,
+     *  the throttle point. */
+    std::array<double, 3> edges;
     double clock = 1.0;
     ThrottleReason reason = ThrottleReason::None;
 };

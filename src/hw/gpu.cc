@@ -25,14 +25,13 @@ Gpu::Gpu(int global_id, const GpuSpec& spec)
       gpuSpec(spec),
       compute(spec),
       governor(spec),
-      tempC(calib::kRoomTempC),
       powerCapW(spec.tdpWatts.value()),
       clockTw(calib::kThrottleClockThresholdRel)
 {
     active.reserve(kActiveReserve);
     currentPower = computePower();
     powerTw.update(0.0, currentPower);
-    tempTw.update(0.0, tempC);
+    tempTw.update(0.0, calib::kRoomTempC);
     clockTw.update(0.0, clockRel().value());
     occTw.update(0.0, 0.0);
     warpTw.update(0.0, 0.0);
@@ -151,14 +150,15 @@ Gpu::refresh(double now)
     occTw.update(now, occupancy());
     warpTw.update(now, warpsPerSm());
     blockTw.update(now, threadblocks());
+    noteChange();
 }
 
-bool
-Gpu::thermalUpdate(Celsius temp, double now)
+Gpu::GovernorStep
+Gpu::governorUpdate(Celsius temp, double now)
 {
-    tempC = temp.value();
-    tempTw.update(now, tempC);
     double before = clockRel().value();
+    ClockRel governor_before = governor.clockRel();
+    ThrottleReason reason_before = governor.lastReason();
     bool compute_bound = activeComputeCount > 0 &&
                          activeComputeCount >= activeCommCount;
     // Enforce an explicit power cap (e.g. injected node fault) by
@@ -168,14 +168,22 @@ Gpu::thermalUpdate(Celsius temp, double now)
         effective_power =
             currentPower + (gpuSpec.tdpWatts.value() - powerCapW);
     }
-    governor.evaluate(Celsius(tempC), Watts(effective_power),
-                      compute_bound);
-    double after = clockRel().value();
-    if (after != before) {
+    governor.evaluate(temp, Watts(effective_power), compute_bound);
+    GovernorStep step;
+    step.stateChanged = governor.clockRel() != governor_before ||
+                        governor.lastReason() != reason_before;
+    if (clockRel().value() != before) {
         refresh(now);
-        return true;
+        step.clockChanged = true;
     }
-    return false;
+    return step;
+}
+
+bool
+Gpu::thermalUpdate(Celsius temp, double now)
+{
+    recordTemperature(temp, now);
+    return governorUpdate(temp, now).clockChanged;
 }
 
 bool
@@ -230,13 +238,12 @@ Gpu::resetStats(double now)
         t = 0.0;
     kernelTime = KernelTimeBreakdown();
     powerTw.reset();
-    tempTw.reset();
+    tempTw.restart(now);
     clockTw.reset();
     occTw.reset();
     warpTw.reset();
     blockTw.reset();
     powerTw.update(now, currentPower);
-    tempTw.update(now, tempC);
     clockTw.update(now, clockRel().value());
     occTw.update(now, occupancy());
     warpTw.update(now, warpsPerSm());

@@ -2,7 +2,8 @@
  * @file
  * The simulated GPU device: activity tracking, power computation,
  * energy integration, DVFS state, traffic counters, and telemetry
- * statistics. Temperature is owned by the ThermalModel and pushed in.
+ * statistics. Temperature is owned by the ThermalModel (read it through
+ * the Platform) and pushed in at governor evaluations.
  */
 
 #ifndef CHARLLM_HW_GPU_HH
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/marked_set.hh"
 #include "common/stats.hh"
 #include "hw/compute_model.hh"
 #include "hw/dvfs.hh"
@@ -80,7 +82,6 @@ class Gpu
     {
         return gpuSpec.nominalClockGhz * clockRel().value();
     }
-    Celsius temperature() const { return Celsius(tempC); }
     Watts power() const { return Watts(currentPower); }
     Joules energyJoules() const { return Joules(energy); }
     ThrottleReason
@@ -102,18 +103,63 @@ class Gpu
     double threadblocks() const;
 
     // ---- platform side -----------------------------------------------------
+    /** What one governor evaluation did. */
+    struct GovernorStep
+    {
+        bool clockChanged = false; //!< effective clock moved: re-time work
+        bool stateChanged = false; //!< governor clock or reason moved
+    };
+
+    /** Run the DVFS governor at junction temperature @p temp. */
+    GovernorStep governorUpdate(Celsius temp, double now);
+
     /**
-     * Push a new junction temperature from the thermal model and run
-     * the DVFS governor. Returns true if the clock changed (so in-
-     * flight compute kernels must be re-timed).
+     * Record @p temp in the temperature statistics and run the DVFS
+     * governor. Returns true if the clock changed (so in-flight
+     * compute kernels must be re-timed).
      */
     bool thermalUpdate(Celsius temp, double now);
+
+    /** Record the junction temperature @p temp, holding from @p now. */
+    void
+    recordTemperature(Celsius temp, double now)
+    {
+        tempTw.update(now, temp.value());
+    }
+
+    /** Record a run of evenly spaced temperatures at once (see
+     *  TimeWeightedStats::updateRun). */
+    void
+    recordTemperatureRun(double first, double last, std::int64_t n,
+                         double sum, double lo, double hi,
+                         double last_value)
+    {
+        tempTw.updateRun(first, last, n, sum, lo, hi, last_value);
+    }
+
+    const DvfsGovernor& dvfs() const { return governor; }
+
+    /**
+     * Mark @p key in @p changes whenever this device's governor inputs
+     * change: activity, power, power cap or slowdown.
+     */
+    void
+    watchChanges(MarkedSet* changes, int key)
+    {
+        changeLog = changes;
+        changeKey = key;
+    }
 
     /**
      * Override the power limit (models node-level power delivery
      * faults; pass spec TDP to restore).
      */
-    void setPowerCap(Watts watts) { powerCapW = watts.value(); }
+    void
+    setPowerCap(Watts watts)
+    {
+        powerCapW = watts.value();
+        noteChange();
+    }
     Watts powerCap() const { return Watts(powerCapW); }
 
     /**
@@ -163,6 +209,13 @@ class Gpu
     /** Recompute power from current activity/clock and restat. */
     void refresh(double now);
 
+    void
+    noteChange()
+    {
+        if (changeLog)
+            changeLog->mark(changeKey);
+    }
+
     /** Instantaneous power for the current activity set. */
     double computePower() const;
 
@@ -177,10 +230,11 @@ class Gpu
     int activeComputeCount = 0;
     int activeCommCount = 0;
 
-    double tempC;
     double currentPower;
     double powerCapW;
     double slowdown = 1.0; //!< injected derate, 1.0 = healthy
+    MarkedSet* changeLog = nullptr;
+    int changeKey = 0;
     double energy = 0.0;
     double lastEnergyTime = 0.0;
 

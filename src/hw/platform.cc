@@ -1,22 +1,47 @@
 #include "hw/platform.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.hh"
 #include "hw/calibration.hh"
 
 namespace charllm {
 namespace hw {
 
+namespace {
+
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+} // namespace
+
 Platform::Platform(sim::Simulator& simulator, const GpuSpec& spec,
-                   const ChassisLayout& layout, int num_nodes)
+                   const ChassisLayout& layout, int num_nodes,
+                   TickMode tick_mode)
     : sim(simulator),
       thermalNet(layout, num_nodes, spec.thermalResistance),
-      nodes(num_nodes)
+      nodes(num_nodes), mode(tick_mode),
+      nextExit(kNever),
+      uniformFromAt(simulator.now()), lastTickAt(simulator.now())
 {
     int total = num_nodes * layout.gpusPerNode();
-    devices.reserve(static_cast<std::size_t>(total));
-    powers.resize(static_cast<std::size_t>(total));
+    auto n = static_cast<std::size_t>(total);
+    devices.reserve(n);
+    powers.resize(n);
     for (int i = 0; i < total; ++i)
         devices.push_back(std::make_unique<Gpu>(i, spec));
+    if (mode == TickMode::Lazy) {
+        changed = MarkedSet(static_cast<std::size_t>(num_nodes));
+        due = MarkedSet(n);
+        unpredicted = MarkedSet(n);
+        evalTick.assign(n, 0);
+        evalBand.assign(n, 0);
+        exitTick.assign(n, -1);
+        foldedTick.assign(static_cast<std::size_t>(num_nodes), 0);
+        for (int i = 0; i < total; ++i)
+            devices[static_cast<std::size_t>(i)]->watchChanges(&changed,
+                                                               nodeOf(i));
+    }
 }
 
 void
@@ -53,26 +78,177 @@ Platform::setGpuSlowdown(int gpu_id, double factor)
 void
 Platform::tick()
 {
+    ++work.ticks;
+    if (mode == TickMode::Eager)
+        eagerTick();
+    else
+        lazyTick();
+}
+
+void
+Platform::eagerTick()
+{
     double now = sim.nowSeconds();
     for (std::size_t i = 0; i < devices.size(); ++i) {
         // Refreshing power via thermalUpdate below; read current draw.
         powers[i] = devices[i]->power();
     }
     thermalNet.step(Seconds(calib::kGovernorPeriodSec), powers);
+    work.deviceEvals += devices.size();
     for (std::size_t i = 0; i < devices.size(); ++i) {
         bool changed = devices[i]->thermalUpdate(
             thermalNet.temperature(static_cast<int>(i)), now);
-        if (changed && clockListener) {
-            clockListener(static_cast<int>(i),
-                          devices[i]->clockRel());
+        if (changed) {
+            ++work.clockChanges;
+            if (clockListener)
+                clockListener(static_cast<int>(i), devices[i]->clockRel());
         }
     }
+}
+
+void
+Platform::lazyTick()
+{
+    sim::Tick at = sim.now();
+    if (at - lastTickAt != tickSpacing) {
+        // Folded runs assume evenly spaced ticks: close every run at
+        // a change of spacing.
+        foldAllTemperatures();
+        uniformFrom = thermalNet.ticks();
+        uniformFromAt = lastTickAt;
+        tickSpacing = at - lastTickAt;
+    }
+    const std::int64_t n = thermalNet.ticks() + 1;
+
+    // (a), (b) Re-anchor every node whose powers, faults or governors
+    // changed, from the power snapshot before this tick's governor
+    // calls; all its devices are due.
+    for (int node : changed.ids())
+        thermalNet.markStale(node);
+    changed.clear();
+    const int per_node = gpusPerNode();
+    for (int node : thermalNet.staleNodes()) {
+        foldTemperatures(node);
+        for (int i = node * per_node; i < (node + 1) * per_node; ++i) {
+            powers[static_cast<std::size_t>(i)] =
+                devices[static_cast<std::size_t>(i)]->power();
+            due.mark(i);
+        }
+        thermalNet.reanchor(node, powers);
+        // Every device here is due: evaluate() records this tick's
+        // temperature as the eager tick does.
+        foldedTick[static_cast<std::size_t>(node)] = n;
+    }
+    thermalNet.clearStale();
+    // (c) Devices not due again this tick kept their node's closed
+    // form since their last evaluation: predict their band exit now.
+    for (int id : unpredicted.ids()) {
+        if (!due.marked(id))
+            predictExit(id);
+    }
+    unpredicted.clear();
+    if (nextExit <= n) {
+        nextExit = kNever;
+        for (std::size_t i = 0; i < exitTick.size(); ++i) {
+            if (exitTick[i] < 0)
+                continue;
+            if (exitTick[i] <= n)
+                due.mark(static_cast<int>(i));
+            else
+                nextExit = std::min(nextExit, exitTick[i]);
+        }
+    }
+
+    thermalNet.advance();
+    lastTickAt = at;
+    if (due.empty())
+        return;
+    due.sort();
+    work.deviceEvals += due.ids().size();
+    double now = sim::toSeconds(at);
+    for (int id : due.ids())
+        evaluate(id, n, now);
+    due.clear();
+}
+
+void
+Platform::evaluate(int id, std::int64_t n, double now)
+{
+    Gpu& g = *devices[static_cast<std::size_t>(id)];
+    Celsius temp = thermalNet.temperature(id);
+    if (thermalNet.anchoredAt(id) == n - 1)
+        g.recordTemperature(temp, now);
+    Gpu::GovernorStep step = g.governorUpdate(temp, now);
+    if (step.clockChanged) {
+        ++work.clockChanges;
+        if (clockListener)
+            clockListener(id, g.clockRel());
+    }
+    auto d = static_cast<std::size_t>(id);
+    exitTick[d] = -1;
+    if (step.stateChanged) {
+        // A moved clock has marked the node already (its power changed).
+        if (!step.clockChanged)
+            changed.mark(nodeOf(id));
+        return;
+    }
+    evalTick[d] = n;
+    evalBand[d] = g.dvfs().zone(temp);
+    unpredicted.mark(id);
+}
+
+void
+Platform::predictExit(int id)
+{
+    auto d = static_cast<std::size_t>(id);
+    auto [lo, hi] = devices[d]->dvfs().zoneBounds(evalBand[d]);
+    exitTick[d] = thermalNet.firstTickLeaving(id, evalTick[d], lo, hi);
+    if (exitTick[d] >= 0)
+        nextExit = std::min(nextExit, exitTick[d]);
+}
+
+sim::Tick
+Platform::tickTime(std::int64_t n) const
+{
+    return uniformFromAt +
+           static_cast<sim::Tick>(n - uniformFrom) * tickSpacing;
+}
+
+void
+Platform::foldTemperatures(int node)
+{
+    std::int64_t& folded = foldedTick[static_cast<std::size_t>(node)];
+    const std::int64_t last = thermalNet.ticks();
+    if (last <= folded)
+        return;
+    double first_at = sim::toSeconds(tickTime(folded + 1));
+    double last_at = sim::toSeconds(tickTime(last));
+    const int per_node = gpusPerNode();
+    const std::int64_t closed = last - folded - 1;
+    for (int i = node * per_node; i < (node + 1) * per_node; ++i) {
+        ThermalModel::Run r;
+        if (closed > 0)
+            r = thermalNet.run(i, folded + 1, last - 1);
+        devices[static_cast<std::size_t>(i)]->recordTemperatureRun(
+            first_at, last_at, closed, r.sum, r.lo, r.hi,
+            thermalNet.temperatureAt(i, last));
+    }
+    folded = last;
+}
+
+void
+Platform::foldAllTemperatures()
+{
+    for (int node = 0; node < nodes; ++node)
+        foldTemperatures(node);
 }
 
 void
 Platform::resetStats()
 {
     double now = sim.nowSeconds();
+    if (mode == TickMode::Lazy)
+        foldAllTemperatures();
     for (auto& d : devices)
         d->resetStats(now);
 }
@@ -81,6 +257,8 @@ void
 Platform::finishStats()
 {
     double now = sim.nowSeconds();
+    if (mode == TickMode::Lazy)
+        foldAllTemperatures();
     for (auto& d : devices)
         d->finishStats(now);
 }

@@ -7,10 +7,12 @@
 #ifndef CHARLLM_HW_PLATFORM_HH
 #define CHARLLM_HW_PLATFORM_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/marked_set.hh"
 #include "hw/chassis.hh"
 #include "hw/gpu.hh"
 #include "hw/thermal_model.hh"
@@ -19,10 +21,42 @@
 namespace charllm {
 namespace hw {
 
+/** How Platform::tick advances temperatures and governors. */
+enum class TickMode
+{
+    /**
+     * Temperatures in closed form; a tick evaluates only the devices
+     * with a decision pending, so a tick where none is costs O(1).
+     */
+    Lazy,
+    /** The reference twin: a forward-Euler step on every node and the
+     *  governor on every device, every tick. */
+    Eager,
+};
+
+/** What the governor ticks did over a run. */
+struct GovernorCounters
+{
+    std::uint64_t ticks = 0;        //!< governor ticks
+    std::uint64_t deviceEvals = 0;  //!< per-device governor evaluations
+    std::uint64_t clockChanges = 0; //!< evaluations that moved a clock
+};
+
 /**
  * Owns the devices of one cluster and advances their physical state.
  * start() must be called once after construction to arm the periodic
  * thermal/governor tick.
+ *
+ * Under TickMode::Lazy a device is evaluated at a tick only if
+ *  (a) its activity, power, cap or slowdown changed since the last
+ *      tick, or its node was re-anchored (which those changes, (b) and
+ *      thermal faults cause);
+ *  (b) its last evaluation moved its governor's clock or reason; or
+ *  (c) its node's closed form leaves the governor band (DvfsGovernor::
+ *      zone) it was in at its last evaluation.
+ * Otherwise the governor would repeat its last decision, so the result
+ * is the eager twin's up to the integrators' rounding. Due devices run
+ * in ascending id, as the eager twin runs all of them.
  */
 class Platform
 {
@@ -31,7 +65,12 @@ class Platform
     using ClockListener = std::function<void(int gpu_id, ClockRel clock)>;
 
     Platform(sim::Simulator& sim, const GpuSpec& spec,
-             const ChassisLayout& layout, int num_nodes);
+             const ChassisLayout& layout, int num_nodes,
+             TickMode mode = TickMode::Lazy);
+
+    // The ticker and the devices' change marks hold its address.
+    Platform(const Platform&) = delete;
+    Platform& operator=(const Platform&) = delete;
 
     int numGpus() const { return static_cast<int>(devices.size()); }
     int gpusPerNode() const { return thermalNet.layout().gpusPerNode(); }
@@ -47,8 +86,17 @@ class Platform
     ThermalModel& thermal() { return thermalNet; }
     const ThermalModel& thermal() const { return thermalNet; }
 
+    /** Junction temperature of a device as of the last tick. */
+    Celsius
+    temperature(int gpu_id) const
+    {
+        return thermalNet.temperature(gpu_id);
+    }
+
     /** Node index of a device. */
     int nodeOf(int gpu_id) const { return gpu_id / gpusPerNode(); }
+
+    const GovernorCounters& counters() const { return work; }
 
     /** Arm the periodic thermal/governor tick. */
     void start();
@@ -77,14 +125,57 @@ class Platform
     sim::Simulator& simulator() { return sim; }
 
   private:
+    void eagerTick();
+    void lazyTick();
+    /** Run device @p id's governor at tick @p n (lazy mode). */
+    void evaluate(int id, std::int64_t n, double now);
+    /** Find when device @p id, quiet since its last evaluation, leaves
+     *  its governor band. */
+    void predictExit(int id);
+    /** Hand @p node's devices the temperatures of the ticks since their
+     *  last fold, as one closed-form run each. */
+    void foldTemperatures(int node);
+    void foldAllTemperatures();
+    /** Simulated time of tick @p n, for ticks since the spacing last
+     *  changed. */
+    sim::Tick tickTime(std::int64_t n) const;
+
     sim::Simulator& sim;
     std::vector<std::unique_ptr<Gpu>> devices;
     ThermalModel thermalNet;
     int nodes;
+    TickMode mode;
     /** Per-tick power snapshot, sized once so tick() never allocates. */
     std::vector<Watts> powers;
     ClockListener clockListener;
     bool started = false;
+    GovernorCounters work;
+
+    // ---- lazy mode -------------------------------------------------------
+    /** Nodes with a device whose (a) inputs changed since the last
+     *  tick or whose (b) last evaluation moved its governor: either
+     *  re-anchors the node. */
+    MarkedSet changed;
+    MarkedSet due; //!< this tick's evaluations
+    /** Quiet at their last evaluation, exit not yet predicted: the
+     *  search waits a tick, as most such devices are due again. */
+    MarkedSet unpredicted;
+    /** Tick and governor band of each device's last evaluation. */
+    std::vector<std::int64_t> evalTick;
+    std::vector<int> evalBand;
+    /** (c): tick at which each device leaves its band, -1 never. */
+    std::vector<std::int64_t> exitTick;
+    /** Lower bound on every exitTick >= 0. */
+    std::int64_t nextExit;
+    /** Per node: the last tick whose temperature its devices' stats
+     *  hold. */
+    std::vector<std::int64_t> foldedTick;
+    /** Ticks since uniformFrom came every tickSpacing from
+     *  uniformFromAt. */
+    std::int64_t uniformFrom = 0;
+    sim::Tick uniformFromAt;
+    sim::Tick tickSpacing = 0;
+    sim::Tick lastTickAt;
 };
 
 } // namespace hw

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/strings.hh"
+#include "hw/platform.hh"
 #include "net/flow_network.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
@@ -164,6 +165,14 @@ SimCounters::capture(const sim::Simulator& simulator,
 }
 
 void
+SimCounters::capture(const hw::Platform& platform)
+{
+    governorTicks = platform.counters().ticks;
+    deviceEvals = platform.counters().deviceEvals;
+    clockChanges = platform.counters().clockChanges;
+}
+
+void
 SimCounters::addTo(MetricsRegistry& registry) const
 {
     registry.counter("sim.events_popped").inc(eventsPopped);
@@ -175,6 +184,9 @@ SimCounters::addTo(MetricsRegistry& registry) const
     registry.counter("net.fast_joins").inc(flowFastJoins);
     registry.counter("net.fast_completions").inc(flowFastCompletions);
     registry.counter("faults.injected").inc(faultsInjected);
+    registry.counter("hw.governor_ticks").inc(governorTicks);
+    registry.counter("hw.device_evals").inc(deviceEvals);
+    registry.counter("hw.clock_changes").inc(clockChanges);
 }
 
 SimCounters&
@@ -189,6 +201,9 @@ SimCounters::merge(const SimCounters& other)
     flowFastJoins += other.flowFastJoins;
     flowFastCompletions += other.flowFastCompletions;
     faultsInjected += other.faultsInjected;
+    governorTicks += other.governorTicks;
+    deviceEvals += other.deviceEvals;
+    clockChanges += other.clockChanges;
     return *this;
 }
 

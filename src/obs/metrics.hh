@@ -33,6 +33,9 @@
 #include "common/csv.hh"
 
 namespace charllm {
+namespace hw {
+class Platform;
+}
 namespace net {
 class FlowNetwork;
 }
@@ -237,6 +240,9 @@ struct SimCounters
     std::uint64_t flowFastJoins = 0;
     std::uint64_t flowFastCompletions = 0;
     std::uint64_t faultsInjected = 0;
+    std::uint64_t governorTicks = 0;
+    std::uint64_t deviceEvals = 0;
+    std::uint64_t clockChanges = 0;
 
     /** Read the live counters out of a simulation stack. */
     void capture(const sim::EventQueue& queue,
@@ -248,8 +254,11 @@ struct SimCounters
     void capture(const sim::Simulator& simulator,
                  const net::FlowNetwork& network);
 
-    /** Sum this snapshot into @p registry under the sim./net./faults.
-     *  prefixes. */
+    /** Read the governor tick counters (hw::GovernorCounters). */
+    void capture(const hw::Platform& platform);
+
+    /** Sum this snapshot into @p registry under the sim./net./faults./
+     *  hw. prefixes. */
     void addTo(MetricsRegistry& registry) const;
 
     SimCounters& merge(const SimCounters& other);

@@ -35,7 +35,7 @@ Sampler::sampleNow()
         Sample s;
         s.time = Seconds(now);
         s.powerWatts = gpu.power();
-        s.tempC = gpu.temperature();
+        s.tempC = plat.temperature(i);
         s.clockGhz = gpu.clockGhz();
         s.occupancy = gpu.occupancy();
         s.pcieRate = network.gpuRate(i, hw::TrafficClass::Pcie);

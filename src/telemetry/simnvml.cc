@@ -45,7 +45,7 @@ deviceGetTemperature(const DeviceHandle& handle, unsigned int* temp_c)
     if (!valid(handle) || !temp_c)
         return SIMNVML_ERROR_INVALID_ARGUMENT;
     *temp_c = static_cast<unsigned int>(std::lround(
-        handle.platform->gpu(handle.index).temperature().value()));
+        handle.platform->temperature(handle.index).value()));
     return SIMNVML_SUCCESS;
 }
 

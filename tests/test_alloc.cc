@@ -5,7 +5,7 @@
  * many heap allocations a stretch of simulation performed:
  *
  *  - the 2 ms governor tick (thermal step, DVFS, per-GPU statistics)
- *    allocates nothing;
+ *    allocates nothing, and once settled evaluates no device;
  *  - a measured training iteration, from one commit to the next,
  *    allocates nothing once the pools have warmed up;
  *  - a long run performs exactly as many allocations as a short one,
@@ -25,6 +25,7 @@
 #include "coll/collective_engine.hh"
 #include "core/analytical_backend.hh"
 #include "core/cluster.hh"
+#include "hw/calibration.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
 #include "net/topology.hh"
@@ -187,7 +188,34 @@ TEST(SteadyStateAlloc, GovernorTickAllocatesNothing)
     for (int i = 0; i < 5000; ++i)
         plat.tick();
     EXPECT_EQ(allocationCount() - before, 0u);
-    EXPECT_GT(plat.gpu(0).temperature().value(), 25.0);
+    EXPECT_GT(plat.temperature(0).value(), 25.0);
+}
+
+TEST(SteadyStateAlloc, SettledPlatformTickEvaluatesNothing)
+{
+    // Idle devices warm toward their idle temperatures, far below every
+    // governor band: once the first tick has anchored them, a tick has
+    // nothing to decide.
+    core::ClusterSpec cluster = core::h100Cluster(2);
+    sim::Simulator simulator;
+    hw::Platform plat(simulator, cluster.gpu, cluster.chassis,
+                      cluster.numNodes);
+    const sim::Tick period = sim::toTicks(hw::calib::kGovernorPeriodSec);
+    sim::Tick at = 0;
+    for (int i = 0; i < 10; ++i) {
+        simulator.runUntil(at += period);
+        plat.tick();
+    }
+    std::uint64_t evals = plat.counters().deviceEvals;
+    std::uint64_t before = allocationCount();
+    for (int i = 0; i < 5000; ++i) {
+        simulator.runUntil(at += period);
+        plat.tick();
+    }
+    EXPECT_EQ(allocationCount() - before, 0u);
+    EXPECT_EQ(plat.counters().deviceEvals, evals);
+    EXPECT_EQ(plat.counters().ticks, 5010u);
+    EXPECT_GT(plat.temperature(0).value(), hw::calib::kRoomTempC);
 }
 
 TEST(SteadyStateAlloc, KernelBeginEndAllocatesNothing)

@@ -487,10 +487,7 @@ TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
     ASSERT_TRUE(ref.feasible);
     EXPECT_NEAR(relativeError(1.1, 1.0), 0.1, 1e-12);
     EXPECT_DEATH(tolerance("no-such-row"), "no tolerance row");
-    double ExperimentResult::*metric[kNumMetrics] = {
-        &ExperimentResult::avgIterationSeconds,
-        &ExperimentResult::tokensPerSecond, &ExperimentResult::totalEnergyJ,
-        &ExperimentResult::avgPowerW};
+    EXPECT_DOUBLE_EQ(metricError(Metric::ThrottleRatio, 0.1, 0.0), 0.1);
     for (const ToleranceRow& row : toleranceTable()) {
         SCOPED_TRACE(row.name);
         EXPECT_EQ(compareResults(ref, ref, row).breaches, kNoBreaches);
@@ -498,13 +495,17 @@ TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
             auto m = static_cast<Metric>(i);
             if (std::isinf(row[m]))
                 continue;
+            // The throttle ratio's error is absolute, the others'
+            // relative.
+            double ExperimentResult::*field = metricField(m);
+            double unit = m == Metric::ThrottleRatio ? 1.0 : ref.*field;
             ExperimentResult within = ref;
-            within.*metric[i] *= 1.0 - 0.5 * row[m];
+            within.*field += 0.5 * row[m] * unit;
             EXPECT_EQ(compareResults(within, ref, row).breaches, kNoBreaches);
             ExperimentResult beyond = ref;
-            beyond.*metric[i] *= 1.0 + 1.5 * row[m];
+            beyond.*field += 1.5 * row[m] * unit;
             auto cmp = compareResults(beyond, ref, row);
-            EXPECT_NEAR(cmp[m], 1.5 * row[m], 1e-9);
+            EXPECT_NEAR(cmp[m], 1.5 * row[m], std::min(1e-9, 1e-6 * row[m]));
             ASSERT_EQ(cmp.breaches.size(), 1u) << metricName(m);
             EXPECT_EQ(cmp.breaches[0].rfind(metricName(m), 0), 0u)
                 << cmp.breaches[0];

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.hh"
 #include "hw/calibration.hh"
 #include "hw/chassis.hh"
 #include "hw/compute_model.hh"
@@ -289,6 +293,137 @@ TEST(Thermal, MultiNodeIndependence)
         EXPECT_GT(tm.temperature(i).value(), 60.0);
 }
 
+/** Largest |a - b| / |b| so far. */
+struct WorstRel
+{
+    double worst = 0.0;
+
+    void
+    operator()(double a, double b)
+    {
+        worst = std::max(worst, std::fabs(a - b) / std::fabs(b));
+    }
+};
+
+/**
+ * The closed form evaluates the Euler recurrence exactly: per tick, and
+ * summed over each constant-power stretch, it matches iterated step()
+ * to rounding, across power changes and thermal faults set between
+ * ticks (which mark the node for re-anchoring).
+ */
+void
+expectClosedFormMatchesEuler(const ChassisLayout& layout, int nodes)
+{
+    ThermalModel euler(layout, nodes), closed(layout, nodes);
+    const int n = euler.numDevices();
+    const double dt = calib::kGovernorPeriodSec;
+    Rng rng(11);
+    std::vector<Watts> powers(static_cast<std::size_t>(n));
+    WorstRel per_tick, sum, hi, lo;
+    int interior_peaks = 0;
+    for (int stretch = 0; stretch < 8; ++stretch) {
+        // Even stretches change every power (the caller marks the
+        // nodes); odd ones change a fault, which marks its node itself,
+        // or nothing.
+        if (stretch % 2 == 0) {
+            for (auto& p : powers)
+                p = Watts(rng.uniform(60.0, 700.0));
+            for (int node = 0; node < nodes; ++node)
+                closed.markStale(node);
+        }
+        if (stretch == 3) {
+            euler.setInletOffset(1, CelsiusDelta(12.0));
+            closed.setInletOffset(1, CelsiusDelta(12.0));
+        }
+        if (stretch == 5) {
+            euler.setResistanceScale(n - 2, 1.7);
+            closed.setResistanceScale(n - 2, 1.7);
+            euler.setInletOffset(1, CelsiusDelta(0.0));
+            closed.setInletOffset(1, CelsiusDelta(0.0));
+        }
+        for (int node : closed.staleNodes())
+            closed.reanchor(node, powers);
+        closed.clearStale();
+
+        const std::int64_t first = closed.ticks() + 1;
+        const int length = 500 + static_cast<int>(rng.below(6000));
+        std::vector<double> e_sum(n, 0.0), e_hi(n, -1e300), e_lo(n, 1e300);
+        std::vector<int> at_hi(n, 0);
+        for (int k = 0; k < length; ++k) {
+            euler.step(Seconds(dt), powers);
+            closed.advance();
+            for (int i = 0; i < n; ++i) {
+                double t = euler.temperature(i).value();
+                per_tick(closed.temperature(i).value(), t);
+                e_sum[i] += t;
+                if (t > e_hi[i]) {
+                    e_hi[i] = t;
+                    at_hi[i] = k;
+                }
+                e_lo[i] = std::min(e_lo[i], t);
+            }
+        }
+        for (int i = 0; i < n; ++i) {
+            auto run = closed.run(i, first, closed.ticks());
+            sum(run.sum, e_sum[i]);
+            hi(run.hi, e_hi[i]);
+            lo(run.lo, e_lo[i]);
+            interior_peaks += at_hi[i] > 0 && at_hi[i] < length - 1;
+        }
+    }
+    EXPECT_LE(per_tick.worst, 1e-12);
+    EXPECT_LE(sum.worst, 1e-12);
+    EXPECT_LE(hi.worst, 1e-12);
+    EXPECT_LE(lo.worst, 1e-12);
+    if (layout.slots[0].packagePeer >= 0) {
+        // Some GCD pair turned inside a stretch.
+        EXPECT_GT(interior_peaks, 0);
+    }
+}
+
+TEST(Thermal, ClosedFormMatchesEulerHgx)
+{
+    expectClosedFormMatchesEuler(hgxLayout(), 2);
+}
+
+TEST(Thermal, ClosedFormMatchesEulerMi250)
+{
+    expectClosedFormMatchesEuler(mi250Layout(), 2);
+}
+
+TEST(Thermal, BandExitIsNeverLate)
+{
+    // A cold pair heating toward an inlet-hot target: the first tick
+    // outside [lo, hi) is what firstTickLeaving finds, for bands the
+    // trajectory leaves upward and downward.
+    ThermalModel tm(mi250Layout(), 1);
+    std::vector<Watts> powers(8, 60.0_W);
+    powers[0] = 560.0_W;
+    tm.warmStart(std::vector<Watts>(8, 400.0_W));
+    for (int node : tm.staleNodes())
+        tm.reanchor(node, powers);
+    tm.clearStale();
+    for (int i = 0; i < 8; ++i) {
+        double t0 = tm.temperatureAt(i, 0);
+        for (double width : {0.5, 3.0, 20.0}) {
+            double lo = t0 - width, hi = t0 + width;
+            std::int64_t exit = tm.firstTickLeaving(i, 0, lo, hi);
+            std::int64_t truth = -1;
+            for (std::int64_t m = 1; m < 400000 && truth < 0; ++m) {
+                double t = tm.temperatureAt(i, m);
+                if (t < lo || t >= hi)
+                    truth = m;
+            }
+            SCOPED_TRACE(i);
+            if (truth < 0)
+                continue; // settles inside: any answer is early enough
+            ASSERT_GT(exit, 0);
+            EXPECT_LE(exit, truth);
+            EXPECT_GE(exit, truth - 1);
+        }
+    }
+}
+
 // ---- chassis layouts -------------------------------------------------------
 
 TEST(Chassis, HgxFrontRowHasNoUpstream)
@@ -431,8 +566,8 @@ TEST(Platform, BusyGpusHeatUpAndEventuallyThrottle)
     s.schedule(sim::toTicks(60.0), [] {});
     s.run();
     // Rear GPUs (odd ids) should run hotter than front (even ids).
-    double front = plat.gpu(0).temperature().value();
-    double rear = plat.gpu(1).temperature().value();
+    double front = plat.temperature(0).value();
+    double rear = plat.temperature(1).value();
     EXPECT_GT(rear, front + 5.0);
     // Rear GPUs heavily loaded at 700 W-class power hit throttle.
     EXPECT_GT(rear, h100Spec().targetTempC.value() - 10.0);
@@ -468,6 +603,149 @@ TEST(Platform, ClockListenerFires)
     s.schedule(sim::toTicks(30.0), [] {});
     s.run();
     EXPECT_GT(changes, 0);
+}
+
+/**
+ * Lazy and eager platforms driven in lockstep through a seeded schedule
+ * of kernel begin/end, slowdowns, node power caps and thermal faults,
+ * with quiet stretches long enough for temperatures to cross governor
+ * bands unprompted and a change of tick spacing: at every tick the
+ * clocks, throttle reasons and clock-listener calls are identical and
+ * temperatures agree to 1e-9; so do the statistics at the end.
+ */
+void
+expectLazyTracksEager(const GpuSpec& spec, const ChassisLayout& layout,
+                      int nodes, std::uint64_t seed)
+{
+    sim::Simulator s_lazy, s_eager;
+    Platform lazy(s_lazy, spec, layout, nodes);
+    Platform eager(s_eager, spec, layout, nodes, TickMode::Eager);
+    std::vector<std::pair<int, double>> calls_lazy, calls_eager;
+    lazy.setClockListener([&](int id, ClockRel c) {
+        calls_lazy.emplace_back(id, c.value());
+    });
+    eager.setClockListener([&](int id, ClockRel c) {
+        calls_eager.emplace_back(id, c.value());
+    });
+    const int n = lazy.numGpus();
+    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> live(
+        static_cast<std::size_t>(n));
+    Rng rng(seed);
+    sim::Tick at = 0;
+    double worst_temp = 0.0;
+    std::uint64_t evals_before_tail = 0;
+    const KernelClass kinds[] = {KernelClass::Gemm, KernelClass::Attention,
+                                 KernelClass::AllReduce, KernelClass::Gemm};
+    for (int k = 1; k <= 40000; ++k) {
+        at += sim::toTicks(k < 25000 ? 0.002 : 0.003);
+        s_lazy.runUntil(at);
+        s_eager.runUntil(at);
+        double now = s_lazy.nowSeconds();
+        // Bursts of activity between quiet stretches, then an idle
+        // tail that cools every device through the governor bands.
+        int actions = k < 20000 && rng.uniform() < 0.004
+                          ? 1 + static_cast<int>(rng.below(12))
+                          : 0;
+        if (k == 20000) {
+            for (int id = 0; id < n; ++id) {
+                for (auto [a, b] : live[static_cast<std::size_t>(id)]) {
+                    lazy.gpu(id).kernelEnd(a, now);
+                    eager.gpu(id).kernelEnd(b, now);
+                }
+                live[static_cast<std::size_t>(id)].clear();
+            }
+            evals_before_tail = lazy.counters().deviceEvals;
+        }
+        for (int a = 0; a < actions; ++a) {
+            int id = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+            auto& mine = live[static_cast<std::size_t>(id)];
+            double pick = rng.uniform();
+            if (pick < 0.45 && mine.size() < 4) {
+                KernelClass cls = kinds[rng.below(4)];
+                double util = rng.uniform(0.3, 1.0);
+                mine.emplace_back(lazy.gpu(id).kernelBegin(cls, util, now),
+                                  eager.gpu(id).kernelBegin(cls, util, now));
+            } else if (pick < 0.75 && !mine.empty()) {
+                lazy.gpu(id).kernelEnd(mine.back().first, now);
+                eager.gpu(id).kernelEnd(mine.back().second, now);
+                mine.pop_back();
+            } else if (pick < 0.82) {
+                double f = rng.uniform() < 0.5 ? 1.0 : rng.uniform(0.4, 0.9);
+                lazy.setGpuSlowdown(id, f);
+                eager.setGpuSlowdown(id, f);
+            } else if (pick < 0.88) {
+                Watts cap = rng.uniform() < 0.5 ? spec.tdpWatts : Watts(300.0);
+                lazy.capNodePower(lazy.nodeOf(id), cap);
+                eager.capNodePower(eager.nodeOf(id), cap);
+            } else if (pick < 0.94) {
+                CelsiusDelta hot(rng.uniform() < 0.5 ? 0.0 : 15.0);
+                lazy.thermal().setInletOffset(id, hot);
+                eager.thermal().setInletOffset(id, hot);
+            } else {
+                double scale = rng.uniform() < 0.5 ? 1.0 : 1.8;
+                lazy.thermal().setResistanceScale(id, scale);
+                eager.thermal().setResistanceScale(id, scale);
+            }
+        }
+        if (k == 12000) {
+            lazy.resetStats();
+            eager.resetStats();
+        }
+        lazy.tick();
+        eager.tick();
+        // A thermal step's size follows the overshoot, so clocks agree
+        // to the temperatures' rounding.
+        for (int i = 0; i < n; ++i) {
+            ASSERT_NEAR(lazy.gpu(i).clockRel().value(),
+                        eager.gpu(i).clockRel().value(), 1e-9)
+                << "device " << i << " tick " << k;
+            ASSERT_EQ(lazy.gpu(i).throttleReason(),
+                      eager.gpu(i).throttleReason())
+                << "device " << i << " tick " << k;
+            double te = eager.temperature(i).value();
+            worst_temp = std::max(
+                worst_temp,
+                std::fabs(lazy.temperature(i).value() - te) / te);
+        }
+        ASSERT_EQ(calls_lazy.size(), calls_eager.size()) << "tick " << k;
+        for (std::size_t c = 0; c < calls_lazy.size(); ++c) {
+            ASSERT_EQ(calls_lazy[c].first, calls_eager[c].first);
+            ASSERT_NEAR(calls_lazy[c].second, calls_eager[c].second, 1e-9);
+        }
+        calls_lazy.clear();
+        calls_eager.clear();
+    }
+    EXPECT_LE(worst_temp, 1e-9);
+    lazy.finishStats();
+    eager.finishStats();
+    for (int i = 0; i < n; ++i) {
+        const auto& a = lazy.gpu(i).tempStats();
+        const auto& b = eager.gpu(i).tempStats();
+        EXPECT_NEAR(a.mean(), b.mean(), 1e-9 * b.mean());
+        EXPECT_NEAR(a.max(), b.max(), 1e-9 * b.max());
+        EXPECT_NEAR(a.min(), b.min(), 1e-9 * b.min());
+        EXPECT_EQ(a.duration(), b.duration());
+        EXPECT_NEAR(lazy.gpu(i).throttleRatio(),
+                    eager.gpu(i).throttleRatio(), 1e-9);
+    }
+    // The lazy platform decided as often; over the idle tail (20000
+    // ticks) it evaluated under 2% of what the eager twin did.
+    EXPECT_EQ(lazy.counters().clockChanges, eager.counters().clockChanges);
+    EXPECT_GT(lazy.counters().clockChanges, 0u);
+    EXPECT_LT(lazy.counters().deviceEvals - evals_before_tail,
+              static_cast<std::uint64_t>(400 * n));
+}
+
+TEST(Platform, LazyTicksTrackEagerTwinHgx)
+{
+    for (std::uint64_t seed : {1, 2, 3})
+        expectLazyTracksEager(h100Spec(), hgxLayout(), 2, seed);
+}
+
+TEST(Platform, LazyTicksTrackEagerTwinMi250)
+{
+    for (std::uint64_t seed : {4, 5})
+        expectLazyTracksEager(mi250GcdSpec(), mi250Layout(), 1, seed);
 }
 
 } // namespace

@@ -629,16 +629,23 @@ TEST(Metrics, SimCountersMergeAndAddTo)
     obs::SimCounters b;
     b.eventsPopped = 5;
     b.faultsInjected = 2;
+    a.deviceEvals = 7;
+    b.deviceEvals = 4;
+    b.governorTicks = 9;
     a.merge(b);
     EXPECT_EQ(a.eventsPopped, 15u);
     EXPECT_EQ(a.flowsStarted, 3u);
     EXPECT_EQ(a.faultsInjected, 2u);
+    EXPECT_EQ(a.deviceEvals, 11u);
 
     obs::MetricsRegistry reg;
     a.addTo(reg);
     EXPECT_EQ(reg.findCounter("sim.events_popped")->value(), 15u);
     EXPECT_EQ(reg.findCounter("net.flows_started")->value(), 3u);
     EXPECT_EQ(reg.findCounter("faults.injected")->value(), 2u);
+    EXPECT_EQ(reg.findCounter("hw.governor_ticks")->value(), 9u);
+    EXPECT_EQ(reg.findCounter("hw.device_evals")->value(), 11u);
+    EXPECT_EQ(reg.findCounter("hw.clock_changes")->value(), 0u);
 }
 
 // ---- end-to-end through core::Experiment --------------------------------
