@@ -6,7 +6,6 @@
 #ifndef CHARLLM_COMMON_MARKED_SET_HH
 #define CHARLLM_COMMON_MARKED_SET_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -35,30 +34,7 @@ class MarkedSet
         }
     }
 
-    bool
-    marked(int id) const
-    {
-        return flags[static_cast<std::size_t>(id)] != 0;
-    }
-
-    bool empty() const { return list.empty(); }
     const std::vector<int>& ids() const { return list; }
-
-    /** Put the marked ids in ascending order. */
-    void
-    sort()
-    {
-        if (list.size() * 8 < flags.size()) {
-            std::sort(list.begin(), list.end());
-            return;
-        }
-        // Dense: reading the flags in order is cheaper than sorting.
-        list.clear();
-        for (std::size_t id = 0; id < flags.size(); ++id) {
-            if (flags[id])
-                list.push_back(static_cast<int>(id));
-        }
-    }
 
     void
     clear()

@@ -173,11 +173,11 @@ struct ExactDiff
     }
 };
 
-/** The larger error, or a NaN. */
+/** The larger error, or a NaN from either side. */
 double
 worse(double err, double e)
 {
-    return e <= err ? err : e;
+    return std::isnan(err) || e <= err ? err : e;
 }
 
 /** Every output the bitwise row covers. */

@@ -32,8 +32,6 @@ Platform::Platform(sim::Simulator& simulator, const GpuSpec& spec,
         devices.push_back(std::make_unique<Gpu>(i, spec));
     if (mode == TickMode::Lazy) {
         changed = MarkedSet(static_cast<std::size_t>(num_nodes));
-        due = MarkedSet(n);
-        unpredicted = MarkedSet(n);
         evalTick.assign(n, 0);
         evalBand.assign(n, 0);
         exitTick.assign(n, -1);
@@ -126,54 +124,56 @@ Platform::lazyTick()
     for (int node : changed.ids())
         thermalNet.markStale(node);
     changed.clear();
+    const bool reanchored = !thermalNet.staleNodes().empty();
     const int per_node = gpusPerNode();
     for (int node : thermalNet.staleNodes()) {
         foldTemperatures(node);
-        for (int i = node * per_node; i < (node + 1) * per_node; ++i) {
+        for (int i = node * per_node; i < (node + 1) * per_node; ++i)
             powers[static_cast<std::size_t>(i)] =
                 devices[static_cast<std::size_t>(i)]->power();
-            due.mark(i);
-        }
         thermalNet.reanchor(node, powers);
         // Every device here is due: evaluate() records this tick's
         // temperature as the eager tick does.
         foldedTick[static_cast<std::size_t>(node)] = n;
     }
     thermalNet.clearStale();
-    // (c) Devices not due again this tick kept their node's closed
-    // form since their last evaluation: predict their band exit now.
-    for (int id : unpredicted.ids()) {
-        if (!due.marked(id))
-            predictExit(id);
-    }
-    unpredicted.clear();
-    if (nextExit <= n) {
-        nextExit = kNever;
-        for (std::size_t i = 0; i < exitTick.size(); ++i) {
-            if (exitTick[i] < 0)
-                continue;
-            if (exitTick[i] <= n)
-                due.mark(static_cast<int>(i));
-            else
-                nextExit = std::min(nextExit, exitTick[i]);
-        }
-    }
 
     thermalNet.advance();
     lastTickAt = at;
-    if (due.empty())
+    if (!reanchored && !quietAtLastTick && nextExit > n)
         return;
-    due.sort();
-    work.deviceEvals += due.ids().size();
+    quietAtLastTick = false;
+    // The due devices, in ascending id: those re-anchored above and
+    // those leaving their band now.
+    nextExit = kNever;
     double now = sim::toSeconds(at);
-    for (int id : due.ids())
-        evaluate(id, n, now);
-    due.clear();
+    for (int id = 0; id < numGpus(); ++id) {
+        if (thermalNet.anchoredAt(id) == n - 1) {
+            evaluate(id, n, now);
+            continue;
+        }
+        auto d = static_cast<std::size_t>(id);
+        if (evalTick[d] == n - 1) {
+            // (c) Quiet at the last tick and its node's closed form
+            // kept: find when it leaves the band it was in. Waiting
+            // this tick skips the search for the devices re-anchored
+            // now (most of them where clocks move every tick).
+            auto [lo, hi] = devices[d]->dvfs().zoneBounds(evalBand[d]);
+            exitTick[d] = thermalNet.firstTickLeaving(id, n - 1, lo, hi);
+        }
+        if (exitTick[d] < 0)
+            continue;
+        if (exitTick[d] <= n)
+            evaluate(id, n, now);
+        else
+            nextExit = std::min(nextExit, exitTick[d]);
+    }
 }
 
 void
 Platform::evaluate(int id, std::int64_t n, double now)
 {
+    ++work.deviceEvals;
     Gpu& g = *devices[static_cast<std::size_t>(id)];
     Celsius temp = thermalNet.temperature(id);
     if (thermalNet.anchoredAt(id) == n - 1)
@@ -188,23 +188,16 @@ Platform::evaluate(int id, std::int64_t n, double now)
     exitTick[d] = -1;
     if (step.stateChanged) {
         // A moved clock has marked the node already (its power changed).
+        // A moved reason alone is marked here: the governor would
+        // repeat its decision, but (c) watches a device only from a
+        // quiet evaluation's band.
         if (!step.clockChanged)
             changed.mark(nodeOf(id));
         return;
     }
     evalTick[d] = n;
     evalBand[d] = g.dvfs().zone(temp);
-    unpredicted.mark(id);
-}
-
-void
-Platform::predictExit(int id)
-{
-    auto d = static_cast<std::size_t>(id);
-    auto [lo, hi] = devices[d]->dvfs().zoneBounds(evalBand[d]);
-    exitTick[d] = thermalNet.firstTickLeaving(id, evalTick[d], lo, hi);
-    if (exitTick[d] >= 0)
-        nextExit = std::min(nextExit, exitTick[d]);
+    quietAtLastTick = true;
 }
 
 sim::Tick

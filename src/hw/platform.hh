@@ -129,9 +129,6 @@ class Platform
     void lazyTick();
     /** Run device @p id's governor at tick @p n (lazy mode). */
     void evaluate(int id, std::int64_t n, double now);
-    /** Find when device @p id, quiet since its last evaluation, leaves
-     *  its governor band. */
-    void predictExit(int id);
     /** Hand @p node's devices the temperatures of the ticks since their
      *  last fold, as one closed-form run each. */
     void foldTemperatures(int node);
@@ -156,11 +153,10 @@ class Platform
      *  tick or whose (b) last evaluation moved its governor: either
      *  re-anchors the node. */
     MarkedSet changed;
-    MarkedSet due; //!< this tick's evaluations
-    /** Quiet at their last evaluation, exit not yet predicted: the
-     *  search waits a tick, as most such devices are due again. */
-    MarkedSet unpredicted;
-    /** Tick and governor band of each device's last evaluation. */
+    /** Some device's evaluation at the last tick left its governor
+     *  as it was: its band exit is found at this tick. */
+    bool quietAtLastTick = false;
+    /** Tick and governor band of each device's last quiet evaluation. */
     std::vector<std::int64_t> evalTick;
     std::vector<int> evalBand;
     /** (c): tick at which each device leaves its band, -1 never. */

@@ -262,9 +262,8 @@ ThermalModel::firstTickLeaving(int i, std::int64_t after, double lo,
     // First tick in [first, last] outside the margin, on a stretch
     // where the closed form is monotone: bisect once both ends are
     // known. The margin dwarfs rounding, so a point found inside has
-    // no exit before it. @p guess, when in range, narrows the bracket.
-    auto search = [&](std::int64_t first, std::int64_t last,
-                      std::int64_t guess) -> std::int64_t {
+    // no exit before it.
+    auto search = [&](std::int64_t first, std::int64_t last) -> std::int64_t {
         if (first > last)
             return -1;
         if (outside(first))
@@ -272,10 +271,6 @@ ThermalModel::firstTickLeaving(int i, std::int64_t after, double lo,
         if (!outside(last))
             return -1;
         std::int64_t in = first, out = last;
-        for (std::int64_t g : {guess - 1, guess}) {
-            if (g > in && g < out)
-                (outside(g) ? out : in) = g;
-        }
         while (out - in > 1) {
             std::int64_t mid = in + (out - in) / 2;
             (outside(mid) ? out : in) = mid;
@@ -283,24 +278,14 @@ ThermalModel::firstTickLeaving(int i, std::int64_t after, double lo,
         return out;
     };
 
-    // A single device's exit solves T_inf + (T_0 - T_inf) r^j = level.
-    std::int64_t guess = -1;
-    double t_inf = temps[d] - modeSum[d] - modeDiff[d];
-    if (modeDiff[d] == 0.0 && modeSum[d] != 0.0) {
-        double level = t_inf >= in_hi ? in_hi : in_lo;
-        double j = std::log((level - t_inf) / (temps[d] - t_inf)) /
-                   logDecaySum;
-        if (j >= 0.0 && j < static_cast<double>(settleTicks))
-            guess = anchor + static_cast<std::int64_t>(std::ceil(j));
-    }
     double x = extremum(d);
     std::int64_t turn = after;
     if (x > 0.0)
         turn = std::clamp(anchor + static_cast<std::int64_t>(std::floor(x)),
                           after, settled);
-    std::int64_t n = search(after + 1, turn, guess);
+    std::int64_t n = search(after + 1, turn);
     if (n < 0)
-        n = search(turn + 1, settled, guess);
+        n = search(turn + 1, settled);
     return n;
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -483,11 +484,45 @@ bumpDouble(void* p, std::size_t k = 0)
 
 TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
 {
-    auto ref = Experiment::run(smallConfig(2, 2));
+    auto cfg = smallConfig(2, 2);
+    cfg.enableSampler = true;
+    const auto ref = Experiment::run(cfg);
     ASSERT_TRUE(ref.feasible);
+    ASSERT_FALSE(ref.series.empty() || ref.series[0].empty());
     EXPECT_NEAR(relativeError(1.1, 1.0), 0.1, 1e-12);
     EXPECT_DEATH(tolerance("no-such-row"), "no tolerance row");
     EXPECT_DOUBLE_EQ(metricError(Metric::ThrottleRatio, 0.1, 0.0), 0.1);
+    // A NaN breaches wherever it falls: in a cluster metric, and under
+    // a perGpu row in GPU 0's field or its first sample, ahead of the
+    // finite (zero) errors of the other GPUs and samples.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    using Edit = std::function<void(ExperimentResult&)>;
+    const std::pair<Metric, Edit> kPerGpuNaNs[] = {
+        {Metric::Energy, [](auto& r) { r.gpus[0].energyJ = kNaN; }},
+        {Metric::AvgPower, [](auto& r) { r.gpus[0].avgPowerW = kNaN; }},
+        {Metric::PeakTemp, [](auto& r) { r.gpus[0].peakTempC = kNaN; }},
+        {Metric::AvgTemp, [](auto& r) { r.gpus[0].avgTempC = kNaN; }},
+        {Metric::ThrottleRatio,
+         [](auto& r) { r.gpus[0].throttleRatio = kNaN; }},
+        {Metric::AvgClock, [](auto& r) { r.gpus[0].avgClockGhz = kNaN; }},
+        {Metric::AvgPower,
+         [](auto& r) { r.series[0][0].powerWatts = Watts(kNaN); }},
+        {Metric::AvgTemp,
+         [](auto& r) { r.series[0][0].tempC = Celsius(kNaN); }},
+        {Metric::AvgClock, [](auto& r) { r.series[0][0].clockGhz = kNaN; }},
+    };
+    auto expect_nan_breach = [&ref](const ToleranceRow& row, Metric m,
+                                    const Edit& edit) {
+        ExperimentResult fast = ref;
+        edit(fast);
+        auto cmp = compareResults(fast, ref, row);
+        EXPECT_TRUE(std::isnan(cmp[m])) << metricName(m);
+        EXPECT_TRUE(std::any_of(cmp.breaches.begin(), cmp.breaches.end(),
+                                [m](const std::string& b) {
+                                    return b.rfind(metricName(m), 0) == 0;
+                                }))
+            << metricName(m);
+    };
     for (const ToleranceRow& row : toleranceTable()) {
         SCOPED_TRACE(row.name);
         EXPECT_EQ(compareResults(ref, ref, row).breaches, kNoBreaches);
@@ -509,6 +544,11 @@ TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
             ASSERT_EQ(cmp.breaches.size(), 1u) << metricName(m);
             EXPECT_EQ(cmp.breaches[0].rfind(metricName(m), 0), 0u)
                 << cmp.breaches[0];
+            expect_nan_breach(row, m, [field](auto& r) { r.*field = kNaN; });
+        }
+        for (const auto& [m, edit] : kPerGpuNaNs) {
+            if (row.perGpu)
+                expect_nan_breach(row, m, edit);
         }
     }
 }

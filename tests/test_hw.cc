@@ -748,4 +748,61 @@ TEST(Platform, LazyTicksTrackEagerTwinMi250)
         expectLazyTracksEager(mi250GcdSpec(), mi250Layout(), 1, seed);
 }
 
+/**
+ * A GCD pinned at its minimum clock by a node power cap changes only
+ * its throttle reason when its temperature crosses the throttle point
+ * (power cap -> thermal -> power cap). Its pair's closed form rises
+ * through the throttle point and turns back below it with no change on
+ * the node in between, so only rule (b) keeps the device evaluated
+ * after the first reason-only change.
+ */
+TEST(Platform, ReasonOnlyChangeKeepsDeviceDue)
+{
+    sim::Simulator s_lazy, s_eager;
+    Platform lazy(s_lazy, mi250GcdSpec(), mi250Layout(), 1);
+    Platform eager(s_eager, mi250GcdSpec(), mi250Layout(), 1,
+                   TickMode::Eager);
+    for (Platform* p : {&lazy, &eager}) {
+        p->gpu(0).kernelBegin(KernelClass::Gemm, 1.0, 0.0);
+        p->gpu(1).kernelBegin(KernelClass::Gemm, 1.0, 0.0);
+        p->capNodePower(0, Watts(1.0));
+        p->thermal().setInletOffset(0, CelsiusDelta(32.0));
+        p->thermal().setInletOffset(1, CelsiusDelta(80.0));
+    }
+    const double min_rel = mi250GcdSpec().minRel().value();
+    std::vector<ThrottleReason> seen;
+    sim::Tick at = 0;
+    for (int k = 1; k <= 30000; ++k) {
+        at += sim::toTicks(0.002);
+        s_lazy.runUntil(at);
+        s_eager.runUntil(at);
+        if (k == 20000) {
+            // The peer cools while device 0's own target rises.
+            for (Platform* p : {&lazy, &eager}) {
+                p->thermal().setInletOffset(1, CelsiusDelta(0.0));
+                p->thermal().setResistanceScale(0, 4.0);
+            }
+        }
+        lazy.tick();
+        eager.tick();
+        for (int i = 0; i < lazy.numGpus(); ++i) {
+            ASSERT_NEAR(lazy.gpu(i).clockRel().value(),
+                        eager.gpu(i).clockRel().value(), 1e-9)
+                << "device " << i << " tick " << k;
+            ASSERT_EQ(lazy.gpu(i).throttleReason(),
+                      eager.gpu(i).throttleReason())
+                << "device " << i << " tick " << k;
+        }
+        if (k > 20000) {
+            EXPECT_DOUBLE_EQ(eager.gpu(0).clockRel().value(), min_rel);
+            ThrottleReason r = eager.gpu(0).throttleReason();
+            if (seen.empty() || seen.back() != r)
+                seen.push_back(r);
+        }
+    }
+    EXPECT_EQ(seen, (std::vector<ThrottleReason>{ThrottleReason::PowerCap,
+                                                 ThrottleReason::Thermal,
+                                                 ThrottleReason::PowerCap}));
+}
+
 } // namespace
