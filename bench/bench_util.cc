@@ -17,17 +17,24 @@ namespace benchutil {
 
 namespace {
 
-/** Write @p text to @p path and say so (on stderr when it fails). */
+/** Say whether @p what was written to @p path (stderr on failure). */
+void
+announce(const char* what, const std::string& path, bool ok)
+{
+    if (ok)
+        std::printf("wrote %s: %s\n", what, path.c_str());
+    else
+        std::fprintf(stderr, "failed to write %s: %s\n", what,
+                     path.c_str());
+}
+
+/** Write @p text to @p path and say so. */
 void
 writeArtifact(const char* what, const std::string& path,
               const std::string& text)
 {
     std::ofstream out(path, std::ios::binary);
-    if (out && (out << text))
-        std::printf("wrote %s: %s\n", what, path.c_str());
-    else
-        std::fprintf(stderr, "failed to write %s: %s\n", what,
-                     path.c_str());
+    announce(what, path, out && (out << text));
 }
 
 } // namespace
@@ -96,8 +103,9 @@ runSweep(std::vector<core::ExperimentConfig> configs,
         configs, flags.metricsPath.empty() ? nullptr : &registry);
 
     if (tracing)
-        writeArtifact("unified trace", flags.tracePath,
-                      core::unifiedTraceJson(results.front()));
+        announce("unified trace", flags.tracePath,
+                 core::writeUnifiedTrace(results.front(),
+                                         flags.tracePath));
     if (critpath)
         writeCriticalPath(flags.critPathPath, results.front());
     if (!flags.metricsPath.empty())

@@ -1,27 +1,42 @@
 #include "common/csv.hh"
 
-#include <cstdio>
+#include <charconv>
+#include <fstream>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
 
 namespace charllm {
 
-std::string
-CsvWriter::escape(const std::string& value)
+namespace {
+
+template <typename Int>
+void
+appendInt(std::string& out, Int value)
 {
-    bool needs_quotes = value.find_first_of(",\"\n") != std::string::npos;
-    if (!needs_quotes)
-        return value;
-    std::string quoted = "\"";
+    char buf[24];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, end);
+}
+
+/** Append @p value, quoted only when it holds ',', '"' or a newline. */
+void
+appendEscaped(std::string& out, const std::string& value)
+{
+    if (value.find_first_of(",\"\n") == std::string::npos) {
+        out += value;
+        return;
+    }
+    out += '"';
     for (char c : value) {
         if (c == '"')
-            quoted += '"';
-        quoted += c;
+            out += '"';
+        out += c;
     }
-    quoted += '"';
-    return quoted;
+    out += '"';
 }
+
+} // namespace
 
 void
 CsvWriter::header(const std::vector<std::string>& cols)
@@ -31,71 +46,76 @@ CsvWriter::header(const std::vector<std::string>& cols)
     haveHeader = true;
     for (std::size_t i = 0; i < cols.size(); ++i) {
         if (i)
-            out << ',';
-        out << escape(cols[i]);
+            body += ',';
+        appendEscaped(body, cols[i]);
     }
-    out << '\n';
+    body += '\n';
 }
 
 void
 CsvWriter::beginRow()
 {
-    CHARLLM_ASSERT(current.empty(), "previous CSV row not finished");
+    CHARLLM_ASSERT(cells == 0, "previous CSV row not finished");
+}
+
+void
+CsvWriter::nextCell()
+{
+    if (cells++ != 0)
+        body += ',';
 }
 
 void
 CsvWriter::cell(const std::string& value)
 {
-    current.push_back(escape(value));
+    nextCell();
+    appendEscaped(body, value);
 }
 
 void
 CsvWriter::cell(double value)
 {
-    current.push_back(formatDouble(value));
+    nextCell();
+    appendDouble(body, value, 6);
 }
 
 void
 CsvWriter::cell(std::uint64_t value)
 {
-    current.push_back(std::to_string(value));
+    nextCell();
+    appendInt(body, value);
 }
 
 void
 CsvWriter::cell(int value)
 {
-    current.push_back(std::to_string(value));
+    nextCell();
+    appendInt(body, value);
 }
 
 void
 CsvWriter::endRow()
 {
-    CHARLLM_ASSERT(!haveHeader || current.size() == columns,
-                   "CSV row has ", current.size(), " cells, expected ",
-                   columns);
-    for (std::size_t i = 0; i < current.size(); ++i) {
-        if (i)
-            out << ',';
-        out << current[i];
-    }
-    out << '\n';
-    current.clear();
+    CHARLLM_ASSERT(!haveHeader || cells == columns,
+                   "CSV row has ", cells, " cells, expected ", columns);
+    body += '\n';
+    cells = 0;
     ++rows;
 }
 
 std::string
 CsvWriter::str() const
 {
-    return out.str();
+    return body;
 }
 
 bool
 CsvWriter::writeTo(const std::string& path) const
 {
-    std::ofstream f(path);
+    std::ofstream f(path, std::ios::binary);
     if (!f)
         return false;
-    f << out.str();
+    f.write(body.data(), static_cast<std::streamsize>(body.size()));
     return static_cast<bool>(f);
 }
 

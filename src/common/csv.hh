@@ -7,17 +7,16 @@
 #ifndef CHARLLM_COMMON_CSV_HH
 #define CHARLLM_COMMON_CSV_HH
 
-#include <fstream>
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace charllm {
 
 /**
- * Row-oriented CSV writer. Values are quoted only when needed. The writer
- * buffers in memory and flushes on writeTo()/str(), keeping unit tests
- * filesystem-free.
+ * Row-oriented CSV writer. Values are quoted only when needed. Each
+ * cell is appended straight onto one in-memory body, which str() and
+ * writeTo() hand out, keeping unit tests filesystem-free.
  */
 class CsvWriter
 {
@@ -47,10 +46,11 @@ class CsvWriter
     std::size_t numColumns() const { return columns; }
 
   private:
-    static std::string escape(const std::string& value);
+    /** Start the next cell of the current row (the ',' separator). */
+    void nextCell();
 
-    std::ostringstream out;
-    std::vector<std::string> current;
+    std::string body;
+    std::size_t cells = 0; //!< cells in the row being written
     std::size_t columns = 0;
     std::size_t rows = 0;
     bool haveHeader = false;

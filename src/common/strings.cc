@@ -1,17 +1,34 @@
 #include "common/strings.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace charllm {
 
 std::string
 formatDouble(double value, int max_precision)
 {
+    std::string out;
+    appendDouble(out, value, max_precision);
+    return out;
+}
+
+void
+appendDouble(std::string& out, double value, int max_precision)
+{
+    // std::to_chars' general form is specified as printf's "%.*g" in
+    // the "C" locale. 64 bytes hold any precision up to 40.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*g", max_precision, value);
-    return buf;
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::general,
+                                   max_precision);
+    if (ec == std::errc())
+        out.append(buf, end);
+    else
+        out += strprintf("%.*g", max_precision, value);
 }
 
 std::string
@@ -80,12 +97,18 @@ join(const std::vector<std::string>& parts, const std::string& sep)
     return result;
 }
 
-std::string
-jsonEscape(const std::string& value)
+namespace {
+
+void
+appendEscaped(std::string& out, const char* text, std::size_t size)
 {
-    std::string out;
-    out.reserve(value.size());
-    for (unsigned char c : value) {
+    std::size_t run = 0; // start of the pending verbatim run
+    for (std::size_t i = 0; i < size; ++i) {
+        auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -94,23 +117,40 @@ jsonEscape(const std::string& value)
           case '\r': out += "\\r"; break;
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          }
         }
     }
+    out.append(text + run, size - run);
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string& value)
+{
+    std::string out;
+    out.reserve(value.size());
+    appendEscaped(out, value.data(), value.size());
     return out;
 }
 
 std::string
 jsonEscape(const char* value)
 {
-    return jsonEscape(std::string(value != nullptr ? value : ""));
+    std::string out;
+    appendJsonEscaped(out, value);
+    return out;
+}
+
+void
+appendJsonEscaped(std::string& out, const char* value)
+{
+    if (value != nullptr)
+        appendEscaped(out, value, std::strlen(value));
 }
 
 std::string

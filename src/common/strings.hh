@@ -12,8 +12,15 @@
 
 namespace charllm {
 
-/** Compact double formatting: trims trailing zeros ("1.5", "3", "0.25"). */
+/**
+ * Compact double formatting: trims trailing zeros ("1.5", "3", "0.25").
+ * Byte-identical to printf's "%.*g" with @p max_precision, but
+ * locale-free (std::to_chars general form).
+ */
 std::string formatDouble(double value, int max_precision = 6);
+
+/** Append formatDouble(@p value, @p max_precision) to @p out. */
+void appendDouble(std::string& out, double value, int max_precision);
 
 /** Fixed-precision formatting ("12.34"). */
 std::string formatFixed(double value, int precision);
@@ -39,6 +46,10 @@ std::string join(const std::vector<std::string>& parts,
  */
 std::string jsonEscape(const std::string& value);
 std::string jsonEscape(const char* value);
+
+/** Append jsonEscape(@p value) to @p out (a null @p value appends
+ *  nothing); runs that need no escaping are appended in one piece. */
+void appendJsonEscaped(std::string& out, const char* value);
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char* fmt, ...)

@@ -1,6 +1,8 @@
 #include "core/report.hh"
 
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/strings.hh"
@@ -149,8 +151,11 @@ toJson(const ExperimentResult& result)
     return os.str();
 }
 
-std::string
-unifiedTraceJson(const ExperimentResult& result)
+namespace {
+
+/** The unified timeline's builder; it points into @p result. */
+obs::TraceBuilder
+unifiedTraceBuilder(const ExperimentResult& result)
 {
     obs::TraceBuilder builder;
     if (result.trace)
@@ -210,19 +215,13 @@ unifiedTraceJson(const ExperimentResult& result)
             }
         }
     }
-    return builder.toJson();
+    return builder;
 }
 
-obs::PhaseReport
-phaseReport(const ExperimentResult& result)
-{
-    static const telemetry::KernelTrace kEmpty;
-    return obs::attributePhases(
-        result.trace ? *result.trace : kEmpty, result.series);
-}
-
+/** runReportJson() with the phase report (when traced) supplied. */
 std::string
-runReportJson(const ExperimentResult& result)
+runReportJson(const ExperimentResult& result,
+              const obs::PhaseReport* phases)
 {
     obs::MetricsRegistry registry;
     result.counters.addTo(registry);
@@ -263,14 +262,45 @@ runReportJson(const ExperimentResult& result)
     }
     std::ostringstream os;
     os << "{\"summary\":" << toJson(result);
-    if (result.trace)
-        os << ",\"phases\":" << phaseReport(result).toJson();
+    if (phases != nullptr)
+        os << ",\"phases\":" << phases->toJson();
     if (result.goodputValid)
         os << ",\"goodput\":" << result.goodput.toJson();
     if (result.critPath)
         os << ",\"critical_path\":" << result.critPath->toJson();
     os << ",\"metrics\":" << registry.toJson() << '}';
     return os.str();
+}
+
+} // namespace
+
+std::string
+unifiedTraceJson(const ExperimentResult& result)
+{
+    return unifiedTraceBuilder(result).toJson();
+}
+
+bool
+writeUnifiedTrace(const ExperimentResult& result, const std::string& path)
+{
+    return unifiedTraceBuilder(result).writeTo(path);
+}
+
+obs::PhaseReport
+phaseReport(const ExperimentResult& result)
+{
+    static const telemetry::KernelTrace kEmpty;
+    return obs::attributePhases(
+        result.trace ? *result.trace : kEmpty, result.series);
+}
+
+std::string
+runReportJson(const ExperimentResult& result)
+{
+    if (!result.trace)
+        return runReportJson(result, nullptr);
+    obs::PhaseReport phases = phaseReport(result);
+    return runReportJson(result, &phases);
 }
 
 std::vector<std::string>
@@ -300,15 +330,20 @@ writeReports(const ExperimentResult& result,
     emit("_breakdown.csv", breakdownCsv(result));
     if (!result.series.empty())
         emit("_series.csv", seriesCsv(result));
+    std::optional<obs::PhaseReport> phases;
     if (result.trace) {
-        emitText("_trace.json", unifiedTraceJson(result));
-        emit("_phases.csv", phaseReport(result).toCsv());
+        std::string path = directory + "/" + stem + "_trace.json";
+        if (writeUnifiedTrace(result, path))
+            written.push_back(path);
+        phases = phaseReport(result);
+        emit("_phases.csv", phases->toCsv());
     }
     if (result.goodputValid)
         emit("_goodput.csv", result.goodput.toCsv());
     if (result.critPath)
         emit("_critpath.csv", result.critPath->toCsv());
-    emitText("_report.json", runReportJson(result));
+    emitText("_report.json",
+             runReportJson(result, phases ? &*phases : nullptr));
     return written;
 }
 

@@ -48,6 +48,13 @@ std::string toJson(const ExperimentResult& result);
 std::string unifiedTraceJson(const ExperimentResult& result);
 
 /**
+ * Write unifiedTraceJson(@p result)'s text to @p path, streamed in
+ * 1 MiB pieces so the trace is never held whole. False on I/O failure.
+ */
+bool writeUnifiedTrace(const ExperimentResult& result,
+                       const std::string& path);
+
+/**
  * Phase attribution (compute / exposed-comm / bubble / idle) with
  * per-phase energy, over the whole run. Needs enableTrace; energies
  * are zero unless the sampler ran.
@@ -63,8 +70,9 @@ std::string runReportJson(const ExperimentResult& result);
 
 /**
  * Write every applicable report of @p result into @p directory
- * (created if needed), with file names derived from @p stem.
- * Returns the paths written; empty on I/O failure.
+ * (created if needed), with file names derived from @p stem. The
+ * phase report is computed once, for both its CSV and the run
+ * report. Returns the paths written; empty on I/O failure.
  */
 std::vector<std::string> writeReports(const ExperimentResult& result,
                                       const std::string& directory,

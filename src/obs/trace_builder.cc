@@ -1,9 +1,10 @@
 #include "obs/trace_builder.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <numeric>
 #include <set>
-#include <sstream>
 
 #include "common/strings.hh"
 #include "hw/kernel.hh"
@@ -13,76 +14,141 @@ namespace obs {
 
 namespace {
 
-/** Round-trippable number formatting for trace timestamps/values. */
-std::string
-num(double value)
-{
-    return formatDouble(value, 17);
-}
-
-void
-emitMeta(std::ostringstream& os, bool& first, const char* metaName,
-         int pid, const char* argKey, const std::string& argValue)
-{
-    if (!first)
-        os << ',';
-    first = false;
-    os << "{\"name\":\"" << metaName << "\",\"ph\":\"M\",\"pid\":"
-       << pid << ",\"tid\":0,\"args\":{\"" << argKey << "\":\""
-       << jsonEscape(argValue) << "\"}}";
-}
-
-void
-emitThreadName(std::ostringstream& os, bool& first, int pid, int tid,
-               const char* name)
-{
-    if (!first)
-        os << ',';
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << name
-       << "\"}}";
-}
-
-void
-emitSortIndex(std::ostringstream& os, bool& first, int pid, int index)
-{
-    if (!first)
-        os << ',';
-    first = false;
-    os << "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":"
-       << pid << ",\"tid\":0,\"args\":{\"sort_index\":" << index
-       << "}}";
-}
-
-void
-emitSpan(std::ostringstream& os, bool& first, const char* name,
-         const char* cat, int pid, int tid, double startSec,
-         double durSec)
-{
-    if (!first)
-        os << ',';
-    first = false;
-    os << "{\"name\":\"" << jsonEscape(name) << "\",\"cat\":\""
-       << jsonEscape(cat) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << tid
-       << ",\"ts\":" << num(startSec * 1e6)
-       << ",\"dur\":" << num(durSec * 1e6) << '}';
-}
-
-void
-emitCounter(std::ostringstream& os, bool& first, const char* name,
-            int pid, double tSec, double value)
-{
-    if (!first)
-        os << ',';
-    first = false;
-    os << "{\"name\":\"" << name << "\",\"ph\":\"C\",\"pid\":" << pid
-       << ",\"ts\":" << num(tSec * 1e6)
-       << ",\"args\":{\"value\":" << num(value) << "}}";
-}
+/** Text a file-backed writer holds before draining it to disk. */
+constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
 
 } // namespace
+
+class TraceBuilder::Writer
+{
+  public:
+    /** @p file, when set, receives the text every kFlushBytes. */
+    explicit Writer(std::ofstream* file) : file(file)
+    {
+        // Headroom for the event that crosses the threshold.
+        if (file != nullptr)
+            text.reserve(kFlushBytes + kFlushBytes / 16);
+    }
+
+    /** Drain the buffered text into the file. */
+    void
+    flush()
+    {
+        file->write(text.data(),
+                    static_cast<std::streamsize>(text.size()));
+        text.clear();
+    }
+
+    void
+    meta(const char* metaName, int pid, const char* argKey,
+         const std::string& argValue)
+    {
+        open();
+        text += "{\"name\":\"";
+        text += metaName;
+        text += "\",\"ph\":\"M\",\"pid\":";
+        integer(pid);
+        text += ",\"tid\":0,\"args\":{\"";
+        text += argKey;
+        text += "\":\"";
+        appendJsonEscaped(text, argValue.c_str());
+        close("\"}}");
+    }
+
+    void
+    threadName(int pid, int tid, const char* name)
+    {
+        open();
+        text += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+        integer(pid);
+        text += ",\"tid\":";
+        integer(tid);
+        text += ",\"args\":{\"name\":\"";
+        appendJsonEscaped(text, name);
+        close("\"}}");
+    }
+
+    void
+    sortIndex(int pid, int index)
+    {
+        open();
+        text += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":";
+        integer(pid);
+        text += ",\"tid\":0,\"args\":{\"sort_index\":";
+        integer(index);
+        close("}}");
+    }
+
+    void
+    span(const char* name, const char* cat, int pid, int tid,
+         double startSec, double durSec)
+    {
+        open();
+        text += "{\"name\":\"";
+        appendJsonEscaped(text, name);
+        text += "\",\"cat\":\"";
+        appendJsonEscaped(text, cat);
+        text += "\",\"ph\":\"X\",\"pid\":";
+        integer(pid);
+        text += ",\"tid\":";
+        integer(tid);
+        text += ",\"ts\":";
+        number(startSec * 1e6);
+        text += ",\"dur\":";
+        number(durSec * 1e6);
+        close("}");
+    }
+
+    void
+    counter(const char* name, int pid, double tSec, double value)
+    {
+        open();
+        text += "{\"name\":\"";
+        text += name;
+        text += "\",\"ph\":\"C\",\"pid\":";
+        integer(pid);
+        text += ",\"ts\":";
+        number(tSec * 1e6);
+        text += ",\"args\":{\"value\":";
+        number(value);
+        close("}}");
+    }
+
+    std::string text;
+
+  private:
+    /** Start an event: every one after the first is ','-separated. */
+    void
+    open()
+    {
+        if (!first)
+            text += ',';
+        first = false;
+    }
+
+    /** End an event, draining the buffer once it is full. */
+    void
+    close(const char* tail)
+    {
+        text += tail;
+        if (file != nullptr && text.size() >= kFlushBytes)
+            flush();
+    }
+
+    void
+    integer(int value)
+    {
+        char buf[16];
+        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+        text.append(buf, end);
+    }
+
+    /** Round-trippable number formatting for timestamps/values. */
+    void number(double value) { appendDouble(text, value, 17); }
+
+    std::ofstream* file;
+    bool first = true;
+};
 
 void
 TraceBuilder::addKernels(const telemetry::KernelTrace& trace)
@@ -125,6 +191,26 @@ TraceBuilder::horizonSec() const
 std::string
 TraceBuilder::toJson() const
 {
+    Writer w(nullptr);
+    emit(w);
+    return std::move(w.text);
+}
+
+bool
+TraceBuilder::writeTo(const std::string& path) const
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        return false;
+    Writer w(&out);
+    emit(w);
+    w.flush();
+    return static_cast<bool>(out);
+}
+
+void
+TraceBuilder::emit(Writer& w) const
+{
     // The set of GPU "processes": everything that produced a kernel
     // span, a fault overlay, or a counter series. Device -1 (an
     // unattributed fault) is kept and labelled as such.
@@ -155,9 +241,7 @@ TraceBuilder::toJson() const
             runCats.push_back(s.cat);
     }
 
-    std::ostringstream os;
-    os << "{\"schemaVersion\":2,\"traceEvents\":[";
-    bool first = true;
+    w.text += "{\"schemaVersion\":2,\"traceEvents\":[";
 
     // Track metadata: one process per GPU (pid == device id), with
     // named threads for kernel spans (tid 0) and fault overlays
@@ -168,36 +252,40 @@ TraceBuilder::toJson() const
         std::string label =
             dev < 0 ? std::string("cluster")
                     : "GPU" + std::to_string(dev);
-        emitMeta(os, first, "process_name", dev, "name", label);
-        emitSortIndex(os, first, dev, sortIndex++);
-        emitThreadName(os, first, dev, 0, "kernels");
-        emitThreadName(os, first, dev, 1, "faults");
+        w.meta("process_name", dev, "name", label);
+        w.sortIndex(dev, sortIndex++);
+        w.threadName(dev, 0, "kernels");
+        w.threadName(dev, 1, "faults");
     }
     if (!runSpans.empty()) {
-        emitMeta(os, first, "process_name", runPid, "name", "run");
-        emitSortIndex(os, first, runPid, sortIndex++);
+        w.meta("process_name", runPid, "name", "run");
+        w.sortIndex(runPid, sortIndex++);
         for (std::size_t t = 0; t < runCats.size(); ++t)
-            emitThreadName(os, first, runPid, static_cast<int>(t),
-                           runCats[t].c_str());
+            w.threadName(runPid, static_cast<int>(t),
+                         runCats[t].c_str());
     }
 
     // Kernel spans, time-sorted per device. The stable sort keeps the
     // recording order for identical (device, start) pairs, so output
-    // is byte-deterministic.
+    // is byte-deterministic. Sorting indices, not event copies, keeps
+    // the sort's memory a small fraction of the text it orders.
     if (kernels != nullptr) {
-        std::vector<telemetry::TraceEvent> sorted(
-            kernels->all().begin(), kernels->all().end());
-        std::stable_sort(
-            sorted.begin(), sorted.end(),
-            [](const telemetry::TraceEvent& a,
-               const telemetry::TraceEvent& b) {
-                if (a.device != b.device)
-                    return a.device < b.device;
-                return a.startSec < b.startSec;
-            });
-        for (const auto& e : sorted)
-            emitSpan(os, first, e.name, hw::kernelClassName(e.cls),
-                     e.device, 0, e.startSec, e.durSec);
+        const auto& events = kernels->all();
+        std::vector<std::size_t> order(events.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&events](std::size_t a, std::size_t b) {
+                             if (events[a].device != events[b].device)
+                                 return events[a].device <
+                                        events[b].device;
+                             return events[a].startSec <
+                                    events[b].startSec;
+                         });
+        for (std::size_t i : order) {
+            const auto& e = events[i];
+            w.span(e.name, hw::kernelClassName(e.cls), e.device, 0,
+                   e.startSec, e.durSec);
+        }
 
         // Fault overlays: open-ended spans clip to the trace horizon
         // so Perfetto never sees a negative duration.
@@ -216,8 +304,7 @@ TraceBuilder::toJson() const
                 f.durSec >= 0.0
                     ? f.durSec
                     : std::max(horizon - f.startSec, 0.0);
-            emitSpan(os, first, f.name, "fault", f.device, 1,
-                     f.startSec, dur);
+            w.span(f.name, "fault", f.device, 1, f.startSec, dur);
         }
     }
 
@@ -227,15 +314,14 @@ TraceBuilder::toJson() const
     for (const auto& [gpu, series] : counters) {
         for (const auto& s : *series) {
             double t = s.time.value();
-            emitCounter(os, first, "power_w", gpu, t,
-                        s.powerWatts.value());
-            emitCounter(os, first, "temp_c", gpu, t, s.tempC.value());
-            emitCounter(os, first, "clock_ghz", gpu, t, s.clockGhz);
-            emitCounter(os, first, "occupancy", gpu, t, s.occupancy);
-            emitCounter(os, first, "pcie_gbps", gpu, t,
-                        s.pcieRate.value() * 8.0 / 1e9);
-            emitCounter(os, first, "scaleup_gbps", gpu, t,
-                        s.scaleUpRate.value() * 8.0 / 1e9);
+            w.counter("power_w", gpu, t, s.powerWatts.value());
+            w.counter("temp_c", gpu, t, s.tempC.value());
+            w.counter("clock_ghz", gpu, t, s.clockGhz);
+            w.counter("occupancy", gpu, t, s.occupancy);
+            w.counter("pcie_gbps", gpu, t,
+                      s.pcieRate.value() * 8.0 / 1e9);
+            w.counter("scaleup_gbps", gpu, t,
+                      s.scaleUpRate.value() * 8.0 / 1e9);
         }
     }
 
@@ -257,23 +343,12 @@ TraceBuilder::toJson() const
             double dur = s->durSec >= 0.0
                              ? s->durSec
                              : std::max(horizon - s->startSec, 0.0);
-            emitSpan(os, first, s->name.c_str(), s->cat.c_str(),
-                     runPid, static_cast<int>(t), s->startSec, dur);
+            w.span(s->name.c_str(), s->cat.c_str(), runPid,
+                   static_cast<int>(t), s->startSec, dur);
         }
     }
 
-    os << "],\"displayTimeUnit\":\"ms\"}";
-    return os.str();
-}
-
-bool
-TraceBuilder::writeTo(const std::string& path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toJson();
-    return static_cast<bool>(out);
+    w.text += "],\"displayTimeUnit\":\"ms\"}";
 }
 
 } // namespace obs

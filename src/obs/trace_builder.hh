@@ -20,7 +20,8 @@
  *
  * Builders hold pointers into the supplied trace/series; callers keep
  * those alive until toJson()/writeTo() is done (they are run-report
- * artifacts, built after the simulation finishes).
+ * artifacts, built after the simulation finishes). writeTo() streams
+ * the text to disk in 1 MiB pieces, so a trace is never held whole.
  */
 
 #ifndef CHARLLM_OBS_TRACE_BUILDER_HH
@@ -57,10 +58,18 @@ class TraceBuilder
     /** Serialize the merged timeline. */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; false on I/O failure. */
+    /** Write toJson()'s text to @p path, flushing every 1 MiB;
+     *  false on I/O failure. */
     bool writeTo(const std::string& path) const;
 
   private:
+    /** Appends events to a text buffer, optionally draining it into a
+     *  file as it fills (defined in trace_builder.cc). */
+    class Writer;
+
+    /** The one serializer behind toJson() and writeTo(). */
+    void emit(Writer& w) const;
+
     struct RunSpan
     {
         std::string cat;

@@ -11,7 +11,9 @@
  *  - a long run performs exactly as many allocations as a short one,
  *    so retained memory is O(devices), not O(simulated time);
  *  - the analytical backend's lowering allocates linearly in devices,
- *    not in devices x group size.
+ *    not in devices x group size;
+ *  - writing a run's reports never makes one allocation anywhere near
+ *    the size of its unified trace (the trace is streamed to disk).
  */
 
 #include <gtest/gtest.h>
@@ -19,12 +21,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <vector>
 
 #include "coll/collective_engine.hh"
 #include "core/analytical_backend.hh"
 #include "core/cluster.hh"
+#include "core/report.hh"
 #include "hw/calibration.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
@@ -37,11 +41,17 @@
 namespace {
 
 std::atomic<std::uint64_t> allocations{0};
+std::atomic<std::size_t> largestRequest{0};
 
 void*
 countedAlloc(std::size_t size)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = largestRequest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !largestRequest.compare_exchange_weak(
+               largest, size, std::memory_order_relaxed)) {
+    }
     if (void* p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -51,6 +61,13 @@ std::uint64_t
 allocationCount()
 {
     return allocations.load(std::memory_order_relaxed);
+}
+
+/** The largest single request since the previous call. */
+std::size_t
+takeLargestRequest()
+{
+    return largestRequest.exchange(0, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -328,6 +345,39 @@ TEST(ValidateAlloc, ValidConfigAllocatesNothingAtAnyWorld)
         EXPECT_EQ(allocationCount() - before, 0u) << "world " << world;
         EXPECT_TRUE(valid) << "world " << world;
     }
+}
+
+TEST(ReportAlloc, WriteReportsNeverHoldsTheTraceWhole)
+{
+    // The observed Small-3B TP2-PP2-DP4 run, long enough for a
+    // _trace.json of at least 16 MiB. Streaming it keeps every single
+    // allocation of writeReports far below the file's size; building
+    // the text whole would allocate all of it (and copy it again).
+    core::ExperimentConfig cfg;
+    cfg.cluster = core::h100Cluster(2);
+    cfg.model = smallModel();
+    cfg.par = parallel::ParallelConfig::forWorld(16, 2, 2);
+    cfg.train = denseOptions();
+    cfg.warmupIterations = 2;
+    cfg.measuredIterations = 56;
+    cfg.enableSampler = true;
+    cfg.enableTrace = true;
+    cfg.enableCriticalPath = true;
+    auto result = core::Experiment::run(cfg);
+    ASSERT_TRUE(result.feasible);
+
+    std::string dir = ::testing::TempDir() + "charllm_report_alloc";
+    takeLargestRequest();
+    auto paths = core::writeReports(result, dir, "alloc");
+    std::size_t largest = takeLargestRequest();
+    ASSERT_FALSE(paths.empty());
+    std::uintmax_t traceBytes =
+        std::filesystem::file_size(dir + "/alloc_trace.json");
+    ASSERT_GE(traceBytes, std::uintmax_t{16} << 20);
+    EXPECT_LT(largest, traceBytes / 4)
+        << "largest allocation " << largest << " B, trace "
+        << traceBytes << " B";
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "common/csv.hh"
@@ -184,8 +188,12 @@ TEST(CsvWriter, BasicRows)
     w.cell(1.5);
     w.cell(std::string("x"));
     w.endRow();
-    EXPECT_EQ(w.str(), "a,b\n1.5,x\n");
-    EXPECT_EQ(w.numRows(), 1u);
+    w.beginRow();
+    w.cell(-7);
+    w.cell(std::uint64_t{18446744073709551615u});
+    w.endRow();
+    EXPECT_EQ(w.str(), "a,b\n1.5,x\n-7,18446744073709551615\n");
+    EXPECT_EQ(w.numRows(), 2u);
 }
 
 TEST(CsvWriter, QuotesSpecialCharacters)
@@ -261,6 +269,69 @@ TEST(Strings, JsonEscape)
     // const char* overload matches the std::string one.
     const char* raw = "x\n\"y\"";
     EXPECT_EQ(jsonEscape(raw), jsonEscape(std::string(raw)));
+    // The append form extends what is there; null appends nothing.
+    std::string out = "k:";
+    appendJsonEscaped(out, raw);
+    appendJsonEscaped(out, nullptr);
+    EXPECT_EQ(out, "k:" + jsonEscape(raw));
+}
+
+TEST(Strings, FormatDoubleMatchesPrintf)
+{
+    // Reports promise printf's "%.*g" bytes; every random bit pattern
+    // (all exponents, subnormals, NaN payloads) and every edge value
+    // must format identically, whether returned or appended.
+    std::vector<double> values = {
+        0.0, -0.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(), DBL_MAX, -DBL_MAX,
+        DBL_MIN, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+        DBL_EPSILON, 0.1, 1e-5, 1e-4, 123456.0, 1234567.0, 0.5, 9.5,
+        99999.95, 1e16, 1e17, 1e21};
+    Rng rng(2024);
+    for (int i = 0; i < 50000; ++i) {
+        std::uint64_t bits = rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        values.push_back(d);
+        // Magnitudes a report actually carries: seconds, watts, bytes.
+        values.push_back(rng.uniform(-1.0, 1.0) *
+                         std::pow(10.0, rng.uniform(-9.0, 15.0)));
+    }
+    std::size_t mismatches = 0;
+    std::string first;
+    for (int precision : {0, 1, 6, 17}) {
+        for (double v : values) {
+            char expected[64];
+            std::snprintf(expected, sizeof(expected), "%.*g", precision,
+                          v);
+            std::string appended = "=";
+            appendDouble(appended, v, precision);
+            if (formatDouble(v, precision) != expected ||
+                appended != std::string("=") + expected) {
+                if (mismatches++ == 0)
+                    first = std::string(expected) + " at precision " +
+                            std::to_string(precision) + ", got " +
+                            formatDouble(v, precision);
+            }
+        }
+    }
+    EXPECT_GE(values.size(), 100000u);
+    EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+    for (int precision = 0; precision <= 20; ++precision) {
+        for (double v : {0.0, -0.0, DBL_MAX, -DBL_MIN,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+            char expected[64];
+            std::snprintf(expected, sizeof(expected), "%.*g", precision,
+                          v);
+            EXPECT_EQ(formatDouble(v, precision), expected)
+                << "precision " << precision;
+        }
+    }
 }
 
 TEST(Units, GbitConversion)

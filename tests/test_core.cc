@@ -24,8 +24,10 @@
 #include "faults/scenarios.hh"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 
 namespace {
 
@@ -809,6 +811,53 @@ TEST_F(CoreFixture, WriteReportsCreatesFiles)
         std::ifstream f(p);
         EXPECT_TRUE(f.good()) << p;
     }
+}
+
+TEST_F(CoreFixture, WriteReportsStreamsTheSameTrace)
+{
+    // An observed run (sampler, kernel trace, critical path,
+    // resilience): the streamed _trace.json is the string form byte
+    // for byte, and the once-computed phase report feeds both of its
+    // files unchanged.
+    auto cfg = smallConfig(2, 4);
+    cfg.measuredIterations = 4;
+    cfg.enableSampler = true;
+    cfg.samplePeriodSec = 0.02;
+    cfg.enableTrace = true;
+    cfg.enableCriticalPath = true;
+    cfg.resilience.enabled = true;
+    cfg.resilience.seed = 3;
+    cfg.resilience.mtbf.gpuMtbfSec = 60.0;
+    cfg.resilience.checkpoint.intervalSec = 1.5;
+    auto r = Experiment::run(cfg);
+    ASSERT_TRUE(r.goodputValid);
+    ASSERT_TRUE(r.critPath);
+
+    std::string dir = ::testing::TempDir() + "charllm_streamed_reports";
+    auto paths = writeReports(r, dir, "obs");
+    auto slurp = [&](const char* suffix) {
+        std::string path = dir + "/obs" + suffix;
+        EXPECT_NE(std::find(paths.begin(), paths.end(), path),
+                  paths.end())
+            << path;
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    std::string trace = slurp("_trace.json");
+    std::string expected = unifiedTraceJson(r);
+    EXPECT_EQ(trace.size(), expected.size());
+    EXPECT_TRUE(trace == expected) << "streamed trace differs";
+    EXPECT_EQ(slurp("_phases.csv"), phaseReport(r).toCsv().str());
+    EXPECT_EQ(slurp("_report.json"), runReportJson(r));
+    EXPECT_EQ(slurp("_series.csv"), seriesCsv(r).str());
+
+    // A directory that cannot be created (its parent is a file): no
+    // paths, no abort; the trace writer alone reports failure too.
+    std::string blocker = dir + "/obs_summary.csv";
+    EXPECT_TRUE(writeReports(r, blocker + "/sub", "obs").empty());
+    EXPECT_FALSE(writeUnifiedTrace(r, blocker + "/trace.json"));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -11,6 +11,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -347,6 +350,48 @@ TEST(TraceBuilder, EscapesDynamicNames)
             found = true;
     }
     EXPECT_TRUE(found);
+}
+
+TEST(TraceBuilder, WriteToMatchesToJson)
+{
+    // Large enough that writeTo() drains its 1 MiB buffer several times
+    // mid-trace, with escaped names and a clipped open-ended fault
+    // landing on both sides of a drain.
+    telemetry::KernelTrace trace;
+    const char* tricky =
+        trace.intern(std::string("layer \"7\"\nbackslash\\\x01"));
+    for (int i = 0; i < 40000; ++i) {
+        double t = i * 1.25e-4;
+        trace.record(i % 8, hw::KernelClass::Gemm,
+                     i % 3 == 0 ? tricky : "fwd_gemm", t, 1e-4 / 3.0);
+    }
+    trace.recordFault(2, "gpu-slowdown", 0.5, -1.0);
+    trace.recordFault(-1, tricky, 1.0, 0.25);
+    std::vector<std::vector<telemetry::Sample>> series(8);
+    for (int g = 0; g < 8; ++g) {
+        for (int i = 0; i < 400; ++i)
+            series[g].push_back(makeSample(i * 0.0125, 300.0 + g + i / 7.0));
+    }
+    obs::TraceBuilder builder;
+    builder.addKernels(trace);
+    for (int g = 0; g < 8; ++g)
+        builder.addCounters(g, series[g]);
+    builder.addRunSpan("iteration", "iteration 0", 0.0, 2.5);
+    builder.addRunSpan("odd \"cat\"", "restart\twindow", 1.0, -1.0);
+
+    std::string json = builder.toJson();
+    ASSERT_GE(json.size(), std::size_t{3} << 20);
+    std::string path = ::testing::TempDir() + "charllm_write_to.json";
+    ASSERT_TRUE(builder.writeTo(path));
+    std::ifstream in(path, std::ios::binary);
+    std::string written((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(written.size(), json.size());
+    EXPECT_TRUE(written == json) << "streamed trace differs from toJson()";
+    parseJson(json); // throws unless every name was escaped
+    std::remove(path.c_str());
+
+    EXPECT_FALSE(builder.writeTo(path + ".missing/x.json"));
 }
 
 TEST(TraceBuilder, ClipsOpenEndedFaultSpans)
