@@ -121,10 +121,9 @@ FlowNetwork::setLinkDerate(LinkId id, double factor)
                    linkDerate.size(), ")");
     CHARLLM_ASSERT(factor > 0.0 && factor <= 1.0,
                    "link derate factor must be in (0, 1]: ", factor);
-    double now = sim.nowSeconds();
-    progress(now);
+    progress(sim.nowSeconds());
     linkDerate[static_cast<std::size_t>(id)] = factor;
-    recompute(now);
+    recompute();
 }
 
 FlowNetwork::FlowId
@@ -173,8 +172,7 @@ FlowNetwork::transfer(int src, int dst, Bytes bytes,
 void
 FlowNetwork::joinFlow(std::uint32_t slot)
 {
-    double now = sim.nowSeconds();
-    progress(now);
+    progress(sim.nowSeconds());
     Flow& flow = flowSlab[slot];
 
     // Keep the active index sorted by flow id. Admission latency
@@ -216,7 +214,7 @@ FlowNetwork::joinFlow(std::uint32_t slot)
         aggregatesDirty = true;
         scheduleNextCompletion();
     } else {
-        recompute(now);
+        invalidateAllocation();
     }
 }
 
@@ -228,6 +226,8 @@ FlowNetwork::progress(double now)
         lastProgress = std::max(lastProgress, now);
         return;
     }
+    CHARLLM_ASSERT(!settleEvent.pending(),
+                   "flows advanced over an unsettled allocation");
     for (std::uint32_t slot : activeOrder) {
         Flow& flow = flowSlab[slot];
         double moved = std::min(flow.rate * dt, flow.bytesRemaining);
@@ -251,7 +251,22 @@ FlowNetwork::progress(double now)
 }
 
 void
-FlowNetwork::recompute(double now)
+FlowNetwork::invalidateAllocation()
+{
+    if (forceFull) {
+        recompute();
+        return;
+    }
+    // Nothing reads the intermediate rates of a tick: progress() moves
+    // no bytes until time advances. Settle once, after the tick's last
+    // change, from the final active set.
+    completionEvent.cancel();
+    if (!settleEvent.pending())
+        settleEvent = sim.schedule(0, [this] { recompute(); });
+}
+
+void
+FlowNetwork::recompute()
 {
     // Max-min fair allocation by progressive filling. Scratch vectors
     // are members: sized once, reused every pass.
@@ -314,9 +329,9 @@ FlowNetwork::recompute(double now)
     }
 
     ++fullRecomputes;
+    settleEvent.cancel();
     aggregatesDirty = true;
     scheduleNextCompletion();
-    (void)now;
 }
 
 std::vector<std::pair<FlowNetwork::FlowId, double>>
@@ -390,7 +405,7 @@ FlowNetwork::referenceRates() const
 }
 
 void
-FlowNetwork::rebuildAggregates() const
+FlowNetwork::rebuildAggregates()
 {
     if (!aggregatesDirty)
         return;
@@ -450,7 +465,8 @@ void
 FlowNetwork::scheduleNextCompletion()
 {
     completionEvent.cancel();
-    if (activeOrder.empty())
+    // A pending settle schedules it from the tick's final rates.
+    if (activeOrder.empty() || settleEvent.pending())
         return;
     double earliest = std::numeric_limits<double>::infinity();
     for (std::uint32_t slot : activeOrder) {
@@ -471,8 +487,7 @@ FlowNetwork::scheduleNextCompletion()
 void
 FlowNetwork::onCompletionEvent()
 {
-    double now = sim.nowSeconds();
-    progress(now);
+    progress(sim.nowSeconds());
     // Member scratch: cleared each event, capacity retained.
     completedCallbacks.clear();
     completedSlots.clear();
@@ -514,33 +529,43 @@ FlowNetwork::onCompletionEvent()
         aggregatesDirty = true;
         scheduleNextCompletion();
     } else {
-        recompute(now);
+        invalidateAllocation();
     }
-    // Run completions after the network state is consistent; callbacks
-    // may start new transfers re-entrantly.
+    // Run completions after the bookkeeping is consistent (the rates
+    // may await this tick's settle); callbacks may start new transfers
+    // re-entrantly.
     for (auto& cb : completedCallbacks)
         cb();
 }
 
+void
+FlowNetwork::settleIfStale()
+{
+    if (settleEvent.pending())
+        recompute();
+}
+
 BytesPerSec
-FlowNetwork::gpuRate(int gpu, hw::TrafficClass cls) const
+FlowNetwork::gpuRate(int gpu, hw::TrafficClass cls)
 {
     std::size_t idx = static_cast<std::size_t>(gpu) *
                           hw::kNumTrafficClasses +
                       static_cast<std::size_t>(cls);
     if (gpu < 0 || idx >= gpuRateCache.size())
         return BytesPerSec(0.0);
+    settleIfStale();
     rebuildAggregates();
     return BytesPerSec(gpuRateCache[idx]);
 }
 
 double
-FlowNetwork::linkUtilization(LinkId id) const
+FlowNetwork::linkUtilization(LinkId id)
 {
     CHARLLM_CHECK(id >= 0 && static_cast<std::size_t>(id) <
                                  topo.links().size(),
                   "link id ", id, " out of range [0, ",
                   topo.links().size(), ")");
+    settleIfStale();
     rebuildAggregates();
     double used = linkUsedCache[static_cast<std::size_t>(id)];
     double capacity = topo.link(id).capacity.value();

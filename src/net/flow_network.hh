@@ -21,6 +21,18 @@
  * dirty, and the first telemetry query after it (gpuRate() /
  * linkUtilization()) pays one O(active flows x hops) rebuild. A run
  * with no sampler attached never rebuilds them at all.
+ *
+ * The water-fill runs once per simulated tick, not once per change.
+ * A contended join or completion only updates the bookkeeping, marks
+ * the allocation stale and makes sure one zero-delay settle event is
+ * pending; that event runs the water-fill and reschedules the
+ * completion event. An all-to-all burst whose members all join at
+ * one tick thus costs one pass. Nothing observes the intermediate
+ * rates — no bytes move until time advances, and a telemetry query
+ * settles first — and the fill is from scratch over the id-ordered
+ * active set, so the tick's final allocation and the completion time
+ * derived from it are bitwise those of a pass per change. Derates
+ * (setLinkDerate) stay eager.
  */
 
 #ifndef CHARLLM_NET_FLOW_NETWORK_HH
@@ -101,8 +113,9 @@ class FlowNetwork
     FlowId transferOnRoute(const WeightedRoute* route, Bytes bytes,
                            Seconds latency, sim::EventFn on_complete);
 
-    /** Instantaneous aggregate rate seen at a GPU's ports, by class. */
-    BytesPerSec gpuRate(int gpu, hw::TrafficClass cls) const;
+    /** Instantaneous aggregate rate seen at a GPU's ports, by class.
+     *  Settles a stale allocation first. */
+    BytesPerSec gpuRate(int gpu, hw::TrafficClass cls);
 
     /**
      * Derate a link to @p factor of its nominal capacity (fault
@@ -134,8 +147,9 @@ class FlowNetwork
         return Bytes(linkByteCount[static_cast<std::size_t>(id)]);
     }
 
-    /** Instantaneous utilization (0..1) of a link. */
-    double linkUtilization(LinkId id) const;
+    /** Instantaneous utilization (0..1) of a link. Settles a stale
+     *  allocation first. */
+    double linkUtilization(LinkId id);
 
     std::size_t numActiveFlows() const { return activeOrder.size(); }
     std::uint64_t numFlowsStarted() const { return nextId - 1; }
@@ -154,9 +168,10 @@ class FlowNetwork
      *  and only when something queried the caches after it). */
     std::uint64_t numAggregateRebuilds() const { return aggregateRebuilds; }
     /**
-     * Disable the incremental fast paths so every change runs the full
-     * water-fill (the pre-incremental behaviour). Used by equivalence
-     * tests to compare the two solvers on identical traffic.
+     * Disable the incremental fast paths and the once-per-tick settle:
+     * every change runs an eager full water-fill (the pre-incremental
+     * behaviour). Used by equivalence tests to compare the two solvers
+     * on identical traffic.
      */
     void setForceFullRecompute(bool force) { forceFull = force; }
     /**
@@ -207,12 +222,20 @@ class FlowNetwork
     /** Advance all active flows to the current time. */
     void progress(double now);
 
-    /** Re-run max-min allocation and schedule the next completion. */
-    void recompute(double now);
+    /** A contended change: mark the allocation stale and make sure a
+     *  zero-delay settle event is pending (eager under forceFull). */
+    void invalidateAllocation();
+
+    /** Re-run max-min allocation and schedule the next completion.
+     *  Clears a pending settle. */
+    void recompute();
+
+    /** Run the pending settle now (telemetry reads mid-tick). */
+    void settleIfStale();
 
     /** Rebuild the gpuRate/linkUtilization caches if an allocation
      *  change has dirtied them since the last rebuild. */
-    void rebuildAggregates() const;
+    void rebuildAggregates();
 
     /** (Re)schedule the completion event for the earliest finisher. */
     void scheduleNextCompletion();
@@ -235,6 +258,8 @@ class FlowNetwork
 
     double lastProgress = 0.0;
     sim::EventHandle completionEvent;
+    /** Pending while the allocation is stale: the tick's one settle. */
+    sim::EventHandle settleEvent;
     std::vector<double> linkByteCount;
     std::vector<double> linkDerate; //!< capacity multiplier per link
     FlowId nextId = 1;
@@ -242,10 +267,10 @@ class FlowNetwork
     /** @name Telemetry caches (rebuilt on the first query after an
      *  allocation change)
      * @{ */
-    mutable std::vector<double> gpuRateCache; //!< [gpu * numClasses + cls]
-    mutable std::vector<double> linkUsedCache;
-    mutable bool aggregatesDirty = false;
-    mutable std::uint64_t aggregateRebuilds = 0;
+    std::vector<double> gpuRateCache; //!< [gpu * numClasses + cls]
+    std::vector<double> linkUsedCache;
+    bool aggregatesDirty = false;
+    std::uint64_t aggregateRebuilds = 0;
     /** @} */
 
     /** @name Reused scratch (cleared, never reallocated, per event) */
