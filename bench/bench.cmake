@@ -50,14 +50,11 @@ charllm_add_bench(bench_fig19_thermal_timeseries)
 charllm_add_bench(bench_fig20_throttle_metrics)
 charllm_add_bench(bench_fig21_thermal_placement)
 charllm_add_bench(bench_fig22_datacenter_projection)
+# The artifact path is opened before the first mechanistic run.
+charllm_add_flag_test(bench_fig22_datacenter_projection unwritable_out
+    "--symmetry=on --out=/nonexistent_dir/x.json" 2 "failed to write")
 charllm_add_bench(bench_fig23_inference)
 charllm_add_bench(bench_backend_xval)
-
-add_executable(bench_micro_engine ${CMAKE_SOURCE_DIR}/bench/bench_micro_engine.cc)
-target_link_libraries(bench_micro_engine PRIVATE charllm_benchutil
-    benchmark::benchmark)
-set_target_properties(bench_micro_engine PROPERTIES
-    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 charllm_add_bench(bench_ablation_topology)
 charllm_add_bench(bench_ablation_airflow)

@@ -8,8 +8,9 @@
  * tolerance, so CI can gate backend drift.
  *
  * With --out=FILE a JSON artifact is written (per-preset errors,
- * tolerances, wall times, speedup) for tools/perf_smoke.py, which
- * gates the >=100x speedup floor.
+ * tolerances, wall times, speedup). CI's backend-xval job reads its
+ * `speedup` and gates the >=100x floor there, since a host-timed
+ * ratio is no part of this bench's exit status.
  */
 
 #include <algorithm>
@@ -247,7 +248,7 @@ main(int argc, char** argv)
                 des_wall, ana_wall, speedup);
     if (speedup < 100.0)
         std::printf("note: speedup below the 100x target "
-                    "(perf_smoke gates the floor)\n");
+                    "(CI's backend-xval job gates the floor)\n");
 
     if (!out_path.empty()) {
         std::string json = "{\n  \"presets\": {\n";

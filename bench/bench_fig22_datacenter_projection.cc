@@ -17,9 +17,12 @@
  * DP replicas onto tp*pp physical devices (DESIGN.md §12), so worlds
  * of 16K-64K GPUs execute for real at the cost of a 32-GPU run. Each
  * row is run twice (every output must match) and cross-checked
- * against scale::Projector and the analytical backend; `--out=FILE`
- * writes a JSON artifact (events/sec, peak RSS) that
- * tools/perf_smoke.py gates.
+ * against scale::Projector and the analytical backend. The exit
+ * status also gates the collapse contracts: peak RSS stays under
+ * kRssCapKb and the aggregate event rate at the largest world clears
+ * kAggregateRateFloor. `--out=FILE` writes the rows as a JSON artifact
+ * (events/sec, peak RSS); the file is opened before the first run, so
+ * an unwritable path exits 2 at once.
  */
 
 #include <chrono>
@@ -44,6 +47,13 @@ constexpr int kPp = 4;
  *  ~150 MB at world 16384, ~600 MB at 65536. Beyond it the rows are
  *  gated on determinism and the projector. */
 constexpr int kAnalyticalCheckMaxWorld = 16384;
+
+/** Collapse contracts. Memory is O(distinct ranks): collapsed runs
+ *  peak near 150 MB, while instantiating 65536 ranks would exceed the
+ *  cap by orders of magnitude. The aggregate rate counts physical
+ *  pops times the DP multiplicity. */
+constexpr long kRssCapKb = 2'000'000;
+constexpr double kAggregateRateFloor = 1e7;
 
 void
 project(const core::ClusterSpec& cluster,
@@ -193,6 +203,15 @@ runMechanistic(int dp, int microbatches, const scale::Projector* proj)
 int
 mechanistic(const std::string& out_path)
 {
+    std::ofstream os;
+    if (!out_path.empty()) {
+        os.open(out_path, std::ios::binary);
+        if (!os) {
+            std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+            return 2;
+        }
+    }
+
     std::printf("--- mechanistic collapsed-DES runs "
                 "(tp=%d, pp=%d: %d physical GPUs) ---\n\n",
                 kTp, kPp, kTp * kPp);
@@ -267,10 +286,25 @@ mechanistic(const std::string& out_path)
                         100.0 * (*check)[core::Metric::IterationTime]);
             ok = false;
         }
+        if (r.peakRssKb > kRssCapKb) {
+            std::printf("FAIL: peak RSS %ld KiB at world %d exceeds the "
+                        "%ld KiB collapse cap\n",
+                        r.peakRssKb, r.world, kRssCapKb);
+            ok = false;
+        }
+    }
+    // The aggregate rate grows with DP, so its floor applies at the
+    // largest world (65536).
+    const MechRow& largest = rows.back();
+    if (largest.aggEventsPerSec < kAggregateRateFloor) {
+        std::printf("FAIL: aggregate rate %.3g ev/s at world %d is below "
+                    "the %.0e floor\n",
+                    largest.aggEventsPerSec, largest.world,
+                    kAggregateRateFloor);
+        ok = false;
     }
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
         os << "{\"tp\":" << kTp << ",\"pp\":" << kPp << ",\"runs\":[";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const auto& r = rows[i];
@@ -297,6 +331,10 @@ mechanistic(const std::string& out_path)
                << (r.deterministic ? "true" : "false") << '}';
         }
         os << "]}\n";
+        if (!os.flush()) {
+            std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+            return 2;
+        }
         std::printf("wrote %s\n", out_path.c_str());
     }
     return ok ? 0 : 1;
@@ -322,7 +360,7 @@ main(int argc, char** argv)
           }},
          {"--out=",
           "FILE: write the mechanistic-run JSON artifact "
-          "(perf_smoke gates events/sec and peak RSS)",
+          "(events/sec, peak RSS; with --symmetry=on)",
           [&out_path](const std::string& v) {
               out_path = v;
               return !v.empty();

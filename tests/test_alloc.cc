@@ -7,7 +7,8 @@
  *  - the 2 ms governor tick (thermal step, DVFS, per-GPU statistics)
  *    allocates nothing, and once settled evaluates no device;
  *  - a measured training iteration, from one commit to the next,
- *    allocates nothing once the pools have warmed up;
+ *    allocates nothing once the pools have warmed up, also with the
+ *    critical-path recorder attached (at most one record per event);
  *  - a long run performs exactly as many allocations as a short one,
  *    so retained memory is O(devices), not O(simulated time);
  *  - the analytical backend's lowering allocates linearly in devices,
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
 #include "net/topology.hh"
+#include "obs/critical_path.hh"
 #include "parallel/rank_mapper.hh"
 #include "runtime/engine.hh"
 #include "runtime/program_builder.hh"
@@ -144,10 +147,12 @@ struct CommitProbe : runtime::ResilienceController
 };
 
 /** Everything the engine needs, on two H100 nodes (the PP boundary
- *  crosses the IB fabric), TP2-PP2-DP4. */
+ *  crosses the IB fabric), TP2-PP2-DP4; optionally with the causal
+ *  critical-path recorder attached. */
 struct Stack
 {
-    explicit Stack(const runtime::TrainOptions& train, int measured)
+    Stack(const runtime::TrainOptions& train, int measured,
+          bool critPath = false)
         : cluster(core::h100Cluster(2)),
           topo(cluster.network),
           plat(simulator, cluster.gpu, cluster.chassis, cluster.numNodes),
@@ -155,9 +160,13 @@ struct Stack
           colls(simulator, netw),
           map(parallel::ParallelConfig::forWorld(16, 2, 2)),
           builder(smallModel(), map, train),
-          engine(plat, netw, colls, builder, engineOptions(measured))
+          engine(plat, netw, colls, builder, engineOptions(measured)),
+          critpath(critPath ? std::make_unique<obs::CriticalPathRecorder>(
+                                  plat.numGpus())
+                            : nullptr)
     {
         engine.setResilienceController(&probe);
+        engine.setCriticalPath(critpath.get());
         plat.start();
     }
 
@@ -180,6 +189,7 @@ struct Stack
     runtime::ProgramBuilder builder;
     runtime::TrainingEngine engine;
     CommitProbe probe;
+    std::unique_ptr<obs::CriticalPathRecorder> critpath;
 };
 
 runtime::TrainOptions
@@ -254,11 +264,13 @@ TEST(SteadyStateAlloc, MeasuredIterationAllocatesNothing)
 {
     // Each variant drives a different engine or collective path:
     // async overlapped gradient buckets, recompute ops, hierarchical
-    // (topology-aware) collectives, interleaved virtual stages.
+    // (topology-aware) collectives, interleaved virtual stages, and
+    // the critical-path recorder's hooks (its slab is pre-reserved).
     struct Variant
     {
         const char* name;
         void (*apply)(runtime::TrainOptions&);
+        bool critPath = false;
     };
     const Variant variants[] = {
         {"base", [](runtime::TrainOptions&) {}},
@@ -269,12 +281,20 @@ TEST(SteadyStateAlloc, MeasuredIterationAllocatesNothing)
          [](runtime::TrainOptions& t) { t.topologyAwareCollectives = true; }},
         {"interleaved",
          [](runtime::TrainOptions& t) { t.virtualStages = 2; }},
+        {"critical-path", [](runtime::TrainOptions&) {}, true},
     };
     for (const Variant& v : variants) {
         runtime::TrainOptions train = denseOptions();
         v.apply(train);
-        Stack s(train, 4);
+        Stack s(train, 4, v.critPath);
         s.engine.run();
+        // One record per completed op, and each op completes in an
+        // event: the recorder's work is bounded by the event count.
+        if (s.critpath) {
+            EXPECT_GT(s.critpath->numRecords(), 0u);
+            EXPECT_LE(s.critpath->numRecords(),
+                      s.simulator.queue().numPopped());
+        }
         const auto& at = s.probe.allocsAtCommit;
         ASSERT_EQ(at.size(), 6u) << v.name;
         // Iterations 0-1 warm up, iteration 2 is the first measured

@@ -3,7 +3,8 @@
  * SweepRunner determinism tests: experiment runs are shared-nothing,
  * so the result sequence must be identical — field for field, bit for
  * bit — whether a sweep executes serially or across a thread pool,
- * and regardless of claim interleaving.
+ * and regardless of claim interleaving. A sweep also folds the
+ * simulator's self-profiling counters into the registry it is given.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/catalog.hh"
 #include "core/compare.hh"
 #include "core/sweep_runner.hh"
+#include "obs/metrics.hh"
 
 namespace {
 
@@ -81,12 +83,25 @@ TEST(SweepRunner, ParallelResultsIdenticalToSerial)
 TEST(SweepRunner, ResultsStayInSubmissionOrder)
 {
     auto configs = smallSweep();
-    auto results = SweepRunner(4).run(configs);
+    obs::MetricsRegistry registry;
+    auto results = SweepRunner(4).run(configs, &registry);
     ASSERT_EQ(results.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         if (results[i].feasible)
             EXPECT_EQ(results[i].label, configs[i].label());
     }
+    // The self-profiling counters a --metrics dump reports: a zero
+    // means the instrumentation came unwired from its hot path.
+    for (const char* name : {"sim.events_popped", "net.flows_started",
+                             "net.full_recomputes", "sweep.tasks"}) {
+        const obs::Counter* counter = registry.findCounter(name);
+        ASSERT_NE(counter, nullptr) << name;
+        EXPECT_GT(counter->value(), 0u) << name;
+    }
+    const obs::Histogram* wall =
+        registry.findHistogram("sweep.task_wall_seconds");
+    ASSERT_NE(wall, nullptr);
+    EXPECT_GT(wall->count(), 0u);
 }
 
 } // namespace

@@ -26,10 +26,10 @@ Usage:
              [--expect-null] [--top N]
 
 --expect-null inverts the gate: exit 1 unless the two runs are
-equivalent within the threshold (used by perf_smoke on a double-run
-pair — a non-null diff there means nondeterminism). The comparison
-uses mean (measured-iteration) attribution; folded runs diff like any
-other as long as both sides fold identically (a folded/unfolded mix is
+equivalent within the threshold (on a double-run pair, a non-null
+diff means nondeterminism). The comparison uses mean
+(measured-iteration) attribution; folded runs diff like any other as
+long as both sides fold identically (a folded/unfolded mix is
 refused — the representative walls are not comparable).
 
 Exit status: 0 verdict matches expectation, 1 it does not,
