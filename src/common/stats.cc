@@ -66,8 +66,6 @@ TimeWeightedStats::accumulate(double until)
     if (dt > 0.0) {
         weighted += lastValue * dt;
         totalTime += dt;
-        if (lastValue < threshold)
-            belowTime += dt;
         lo = std::min(lo, lastValue);
         hi = std::max(hi, lastValue);
     }
@@ -96,12 +94,8 @@ TimeWeightedStats::updateRun(double first, double last, std::int64_t n,
         return;
     double span = last - first;
     if (span > 0.0) {
-        CHARLLM_ASSERT(hi_value < threshold || lo_value >= threshold,
-                       "the threshold splits a run");
         weighted += sum * (span / static_cast<double>(n));
         totalTime += span;
-        if (hi_value < threshold)
-            belowTime += span;
         lo = std::min(lo, lo_value);
         hi = std::max(hi, hi_value);
     }
@@ -113,7 +107,7 @@ TimeWeightedStats::restart(double time)
 {
     bool had = hasSample;
     double value = lastValue;
-    reset();
+    *this = TimeWeightedStats();
     if (had)
         update(time, value);
 }
@@ -131,12 +125,6 @@ double
 TimeWeightedStats::mean() const
 {
     return totalTime > 0.0 ? weighted / totalTime : lastValue;
-}
-
-double
-TimeWeightedStats::fractionBelow() const
-{
-    return totalTime > 0.0 ? belowTime / totalTime : 0.0;
 }
 
 Histogram::Histogram(double lo_, double hi_, std::size_t bins)

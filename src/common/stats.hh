@@ -42,28 +42,16 @@ class RunningStats
 };
 
 /**
- * Time-weighted statistics for piecewise-constant signals (power, clock):
- * each value holds from the previous update time to the current one.
- * Used for average power, throttling ratios, etc.
- *
- * Constant memory: the one threshold query a signal needs is fixed at
- * construction and accumulated as the signal runs, so nothing grows
- * with simulated time and update() never allocates.
+ * Time-weighted statistics for a piecewise-constant signal: each value
+ * holds from the previous update time to the current one. Constant
+ * memory: nothing grows with simulated time and update() never
+ * allocates. (A device's power, clock and activity gauges share one
+ * clock in hw::GpuRecord; this serves signals recorded on their own
+ * cadence, such as temperature.)
  */
 class TimeWeightedStats
 {
   public:
-    /**
-     * @param below_threshold fractionBelow() reports the share of time
-     *        the value sat strictly below this level; the default
-     *        (-inf) leaves that fraction at 0.
-     */
-    explicit TimeWeightedStats(
-        double below_threshold = -std::numeric_limits<double>::infinity())
-        : threshold(below_threshold)
-    {
-    }
-
     /**
      * Record that the signal took @p value starting at @p time (seconds).
      * The previously recorded value is weighted by the elapsed interval.
@@ -74,16 +62,13 @@ class TimeWeightedStats
      * Record @p n + 1 updates at evenly spaced times in one call:
      * update(first + k (last - first) / n, v_k) for k = 0..n, where
      * v_0..v_{n-1} sum to @p sum and lie in [@p lo, @p hi], and v_n is
-     * @p last_value. The threshold must not split v_0..v_{n-1}.
+     * @p last_value.
      */
     void updateRun(double first, double last, std::int64_t n, double sum,
                    double lo, double hi, double last_value);
 
     /** Close the last interval at @p time without changing the value. */
     void finish(double time);
-
-    /** Discard everything accumulated; keeps the threshold. */
-    void reset() { *this = TimeWeightedStats(threshold); }
 
     /** Discard everything accumulated; the current value holds from
      *  @p time on. */
@@ -94,20 +79,14 @@ class TimeWeightedStats
     double max() const { return hasSample ? hi : 0.0; }
     double duration() const { return totalTime; }
 
-    /** Fraction of observed time during which value < the threshold
-     *  given at construction. */
-    double fractionBelow() const;
-
   private:
     void accumulate(double until);
 
-    double threshold;
     bool hasSample = false;
     double lastTime = 0.0;
     double lastValue = 0.0;
     double weighted = 0.0;
     double totalTime = 0.0;
-    double belowTime = 0.0; //!< time spent with value < threshold
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
 };

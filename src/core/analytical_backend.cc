@@ -469,8 +469,8 @@ AnalyticalBackend::walkDevice(const DeviceSummary& dev,
                 // until the async work drains.
                 double rate = clk / kOverlapComputePenalty;
                 double wall_pen = op.nominalSec / rate;
-                double stacked = std::min(
-                    op.powerActivity + 0.55 * async_act, 1.20);
+                double stacked =
+                    hw::stackedActivity(op.powerActivity, async_act);
                 if (wall_pen <= async_rem) {
                     d = wall_pen;
                     async_rem -= d;
@@ -510,9 +510,9 @@ AnalyticalBackend::walkDevice(const DeviceSummary& dev,
                     async_act = 0.0;
                 add_busy(op.tail, d);
                 w.breakdown[op.cls] += d;
-                w.activitySec += 0.55 * op.powerActivity * d;
-                w.peakActivity = std::max(w.peakActivity,
-                                          0.55 * op.powerActivity);
+                w.activitySec += hw::kCommStackWeight * op.powerActivity * d;
+                w.peakActivity = std::max(
+                    w.peakActivity, hw::kCommStackWeight * op.powerActivity);
                 add_profile(op, d);
             }
             break;
@@ -530,7 +530,7 @@ AnalyticalBackend::walkDevice(const DeviceSummary& dev,
                 async_act = 0.0;
             add_busy(op.tail, d);
             w.breakdown[op.cls] += d;
-            w.activitySec += 0.55 * op.powerActivity * d;
+            w.activitySec += hw::kCommStackWeight * op.powerActivity * d;
             add_profile(op, d);
             break;
           }
@@ -538,7 +538,7 @@ AnalyticalBackend::walkDevice(const DeviceSummary& dev,
             double d = async_rem;
             async_rem = 0.0;
             add_busy(op.tail, d);
-            w.activitySec += 0.55 * async_act * d;
+            w.activitySec += hw::kCommStackWeight * async_act * d;
             async_act = 0.0;
             break;
           }
@@ -548,7 +548,7 @@ AnalyticalBackend::walkDevice(const DeviceSummary& dev,
     // (the engine's rank-done barrier).
     if (async_rem > 0.0) {
         w.tailBusySec += async_rem;
-        w.activitySec += 0.55 * async_act * async_rem;
+        w.activitySec += hw::kCommStackWeight * async_act * async_rem;
     }
     return w;
 }
@@ -577,7 +577,6 @@ AnalyticalBackend::run()
     int world = cfg.cluster.numGpus();
     double tdp = spec.tdpWatts.value();
     double idle = spec.idleWatts.value();
-    double range = tdp - idle;
 
     std::vector<double> power_cap(static_cast<std::size_t>(world), tdp);
     int gpn = cfg.cluster.network.gpusPerNode;
@@ -585,11 +584,6 @@ AnalyticalBackend::run()
         for (int g = node * gpn; g < (node + 1) * gpn; ++g)
             power_cap[static_cast<std::size_t>(g)] = watts;
     }
-
-    auto power_at = [&](double act_avg, double clk) {
-        double p = idle + range * act_avg * std::pow(clk, kClockPowerExp);
-        return std::min(p, kPeakPowerCap * tdp);
-    };
 
     std::vector<hw::DvfsGovernor> governors(
         static_cast<std::size_t>(world), hw::DvfsGovernor(spec));
@@ -621,15 +615,15 @@ AnalyticalBackend::run()
         for (int d = 0; d < world; ++d) {
             const DeviceWalk& w = walks[static_cast<std::size_t>(d)];
             act_avg[static_cast<std::size_t>(d)] =
-                std::min(w.activitySec / t_iter, 1.20);
+                std::min(w.activitySec / t_iter, hw::kActivityCap);
             compute_bound[static_cast<std::size_t>(d)] =
                 w.breakdown.computeTotal() >= w.breakdown.commTotal();
         }
         for (int inner = 0; inner < 64; ++inner) {
             for (int d = 0; d < world; ++d) {
-                powers[static_cast<std::size_t>(d)] = Watts(power_at(
-                    act_avg[static_cast<std::size_t>(d)],
-                    clocks[static_cast<std::size_t>(d)]));
+                powers[static_cast<std::size_t>(d)] = hw::devicePower(
+                    spec, act_avg[static_cast<std::size_t>(d)],
+                    clocks[static_cast<std::size_t>(d)]);
             }
             bool stable = true;
             for (int d = 0; d < world; ++d) {
@@ -659,9 +653,9 @@ AnalyticalBackend::run()
         prev_t = t_iter;
     }
     for (int d = 0; d < world; ++d) {
-        powers[static_cast<std::size_t>(d)] = Watts(power_at(
-            act_avg[static_cast<std::size_t>(d)],
-            clocks[static_cast<std::size_t>(d)]));
+        powers[static_cast<std::size_t>(d)] = hw::devicePower(
+            spec, act_avg[static_cast<std::size_t>(d)],
+            clocks[static_cast<std::size_t>(d)]);
     }
 
     // Price every iteration at the converged clocks.
@@ -729,7 +723,8 @@ AnalyticalBackend::run()
 
         GpuResult& g = result.gpus.emplace_back();
         g.avgPowerW = powers[static_cast<std::size_t>(d)].value();
-        g.peakPowerW = power_at(std::min(mean.peakActivity, 1.20), clk);
+        double peak_act = std::min(mean.peakActivity, hw::kActivityCap);
+        g.peakPowerW = hw::devicePower(spec, peak_act, clk).value();
         Celsius temp = thermal.steadyState(d, powers);
         g.avgTempC = temp.value();
         g.peakTempC = temp.value();

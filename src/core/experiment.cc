@@ -138,6 +138,12 @@ validate(const ExperimentConfig& config)
                 " must be positive (got ", watts, ")");
     }
 
+    const int links = net::Topology::linkCount(config.cluster.network);
+    const std::vector<faults::FaultSpec>& specs = config.faultScenario.faults;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        faults::addFaultProblems(problems, i, specs[i],
+                                 config.cluster.numGpus(), links);
+
     require(!res.enabled || config.faultScenario.empty(),
             "resilience and the legacy fault scenario are mutually "
             "exclusive: the recovery state machine owns fault handling");

@@ -71,6 +71,14 @@ struct FaultSpec
 };
 
 /**
+ * Append to @p problems one line per range FaultInjector::apply requires
+ * that fault @p index, @p spec, breaks on a cluster of @p num_gpus GPUs
+ * and @p num_links links (net::Topology::linkCount).
+ */
+void addFaultProblems(std::vector<std::string>& problems, std::size_t index,
+                      const FaultSpec& spec, int num_gpus, int num_links);
+
+/**
  * A named, seeded set of faults. Two runs of the same scenario (same
  * seed) produce byte-identical schedules and event logs.
  */

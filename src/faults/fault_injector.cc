@@ -26,6 +26,62 @@ constexpr double kOpenEnded = -1.0;
 
 } // namespace
 
+void
+addFaultProblems(std::vector<std::string>& problems, std::size_t index,
+                 const FaultSpec& spec, int num_gpus, int num_links)
+{
+    const char* kind = faultKindName(spec.kind);
+    auto require = [&](bool ok, const auto&... why) {
+        if (!ok) {
+            problems.push_back(detail::composeMessage(
+                "fault ", index, " (", kind, ") ", why...));
+        }
+    };
+    double start = spec.startSec;
+    double duration = spec.durationSec;
+    double m = spec.magnitude;
+    require(std::isfinite(start) && start >= 0.0,
+            "startSec must be finite and >= 0 (got ", start, ")");
+    require(std::isfinite(duration) && duration >= 0.0,
+            "durationSec must be finite and >= 0 (got ", duration, ")");
+    bool link = spec.kind == FaultKind::LinkDerate ||
+                spec.kind == FaultKind::LinkFlap;
+    int targets = link ? num_links : num_gpus;
+    require(spec.target >= 0 && spec.target < targets, "target ",
+            spec.target, " is not one of the cluster's ", targets,
+            link ? " links" : " GPUs");
+    bool periodic = spec.periodSec > 0.0 && duration > 0.0;
+    const char* needs_period = "needs periodSec > 0 and durationSec > 0";
+    switch (spec.kind) {
+      case FaultKind::GpuSlowdown:
+        require(m > 0.0 && m < 1.0, "magnitude must be in (0, 1) (got ", m,
+                ")");
+        break;
+      case FaultKind::LinkFlap:
+        require(periodic, needs_period);
+        require(spec.dutyCycle > 0.0 && spec.dutyCycle < 1.0,
+                "dutyCycle must be in (0, 1) (got ", spec.dutyCycle, ")");
+        [[fallthrough]];
+      case FaultKind::LinkDerate:
+        require(m > 0.0 && m <= 1.0, "magnitude must be in (0, 1] (got ",
+                m, ")");
+        break;
+      case FaultKind::FanFailure:
+        require(m > 1.0 && std::isfinite(m),
+                "magnitude must be a finite resistance scale > 1 (got ", m,
+                ")");
+        break;
+      case FaultKind::EccStall:
+        require(periodic, needs_period);
+        [[fallthrough]];
+      case FaultKind::GpuFailStop:
+      case FaultKind::HotInlet:
+        require(m > 0.0 && std::isfinite(m),
+                "magnitude must be finite and > 0 (got ", m, ")");
+        break;
+    }
+}
+
 FaultInjector::FaultInjector(sim::Simulator& simulator,
                              hw::Platform& platform,
                              net::FlowNetwork& netw)
@@ -114,30 +170,45 @@ FaultInjector::apply(const FaultScenario& scenario)
 {
     CHARLLM_ASSERT(!applied, "scenario already applied");
     applied = true;
+    std::vector<std::string> problems;
+    int links = static_cast<int>(network.topology().links().size());
+    for (std::size_t i = 0; i < scenario.faults.size(); ++i)
+        addFaultProblems(problems, i, scenario.faults[i], plat.numGpus(),
+                         links);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
     Rng rng(scenario.seed);
     for (const FaultSpec& spec : scenario.faults) {
         CHARLLM_ASSERT(spec.startSec >= sim.nowSeconds(),
                        "fault scheduled in the past: ", spec.startSec);
-        CHARLLM_ASSERT(spec.durationSec >= 0.0,
-                       "negative fault duration");
+        int id = spec.target;
         switch (spec.kind) {
           case FaultKind::GpuSlowdown:
-            applyGpuSlowdown(spec);
+            applyWindow(spec, id, 1.0, [this, id](double factor) {
+                plat.setGpuSlowdown(id, factor);
+            });
             break;
           case FaultKind::GpuFailStop:
             applyGpuFailStop(spec);
             break;
-          case FaultKind::LinkDerate:
-            applyLinkDerate(spec);
+          case FaultKind::LinkDerate: {
+            int owner = network.topology().link(id).ownerGpu;
+            applyWindow(spec, owner, 1.0, [this, id](double factor) {
+                network.setLinkDerate(id, factor);
+            });
             break;
+          }
           case FaultKind::LinkFlap:
             applyLinkFlap(spec, rng);
             break;
           case FaultKind::HotInlet:
-            applyHotInlet(spec);
+            applyWindow(spec, id, 0.0, [this, id](double rise) {
+                plat.thermal().setInletOffset(id, CelsiusDelta(rise));
+            });
             break;
           case FaultKind::FanFailure:
-            applyFanFailure(spec);
+            applyWindow(spec, id, 1.0, [this, id](double scale) {
+                plat.thermal().setResistanceScale(id, scale);
+            });
             break;
           case FaultKind::EccStall:
             applyEccStall(spec, rng);
@@ -154,32 +225,26 @@ FaultInjector::apply(const FaultScenario& scenario)
     });
 }
 
+template <typename Set>
 void
-FaultInjector::applyGpuSlowdown(const FaultSpec& spec)
+FaultInjector::applyWindow(const FaultSpec& spec, int owner, double healthy,
+                           Set set)
 {
-    CHARLLM_ASSERT(spec.magnitude > 0.0 && spec.magnitude < 1.0,
-                   "slowdown magnitude must be in (0, 1)");
-    int gpu = spec.target;
-    sim.scheduleAt(sim::toTicks(spec.startSec), [this, gpu, spec] {
-        plat.setGpuSlowdown(gpu, spec.magnitude);
-    });
+    double m = spec.magnitude;
+    sim.scheduleAt(sim::toTicks(spec.startSec), [set, m] { set(m); });
     double end = kOpenEnded;
     if (spec.durationSec > 0.0) {
         end = spec.startSec + spec.durationSec;
-        sim.scheduleAt(sim::toTicks(end), [this, gpu] {
-            plat.setGpuSlowdown(gpu, 1.0);
-        });
+        sim.scheduleAt(sim::toTicks(end), [set, healthy] { set(healthy); });
     }
-    record(spec.kind, gpu, spec.startSec, end, spec.magnitude);
-    trackInterval(gpu, spec.kind, spec.startSec,
+    record(spec.kind, spec.target, spec.startSec, end, m);
+    trackInterval(owner, spec.kind, spec.startSec,
                   end == kOpenEnded ? spec.startSec : end);
 }
 
 void
 FaultInjector::applyGpuFailStop(const FaultSpec& spec)
 {
-    CHARLLM_ASSERT(spec.magnitude > 0.0,
-                   "fail-stop needs a restart cost in seconds");
     int gpu = spec.target;
     // The replacement (or rebooted node) arrives after the restart
     // cost unless an explicit outage window was given.
@@ -209,36 +274,8 @@ FaultInjector::applyGpuFailStop(const FaultSpec& spec)
 }
 
 void
-FaultInjector::applyLinkDerate(const FaultSpec& spec)
-{
-    CHARLLM_ASSERT(spec.magnitude > 0.0 && spec.magnitude <= 1.0,
-                   "link derate magnitude must be in (0, 1]");
-    net::LinkId link = spec.target;
-    int owner = network.topology().link(link).ownerGpu;
-    sim.scheduleAt(sim::toTicks(spec.startSec), [this, link, spec] {
-        network.setLinkDerate(link, spec.magnitude);
-    });
-    double end = kOpenEnded;
-    if (spec.durationSec > 0.0) {
-        end = spec.startSec + spec.durationSec;
-        sim.scheduleAt(sim::toTicks(end), [this, link] {
-            network.setLinkDerate(link, 1.0);
-        });
-    }
-    record(spec.kind, spec.target, spec.startSec, end, spec.magnitude);
-    trackInterval(owner, spec.kind, spec.startSec,
-                  end == kOpenEnded ? spec.startSec : end);
-}
-
-void
 FaultInjector::applyLinkFlap(const FaultSpec& spec, Rng& rng)
 {
-    CHARLLM_ASSERT(spec.magnitude > 0.0 && spec.magnitude <= 1.0,
-                   "link flap magnitude must be in (0, 1]");
-    CHARLLM_ASSERT(spec.periodSec > 0.0 && spec.durationSec > 0.0,
-                   "link flap needs periodSec and durationSec");
-    CHARLLM_ASSERT(spec.dutyCycle > 0.0 && spec.dutyCycle < 1.0,
-                   "link flap duty cycle must be in (0, 1)");
     net::LinkId link = spec.target;
     int owner = network.topology().link(link).ownerGpu;
     double horizon = spec.startSec + spec.durationSec;
@@ -262,54 +299,8 @@ FaultInjector::applyLinkFlap(const FaultSpec& spec, Rng& rng)
 }
 
 void
-FaultInjector::applyHotInlet(const FaultSpec& spec)
-{
-    CHARLLM_ASSERT(spec.magnitude > 0.0,
-                   "hot inlet needs a positive degC rise");
-    int gpu = spec.target;
-    sim.scheduleAt(sim::toTicks(spec.startSec), [this, gpu, spec] {
-        plat.thermal().setInletOffset(gpu, CelsiusDelta(spec.magnitude));
-    });
-    double end = kOpenEnded;
-    if (spec.durationSec > 0.0) {
-        end = spec.startSec + spec.durationSec;
-        sim.scheduleAt(sim::toTicks(end), [this, gpu] {
-            plat.thermal().setInletOffset(gpu, CelsiusDelta(0.0));
-        });
-    }
-    record(spec.kind, gpu, spec.startSec, end, spec.magnitude);
-    trackInterval(gpu, spec.kind, spec.startSec,
-                  end == kOpenEnded ? spec.startSec : end);
-}
-
-void
-FaultInjector::applyFanFailure(const FaultSpec& spec)
-{
-    CHARLLM_ASSERT(spec.magnitude > 1.0,
-                   "fan failure needs a resistance scale > 1");
-    int gpu = spec.target;
-    sim.scheduleAt(sim::toTicks(spec.startSec), [this, gpu, spec] {
-        plat.thermal().setResistanceScale(gpu, spec.magnitude);
-    });
-    double end = kOpenEnded;
-    if (spec.durationSec > 0.0) {
-        end = spec.startSec + spec.durationSec;
-        sim.scheduleAt(sim::toTicks(end), [this, gpu] {
-            plat.thermal().setResistanceScale(gpu, 1.0);
-        });
-    }
-    record(spec.kind, gpu, spec.startSec, end, spec.magnitude);
-    trackInterval(gpu, spec.kind, spec.startSec,
-                  end == kOpenEnded ? spec.startSec : end);
-}
-
-void
 FaultInjector::applyEccStall(const FaultSpec& spec, Rng& rng)
 {
-    CHARLLM_ASSERT(spec.magnitude > 0.0,
-                   "ECC stall needs a base stall in seconds");
-    CHARLLM_ASSERT(spec.periodSec > 0.0 && spec.durationSec > 0.0,
-                   "ECC stall needs periodSec and durationSec");
     int gpu = spec.target;
     double horizon = spec.startSec + spec.durationSec;
     double t = spec.startSec + spec.periodSec * rng.uniform(0.1, 1.0);

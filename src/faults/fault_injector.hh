@@ -85,12 +85,16 @@ class FaultInjector
     void trackInterval(int gpu, FaultKind kind, double start_s,
                        double end_s);
 
-    void applyGpuSlowdown(const FaultSpec& spec);
+    /**
+     * Hold a fault over its window: @p set(magnitude) at the start and,
+     * if the fault has a duration, @p set(@p healthy) at its end. The
+     * window is tracked against device @p owner.
+     */
+    template <typename Set>
+    void applyWindow(const FaultSpec& spec, int owner, double healthy,
+                     Set set);
     void applyGpuFailStop(const FaultSpec& spec);
-    void applyLinkDerate(const FaultSpec& spec);
     void applyLinkFlap(const FaultSpec& spec, Rng& rng);
-    void applyHotInlet(const FaultSpec& spec);
-    void applyFanFailure(const FaultSpec& spec);
     void applyEccStall(const FaultSpec& spec, Rng& rng);
 
     void record(FaultKind kind, int target, double start_s,

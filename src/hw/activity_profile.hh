@@ -2,15 +2,19 @@
  * @file
  * Per-kernel-class activity profiles: the fraction of the idle..TDP
  * power range a fully-busy device draws for each class, plus the
- * occupancy/warp/threadblock gauge contributions. One table shared by
- * the event-driven Gpu power integrator and the analytical backend's
+ * occupancy/warp/threadblock gauge contributions, and the device power
+ * formula. Shared by the event-driven Gpu and the analytical backend's
  * steady-state power estimator, so both price activity identically.
  */
 
 #ifndef CHARLLM_HW_ACTIVITY_PROFILE_HH
 #define CHARLLM_HW_ACTIVITY_PROFILE_HH
 
+#include <algorithm>
+#include <cmath>
+
 #include "hw/calibration.hh"
+#include "hw/gpu_spec.hh"
 #include "hw/kernel.hh"
 
 namespace charllm {
@@ -54,6 +58,30 @@ inline double
 computeActivity(const ActivityProfile& profile, double sm_util)
 {
     return profile.powerActivity * (0.55 + 0.45 * sm_util);
+}
+
+/** Weight of communication activity stacked on overlapped compute. */
+constexpr double kCommStackWeight = 0.55;
+/** Ceiling on stacked activity (the overlap burst region). */
+constexpr double kActivityCap = 1.20;
+
+/** Compute activity overlapped with communication activity. */
+inline double
+stackedActivity(double compute_act, double comm_act)
+{
+    return std::min(compute_act + kCommStackWeight * comm_act, kActivityCap);
+}
+
+/** Board power: idle + (TDP - idle) * act * clk^kClockPowerExp, capped
+ *  at kPeakPowerCap * TDP. */
+inline Watts
+devicePower(const GpuSpec& spec, double act, double clk)
+{
+    using namespace calib;
+    double range = (spec.tdpWatts - spec.idleWatts).value();
+    double p = spec.idleWatts.value() +
+               range * act * std::pow(clk, kClockPowerExp);
+    return Watts(std::min(p, kPeakPowerCap * spec.tdpWatts.value()));
 }
 
 } // namespace hw

@@ -1,7 +1,6 @@
 #include "hw/gpu.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "hw/activity_profile.hh"
@@ -10,32 +9,43 @@
 namespace charllm {
 namespace hw {
 
-namespace {
-
-const ActivityProfile&
-profileFor(KernelClass cls)
+void
+GpuRecord::set(double now, const Values& values)
 {
-    return activityProfileFor(cls);
+    double dt = now - since;
+    CHARLLM_ASSERT(dt >= -1e-12, "gpu time went backwards");
+    if (dt > 0.0) {
+        for (std::size_t s = 0; s < NumSignals; ++s) {
+            sum[s] += held[s] * dt;
+            peak[s] = std::max(peak[s], held[s]);
+        }
+        span += dt;
+        if (held[Clock] < calib::kThrottleClockThresholdRel)
+            below += dt;
+    }
+    since = now;
+    held = values;
 }
 
-} // namespace
+void
+GpuRecord::restart(double now)
+{
+    Values values = held;
+    *this = GpuRecord();
+    since = now;
+    held = values;
+}
 
 Gpu::Gpu(int global_id, const GpuSpec& spec)
     : globalId(global_id),
       gpuSpec(spec),
       compute(spec),
       governor(spec),
-      powerCapW(spec.tdpWatts.value()),
-      clockTw(calib::kThrottleClockThresholdRel)
+      powerCapW(spec.tdpWatts.value())
 {
     active.reserve(kActiveReserve);
-    currentPower = computePower();
-    powerTw.update(0.0, currentPower);
+    refresh(0.0);
     tempTw.update(0.0, calib::kRoomTempC);
-    clockTw.update(0.0, clockRel().value());
-    occTw.update(0.0, 0.0);
-    warpTw.update(0.0, 0.0);
-    blockTw.update(0.0, 0.0);
 }
 
 std::uint64_t
@@ -44,11 +54,7 @@ Gpu::kernelBegin(KernelClass cls, double sm_util, double now)
     std::uint64_t token = nextToken++;
     // Tokens only grow, so appending keeps the set in token order.
     active.push_back(ActiveKernel{token, cls, sm_util});
-    if (isComputeClass(cls))
-        ++activeComputeCount;
-    else
-        ++activeCommCount;
-    refresh(now);
+    aggregate(now);
     return token;
 }
 
@@ -60,12 +66,8 @@ Gpu::kernelEnd(std::uint64_t token, double now)
         return k.token == token;
     });
     CHARLLM_ASSERT(it != active.end(), "unknown kernel token ", token);
-    if (isComputeClass(it->cls))
-        --activeComputeCount;
-    else
-        --activeCommCount;
     active.erase(it);
-    refresh(now);
+    aggregate(now);
 }
 
 void
@@ -74,82 +76,41 @@ Gpu::addKernelTime(KernelClass cls, Seconds duration)
     kernelTime[cls] += duration.value();
 }
 
-double
-Gpu::occupancy() const
+void
+Gpu::aggregate(double now)
 {
-    double occ = 0.0;
-    for (const ActiveKernel& k : active) {
-        const auto& p = profileFor(k.cls);
-        double contribution = p.occupancy;
-        if (isComputeClass(k.cls))
-            contribution *= std::max(k.smUtil, 0.3);
-        occ = std::max(occ, contribution);
-    }
-    return std::min(occ, 1.0);
-}
-
-double
-Gpu::warpsPerSm() const
-{
-    double warps = 0.0;
-    for (const ActiveKernel& k : active)
-        warps += profileFor(k.cls).warpsPerSm;
-    return warps;
-}
-
-double
-Gpu::threadblocks() const
-{
-    double blocks = 0.0;
-    for (const ActiveKernel& k : active)
-        blocks += profileFor(k.cls).threadblocks;
-    return blocks;
-}
-
-double
-Gpu::computePower() const
-{
-    using namespace calib;
     double compute_act = 0.0;
     double comm_act = 0.0;
+    Activity a;
     for (const ActiveKernel& k : active) {
-        const auto& p = profileFor(k.cls);
+        const ActivityProfile& p = activityProfileFor(k.cls);
+        double occ = p.occupancy;
         if (isComputeClass(k.cls)) {
-            // Memory-bound kernels draw less core power.
-            double act = p.powerActivity *
-                         (0.55 + 0.45 * std::max(k.smUtil, 0.0));
-            compute_act = std::max(compute_act, act);
+            ++a.computeKernels;
+            compute_act = std::max(
+                compute_act, computeActivity(p, std::max(k.smUtil, 0.0)));
+            occ *= std::max(k.smUtil, 0.3);
         } else {
+            ++a.commKernels;
             comm_act = std::max(comm_act, p.powerActivity);
         }
+        a.occupancy = std::max(a.occupancy, occ);
+        a.warps += p.warpsPerSm;
+        a.threadblocks += p.threadblocks;
     }
-    // Overlapped compute+comm stacks activity (burst region), capped.
-    double act = compute_act + 0.55 * comm_act;
-    act = std::min(act, 1.20);
-
-    double clk = clockRel().value();
-    double dynamic_range = (gpuSpec.tdpWatts - gpuSpec.idleWatts).value();
-    double p = gpuSpec.idleWatts.value() +
-               dynamic_range * act * std::pow(clk, kClockPowerExp);
-    return std::min(p, kPeakPowerCap * gpuSpec.tdpWatts.value());
+    a.power = stackedActivity(compute_act, comm_act);
+    a.occupancy = std::min(a.occupancy, 1.0);
+    activity = a;
+    refresh(now);
 }
 
 void
 Gpu::refresh(double now)
 {
-    CHARLLM_ASSERT(now + 1e-12 >= lastEnergyTime,
-                   "gpu time went backwards");
-    double dt = now - lastEnergyTime;
-    if (dt > 0.0) {
-        energy += currentPower * dt;
-        lastEnergyTime = now;
-    }
-    currentPower = computePower();
-    powerTw.update(now, currentPower);
-    clockTw.update(now, clockRel().value());
-    occTw.update(now, occupancy());
-    warpTw.update(now, warpsPerSm());
-    blockTw.update(now, threadblocks());
+    double clk = clockRel().value();
+    Watts p = devicePower(gpuSpec, activity.power, clk);
+    record.set(now, {p.value(), clk, activity.occupancy, activity.warps,
+                     activity.threadblocks});
     noteChange();
 }
 
@@ -159,15 +120,13 @@ Gpu::governorUpdate(Celsius temp, double now)
     double before = clockRel().value();
     ClockRel governor_before = governor.clockRel();
     ThrottleReason reason_before = governor.lastReason();
-    bool compute_bound = activeComputeCount > 0 &&
-                         activeComputeCount >= activeCommCount;
+    bool compute_bound = activity.computeKernels > 0 &&
+                         activity.computeKernels >= activity.commKernels;
     // Enforce an explicit power cap (e.g. injected node fault) by
     // treating it as the TDP the governor sees.
-    double effective_power = currentPower;
-    if (powerCapW < gpuSpec.tdpWatts.value()) {
-        effective_power =
-            currentPower + (gpuSpec.tdpWatts.value() - powerCapW);
-    }
+    double effective_power = power().value();
+    if (powerCapW < gpuSpec.tdpWatts.value())
+        effective_power += gpuSpec.tdpWatts.value() - powerCapW;
     governor.evaluate(temp, Watts(effective_power), compute_bound);
     GovernorStep step;
     step.stateChanged = governor.clockRel() != governor_before ||
@@ -210,44 +169,22 @@ Gpu::trafficBytes(TrafficClass cls) const
     return Bytes(traffic[static_cast<std::size_t>(cls)]);
 }
 
-double
-Gpu::throttleRatio() const
-{
-    return clockTw.fractionBelow();
-}
-
 void
 Gpu::finishStats(double now)
 {
     refresh(now);
-    powerTw.finish(now);
     tempTw.finish(now);
-    clockTw.finish(now);
-    occTw.finish(now);
-    warpTw.finish(now);
-    blockTw.finish(now);
 }
 
 void
 Gpu::resetStats(double now)
 {
     refresh(now);
-    energy = 0.0;
-    lastEnergyTime = now;
+    record.restart(now);
     for (double& t : traffic)
         t = 0.0;
     kernelTime = KernelTimeBreakdown();
-    powerTw.reset();
     tempTw.restart(now);
-    clockTw.reset();
-    occTw.reset();
-    warpTw.reset();
-    blockTw.reset();
-    powerTw.update(now, currentPower);
-    clockTw.update(now, clockRel().value());
-    occTw.update(now, occupancy());
-    warpTw.update(now, warpsPerSm());
-    blockTw.update(now, threadblocks());
 }
 
 } // namespace hw

@@ -1,15 +1,18 @@
 /**
  * @file
  * The simulated GPU device: activity tracking, power computation,
- * energy integration, DVFS state, traffic counters, and telemetry
- * statistics. Temperature is owned by the ThermalModel (read it through
- * the Platform) and pushed in at governor evaluations.
+ * DVFS state, traffic counters, and its time-weighted record (energy,
+ * average power, clock, throttle ratio, activity gauges). Temperature
+ * is owned by the ThermalModel (read it through the Platform) and
+ * pushed in at governor evaluations.
  */
 
 #ifndef CHARLLM_HW_GPU_HH
 #define CHARLLM_HW_GPU_HH
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/marked_set.hh"
@@ -35,17 +38,56 @@ enum class TrafficClass
 constexpr std::size_t kNumTrafficClasses =
     static_cast<std::size_t>(TrafficClass::NumClasses);
 
-inline const char*
-trafficClassName(TrafficClass t)
+/** One signal's time average over a GpuRecord's window. */
+struct TimeAverage
 {
-    switch (t) {
-      case TrafficClass::NvLink: return "NVLink";
-      case TrafficClass::Xgmi: return "xGMI";
-      case TrafficClass::Pcie: return "PCIe";
-      case TrafficClass::InfiniBand: return "InfiniBand";
-      default: return "?";
+    double integral; //!< the signal integrated over the window
+    double duration; //!< window length, seconds
+    double held;     //!< value held at the window's end
+    double peak;     //!< highest value held for dt > 0 (-inf if none)
+
+    /** Time-weighted mean; the held value over a zero-length window. */
+    double mean() const { return duration > 0.0 ? integral / duration : held; }
+    double max() const { return peak; }
+};
+
+/**
+ * One device's time-weighted accounting. Its five signals are piecewise
+ * constant and change at the same instants, so they share one timestamp
+ * and a change computes one dt. The power integral is the energy.
+ */
+class GpuRecord
+{
+  public:
+    enum Signal { Power, Clock, Occupancy, Warps, Threadblocks, NumSignals };
+    using Values = std::array<double, NumSignals>;
+
+    GpuRecord() { peak.fill(-std::numeric_limits<double>::infinity()); }
+
+    /** Integrate the held values up to @p now, then hold @p values. */
+    void set(double now, const Values& values);
+
+    /** Discard the integrals; the held values hold from @p now on. */
+    void restart(double now);
+
+    TimeAverage
+    average(Signal s) const
+    {
+        return {sum[s], span, held[s], peak[s]};
     }
-}
+
+    /** Share of the window the clock sat below
+     *  calib::kThrottleClockThresholdRel (0 over an empty window). */
+    double throttleRatio() const { return span > 0.0 ? below / span : 0.0; }
+
+  private:
+    double since = 0.0; //!< when the held values took effect
+    double span = 0.0;  //!< window length
+    double below = 0.0; //!< time with the clock below the threshold
+    Values held = {};
+    Values sum = {};
+    Values peak;
+};
 
 /**
  * One simulated accelerator. The runtime engine reports kernel
@@ -82,8 +124,8 @@ class Gpu
     {
         return gpuSpec.nominalClockGhz * clockRel().value();
     }
-    Watts power() const { return Watts(currentPower); }
-    Joules energyJoules() const { return Joules(energy); }
+    Watts power() const { return Watts(powerStats().held); }
+    Joules energyJoules() const { return Joules(powerStats().integral); }
     ThrottleReason
     throttleReason() const
     {
@@ -93,14 +135,14 @@ class Gpu
     }
 
     /** Whether any compute-class kernel is currently active. */
-    bool computeActive() const { return activeComputeCount > 0; }
+    bool computeActive() const { return activity.computeKernels > 0; }
     /** Whether any communication-class kernel is currently active. */
-    bool commActive() const { return activeCommCount > 0; }
+    bool commActive() const { return activity.commKernels > 0; }
 
     /** Instantaneous occupancy / warp / threadblock gauges (Fig. 20). */
-    double occupancy() const;
-    double warpsPerSm() const;
-    double threadblocks() const;
+    double occupancy() const { return activity.occupancy; }
+    double warpsPerSm() const { return activity.warps; }
+    double threadblocks() const { return activity.threadblocks; }
 
     // ---- platform side -----------------------------------------------------
     /** What one governor evaluation did. */
@@ -160,7 +202,6 @@ class Gpu
         powerCapW = watts.value();
         noteChange();
     }
-    Watts powerCap() const { return Watts(powerCapW); }
 
     /**
      * Injected performance derate (fault injection): the device runs
@@ -169,7 +210,6 @@ class Gpu
      * in-flight compute must be re-timed).
      */
     bool setSlowdown(double factor, double now);
-    double slowdownFactor() const { return slowdown; }
 
     // ---- traffic counters ---------------------------------------------------
     void addTraffic(TrafficClass cls, Bytes bytes);
@@ -177,15 +217,19 @@ class Gpu
 
     // ---- statistics -----------------------------------------------------------
     const KernelTimeBreakdown& breakdown() const { return kernelTime; }
-    const TimeWeightedStats& powerStats() const { return powerTw; }
     const TimeWeightedStats& tempStats() const { return tempTw; }
-    const TimeWeightedStats& clockStats() const { return clockTw; }
-    const TimeWeightedStats& occupancyStats() const { return occTw; }
-    const TimeWeightedStats& warpStats() const { return warpTw; }
-    const TimeWeightedStats& threadblockStats() const { return blockTw; }
+    TimeAverage powerStats() const { return record.average(Power); }
+    TimeAverage clockStats() const { return record.average(Clock); }
+    TimeAverage occupancyStats() const { return record.average(Occupancy); }
+    TimeAverage warpStats() const { return record.average(Warps); }
+    TimeAverage
+    threadblockStats() const
+    {
+        return record.average(Threadblocks);
+    }
 
     /** Time-weighted fraction of time spent below nominal clock. */
-    double throttleRatio() const;
+    double throttleRatio() const { return record.throttleRatio(); }
 
     /** Close all statistics intervals at @p now (end of measurement). */
     void finishStats(double now);
@@ -194,6 +238,8 @@ class Gpu
     void resetStats(double now);
 
   private:
+    using enum GpuRecord::Signal;
+
     struct ActiveKernel
     {
         std::uint64_t token;
@@ -206,7 +252,22 @@ class Gpu
      *  kernelBegin stays allocation-free. */
     static constexpr std::size_t kActiveReserve = 8;
 
-    /** Recompute power from current activity/clock and restat. */
+    /** What the active kernels add up to. */
+    struct Activity
+    {
+        double power = 0.0; //!< stacked power activity (stackedActivity)
+        double occupancy = 0.0;
+        double warps = 0.0;
+        double threadblocks = 0.0;
+        int computeKernels = 0;
+        int commKernels = 0;
+    };
+
+    /** Recompute the activity aggregate in one pass over `active` and
+     *  refresh at @p now; run whenever the active set changes. */
+    void aggregate(double now);
+
+    /** Set the record's signals from the aggregate and the clock. */
     void refresh(double now);
 
     void
@@ -216,9 +277,6 @@ class Gpu
             changeLog->mark(changeKey);
     }
 
-    /** Instantaneous power for the current activity set. */
-    double computePower() const;
-
     int globalId;
     GpuSpec gpuSpec;
     ComputeModel compute;
@@ -227,26 +285,18 @@ class Gpu
     std::uint64_t nextToken = 1;
     /** Kernels in flight, in ascending token (= issue) order. */
     std::vector<ActiveKernel> active;
-    int activeComputeCount = 0;
-    int activeCommCount = 0;
+    Activity activity;
 
-    double currentPower;
     double powerCapW;
     double slowdown = 1.0; //!< injected derate, 1.0 = healthy
     MarkedSet* changeLog = nullptr;
     int changeKey = 0;
-    double energy = 0.0;
-    double lastEnergyTime = 0.0;
 
     double traffic[kNumTrafficClasses] = {};
     KernelTimeBreakdown kernelTime;
 
-    TimeWeightedStats powerTw;
-    TimeWeightedStats tempTw;
-    TimeWeightedStats clockTw; //!< fractionBelow = throttle ratio
-    TimeWeightedStats occTw;
-    TimeWeightedStats warpTw;
-    TimeWeightedStats blockTw;
+    GpuRecord record;
+    TimeWeightedStats tempTw; //!< recorded on the governor's cadence
 };
 
 } // namespace hw

@@ -48,6 +48,16 @@ Topology::oneGpuPerNode(Params base, int num_nodes)
     return base;
 }
 
+int
+Topology::linkCount(const Params& p)
+{
+    // Per GPU: a scale-up pair (multi-GPU nodes) and a PCIe pair; per
+    // node: a NIC pair; per chiplet package: one pair link.
+    int gpus = p.numNodes * p.gpusPerNode;
+    return gpus * (p.gpusPerNode > 1 ? 4 : 2) + 2 * p.numNodes +
+           (p.chiplet ? gpus / 2 : 0);
+}
+
 LinkId
 Topology::addLink(const std::string& name, BytesPerSec capacity,
                   hw::TrafficClass cls, int owner_gpu)
@@ -109,6 +119,8 @@ Topology::Topology(const Params& params) : cfg(params)
                                    hw::TrafficClass::Xgmi, pkg * 2);
         }
     }
+    CHARLLM_ASSERT(static_cast<int>(linkSpecs.size()) == linkCount(cfg),
+                   "link layout disagrees with linkCount");
 }
 
 LinkId
@@ -125,14 +137,6 @@ Topology::nicInLink(int node) const
     CHARLLM_ASSERT(node >= 0 && node < cfg.numNodes,
                    "node id out of range: ", node);
     return nicIn[static_cast<std::size_t>(node)];
-}
-
-LinkId
-Topology::scaleUpOutLink(int gpu) const
-{
-    CHARLLM_ASSERT(gpu >= 0 && gpu < numGpus(),
-                   "gpu id out of range: ", gpu);
-    return scaleUpOut[static_cast<std::size_t>(gpu)];
 }
 
 LinkId

@@ -68,6 +68,9 @@ class Topology
     /** Single-GPU-per-node variant of @p base (paper Fig. 8 setup). */
     static Params oneGpuPerNode(Params base, int num_nodes);
 
+    /** Number of links a topology built from @p params has. */
+    static int linkCount(const Params& params);
+
     explicit Topology(const Params& params);
 
     const Params& params() const { return cfg; }
@@ -95,7 +98,6 @@ class Topology
      * @{ */
     LinkId nicOutLink(int node) const;
     LinkId nicInLink(int node) const;
-    LinkId scaleUpOutLink(int gpu) const;
     LinkId pcieOutLink(int gpu) const;
     LinkId pcieInLink(int gpu) const;
     /** @} */

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "bench_util.hh"
 #include "core/analytical_backend.hh"
@@ -338,6 +339,31 @@ TEST(SweepFlagsDeath, EmptyBackendExitsTwo)
     const char* argv[] = {"bench", "--backend="};
     EXPECT_EXIT(benchutil::sweepFlags(2, const_cast<char**>(argv)),
                 testing::ExitedWithCode(2), "unknown backend");
+}
+
+TEST(SweepFlagsDeath, InvalidFaultScenariosExitTwo)
+{
+    // Each of these once crashed the run (a segfault or an abort).
+    using faults::FaultKind;
+    const std::pair<faults::FaultSpec, const char*> probes[] = {
+        {{FaultKind::GpuSlowdown, 9999, 0.0, 0.0, 0.5},
+         "target 9999 is not one of the cluster's 8 GPUs"},
+        {{FaultKind::LinkDerate, 99999, 0.0, 0.0, 0.5},
+         "target 99999 is not one of the cluster's 34 links"},
+        {{FaultKind::GpuSlowdown, 0, 0.0, 0.0, 1.5},
+         "magnitude must be in \\(0, 1\\) \\(got 1.5\\)"},
+        {{FaultKind::HotInlet, 0, -1.0, 0.0, 10.0},
+         "startSec must be finite and >= 0 \\(got -1\\)"},
+        {{FaultKind::FanFailure, 0, 0.0, 0.0, 0.5},
+         "resistance scale > 1 \\(got 0.5\\)"},
+    };
+    for (const auto& [spec, message] : probes) {
+        SCOPED_TRACE(message);
+        ExperimentConfig cfg = smallConfig(2, 4, sim::BackendKind::Des);
+        cfg.faultScenario.faults = {spec};
+        EXPECT_EXIT(benchutil::runSweep({cfg}, benchutil::SweepFlags{}),
+                    testing::ExitedWithCode(2), message);
+    }
 }
 
 TEST(SweepFlags, ParsesBackendValues)

@@ -106,45 +106,17 @@ TEST(TimeWeightedStats, PiecewiseMean)
     EXPECT_DOUBLE_EQ(tw.duration(), 4.0);
 }
 
-TEST(TimeWeightedStats, FractionBelowThreshold)
-{
-    auto fraction = [](double threshold) {
-        TimeWeightedStats tw(threshold);
-        tw.update(0.0, 1.0); // nominal for 2s
-        tw.update(2.0, 0.8); // throttled for 1s
-        tw.update(3.0, 1.0); // nominal for 1s
-        tw.finish(4.0);
-        return tw.fractionBelow();
-    };
-    EXPECT_NEAR(fraction(0.99), 0.25, 1e-12);
-    EXPECT_NEAR(fraction(0.5), 0.0, 1e-12);
-    EXPECT_NEAR(fraction(2.0), 1.0, 1e-12);
-    EXPECT_EQ(TimeWeightedStats().fractionBelow(), 0.0);
-}
-
-TEST(TimeWeightedStats, ResetKeepsThreshold)
-{
-    TimeWeightedStats tw(0.9);
-    tw.update(0.0, 0.5);
-    tw.finish(1.0);
-    tw.reset();
-    EXPECT_EQ(tw.duration(), 0.0);
-    tw.update(1.0, 0.5); // below for 1s
-    tw.update(2.0, 1.0); // above for 1s
-    tw.finish(3.0);
-    EXPECT_DOUBLE_EQ(tw.fractionBelow(), 0.5);
-}
-
 TEST(TimeWeightedStats, SizeIndependentOfUpdateCount)
 {
     // The accumulator keeps no per-interval history: a million
     // updates leave it the same fixed-size value it started as.
     static_assert(std::is_trivially_copyable_v<TimeWeightedStats>);
-    TimeWeightedStats tw(0.5);
+    TimeWeightedStats tw;
     for (int i = 0; i < 1000000; ++i)
         tw.update(i * 1e-3, (i % 4) * 0.25);
     tw.finish(1000.0);
-    EXPECT_NEAR(tw.fractionBelow(), 0.5, 1e-9);
+    EXPECT_NEAR(tw.mean(), 0.375, 1e-9);
+    EXPECT_DOUBLE_EQ(tw.duration(), 1000.0);
 }
 
 TEST(TimeWeightedStats, ZeroDurationUpdatesIgnored)

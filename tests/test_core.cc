@@ -199,8 +199,19 @@ enableElasticShrink(ExperimentConfig& c)
         resil::DryPoolPolicy::ElasticShrink;
 }
 
+/** A one-fault scenario. */
+faults::FaultScenario
+oneFault(faults::FaultKind kind, int target, double start_s,
+         double magnitude)
+{
+    faults::FaultScenario s;
+    s.faults.push_back(faults::FaultSpec{kind, target, start_s, 0.0,
+                                         magnitude});
+    return s;
+}
+
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 16;
+constexpr std::size_t kProbeRows = 21;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
@@ -264,6 +275,38 @@ invalidConfigRows()
          "model numQueryGroups (3) must divide numHeads (20)"},
         {"zero hidden size", [](C c) { c.model.hiddenSize = 0; },
          "seqLength must be positive (got 16, 0, 20, 1024)"},
+        // Fault scenarios: the first two segfaulted, the other three
+        // panicked in faults::FaultInjector.
+        {"slowdown of a GPU past the cluster",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(9999, 0.5);
+         },
+         "fault 0 (gpu-slowdown) target 9999 is not one of the cluster's "
+         "8 GPUs"},
+        {"derate of a link past the topology",
+         [](C c) {
+             c.faultScenario =
+                 oneFault(faults::FaultKind::LinkDerate, 99999, 0.0, 0.5);
+         },
+         "fault 0 (link-derate) target 99999 is not one of the cluster's "
+         "34 links"},
+        {"slowdown that speeds up",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 1.5);
+         },
+         "fault 0 (gpu-slowdown) magnitude must be in (0, 1) (got 1.5)"},
+        {"hot inlet before the run",
+         [](C c) {
+             c.faultScenario = faults::scenarios::hotInlet(
+                 0, CelsiusDelta(10.0), -1.0);
+         },
+         "fault 0 (hot-inlet) startSec must be finite and >= 0 (got -1)"},
+        {"fan failure that cools",
+         [](C c) {
+             c.faultScenario = faults::scenarios::fanFailure(0, 0.5);
+         },
+         "fault 0 (fan-failure) magnitude must be a finite resistance "
+         "scale > 1 (got 0.5)"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
@@ -329,6 +372,90 @@ invalidConfigRows()
              c.resilience.enabled = true;
          },
          "mutually exclusive"},
+        // Fault scenario ranges past the probes.
+        {"fault at an infinite time",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(
+                 0, 0.5, std::numeric_limits<double>::infinity());
+         },
+         "startSec must be finite and >= 0 (got inf)"},
+        {"fault of negative duration",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 0.5);
+             c.faultScenario.faults[0].durationSec = -2.0;
+         },
+         "fault 0 (gpu-slowdown) durationSec must be finite and >= 0 "
+         "(got -2)"},
+        {"fault on a negative GPU id",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(-1, 0.5);
+         },
+         "target -1 is not one of the cluster's 8 GPUs"},
+        {"flap on the link one past the last",
+         [](C c) {
+             c.faultScenario = faults::scenarios::flappingLink(
+                 34, 0.25, Seconds(0.1), Seconds(1.0));
+         },
+         "fault 0 (link-flap) target 34 is not one of the cluster's 34 "
+         "links"},
+        {"link derate above one",
+         [](C c) {
+             c.faultScenario =
+                 oneFault(faults::FaultKind::LinkDerate, 0, 0.0, 1.5);
+         },
+         "fault 0 (link-derate) magnitude must be in (0, 1] (got 1.5)"},
+        {"flap to a dead link",
+         [](C c) {
+             c.faultScenario = faults::scenarios::flappingLink(
+                 0, 0.0, Seconds(0.1), Seconds(1.0));
+         },
+         "fault 0 (link-flap) magnitude must be in (0, 1] (got 0)"},
+        {"flap with no period",
+         [](C c) {
+             c.faultScenario = faults::scenarios::flappingLink(
+                 0, 0.25, Seconds(0.0), Seconds(1.0));
+         },
+         "fault 0 (link-flap) needs periodSec > 0 and durationSec > 0"},
+        {"flap that never recovers",
+         [](C c) {
+             c.faultScenario = faults::scenarios::flappingLink(
+                 0, 0.25, Seconds(0.1), Seconds(1.0));
+             c.faultScenario.faults[0].dutyCycle = 1.0;
+         },
+         "fault 0 (link-flap) dutyCycle must be in (0, 1) (got 1)"},
+        {"hot inlet that cools",
+         [](C c) {
+             c.faultScenario =
+                 faults::scenarios::hotInlet(0, CelsiusDelta(-5.0));
+         },
+         "fault 0 (hot-inlet) magnitude must be finite and > 0 (got -5)"},
+        {"fail-stop that costs nothing",
+         [](C c) {
+             c.faultScenario =
+                 oneFault(faults::FaultKind::GpuFailStop, 0, 0.0, 0.0);
+         },
+         "fault 0 (gpu-fail-stop) magnitude must be finite and > 0 "
+         "(got 0)"},
+        {"ECC stall of no time",
+         [](C c) {
+             c.faultScenario = faults::scenarios::eccStorm(
+                 0, Seconds(0.0), Seconds(0.1), Seconds(1.0));
+         },
+         "fault 0 (ecc-stall) magnitude must be finite and > 0 (got 0)"},
+        {"ECC storm with no window",
+         [](C c) {
+             c.faultScenario = faults::scenarios::eccStorm(
+                 0, Seconds(0.01), Seconds(0.1), Seconds(0.0));
+         },
+         "fault 0 (ecc-stall) needs periodSec > 0 and durationSec > 0"},
+        {"problems name the fault's index",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 0.5);
+             c.faultScenario.faults.push_back(
+                 c.faultScenario.faults.front());
+             c.faultScenario.faults[1].target = 8;
+         },
+         "fault 1 (gpu-slowdown) target 8 is not one of"},
         // Resilience and model ranges past the probes.
         {"PDU domain of no nodes",
          [](C c) {
@@ -424,6 +551,20 @@ TEST_F(CoreFixture, ValidateAcceptsValidConfigs)
         }
     }
     ExperimentConfig cfg = smallConfig(2, 2);
+    // Every preset fault scenario, at the edges of the cluster.
+    net::Topology topo(cfg.cluster.network);
+    namespace fs = faults::scenarios;
+    for (const faults::FaultScenario& scenario :
+         {fs::straggler(7, 0.5), fs::failStop(0, Seconds(2.0), 0.0),
+          fs::hotInlet(7, CelsiusDelta(14.0)), fs::fanFailure(0, 1.8),
+          fs::flappingLink(net::Topology::linkCount(topo.params()) - 1,
+                           0.25, Seconds(0.1), Seconds(1.0)),
+          fs::eccStorm(0, Seconds(0.01), Seconds(0.1), Seconds(1.0)),
+          fs::degradedPod(topo, Seconds(2.0))}) {
+        cfg.faultScenario = scenario;
+        EXPECT_TRUE(validate(cfg).empty()) << scenario.name;
+    }
+    cfg.faultScenario = {};
     cfg.devicePermutation = {7, 6, 5, 4, 3, 2, 1, 0};
     cfg.nodePowerCaps = {{0, 300.0}};
     cfg.train.virtualStages = 2;

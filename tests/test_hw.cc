@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/stats.hh"
+#include "hw/activity_profile.hh"
 #include "hw/calibration.hh"
 #include "hw/chassis.hh"
 #include "hw/compute_model.hh"
@@ -536,6 +538,266 @@ TEST(Gpu, TrafficCountersAccumulate)
                      5e9);
     gpu.resetStats(1.0);
     EXPECT_DOUBLE_EQ(gpu.trafficBytes(TrafficClass::Pcie).value(), 0.0);
+}
+
+// ---- the GPU's time-weighted record ----------------------------------------
+
+/** Record values in which only the clock is set. */
+GpuRecord::Values
+clockOnly(double clk)
+{
+    return {0.0, clk, 0.0, 0.0, 0.0};
+}
+
+TEST(GpuRecord, ThrottleRatioCountsTimeBelowThreshold)
+{
+    // Each clock holds for one second.
+    auto ratio = [](std::vector<double> clocks) {
+        GpuRecord r;
+        for (std::size_t i = 0; i < clocks.size(); ++i)
+            r.set(static_cast<double>(i), clockOnly(clocks[i]));
+        r.set(static_cast<double>(clocks.size()), clockOnly(1.0));
+        return r.throttleRatio();
+    };
+    const double at = calib::kThrottleClockThresholdRel;
+    EXPECT_EQ(ratio({1.0, 1.0, 0.8, 1.0}), 0.25);
+    EXPECT_EQ(ratio({at, at, 1.2}), 0.0); // strictly below counts
+    EXPECT_EQ(ratio({0.5, 0.9}), 1.0);
+    EXPECT_EQ(GpuRecord().throttleRatio(), 0.0);
+}
+
+TEST(GpuRecord, RestartKeepsCountingBelowThreshold)
+{
+    GpuRecord r;
+    r.set(0.0, clockOnly(0.5));
+    r.set(1.0, clockOnly(0.5));
+    r.restart(1.0);
+    EXPECT_EQ(r.average(GpuRecord::Clock).duration, 0.0);
+    EXPECT_EQ(r.average(GpuRecord::Clock).mean(), 0.5); // held value
+    r.set(2.0, clockOnly(1.0)); // below for 1 s
+    r.set(3.0, clockOnly(1.0)); // above for 1 s
+    EXPECT_EQ(r.throttleRatio(), 0.5);
+    EXPECT_EQ(r.average(GpuRecord::Clock).mean(), 0.75);
+}
+
+/** A kernel the reference below tracks, in issue order. */
+struct RefKernel
+{
+    std::uint64_t token;
+    KernelClass cls;
+    double smUtil;
+};
+
+/** The per-kernel scans GpuRecord's aggregate replaced. */
+double
+refOccupancy(const std::vector<RefKernel>& ks)
+{
+    double occ = 0.0;
+    for (const RefKernel& k : ks) {
+        double c = activityProfileFor(k.cls).occupancy;
+        if (isComputeClass(k.cls))
+            c *= std::max(k.smUtil, 0.3);
+        occ = std::max(occ, c);
+    }
+    return std::min(occ, 1.0);
+}
+
+double
+refWarps(const std::vector<RefKernel>& ks)
+{
+    double warps = 0.0;
+    for (const RefKernel& k : ks)
+        warps += activityProfileFor(k.cls).warpsPerSm;
+    return warps;
+}
+
+double
+refBlocks(const std::vector<RefKernel>& ks)
+{
+    double blocks = 0.0;
+    for (const RefKernel& k : ks)
+        blocks += activityProfileFor(k.cls).threadblocks;
+    return blocks;
+}
+
+double
+refPower(const GpuSpec& spec, const std::vector<RefKernel>& ks, double clk)
+{
+    double compute_act = 0.0;
+    double comm_act = 0.0;
+    for (const RefKernel& k : ks) {
+        const ActivityProfile& p = activityProfileFor(k.cls);
+        if (isComputeClass(k.cls)) {
+            compute_act = std::max(
+                compute_act,
+                p.powerActivity * (0.55 + 0.45 * std::max(k.smUtil, 0.0)));
+        } else {
+            comm_act = std::max(comm_act, p.powerActivity);
+        }
+    }
+    double act = std::min(compute_act + 0.55 * comm_act, 1.20);
+    double range = (spec.tdpWatts - spec.idleWatts).value();
+    double p = spec.idleWatts.value() +
+               range * act * std::pow(clk, calib::kClockPowerExp);
+    return std::min(p, calib::kPeakPowerCap * spec.tdpWatts.value());
+}
+
+/**
+ * The accounting GpuRecord replaced: one TimeWeightedStats per signal
+ * and a separate energy sum, fed the device's held values at the
+ * instants the device changes them.
+ */
+struct SignalReference
+{
+    TimeWeightedStats power, clock, occupancy, warps, blocks, throttled;
+    TimeWeightedStats temp;
+    double energy = 0.0;
+    double energySince = 0.0;
+    double heldPower = 0.0;
+
+    void
+    hold(double now, double p, double clk, const std::vector<RefKernel>& ks)
+    {
+        double dt = now - energySince;
+        if (dt > 0.0) {
+            energy += heldPower * dt;
+            energySince = now;
+        }
+        heldPower = p;
+        power.update(now, p);
+        clock.update(now, clk);
+        occupancy.update(now, refOccupancy(ks));
+        warps.update(now, refWarps(ks));
+        blocks.update(now, refBlocks(ks));
+        throttled.update(
+            now, clk < calib::kThrottleClockThresholdRel ? 1.0 : 0.0);
+    }
+
+    double
+    throttleRatio() const
+    {
+        return throttled.duration() > 0.0 ? throttled.mean() : 0.0;
+    }
+};
+
+TEST(GpuRecord, MatchesPerSignalReference)
+{
+    // A seeded schedule of overlapped kernels, governor clock moves
+    // (temperatures and power caps), slowdowns, resets and finishes.
+    // Every signal must agree with its own reference accumulator bit
+    // for bit at every step.
+    const GpuSpec spec = h100Spec();
+    Gpu gpu(0, spec);
+    SignalReference ref;
+    std::vector<RefKernel> ks;
+    ref.hold(0.0, gpu.power().value(), gpu.clockRel().value(), ks);
+    ref.temp.update(0.0, calib::kRoomTempC);
+    auto hold = [&](double now) {
+        ref.hold(now, refPower(spec, ks, gpu.clockRel().value()),
+                 gpu.clockRel().value(), ks);
+    };
+
+    Rng rng(23);
+    double now = 0.0;
+    int clock_moves = 0;
+    int resets = 0;
+    int finishes = 0;
+    std::size_t most_active = 0;
+    for (int step = 0; step < 6000; ++step) {
+        SCOPED_TRACE(step);
+        // One step in four lands on the instant of the step before.
+        if (rng.below(4) != 0)
+            now += rng.uniform(0.0, 4e-3);
+        bool changed = false;
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+            if (ks.size() < 6) {
+                auto cls = static_cast<KernelClass>(
+                    rng.below(kNumKernelClasses));
+                double util = rng.uniform(-0.2, 1.0);
+                ks.push_back({gpu.kernelBegin(cls, util, now), cls, util});
+                changed = true;
+            }
+            break;
+          case 2:
+          case 3:
+            if (!ks.empty()) {
+                auto it = ks.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.below(ks.size()));
+                gpu.kernelEnd(it->token, now);
+                ks.erase(it);
+                changed = true;
+            }
+            break;
+          case 4: {
+            double temp = rng.uniform(40.0, 100.0);
+            changed = gpu.thermalUpdate(Celsius(temp), now);
+            ref.temp.update(now, temp);
+            clock_moves += changed;
+            break;
+          }
+          case 5:
+            gpu.setPowerCap(
+                Watts(spec.tdpWatts.value() * rng.uniform(0.5, 1.0)));
+            changed = gpu.governorUpdate(Celsius(50.0), now).clockChanged;
+            clock_moves += changed;
+            break;
+          case 6:
+            changed = gpu.setSlowdown(rng.below(3) == 0 ? 0.6 : 1.0, now);
+            clock_moves += changed;
+            break;
+          case 7:
+            if (rng.below(8) == 0) {
+                gpu.resetStats(now);
+                hold(now);
+                for (TimeWeightedStats* tw :
+                     {&ref.power, &ref.clock, &ref.occupancy, &ref.warps,
+                      &ref.blocks, &ref.throttled}) {
+                    tw->restart(now);
+                }
+                ref.temp.restart(now);
+                ref.energy = 0.0;
+                ref.energySince = now;
+                ++resets;
+            } else if (rng.below(8) == 0) {
+                gpu.finishStats(now);
+                hold(now);
+                ref.temp.finish(now);
+                ++finishes;
+            }
+            break;
+        }
+        if (changed)
+            hold(now);
+        most_active = std::max(most_active, ks.size());
+
+        ASSERT_EQ(gpu.occupancy(), refOccupancy(ks));
+        ASSERT_EQ(gpu.warpsPerSm(), refWarps(ks));
+        ASSERT_EQ(gpu.threadblocks(), refBlocks(ks));
+        ASSERT_EQ(gpu.power().value(),
+                  refPower(spec, ks, gpu.clockRel().value()));
+        ASSERT_EQ(gpu.energyJoules().value(), ref.energy);
+        ASSERT_EQ(gpu.powerStats().mean(), ref.power.mean());
+        ASSERT_EQ(gpu.powerStats().max(), ref.power.max());
+        ASSERT_EQ(gpu.clockStats().mean(), ref.clock.mean());
+        ASSERT_EQ(gpu.clockStats().max(), ref.clock.max());
+        ASSERT_EQ(gpu.occupancyStats().mean(), ref.occupancy.mean());
+        ASSERT_EQ(gpu.occupancyStats().max(), ref.occupancy.max());
+        ASSERT_EQ(gpu.warpStats().mean(), ref.warps.mean());
+        ASSERT_EQ(gpu.warpStats().max(), ref.warps.max());
+        ASSERT_EQ(gpu.threadblockStats().mean(), ref.blocks.mean());
+        ASSERT_EQ(gpu.threadblockStats().max(), ref.blocks.max());
+        ASSERT_EQ(gpu.throttleRatio(), ref.throttleRatio());
+        ASSERT_EQ(gpu.tempStats().mean(), ref.temp.mean());
+        ASSERT_EQ(gpu.tempStats().max(), ref.temp.max());
+    }
+    EXPECT_GT(clock_moves, 0);
+    EXPECT_GT(resets, 0);
+    EXPECT_GT(finishes, 0);
+    EXPECT_GE(most_active, 3u);
+    EXPECT_GT(gpu.throttleRatio(), 0.0);
+    EXPECT_GT(gpu.energyJoules().value(), 0.0);
 }
 
 // ---- platform integration --------------------------------------------------
