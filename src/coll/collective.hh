@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/quantity.hh"
-#include "hw/kernel.hh"
 
 namespace charllm {
 namespace coll {
@@ -37,20 +36,6 @@ collectiveKindName(CollectiveKind k)
       case CollectiveKind::SendRecv: return "SendRecv";
       case CollectiveKind::Barrier: return "Barrier";
       default: return "?";
-    }
-}
-
-/** Kernel class used for breakdown accounting of a collective. */
-inline hw::KernelClass
-kernelClassFor(CollectiveKind k)
-{
-    switch (k) {
-      case CollectiveKind::AllReduce: return hw::KernelClass::AllReduce;
-      case CollectiveKind::AllGather: return hw::KernelClass::AllGather;
-      case CollectiveKind::ReduceScatter:
-        return hw::KernelClass::ReduceScatter;
-      case CollectiveKind::AllToAll: return hw::KernelClass::AllToAll;
-      default: return hw::KernelClass::SendRecv;
     }
 }
 

@@ -106,7 +106,6 @@ void
 CollectiveEngine::run(const CollectiveRequest& request,
                       sim::EventFn on_complete)
 {
-    ++runCount;
     auto n = static_cast<int>(request.ranks.size());
     CHARLLM_ASSERT(n >= 1, "collective with no ranks");
     CHARLLM_ASSERT(request.bytes.value() >= 0.0,

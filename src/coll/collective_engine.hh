@@ -63,8 +63,6 @@ class CollectiveEngine
      */
     static int ringSteps(CollectiveKind kind, int n);
 
-    std::uint64_t numCollectivesRun() const { return runCount; }
-
     /** Whether a request qualifies for hierarchical execution. */
     bool shouldRunHierarchically(const CollectiveRequest& req) const;
 
@@ -128,7 +126,6 @@ class CollectiveEngine
 
     sim::Simulator& sim;
     net::FlowNetwork& network;
-    std::uint64_t runCount = 0;
     const scale::SymmetryFold* fold = nullptr;
     /** Per-physical-device wrap-around route (interned at setFold,
      *  so the hot path never allocates routes). */

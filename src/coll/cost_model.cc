@@ -18,37 +18,5 @@ ringAllReduceSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
     return steps * latency + wire / bandwidth;
 }
 
-Seconds
-ringAllGatherSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
-                     Seconds latency)
-{
-    CHARLLM_ASSERT(n >= 1 && bandwidth.value() > 0.0,
-                   "bad allgather params");
-    if (n == 1)
-        return Seconds(0.0);
-    double steps = static_cast<double>(n - 1);
-    Bytes wire = bytes * (n - 1) / n;
-    return steps * latency + wire / bandwidth;
-}
-
-Seconds
-allToAllSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
-                Seconds latency)
-{
-    CHARLLM_ASSERT(n >= 1 && bandwidth.value() > 0.0,
-                   "bad alltoall params");
-    if (n == 1)
-        return Seconds(0.0);
-    Bytes wire = bytes * (n - 1) / n;
-    return latency + wire / bandwidth;
-}
-
-Seconds
-hierarchicalAllReduceSeconds(int nodes, Bytes bytes,
-                             BytesPerSec node_bandwidth, Seconds latency)
-{
-    return ringAllReduceSeconds(nodes, bytes, node_bandwidth, latency);
-}
-
 } // namespace coll
 } // namespace charllm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Analytic alpha-beta cost models for collectives on a flat network.
+ * Analytic alpha-beta cost model for ring AllReduce on a flat network.
  * Used by the datacenter-scale projector (paper Sec. 7.1 follows the
  * same methodology with Astra-Sim) and by tests as a reference for the
  * flow-level simulation.
@@ -23,26 +23,6 @@ namespace coll {
  */
 Seconds ringAllReduceSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
                              Seconds latency);
-
-/** Ring AllGather/ReduceScatter: (n-1) steps of bytes/n. */
-Seconds ringAllGatherSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
-                             Seconds latency);
-
-/**
- * Direct-exchange AllToAll: each rank sends bytes/n to every peer; the
- * per-rank egress volume is bytes*(n-1)/n serialized over its port.
- */
-Seconds allToAllSeconds(int n, Bytes bytes, BytesPerSec bandwidth,
-                        Seconds latency);
-
-/**
- * Hierarchical AllReduce across @p nodes where each node contributes
- * one aggregated rank: reduce-scatter + all-gather over the inter-node
- * fabric at @p node_bandwidth per node.
- */
-Seconds hierarchicalAllReduceSeconds(int nodes, Bytes bytes,
-                                     BytesPerSec node_bandwidth,
-                                     Seconds latency);
 
 } // namespace coll
 } // namespace charllm

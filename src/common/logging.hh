@@ -2,7 +2,7 @@
  * @file
  * Error and status reporting helpers, following the gem5 convention:
  * fatal() for user errors (bad configuration), panic() for internal
- * invariant violations, warn()/inform() for advisory messages.
+ * invariant violations, warn() for advisory messages.
  */
 
 #ifndef CHARLLM_COMMON_LOGGING_HH

@@ -127,50 +127,4 @@ TimeWeightedStats::mean() const
     return totalTime > 0.0 ? weighted / totalTime : lastValue;
 }
 
-Histogram::Histogram(double lo_, double hi_, std::size_t bins)
-    : lo(lo_), hi(hi_), counts(bins, 0.0)
-{
-    CHARLLM_ASSERT(bins > 0 && hi_ > lo_, "invalid histogram bounds");
-}
-
-void
-Histogram::add(double x, double weight)
-{
-    double frac = (x - lo) / (hi - lo);
-    auto bin = static_cast<std::ptrdiff_t>(
-        frac * static_cast<double>(counts.size()));
-    bin = std::clamp<std::ptrdiff_t>(
-        bin, 0, static_cast<std::ptrdiff_t>(counts.size()) - 1);
-    counts[static_cast<std::size_t>(bin)] += weight;
-    total += weight;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo + (hi - lo) * static_cast<double>(i) /
-           static_cast<double>(counts.size());
-}
-
-double
-Histogram::binHigh(std::size_t i) const
-{
-    return binLow(i + 1);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (total <= 0.0)
-        return lo;
-    double target = q * total;
-    double seen = 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        seen += counts[i];
-        if (seen >= target)
-            return binHigh(i);
-    }
-    return hi;
-}
-
 } // namespace charllm

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace charllm {
 
@@ -89,30 +88,6 @@ class TimeWeightedStats
     double totalTime = 0.0;
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-bin histogram over [lo, hi); out-of-range samples clamp. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x, double weight = 1.0);
-
-    std::size_t numBins() const { return counts.size(); }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const;
-    double binCount(std::size_t i) const { return counts[i]; }
-    double totalWeight() const { return total; }
-
-    /** Smallest x such that at least q of the weight lies below it. */
-    double quantile(double q) const;
-
-  private:
-    double lo;
-    double hi;
-    std::vector<double> counts;
-    double total = 0.0;
 };
 
 } // namespace charllm

@@ -72,20 +72,6 @@ formatSeconds(double seconds)
 }
 
 std::string
-formatBandwidth(double bytes_per_sec)
-{
-    char buf[64];
-    double v = std::fabs(bytes_per_sec);
-    if (v >= 1e9)
-        std::snprintf(buf, sizeof(buf), "%.2f GB/s", bytes_per_sec / 1e9);
-    else if (v >= 1e6)
-        std::snprintf(buf, sizeof(buf), "%.2f MB/s", bytes_per_sec / 1e6);
-    else
-        std::snprintf(buf, sizeof(buf), "%.2f KB/s", bytes_per_sec / 1e3);
-    return buf;
-}
-
-std::string
 join(const std::vector<std::string>& parts, const std::string& sep)
 {
     std::string result;

@@ -31,9 +31,6 @@ std::string formatBytes(double bytes);
 /** Human-readable duration from seconds ("12.3 ms"). */
 std::string formatSeconds(double seconds);
 
-/** Human-readable rate from bytes/second ("25.0 GB/s"). */
-std::string formatBandwidth(double bytes_per_sec);
-
 /** Join the parts with a separator. */
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep);

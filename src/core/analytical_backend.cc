@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "coll/collective_engine.hh"
-#include "coll/cost_model.hh"
 #include "common/logging.hh"
 #include "hw/activity_profile.hh"
 #include "hw/calibration.hh"
@@ -75,19 +74,6 @@ struct RingSlot
 };
 
 } // namespace
-
-Seconds
-AnalyticalBackend::dataParallelAllReduceSeconds(int nodes,
-                                               Bytes grad_bytes,
-                                               BytesPerSec node_bandwidth,
-                                               Seconds latency)
-{
-    CHARLLM_ASSERT(nodes >= 1, "allreduce across ", nodes, " nodes");
-    if (nodes == 1)
-        return latency;
-    return coll::hierarchicalAllReduceSeconds(nodes, grad_bytes,
-                                              node_bandwidth, latency);
-}
 
 void
 AnalyticalBackend::prepare()

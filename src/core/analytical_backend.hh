@@ -37,16 +37,6 @@ class AnalyticalBackend final : public ExperimentBackend
   public:
     const char* name() const override { return "analytical"; }
 
-    /**
-     * Closed-form hierarchical data-parallel gradient AllReduce across
-     * @p nodes of per-node bandwidth @p node_bandwidth. Shared with
-     * scale::Projector so the datacenter-scale projection and the
-     * analytical backend price DP communication identically.
-     */
-    static Seconds dataParallelAllReduceSeconds(
-        int nodes, Bytes grad_bytes, BytesPerSec node_bandwidth,
-        Seconds latency);
-
   private:
     void prepare() override;
     void run() override;

@@ -5,15 +5,12 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "hw/calibration.hh"
 
 namespace charllm {
 namespace faults {
 
 namespace {
-
-/** Effective clock of a fail-stopped device until its replacement
- * arrives (the paper's power-fault incident: >4x slower). */
-constexpr double kFailStopDerate = 0.02;
 
 /** Maximum ECC retry attempts before the stall resolves. */
 constexpr int kMaxEccRetries = 6;
@@ -252,7 +249,7 @@ FaultInjector::applyGpuFailStop(const FaultSpec& spec)
                                            : spec.magnitude;
     double end = spec.startSec + outage;
     sim.scheduleAt(sim::toTicks(spec.startSec), [this, gpu, spec] {
-        plat.setGpuSlowdown(gpu, kFailStopDerate);
+        plat.setGpuSlowdown(gpu, hw::calib::kFailStopDerate);
         if (engine)
             engine->notifyFailStop(Seconds(spec.magnitude));
         if (mapper) {

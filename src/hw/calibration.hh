@@ -79,6 +79,12 @@ constexpr double kGovernorPeriodSec = 2.0e-3;
 // Throttle ratio counts time below this fraction of nominal clock.
 constexpr double kThrottleClockThresholdRel = 0.99;
 
+// ---- faults -----------------------------------------------------------------
+// Effective clock of a fail-stopped device until its replacement
+// arrives (the paper's power-fault incident: >4x slower). Shared by
+// the fault-scenario injector and the resilience recovery pipeline.
+constexpr double kFailStopDerate = 0.02;
+
 } // namespace calib
 } // namespace hw
 } // namespace charllm

@@ -24,19 +24,6 @@ enum class ThrottleReason
     Fault, //!< injected degradation (straggler, fail-stop derate)
 };
 
-/** Human-readable throttle-reason label. */
-inline const char*
-throttleReasonName(ThrottleReason r)
-{
-    switch (r) {
-      case ThrottleReason::None: return "none";
-      case ThrottleReason::Thermal: return "thermal";
-      case ThrottleReason::PowerCap: return "power-cap";
-      case ThrottleReason::Fault: return "fault";
-      default: return "?";
-    }
-}
-
 /**
  * Per-GPU DVFS governor. Evaluated periodically with the device's
  * current temperature, power draw, and workload character; returns a

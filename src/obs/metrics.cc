@@ -95,47 +95,6 @@ MetricsRegistry::toJson() const
     return os.str();
 }
 
-CsvWriter
-MetricsRegistry::toCsv() const
-{
-    CsvWriter csv;
-    csv.header({"kind", "name", "count", "sum", "min", "max", "mean"});
-    for (const auto& [name, c] : counters) {
-        csv.beginRow();
-        csv.cell(std::string("counter"));
-        csv.cell(name);
-        csv.cell(c.value());
-        csv.cell(static_cast<double>(c.value()));
-        csv.cell(0.0);
-        csv.cell(0.0);
-        csv.cell(0.0);
-        csv.endRow();
-    }
-    for (const auto& [name, g] : gauges) {
-        csv.beginRow();
-        csv.cell(std::string("gauge"));
-        csv.cell(name);
-        csv.cell(std::uint64_t(1));
-        csv.cell(g.value());
-        csv.cell(g.value());
-        csv.cell(g.value());
-        csv.cell(g.value());
-        csv.endRow();
-    }
-    for (const auto& [name, h] : histograms) {
-        csv.beginRow();
-        csv.cell(std::string("histogram"));
-        csv.cell(name);
-        csv.cell(h.count());
-        csv.cell(h.sum());
-        csv.cell(h.min());
-        csv.cell(h.max());
-        csv.cell(h.mean());
-        csv.endRow();
-    }
-    return csv;
-}
-
 void
 SimCounters::capture(const sim::EventQueue& queue,
                      const net::FlowNetwork& network)

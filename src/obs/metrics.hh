@@ -30,8 +30,6 @@
 #include <map>
 #include <string>
 
-#include "common/csv.hh"
-
 namespace charllm {
 namespace hw {
 class Platform;
@@ -169,21 +167,6 @@ class Histogram
     std::array<std::uint64_t, kBuckets> buckets{};
 };
 
-/** Null-safe increment helpers for optional metric handles. */
-inline void
-add(Counter* counter, std::uint64_t delta = 1)
-{
-    if (counter != nullptr)
-        counter->inc(delta);
-}
-
-inline void
-observe(Histogram* histogram, double value)
-{
-    if (histogram != nullptr)
-        histogram->observe(value);
-}
-
 /**
  * Registry of named metrics. get-or-create accessors return stable
  * references (storage is node-based); dumps iterate in name order,
@@ -212,9 +195,6 @@ class MetricsRegistry
     /** {"counters":{...},"gauges":{...},"histograms":{...}} with
      *  names sorted; histograms dump count/sum/min/max/mean. */
     std::string toJson() const;
-
-    /** One row per metric: kind, name, value columns. */
-    CsvWriter toCsv() const;
 
   private:
     std::map<std::string, Counter> counters;

@@ -44,8 +44,8 @@ covers(const IntervalList& intervals, double t)
 /** One classified segment of a device's timeline. */
 struct Segment
 {
-    double start = 0.0;
-    double end = 0.0;
+    double startSec = 0.0;
+    double endSec = 0.0;
     Phase phase = Phase::Idle;
 };
 
@@ -65,15 +65,6 @@ phaseName(Phase phase)
         return "idle";
     }
     return "unknown";
-}
-
-double
-GpuPhaseBreakdown::totalSeconds() const
-{
-    double total = 0.0;
-    for (const auto& slice : phases)
-        total += slice.seconds;
-    return total;
 }
 
 double
@@ -260,38 +251,18 @@ attributePhases(
                 b - a;
         }
 
-        // Energy: sample i covers (t_{i-1}, t_i] at power P_i; split
-        // each covered interval across the phase segments it spans.
-        // Every joule of the sampler series inside the window lands in
-        // exactly one slice, so per-phase energies sum to the sampler
-        // integral exactly.
+        // Energy: every joule of the sampler series inside the window
+        // lands in exactly one slice, so per-phase energies sum to the
+        // sampler integral exactly.
         if (dev >= static_cast<int>(series.size()))
             continue;
-        double prev = window_start;
-        std::size_t seg = 0;
-        for (const auto& sample : series[dev]) {
-            double t = sample.time.value();
-            double lo = std::max(prev, window_start);
-            double hi = std::min(t, window_end);
-            prev = t;
-            if (hi <= lo)
-                continue;
-            double power = sample.powerWatts.value();
-            while (seg < segments.size() &&
-                   segments[seg].end <= lo)
-                ++seg;
-            for (std::size_t s = seg;
-                 s < segments.size() && segments[s].start < hi; ++s) {
-                double overlap = std::min(hi, segments[s].end) -
-                                 std::max(lo, segments[s].start);
-                if (overlap > 0.0)
-                    out.phases[static_cast<std::size_t>(
-                                   segments[s].phase)]
-                        .energyJ += power * overlap;
-            }
-            if (t >= window_end)
-                break;
-        }
+        telemetry::splitSampleEnergy(
+            series[dev], window_start, window_end, segments,
+            [](double) {},
+            [&out](const Segment& segment, double joules) {
+                out.phases[static_cast<std::size_t>(segment.phase)]
+                    .energyJ += joules;
+            });
     }
     return report;
 }

@@ -70,7 +70,6 @@ struct GpuPhaseBreakdown
     int gpu = 0;
     std::array<PhaseSlice, kNumPhases> phases{};
 
-    double totalSeconds() const;
     double totalEnergyJ() const;
 };
 

@@ -67,9 +67,6 @@ class RankMapper
     RankCoords coordsOf(int rank) const;
     int rankFromCoords(const RankCoords& coords) const;
 
-    /** Expert-parallel index of a rank (subgroup of its DP block). */
-    int epIdxOf(int rank) const { return coordsOf(rank).dpIdx % cfg.ep; }
-
     /** @name Communication groups (device ids, ascending rank order)
      * @{ */
     std::vector<int> tpGroupDevices(int rank) const;

@@ -59,8 +59,6 @@ class CheckpointModel
                                 const parallel::ParallelConfig& par,
                                 const parallel::MemoryOptions& opts);
 
-    Bytes rankState() const { return state; }
-
     /** Per-rank bottleneck bandwidth along the storage path: all
      *  ranks write concurrently, so the NIC splits per node and the
      *  store backend splits across the world. */

@@ -11,6 +11,9 @@ namespace resil {
 
 namespace {
 
+/** Mean outage length of a transient link fault. */
+constexpr double kLinkClearMeanSec = 1.0;
+
 /** Exponential draw with mean @p mean; floored so a pathological
  *  u ~ 0 cannot stall schedule expansion. */
 Seconds
@@ -62,28 +65,6 @@ expandComponent(Rng rng, FailureKind kind, int target, Seconds mtbf,
         t += exponential(rng, mtbf);
     }
 }
-
-} // namespace
-
-const char*
-failureKindName(FailureKind kind)
-{
-    switch (kind) {
-    case FailureKind::GpuFatal:
-        return "gpu_fatal";
-    case FailureKind::LinkTransient:
-        return "link_transient";
-    case FailureKind::NodeFatal:
-        return "node_fatal";
-    case FailureKind::SwitchFatal:
-        return "switch_fatal";
-    case FailureKind::PduFatal:
-        return "pdu_fatal";
-    }
-    return "unknown";
-}
-
-namespace {
 
 int
 domainCount(int num_nodes, int nodes_per_domain)
@@ -137,14 +118,12 @@ FailureGenerator::generate(const MtbfProfile& profile, int num_gpus,
                 Seconds(0.0), horizon, events);
     }
     if (profile.linkMtbfSec > 0.0) {
-        CHARLLM_ASSERT(profile.linkClearMeanSec > 0.0,
-                       "transient links need a positive clear time");
         for (int n = 0; n < num_nodes; ++n)
             expandComponent(
                 componentRng(seed, FailureKind::LinkTransient, n),
                 FailureKind::LinkTransient, n,
                 Seconds(profile.linkMtbfSec),
-                Seconds(profile.linkClearMeanSec), horizon, events);
+                Seconds(kLinkClearMeanSec), horizon, events);
     }
     if (profile.nodeMtbfSec > 0.0) {
         for (int n = 0; n < num_nodes; ++n)

@@ -40,8 +40,6 @@ enum class FailureKind
     PduFatal,      //!< PDU/rack power circuit: its node block dies
 };
 
-const char* failureKindName(FailureKind kind);
-
 /** One scheduled failure. */
 struct FailureEvent
 {
@@ -62,7 +60,6 @@ struct MtbfProfile
     double gpuMtbfSec = 0.0;       //!< per GPU
     double linkMtbfSec = 0.0;      //!< per node's scale-out NIC
     double nodeMtbfSec = 0.0;      //!< per node
-    double linkClearMeanSec = 1.0; //!< mean transient outage length
     /** Correlated-domain classes: one draw per switch / PDU, failing
      *  its whole node block at once. 0 disables the class. */
     double switchMtbfSec = 0.0;    //!< per scale-out switch

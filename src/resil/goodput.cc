@@ -241,40 +241,17 @@ GoodputLedger::finalize(
         }
     }
 
-    // Energy: sample i covers (t_{i-1}, t_i] at power P_i; split each
-    // covered interval across the segments it spans (the lossless
-    // re-bucketing contract of obs::attributePhases), and integrate
-    // the same series independently for the conservation check.
-    for (const auto& s : series) {
-        double prev = 0.0;
-        std::size_t seg = 0;
-        for (const auto& sample : s) {
-            double t = sample.time.value();
-            double lo = std::max(prev, 0.0);
-            double hi = std::min(t, wall_end_s);
-            prev = t;
-            if (hi <= lo)
-                continue;
-            double power = sample.powerWatts.value();
-            rep.totalEnergyJ += power * (hi - lo);
-            while (seg < rep.timeline.size() &&
-                   rep.timeline[seg].endSec <= lo)
-                ++seg;
-            for (std::size_t k = seg; k < rep.timeline.size() &&
-                                      rep.timeline[k].startSec < hi;
-                 ++k) {
-                double overlap =
-                    std::min(hi, rep.timeline[k].endSec) -
-                    std::max(lo, rep.timeline[k].startSec);
-                if (overlap > 0.0)
-                    rep.buckets[static_cast<std::size_t>(
-                                    rep.timeline[k].bucket)]
-                        .energyJ += power * overlap;
-            }
-            if (t >= wall_end_s)
-                break;
-        }
-    }
+    // Energy: split each series over the timeline with the split
+    // obs::attributePhases uses, and integrate the same series
+    // independently for the conservation check.
+    for (const auto& s : series)
+        telemetry::splitSampleEnergy(
+            s, 0.0, wall_end_s, rep.timeline,
+            [&rep](double joules) { rep.totalEnergyJ += joules; },
+            [&rep](const MarkedInterval& segment, double joules) {
+                rep.buckets[static_cast<std::size_t>(segment.bucket)]
+                    .energyJ += joules;
+            });
 
     // Conservation invariants: the eight buckets partition wall time
     // and integrated energy exactly (1e-9 relative, matching the phase

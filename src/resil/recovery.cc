@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "hw/calibration.hh"
 
 namespace charllm {
 namespace resil {
@@ -47,23 +48,7 @@ RecoveryManager::RecoveryManager(sim::Simulator& simulator,
     CHARLLM_ASSERT(ckptIntervalSec > 0.0,
                    "checkpoint interval must be positive (use "
                    "youngDalyInterval or an explicit value)");
-    CHARLLM_ASSERT(cfg.retry.maxAttempts >= 1 &&
-                       cfg.retry.initialBackoff.value() > 0.0 &&
-                       cfg.retry.backoffMultiplier >= 1.0 &&
-                       cfg.retry.maxBackoff.value() >=
-                           cfg.retry.initialBackoff.value(),
-                   "bad retry policy");
-    CHARLLM_ASSERT(cfg.gpuFailDerate > 0.0 && cfg.gpuFailDerate < 1.0 &&
-                       cfg.linkFaultDerate > 0.0 &&
-                       cfg.linkFaultDerate <= 1.0,
-                   "derates must be in (0, 1]");
-    CHARLLM_ASSERT(cfg.spares.capacity >= 0 &&
-                       cfg.spares.acquire.value() > 0.0 &&
-                       cfg.reboot.value() > 0.0,
-                   "bad spare-pool economics");
-    CHARLLM_ASSERT(cfg.elastic.quiesce.value() >= 0.0 &&
-                       cfg.elastic.groupReinit.value() >= 0.0,
-                   "bad elastic reconfiguration costs");
+    CHARLLM_ASSERT(cfg.spares.capacity >= 0, "negative spare capacity");
     CHARLLM_ASSERT(horizonSec > 0.0, "non-positive failure horizon");
     sparesFree = cfg.spares.capacity;
     // The depot's arrival stream is salted off the failure-schedule
@@ -159,7 +144,7 @@ RecoveryManager::onFailure(std::size_t index)
         gpus.swap(live);
     }
     for (int g : gpus)
-        plat.setGpuSlowdown(g, cfg.gpuFailDerate);
+        plat.setGpuSlowdown(g, hw::calib::kFailStopDerate);
     if (recovering) {
         // The cluster is already down for repair (or mid-reconfig):
         // the same window covers this fault, no extra rollback.
@@ -167,9 +152,10 @@ RecoveryManager::onFailure(std::size_t index)
         return;
     }
     ++runStats.fatalFaults;
-    double detect = ev.kind == FailureKind::GpuFatal
-                        ? cfg.detection.gpuDetect().value()
-                        : cfg.detection.nodeDetect().value();
+    double detect =
+        ev.kind == FailureKind::GpuFatal
+            ? kCollectiveTimeoutSec
+            : kHeartbeatPeriodSec * static_cast<double>(kHeartbeatMisses);
     scheduleAt(now + detect,
                [this, now, gpus, detect, mid_collective] {
         onFatalGpus(now, gpus, now + detect, mid_collective);
@@ -198,7 +184,7 @@ RecoveryManager::onFatalGpus(double fail_s, std::vector<int> gpus,
         sparesFree -= units;
         runStats.sparesConsumed += units;
         beginRollback(fail_s, detect_s, std::move(gpus), -1,
-                      cfg.spares.acquire.value());
+                      kSpareAcquireSec);
         return;
     }
     ++runStats.poolDryEvents;
@@ -215,8 +201,7 @@ RecoveryManager::onFatalGpus(double fail_s, std::vector<int> gpus,
         // Shrinking would remove the last replica: fall through to
         // the reboot-length repair window.
     }
-    beginRollback(fail_s, detect_s, std::move(gpus), -1,
-                  cfg.reboot.value());
+    beginRollback(fail_s, detect_s, std::move(gpus), -1, kRebootSec);
 }
 
 void
@@ -329,14 +314,14 @@ RecoveryManager::onTransientLink(const FailureEvent& ev)
         }
     }
     ++runStats.transientFaults;
-    network.setLinkDerate(link, cfg.linkFaultDerate);
+    network.setLinkDerate(link, kLinkFaultDerate);
 
     RetrySession s;
     s.link = link;
     s.node = ev.target;
     s.failSec = now;
     s.clearAtSec = now + ev.clearSec;
-    s.detectSec = now + cfg.detection.linkDetect().value();
+    s.detectSec = now + kCollectiveTimeoutSec;
     s.active = true;
     sessions.push_back(s);
     std::size_t idx = sessions.size() - 1;
@@ -346,8 +331,7 @@ RecoveryManager::onTransientLink(const FailureEvent& ev)
         RetrySession& session = sessions[idx];
         ledger.mark(Bucket::Detection, session.failSec,
                     session.detectSec);
-        double first =
-            session.detectSec + cfg.retry.backoff(0).value();
+        double first = session.detectSec + retryBackoff(0).value();
         scheduleAt(first, [this, idx, first] {
             retryAttempt(idx, first);
         });
@@ -371,7 +355,7 @@ RecoveryManager::retryAttempt(std::size_t session, double attempt_s)
         s.active = false;
         return;
     }
-    if (s.attempt >= cfg.retry.maxAttempts) {
+    if (s.attempt >= kRetryMaxAttempts) {
         // Budget exhausted: declare the NIC dead and escalate to the
         // fatal path (replacement + rollback). The link itself heals
         // when the replacement part arrives; a spare NIC sled comes
@@ -380,18 +364,18 @@ RecoveryManager::retryAttempt(std::size_t session, double attempt_s)
         ++runStats.retriesEscalated;
         ++runStats.fatalFaults;
         s.active = false;
-        double replacement = cfg.reboot.value();
+        double replacement = kRebootSec;
         if (sparesFree >= 1) {
             --sparesFree;
             ++runStats.sparesConsumed;
-            replacement = cfg.spares.acquire.value();
+            replacement = kSpareAcquireSec;
         } else {
             ++runStats.poolDryEvents;
         }
         beginRollback(attempt_s, attempt_s, {}, s.link, replacement);
         return;
     }
-    double next = attempt_s + cfg.retry.backoff(s.attempt).value();
+    double next = attempt_s + retryBackoff(s.attempt).value();
     scheduleAt(next, [this, session, next] {
         retryAttempt(session, next);
     });
@@ -493,10 +477,8 @@ RecoveryManager::beginShrink(double fail_s, double detect_s,
                       lastCkptStep, " > ", committed);
     }
 
-    double pause =
-        cfg.elastic.quiesce.value() +
-        cfg.elastic.groupReinit.value() +
-        (mid_collective ? ckpt.readSeconds().value() : 0.0);
+    double pause = kElasticQuiesceSec + kGroupReinitSec +
+                   (mid_collective ? ckpt.readSeconds().value() : 0.0);
     double resume = detect_s + pause;
     resumeAtSec = resume;
     ledger.mark(Bucket::Reconfig, detect_s, resume);
@@ -536,8 +518,7 @@ RecoveryManager::beginGrow(double end_s)
     // survivors quiesce, DP communicators re-form at the wider width,
     // and the rejoining ranks pull current state (one checkpoint-read
     // worth of bytes). No rollback — committed work stands.
-    double pause = cfg.elastic.quiesce.value() +
-                   cfg.elastic.groupReinit.value() +
+    double pause = kElasticQuiesceSec + kGroupReinitSec +
                    ckpt.readSeconds().value();
     double resume = end_s + pause;
     ledger.mark(Bucket::Reconfig, end_s, resume);
@@ -579,8 +560,7 @@ RecoveryManager::tryScheduleRepairs(double now_s)
         runStats.sparesConsumed += dr.units;
         dr.repairing = true;
         int dp_idx = dr.dpIdx;
-        scheduleAt(now_s + cfg.spares.acquire.value(),
-                   [this, dp_idx] {
+        scheduleAt(now_s + kSpareAcquireSec, [this, dp_idx] {
             for (auto& d : deadReplicas)
                 if (d.dpIdx == dp_idx)
                     d.ready = true;

@@ -49,47 +49,45 @@
 namespace charllm {
 namespace resil {
 
-/** Failure-detection latencies (watchdog + heartbeat). */
-struct DetectionModel
+// ---- recovery-pipeline constants ---------------------------------------
+// One set serves every run (DESIGN.md §8 tabulates them).
+
+/** NCCL-watchdog-style collective timeout: a dead GPU or link is
+ *  noticed when its collective fails to complete in time. */
+constexpr double kCollectiveTimeoutSec = 0.5;
+/** A node is declared dead after kHeartbeatMisses missed heartbeats,
+ *  one every kHeartbeatPeriodSec. */
+constexpr double kHeartbeatPeriodSec = 0.5;
+constexpr int kHeartbeatMisses = 3;
+/** Retry budget for a transient link fault; each attempt waits an
+ *  exponential backoff, capped so a long budget cannot overflow into
+ *  absurd escalation delays. */
+constexpr int kRetryMaxAttempts = 4;
+constexpr double kRetryInitialBackoffSec = 0.25;
+constexpr double kRetryBackoffMultiplier = 2.0;
+constexpr double kRetryMaxBackoffSec = 30.0;
+/** Attach latency of one warm-spare replacement. */
+constexpr double kSpareAcquireSec = 2.0;
+/** Repair window when the pool is dry under StallReboot (or when an
+ *  elastic shrink cannot apply, e.g. the last replica died). */
+constexpr double kRebootSec = 60.0;
+/** One elastic reconfiguration (shrink or grow): drain and park the
+ *  survivors, then re-form the DP communicators. */
+constexpr double kElasticQuiesceSec = 0.2;
+constexpr double kGroupReinitSec = 1.0;
+/** Residual capacity of a transiently faulted scale-out link. */
+constexpr double kLinkFaultDerate = 0.05;
+
+/** Backoff before 0-based retry attempt @p attempt (closed form,
+ *  clamped to kRetryMaxBackoffSec). */
+inline Seconds
+retryBackoff(int attempt)
 {
-    /** NCCL-watchdog-style collective timeout: a dead GPU or link is
-     *  noticed when its collective fails to complete in time. */
-    Seconds collectiveTimeout{0.5};
-    Seconds heartbeatPeriod{0.5};
-    int heartbeatMisses = 3; //!< node declared dead after N misses
-
-    Seconds gpuDetect() const { return collectiveTimeout; }
-    Seconds linkDetect() const { return collectiveTimeout; }
-
-    Seconds
-    nodeDetect() const
-    {
-        return heartbeatPeriod *
-               static_cast<double>(heartbeatMisses);
-    }
-};
-
-/** Exponential-backoff retry budget for transient link faults. */
-struct RetryPolicy
-{
-    int maxAttempts = 4;
-    Seconds initialBackoff{0.25};
-    double backoffMultiplier = 2.0;
-    /** Cap on a single backoff, so a large attempt budget cannot
-     *  overflow the exponential into absurd escalation delays. */
-    Seconds maxBackoff{30.0};
-
-    /** Backoff before 0-based attempt @p attempt (closed form,
-     *  clamped to maxBackoff). */
-    Seconds
-    backoff(int attempt) const
-    {
-        double b = initialBackoff.value() *
-                   std::pow(backoffMultiplier,
-                            static_cast<double>(attempt));
-        return Seconds(std::min(b, maxBackoff.value()));
-    }
-};
+    double b = kRetryInitialBackoffSec *
+               std::pow(kRetryBackoffMultiplier,
+                        static_cast<double>(attempt));
+    return Seconds(std::min(b, kRetryMaxBackoffSec));
+}
 
 /**
  * Finite warm-spare pool. capacity units are on the shelf at t=0; a
@@ -103,7 +101,6 @@ struct RetryPolicy
 struct SparePool
 {
     int capacity = 1;
-    Seconds acquire{2.0};       //!< attach latency per replacement
     Seconds replenishMean{0.0}; //!< mean inter-arrival; 0 = never
 
     /** Deterministic depot-arrival times over [0, horizon). */
@@ -118,11 +115,9 @@ enum class DryPoolPolicy
     ElasticShrink,   //!< drop the dead DP replicas, keep training
 };
 
-/** Cost model for one elastic reconfiguration (shrink or grow). */
+/** Batch policy while an elastic shrink has the world degraded. */
 struct ElasticPolicy
 {
-    Seconds quiesce{0.2};     //!< drain + park the survivors
-    Seconds groupReinit{1.0}; //!< re-form the DP communicators
     /** Spread the full global batch over the survivors while
      *  degraded (more microbatches per replica) instead of letting
      *  the effective batch shrink with the world. */
@@ -132,19 +127,10 @@ struct ElasticPolicy
 /** Recovery-pipeline knobs. */
 struct RecoveryConfig
 {
-    DetectionModel detection;
-    RetryPolicy retry;
     /** Finite warm-spare pool; when dry, dryPolicy decides. */
     SparePool spares;
     DryPoolPolicy dryPolicy = DryPoolPolicy::StallReboot;
-    /** Repair window when the pool is dry under StallReboot (or when
-     *  elastic shrink cannot apply, e.g. the last replica died). */
-    Seconds reboot{60.0};
     ElasticPolicy elastic;
-    /** Residual capacity of a transiently-faulted scale-out link. */
-    double linkFaultDerate = 0.05;
-    /** Effective clock of a fail-stopped GPU until replacement. */
-    double gpuFailDerate = 0.02;
     /** Re-map a dead GPU's ranks to a same-node peer on recovery
      *  (parallel::failoverPeer; requires attachMapper). */
     bool elasticRemap = false;

@@ -192,8 +192,6 @@ class TrainingEngine
      *  committed work. */
     bool collectiveInFlight() const { return !openInstances.empty(); }
 
-    bool runFinished() const { return finished; }
-
     /** @} */
 
   private:

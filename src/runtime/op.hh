@@ -80,16 +80,6 @@ struct Program
     {
         return static_cast<int>(deviceOps.size());
     }
-
-    /** Total operator count across devices. */
-    std::size_t
-    numOps() const
-    {
-        std::size_t n = 0;
-        for (const auto& ops : deviceOps)
-            n += ops.size();
-        return n;
-    }
 };
 
 } // namespace runtime

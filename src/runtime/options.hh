@@ -44,9 +44,6 @@ struct TrainOptions
      */
     std::vector<int> stageLayers;
 
-    /** Gradient buckets overlappable with backward compute. */
-    int gradBuckets = 4;
-
     /**
      * Force data chunking on pipeline SendRecv even when the boundary
      * tensor is sliced across TP ranks (counterfactual for the

@@ -29,6 +29,10 @@ constexpr double kMoeImbalanceSigma = 0.18;
 constexpr double kOptimizerFlopsPerParam = 10.0;
 constexpr double kOptimizerBytesPerParam = 22.0;
 
+// Gradient buckets whose DP AllReduce can overlap backward compute
+// (the last microbatches' backwards, under ccOverlap).
+constexpr int kGradBuckets = 4;
+
 } // namespace
 
 ProgramBuilder::ProgramBuilder(
@@ -672,7 +676,7 @@ ProgramBuilder::emitRank(BuildContext& ctx, int rank) const
     const auto& par = map.config();
     int stage = map.coordsOf(rank).ppIdx;
     int m = effectiveMicrobatches();
-    int buckets = std::min(opts.gradBuckets, m);
+    int buckets = std::min(kGradBuckets, m);
     bool plain_dp = effectiveDp() > 1 && !par.fsdp;
 
     if (std::max(opts.virtualStages, 1) > 1) {
@@ -726,7 +730,7 @@ ProgramBuilder::emitRankInterleaved(BuildContext& ctx, int rank) const
     int m = effectiveMicrobatches();
     int v = opts.virtualStages;
     int total = m * v;
-    int buckets = std::min(opts.gradBuckets, total);
+    int buckets = std::min(kGradBuckets, total);
     bool plain_dp = effectiveDp() > 1 && !par.fsdp;
 
     // Forward/backward schedule-slot -> (chunk, microbatch). Both

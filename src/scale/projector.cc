@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "core/analytical_backend.hh"
+#include "coll/cost_model.hh"
 
 namespace charllm {
 namespace scale {
@@ -57,17 +57,15 @@ Projector::project(int dp, double bandwidth_multiplier) const
         in.interCommSeconds.value() / (d * bandwidth_multiplier);
     p.commSeconds = Seconds(intra + inter);
 
-    // DP gradient AllReduce, priced by the analytical backend's
-    // shared collective model. The datacenter-scale what-if assumes a
+    // DP gradient AllReduce. The datacenter-scale what-if assumes a
     // rail-optimized fabric with one NIC per GPU (the paper's
     // projection follows the same convention via Astra-Sim), so each
     // DP ring sees the full (scaled) link bandwidth.
     if (dp > 1) {
         BytesPerSec ring_bw(in.nodeBandwidth.value() *
                             bandwidth_multiplier);
-        p.allReduceSeconds =
-            core::AnalyticalBackend::dataParallelAllReduceSeconds(
-                dp, in.gradBytesPerGpu, ring_bw, in.messageLatency);
+        p.allReduceSeconds = coll::ringAllReduceSeconds(
+            dp, in.gradBytesPerGpu, ring_bw, in.messageLatency);
     }
 
     p.iterationSeconds =

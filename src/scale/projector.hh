@@ -7,10 +7,8 @@
  * interconnect bandwidth (the paper does the same with Astra-Sim on
  * top of real-GPU profiles).
  *
- * The projector is a thin client of core::AnalyticalBackend: the DP
- * AllReduce term comes from its shared alpha-beta collective model,
- * so the projection and the analytical fidelity backend can never
- * disagree about the same physics.
+ * The DP AllReduce term is coll::ringAllReduceSeconds, the alpha-beta
+ * ring model.
  */
 
 #ifndef CHARLLM_SCALE_PROJECTOR_HH

@@ -395,7 +395,6 @@ class EventQueue
     /** @name Pool introspection (tests, benches, obs::SimCounters)
      * @{ */
     std::size_t slabSize() const { return slabCount; }
-    std::size_t heapSize() const { return heap.size(); }
     std::uint64_t numCompactions() const { return compactions; }
     /** Live events popped and fired so far. */
     std::uint64_t numPopped() const { return poppedEvents; }

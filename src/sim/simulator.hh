@@ -127,9 +127,6 @@ class Simulator
         armTicker(tickers.back().get());
     }
 
-    /** Number of registered periodic tickers. */
-    std::size_t numTickers() const { return tickers.size(); }
-
     /** Live events pending across all domains. */
     std::size_t
     totalPending() const

@@ -9,6 +9,7 @@
 #ifndef CHARLLM_TELEMETRY_SAMPLER_HH
 #define CHARLLM_TELEMETRY_SAMPLER_HH
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -31,6 +32,47 @@ struct Sample
     BytesPerSec scaleUpRate;  //!< rate through NVLink/xGMI ports
     const char* fault = "";   //!< active fault label ("" if healthy)
 };
+
+/**
+ * Split one series' energy over @p segments, a time-sorted partition
+ * of [start, end] whose elements carry startSec and endSec. Sample i
+ * covers (t_{i-1}, t_i] at P_i (t_{-1} = start), clipped to the
+ * window, and each covered piece is split over the segments it spans,
+ * so every joule of the window lands in exactly one segment. Calls
+ * @p on_piece(joules) once per covered piece and then
+ * @p on_split(segment, joules) once per overlapped segment, in time
+ * order.
+ */
+template <class Segment, class OnPiece, class OnSplit>
+void
+splitSampleEnergy(const std::vector<Sample>& series, double start,
+                  double end, const std::vector<Segment>& segments,
+                  OnPiece on_piece, OnSplit on_split)
+{
+    double prev = start;
+    std::size_t seg = 0;
+    for (const Sample& sample : series) {
+        double t = sample.time.value();
+        double lo = std::max(prev, start);
+        double hi = std::min(t, end);
+        prev = t;
+        if (hi <= lo)
+            continue;
+        double power = sample.powerWatts.value();
+        on_piece(power * (hi - lo));
+        while (seg < segments.size() && segments[seg].endSec <= lo)
+            ++seg;
+        for (std::size_t k = seg;
+             k < segments.size() && segments[k].startSec < hi; ++k) {
+            double overlap = std::min(hi, segments[k].endSec) -
+                             std::max(lo, segments[k].startSec);
+            if (overlap > 0.0)
+                on_split(segments[k], power * overlap);
+        }
+        if (t >= end)
+            break;
+    }
+}
 
 /**
  * Periodic sampler. Construct before the engine runs; samples

@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "bench_util.hh"
+#include "coll/cost_model.hh"
 #include "core/analytical_backend.hh"
 #include "core/catalog.hh"
 #include "core/cluster.hh"
@@ -366,6 +368,40 @@ TEST(SweepFlagsDeath, InvalidFaultScenariosExitTwo)
     }
 }
 
+TEST(SweepFlagsDeath, InvalidResilienceInputsExitTwo)
+{
+    // Each of these once aborted, grew a schedule without bound, or
+    // ran silently without failures.
+    const std::pair<void (*)(resil::ResilienceConfig&), const char*>
+        probes[] = {
+            {[](resil::ResilienceConfig& r) {
+                 r.checkpoint.intervalSec = std::nan("");
+             },
+             "checkpoint.intervalSec must not be NaN"},
+            {[](resil::ResilienceConfig& r) {
+                 r.horizonSec = std::numeric_limits<double>::infinity();
+             },
+             "resilience.horizonSec must be finite \\(got inf\\)"},
+            {[](resil::ResilienceConfig& r) {
+                 r.recovery.spares.replenishMean = Seconds(std::nan(""));
+             },
+             "recovery.spares.replenishMean must not be NaN"},
+            {[](resil::ResilienceConfig& r) {
+                 r.mtbf.gpuMtbfSec = std::nan("");
+             },
+             "mtbf.gpuMtbfSec must not be NaN"},
+        };
+    for (const auto& [edit, message] : probes) {
+        SCOPED_TRACE(message);
+        ExperimentConfig cfg = smallConfig(2, 4, sim::BackendKind::Des);
+        cfg.resilience.enabled = true;
+        cfg.resilience.mtbf.gpuMtbfSec = 120.0;
+        edit(cfg.resilience);
+        EXPECT_EXIT(benchutil::runSweep({cfg}, benchutil::SweepFlags{}),
+                    testing::ExitedWithCode(2), message);
+    }
+}
+
 TEST(SweepFlags, ParsesBackendValues)
 {
     const char* argv[] = {"bench", "--backend=analytical"};
@@ -382,19 +418,14 @@ TEST(AnalyticalBackend, SharedProjectorAllReduceIsMonotone)
     Bytes grad(10e9);
     BytesPerSec bw(12.5e9);
     Seconds lat(18e-6);
-    double t4 = AnalyticalBackend::dataParallelAllReduceSeconds(
-                    4, grad, bw, lat)
-                    .value();
-    double t32 = AnalyticalBackend::dataParallelAllReduceSeconds(
-                     32, grad, bw, lat)
-                     .value();
+    // scale::Projector prices the DP AllReduce with the ring model.
+    double t4 = coll::ringAllReduceSeconds(4, grad, bw, lat).value();
+    double t32 = coll::ringAllReduceSeconds(32, grad, bw, lat).value();
     EXPECT_GT(t4, 0.0);
     // Ring allreduce wire volume per rank grows with (n-1)/n.
     EXPECT_GT(t32, t4);
-    double t1 = AnalyticalBackend::dataParallelAllReduceSeconds(
-                    1, grad, bw, lat)
-                    .value();
-    EXPECT_DOUBLE_EQ(t1, lat.value());
+    EXPECT_DOUBLE_EQ(coll::ringAllReduceSeconds(1, grad, bw, lat).value(),
+                     0.0);
 }
 
 } // namespace

@@ -71,27 +71,6 @@ TEST(CostModel, LatencyTermScalesWithSteps)
     EXPECT_NEAR(with_lat - no_lat, 30.0 * 1e-5, 1e-12);
 }
 
-TEST(CostModel, AllGatherHalfOfAllReduce)
-{
-    double ar = ringAllReduceSeconds(8, Bytes(1e9), BytesPerSec(1e9),
-                                     Seconds(0.0))
-                    .value();
-    double ag = ringAllGatherSeconds(8, Bytes(1e9), BytesPerSec(1e9),
-                                     Seconds(0.0))
-                    .value();
-    EXPECT_NEAR(ar, 2.0 * ag, 1e-9);
-}
-
-TEST(CostModel, AllToAllMonotonicInSize)
-{
-    EXPECT_LT(allToAllSeconds(8, Bytes(1e8), BytesPerSec(1e9),
-                              Seconds(1e-5))
-                  .value(),
-              allToAllSeconds(8, Bytes(1e9), BytesPerSec(1e9),
-                              Seconds(1e-5))
-                  .value());
-}
-
 // ---- wire volume ------------------------------------------------------------
 
 TEST(WireVolume, MatchesAlgorithmFactors)

@@ -128,28 +128,6 @@ TEST(TimeWeightedStats, ZeroDurationUpdatesIgnored)
     EXPECT_NEAR(tw.mean(), 7.0, 1e-12);
 }
 
-// ---- Histogram -------------------------------------------------------------
-
-TEST(Histogram, BinningAndQuantiles)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.add(i + 0.5);
-    EXPECT_DOUBLE_EQ(h.totalWeight(), 10.0);
-    EXPECT_DOUBLE_EQ(h.binCount(0), 1.0);
-    EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-    EXPECT_NEAR(h.quantile(1.0), 10.0, 1e-12);
-}
-
-TEST(Histogram, OutOfRangeClamps)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(7.0);
-    EXPECT_DOUBLE_EQ(h.binCount(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCount(3), 1.0);
-}
-
 // ---- CsvWriter -------------------------------------------------------------
 
 TEST(CsvWriter, BasicRows)

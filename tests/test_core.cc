@@ -211,7 +211,7 @@ oneFault(faults::FaultKind kind, int target, double start_s,
 }
 
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 21;
+constexpr std::size_t kProbeRows = 22;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
@@ -220,7 +220,7 @@ invalidConfigRows()
     static const std::vector<InvalidConfigRow> rows = {
         // The kProbeRows hand-written probes. Before validate checked
         // them, the first eight panicked (five), segfaulted (one) or
-        // ran without a message (two); the other eight panicked.
+        // ran without a message (two); the other five panicked.
         {"zero measured iterations", [](C c) { c.measuredIterations = 0; },
          "measuredIterations must be >= 1"},
         {"zero sample period",
@@ -251,12 +251,6 @@ invalidConfigRows()
         {"zero failure horizon",
          [](C c) { enableResilience(c).horizonSec = 0.0; },
          "resilience.horizonSec must be positive (got 0)"},
-        {"zero retry attempts",
-         [](C c) { enableResilience(c).recovery.retry.maxAttempts = 0; },
-         "recovery.retry needs maxAttempts >= 1 (got 0)"},
-        {"GPU fail derate of one",
-         [](C c) { enableResilience(c).recovery.gpuFailDerate = 1.0; },
-         "recovery.gpuFailDerate must be in (0, 1) (got 1)"},
         {"negative spare capacity",
          [](C c) { enableResilience(c).recovery.spares.capacity = -1; },
          "recovery.spares.capacity must be >= 0 (got -1)"},
@@ -264,12 +258,6 @@ invalidConfigRows()
          [](C c) { enableResilience(c).checkpoint.storeGBps = 0.0; },
          "checkpoint.storeGBps and the PCIe and NIC bandwidths must be "
          "positive (got 0 GB/s)"},
-        {"link failures that never clear",
-         [](C c) {
-             enableResilience(c).mtbf.linkMtbfSec = 600.0;
-             c.resilience.mtbf.linkClearMeanSec = 0.0;
-         },
-         "mtbf.linkClearMeanSec must be positive when linkMtbfSec > 0"},
         {"query groups not dividing heads",
          [](C c) { c.model.numQueryGroups = 3; },
          "model numQueryGroups (3) must divide numHeads (20)"},
@@ -307,6 +295,31 @@ invalidConfigRows()
          },
          "fault 0 (fan-failure) magnitude must be a finite resistance "
          "scale > 1 (got 0.5)"},
+        // NaN and infinite resilience inputs: before validate checked
+        // them, the first aborted, the next two grew the failure or
+        // replenish schedule without bound, and the last ran silently
+        // with no failures.
+        {"NaN checkpoint interval",
+         [](C c) {
+             enableResilience(c).checkpoint.intervalSec = std::nan("");
+         },
+         "checkpoint.intervalSec must not be NaN"},
+        {"infinite failure horizon",
+         [](C c) {
+             enableResilience(c).horizonSec =
+                 std::numeric_limits<double>::infinity();
+             c.resilience.mtbf.gpuMtbfSec = 120.0;
+         },
+         "resilience.horizonSec must be finite (got inf)"},
+        {"NaN spare replenish mean",
+         [](C c) {
+             enableResilience(c).recovery.spares.replenishMean =
+                 Seconds(std::nan(""));
+         },
+         "recovery.spares.replenishMean must not be NaN"},
+        {"NaN GPU MTBF",
+         [](C c) { enableResilience(c).mtbf.gpuMtbfSec = std::nan(""); },
+         "mtbf.gpuMtbfSec must not be NaN"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
@@ -469,14 +482,26 @@ invalidConfigRows()
              c.cluster.network.nicBw = BytesPerSec(0.0);
          },
          "the PCIe and NIC bandwidths must be positive"},
-        {"zero link fault derate",
-         [](C c) { enableResilience(c).recovery.linkFaultDerate = 0.0; },
-         "linkFaultDerate in (0, 1]"},
-        {"negative elastic quiesce",
+        {"NaN link MTBF",
+         [](C c) { enableResilience(c).mtbf.linkMtbfSec = std::nan(""); },
+         "mtbf.linkMtbfSec must not be NaN"},
+        {"NaN node MTBF",
+         [](C c) { enableResilience(c).mtbf.nodeMtbfSec = std::nan(""); },
+         "mtbf.nodeMtbfSec must not be NaN"},
+        {"NaN switch MTBF",
+         [](C c) { enableResilience(c).mtbf.switchMtbfSec = std::nan(""); },
+         "mtbf.switchMtbfSec must not be NaN"},
+        {"NaN PDU MTBF",
+         [](C c) { enableResilience(c).mtbf.pduMtbfSec = std::nan(""); },
+         "mtbf.pduMtbfSec must not be NaN"},
+        {"NaN checkpoint quiesce",
          [](C c) {
-             enableResilience(c).recovery.elastic.quiesce = Seconds(-1.0);
+             enableResilience(c).checkpoint.quiesceSec = std::nan("");
          },
-         "recovery.elastic costs must be >= 0"},
+         "checkpoint.quiesceSec must be finite and >= 0 (got nan)"},
+        {"negative checkpoint quiesce",
+         [](C c) { enableResilience(c).checkpoint.quiesceSec = -1.0; },
+         "checkpoint.quiesceSec must be finite and >= 0 (got -1)"},
         {"MoE topK past the experts",
          [](C c) {
              c.model.numExperts = 4;
@@ -576,7 +601,7 @@ TEST_F(CoreFixture, ValidateAcceptsValidConfigs)
     // A disabled resilience config is not range-checked.
     cfg.resilience.enabled = false;
     cfg.resilience.horizonSec = 0.0;
-    cfg.resilience.recovery.retry.maxAttempts = 0;
+    cfg.resilience.recovery.spares.capacity = -1;
     EXPECT_TRUE(validate(cfg).empty());
 }
 

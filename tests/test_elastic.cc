@@ -371,9 +371,7 @@ TEST(Elastic, ShrinkThenGrowRoundTripAndByteDeterminism)
     // Both reconfigurations are booked: each pays quiesce + group
     // re-init; the grow always adds the state-sync read, the shrink
     // only when the fault tore a live collective.
-    resil::RecoveryConfig defaults;
-    double pause = defaults.elastic.quiesce.value() +
-                   defaults.elastic.groupReinit.value();
+    double pause = resil::kElasticQuiesceSec + resil::kGroupReinitSec;
     double reconf = run.report.slice(Bucket::Reconfig).seconds;
     EXPECT_GE(reconf, 2.0 * pause + run.readSec - 1e-9);
     EXPECT_LE(reconf, 2.0 * pause + 2.0 * run.readSec + 1e-9);

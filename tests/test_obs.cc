@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "faults/scenarios.hh"
@@ -566,13 +565,6 @@ TEST(Metrics, CounterGaugeSemantics)
     g.set(1.5);
     g.set(-2.5);
     EXPECT_DOUBLE_EQ(g.value(), -2.5);
-
-    // Null-safe helpers are no-ops on nullptr.
-    obs::add(nullptr, 7);
-    obs::observe(nullptr, 1.0);
-    obs::Counter c2;
-    obs::add(&c2, 7);
-    EXPECT_EQ(c2.value(), 7u);
 }
 
 TEST(Metrics, HistogramStatsAndBuckets)
@@ -602,12 +594,10 @@ TEST(Metrics, HistogramStatsAndBuckets)
 TEST(Metrics, HistogramQuantilesCrossCheckFixedBins)
 {
     // Cross-check the log2-bucket quantile estimate against the exact
-    // sample quantile and against common/stats.hh's fine fixed-bin
-    // Histogram on the same data. The log2 estimate returns a bucket
-    // upper bound, so for positive data it brackets the true value
-    // from above within a factor of 2 (the bucket width).
+    // sample quantile. The log2 estimate returns a bucket upper bound,
+    // so for positive data it brackets the true value from above
+    // within a factor of 2 (the bucket width).
     obs::Histogram log2Hist;
-    Histogram fineHist(0.0, 130.0, 130000); // 1e-3 wide bins
     std::vector<double> samples;
     std::uint64_t lcg = 0x2545F4914F6CDD1DULL;
     for (int i = 0; i < 4096; ++i) {
@@ -616,7 +606,6 @@ TEST(Metrics, HistogramQuantilesCrossCheckFixedBins)
         double x = 0.001 + static_cast<double>(lcg >> 40) / 131072.0;
         samples.push_back(x);
         log2Hist.observe(x);
-        fineHist.add(x);
     }
     std::sort(samples.begin(), samples.end());
     for (double q : {0.5, 0.9, 0.99}) {
@@ -626,12 +615,6 @@ TEST(Metrics, HistogramQuantilesCrossCheckFixedBins)
         double est = log2Hist.quantile(q);
         EXPECT_GE(est, exact) << "q=" << q;
         EXPECT_LE(est, 2.0 * exact) << "q=" << q;
-        // The fine-binned histogram is near-exact on this range; the
-        // log2 estimate must bracket it the same way.
-        double fine = fineHist.quantile(q);
-        EXPECT_NEAR(fine, exact, 1e-2) << "q=" << q;
-        EXPECT_GE(est, fine - 1e-2) << "q=" << q;
-        EXPECT_LE(est, 2.0 * fine + 1e-2) << "q=" << q;
     }
     EXPECT_DOUBLE_EQ(log2Hist.quantile(0.0), log2Hist.min());
     EXPECT_DOUBLE_EQ(log2Hist.quantile(-1.0), log2Hist.min());
@@ -663,7 +646,6 @@ TEST(Metrics, RegistryStableRefsAndDeterministicDump)
     EXPECT_DOUBLE_EQ(doc.at("gauges").at("g.x").number, 3.0);
     EXPECT_DOUBLE_EQ(
         doc.at("histograms").at("h.y").at("count").number, 1.0);
-    EXPECT_EQ(reg.toCsv().numRows(), 103u);
 }
 
 TEST(Metrics, SimCountersMergeAndAddTo)

@@ -116,12 +116,8 @@ TEST_P(CollectiveCostProperty, CostsMonotonicAndPositive)
     BytesPerSec bw(100e9);
     Seconds lat(1e-5);
     double ar = coll::ringAllReduceSeconds(n, bytes, bw, lat).value();
-    double ag = coll::ringAllGatherSeconds(n, bytes, bw, lat).value();
-    double a2a = coll::allToAllSeconds(n, bytes, bw, lat).value();
     if (n > 1) {
         EXPECT_GT(ar, 0.0);
-        // AllReduce moves twice the AllGather volume.
-        EXPECT_GT(ar, ag);
         // More data never gets cheaper.
         EXPECT_GE(
             coll::ringAllReduceSeconds(n, bytes * 2.0, bw, lat).value(),
@@ -130,10 +126,8 @@ TEST_P(CollectiveCostProperty, CostsMonotonicAndPositive)
         EXPECT_LE(
             coll::ringAllReduceSeconds(n, bytes, bw * 2.0, lat).value(),
             ar);
-        EXPECT_GT(a2a, 0.0);
     } else {
         EXPECT_DOUBLE_EQ(ar, 0.0);
-        EXPECT_DOUBLE_EQ(ag, 0.0);
     }
 }
 

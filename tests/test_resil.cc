@@ -22,6 +22,7 @@
 #include "core/report.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
+#include "parallel/elastic_world.hh"
 #include "resil/checkpoint.hh"
 #include "resil/failure_gen.hh"
 #include "resil/goodput.hh"
@@ -193,44 +194,25 @@ TEST(FailureGen, DisabledClassesNeverFire)
 
 TEST(RetryPolicy, ClosedFormBackoffMatchesIteratedProduct)
 {
-    resil::RetryPolicy p;
-    p.initialBackoff = Seconds(0.25);
-    p.backoffMultiplier = 2.0;
-    p.maxBackoff = Seconds(1e12); // cap out of the way
-    for (int attempt = 0; attempt < 40; ++attempt) {
-        double iterated = p.initialBackoff.value();
-        for (int i = 0; i < attempt; ++i)
-            iterated *= p.backoffMultiplier;
-        // Multiplier 2.0: both forms are exact powers of two.
-        EXPECT_DOUBLE_EQ(p.backoff(attempt).value(), iterated)
+    // 0.25 s doubling per attempt: below the 30 s cap both forms are
+    // exact powers of two.
+    double iterated = 0.25;
+    for (int attempt = 0; attempt < 7; ++attempt) {
+        EXPECT_DOUBLE_EQ(resil::retryBackoff(attempt).value(), iterated)
             << "attempt " << attempt;
-    }
-    // Non-power-of-two multiplier: pow vs iterated product may differ
-    // in the last ulp, never more.
-    p.backoffMultiplier = 1.7;
-    for (int attempt = 0; attempt < 30; ++attempt) {
-        double iterated = p.initialBackoff.value();
-        for (int i = 0; i < attempt; ++i)
-            iterated *= p.backoffMultiplier;
-        EXPECT_NEAR(p.backoff(attempt).value(), iterated,
-                    1e-12 * iterated)
-            << "attempt " << attempt;
+        iterated *= 2.0;
     }
 }
 
 TEST(RetryPolicy, BackoffCapClampsLargeAttempts)
 {
-    resil::RetryPolicy p;
-    p.initialBackoff = Seconds(0.25);
-    p.backoffMultiplier = 2.0;
-    p.maxBackoff = Seconds(30.0);
     // 0.25 * 2^7 = 32 > 30: attempt 7 and everything after clamps.
-    EXPECT_DOUBLE_EQ(p.backoff(6).value(), 16.0);
-    EXPECT_DOUBLE_EQ(p.backoff(7).value(), 30.0);
-    EXPECT_DOUBLE_EQ(p.backoff(100).value(), 30.0);
+    EXPECT_DOUBLE_EQ(resil::retryBackoff(6).value(), 16.0);
+    EXPECT_DOUBLE_EQ(resil::retryBackoff(7).value(), 30.0);
+    EXPECT_DOUBLE_EQ(resil::retryBackoff(100).value(), 30.0);
     // The old loop formulation overflowed to inf around attempt 1100;
     // the closed form stays clamped.
-    EXPECT_DOUBLE_EQ(p.backoff(2000).value(), 30.0);
+    EXPECT_DOUBLE_EQ(resil::retryBackoff(2000).value(), 30.0);
 }
 
 // ---- recovery state machine (manual stack, explicit schedules) --------------
@@ -247,7 +229,9 @@ struct RecoveryRun
  * Run a tiny 8-GPU engine under a RecoveryManager with an explicit
  * failure schedule and a fixed-cost checkpoint model (1 GB rank
  * state over a 2 GB/s bottleneck -> 0.5 s write/read), so tests can
- * reason about exact commit/rollback arithmetic.
+ * reason about exact commit/rollback arithmetic. A cfg with
+ * DryPoolPolicy::ElasticShrink arms DP shrink over the run's two
+ * replicas.
  */
 RecoveryRun
 runRecovery(std::vector<FailureEvent> schedule, double interval_s,
@@ -266,6 +250,10 @@ runRecovery(std::vector<FailureEvent> schedule, double interval_s,
     runtime::TrainOptions topts;
     topts.globalBatchSize = 16;
     runtime::ProgramBuilder builder(smallModel(), map, topts);
+    bool elastic = cfg.dryPolicy == resil::DryPoolPolicy::ElasticShrink;
+    parallel::ElasticWorld world(2, topts.globalBatchSize, 1, false);
+    if (elastic)
+        builder.setElasticWorld(&world);
     runtime::EngineOptions eopts;
     eopts.warmupIterations = 1;
     eopts.measuredIterations = iterations - 1;
@@ -278,6 +266,8 @@ runRecovery(std::vector<FailureEvent> schedule, double interval_s,
                                    model, Seconds(interval_s), async,
                                    0.05_s, cfg, std::move(schedule),
                                    Seconds(horizon_s), 0x5eed0fa1u);
+    if (elastic)
+        manager.attachElastic(map, world);
     plat.start();
     engine.run();
 
@@ -349,17 +339,61 @@ TEST(Recovery, TransientRetryRecoversWithoutRollback)
     EXPECT_NEAR(run.report.slice(Bucket::Retry).seconds, 0.25, 1e-9);
 }
 
-TEST(Recovery, RetryBudgetExhaustionEscalatesToRollback)
+TEST(Recovery, ConstantsPinTheRecoveryLedger)
 {
     auto healthy = runRecovery({}, 1e9);
     double mid = healthy.wallSec / 2.0;
-    // The outage never clears inside the backoff budget; a fast
-    // retry cadence keeps the whole escalation inside the run.
-    resil::RecoveryConfig cfg;
-    cfg.retry.initialBackoff = Seconds(0.05);
+    // From detection (the torn attempt's end) to the next attempt:
+    // the replacement window plus the checkpoint read.
+    auto repairWindow = [](const RecoveryRun& run) {
+        for (std::size_t i = 0; i + 1 < run.spans.size(); ++i)
+            if (run.spans[i].aborted)
+                return run.spans[i + 1].startSec - run.spans[i].endSec;
+        return -1.0;
+    };
+
+    // A node is declared dead after 3 missed 0.5 s heartbeats; the
+    // warm spare attaches in 2 s.
+    auto warm =
+        runRecovery({{FailureKind::NodeFatal, 0, mid, 0.0}}, 1e9);
+    ASSERT_EQ(warm.report.stats.sparesConsumed, 1);
+    EXPECT_NEAR(warm.report.slice(Bucket::Detection).seconds, 1.5,
+                1e-9);
+    EXPECT_NEAR(repairWindow(warm), 2.0 + warm.writeSec, 1e-6);
+
+    // A dry pool under StallReboot waits out the 60 s reboot.
+    resil::RecoveryConfig dry;
+    dry.spares.capacity = 0;
+    auto reboot = runRecovery({{FailureKind::GpuFatal, 3, mid, 0.0}},
+                              1e9, false, 8, dry);
+    ASSERT_EQ(reboot.report.stats.poolDryEvents, 1);
+    EXPECT_NEAR(reboot.report.slice(Bucket::Detection).seconds, 0.5,
+                1e-9);
+    EXPECT_NEAR(repairWindow(reboot), 60.0 + reboot.writeSec, 1e-6);
+
+    // An elastic shrink pauses for the 0.2 s quiesce and the 1.0 s
+    // group re-init; a fault that tore a live collective also reads
+    // the last checkpoint back.
+    resil::RecoveryConfig shrink = dry;
+    shrink.dryPolicy = resil::DryPoolPolicy::ElasticShrink;
+    auto elastic = runRecovery({{FailureKind::GpuFatal, 3, mid, 0.0}},
+                               1e9, false, 8, shrink);
+    const auto& s = elastic.report.stats;
+    ASSERT_EQ(s.elasticShrinks, 1);
+    EXPECT_NEAR(elastic.report.slice(Bucket::Reconfig).seconds,
+                1.2 + s.rollbacks * elastic.writeSec, 1e-9);
+}
+
+TEST(Recovery, RetryBudgetExhaustionEscalatesToRollback)
+{
+    auto healthy = runRecovery({}, 1e9, false, 24);
+    double fail = healthy.wallSec / 4.0;
+    // The outage never clears inside the backoff budget: detection
+    // (0.5 s) and four backoffs (0.25 + 0.5 + 1 + 2 s) escalate 4.25 s
+    // after the fault, which the run is long enough to reach.
+    ASSERT_LT(fail + 4.25, healthy.wallSec);
     auto run = runRecovery(
-        {{FailureKind::LinkTransient, 0, mid, 1e9}}, 1e9, false, 8,
-        cfg);
+        {{FailureKind::LinkTransient, 0, fail, 1e9}}, 1e9, false, 24);
     const auto& s = run.report.stats;
     EXPECT_EQ(s.transientFaults, 1);
     EXPECT_EQ(s.transientRecovered, 0);
