@@ -112,17 +112,7 @@ DesBackend::run()
 
     std::unique_ptr<resil::RecoveryManager> recovery;
     if (cfg.resilience.enabled) {
-        Bytes state = resil::CheckpointModel::rankStateBytes(
-            cfg.model, cfg.par,
-            memoryOptionsFor(cfg, microbatchesPerReplica(cfg)));
-        resil::StoragePath storage;
-        storage.pcieBw = cfg.cluster.network.pcieBw;
-        storage.nicBw = cfg.cluster.network.nicBw;
-        storage.storeBw =
-            BytesPerSec(cfg.resilience.checkpoint.storeGBps * 1e9);
-        resil::CheckpointModel ckpt(state, storage,
-                                    topology.gpusPerNode(),
-                                    topology.numGpus());
+        resil::CheckpointModel ckpt = checkpointModelFor(cfg);
         double interval = cfg.resilience.checkpoint.intervalSec;
         if (interval <= 0.0)
             interval =

@@ -2,16 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/backend.hh"
+#include "sim/event_queue.hh"
 
 namespace charllm {
 namespace core {
 
 namespace {
+
+/** Most entries validate lets one failure class's or the spare
+ *  depot's schedule expand to (expected, over the horizon). The benches
+ *  reach about 21,000 (bench_ablation_elastic's 60 s GPU MTBF on 32
+ *  GPUs); a schedule entry is a few dozen bytes. */
+constexpr double kMaxScheduleEntries = 1e6;
 
 /** The HBM screen (paper Sec. 3.1): whether @p config fits, with its
  *  worst pipeline stage's per-GPU memory in @p worst. */
@@ -190,6 +199,33 @@ validate(const ExperimentConfig& config)
         require((mtbf.switchMtbfSec <= 0.0 || mtbf.nodesPerSwitch >= 1) &&
                     (mtbf.pduMtbfSec <= 0.0 || mtbf.nodesPerPdu >= 1),
                 "mtbf failure domains need >= 1 node");
+        // The failure and spare-replenish schedules are expanded before
+        // the run: about horizon / mean entries per component covered.
+        double horizon = res.horizonSec;
+        int nodes = config.cluster.numNodes;
+        auto domains = [nodes](int per_domain) {
+            return per_domain >= 1 ? (nodes + per_domain - 1) / per_domain
+                                   : 0;
+        };
+        const std::tuple<const char*, double, int> schedules[] = {
+            {"mtbf.gpuMtbfSec", mtbf.gpuMtbfSec, config.cluster.numGpus()},
+            {"mtbf.linkMtbfSec", mtbf.linkMtbfSec, nodes},
+            {"mtbf.nodeMtbfSec", mtbf.nodeMtbfSec, nodes},
+            {"mtbf.switchMtbfSec", mtbf.switchMtbfSec,
+             domains(mtbf.nodesPerSwitch)},
+            {"mtbf.pduMtbfSec", mtbf.pduMtbfSec, domains(mtbf.nodesPerPdu)},
+            {"recovery.spares.replenishMean",
+             rec.spares.replenishMean.value(), 1},
+        };
+        for (const auto& [name, mean, components] : schedules) {
+            double entries = horizon / mean * components;
+            require(!(mean > 0.0) || !std::isfinite(horizon) ||
+                        entries <= kMaxScheduleEntries,
+                    name, " (", mean, " s) over resilience.horizonSec (",
+                    horizon, " s) expands to ~", entries,
+                    " schedule entries, over the cap of ",
+                    kMaxScheduleEntries);
+        }
         double quiesce = res.checkpoint.quiesceSec;
         require(quiesce >= 0.0 && std::isfinite(quiesce),
                 "checkpoint.quiesceSec must be finite and >= 0 (got ",
@@ -224,6 +260,17 @@ validate(const ExperimentConfig& config)
     require(des || !res.enabled, "resilience needs the DES backend");
     require(des || !config.enableSampler,
             "the telemetry sampler needs the DES backend");
+
+    // A checkpoint write is one event-clock delay. Its cost model needs
+    // a well-formed config, so it is checked once everything else is.
+    if (res.enabled && problems.empty()) {
+        double write = checkpointModelFor(config).writeSeconds().value();
+        double clock_limit =
+            sim::toSeconds(std::numeric_limits<sim::Tick>::max());
+        require(write < clock_limit, "a checkpoint write of ", write,
+                " s (checkpoint.storeGBps ", res.checkpoint.storeGBps,
+                ") does not fit the event clock (", clock_limit, " s)");
+    }
     return problems;
 }
 
@@ -232,6 +279,21 @@ microbatchesPerReplica(const ExperimentConfig& cfg)
 {
     int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
     return std::max(1, per_replica / cfg.train.microbatchSize);
+}
+
+resil::CheckpointModel
+checkpointModelFor(const ExperimentConfig& cfg)
+{
+    Bytes state = resil::CheckpointModel::rankStateBytes(
+        cfg.model, cfg.par,
+        memoryOptionsFor(cfg, microbatchesPerReplica(cfg)));
+    resil::StoragePath storage;
+    storage.pcieBw = cfg.cluster.network.pcieBw;
+    storage.nicBw = cfg.cluster.network.nicBw;
+    storage.storeBw = BytesPerSec(cfg.resilience.checkpoint.storeGBps * 1e9);
+    return resil::CheckpointModel(state, storage,
+                                  cfg.cluster.network.gpusPerNode,
+                                  cfg.cluster.numGpus());
 }
 
 parallel::MemoryOptions

@@ -228,6 +228,10 @@ std::vector<std::string> validate(const ExperimentConfig& config);
 /** Microbatches per data-parallel replica (at least one). */
 int microbatchesPerReplica(const ExperimentConfig& cfg);
 
+/** The checkpoint cost model of @p cfg's resilience config on its
+ *  cluster (shared by validate and the DES backend). */
+resil::CheckpointModel checkpointModelFor(const ExperimentConfig& cfg);
+
 /**
  * Memory-planner options implied by an experiment config (shared by
  * the feasibility screen and both fidelity backends).

@@ -3,43 +3,13 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/intervals.hh"
 #include "common/strings.hh"
 
 namespace charllm {
 namespace obs {
 
 namespace {
-
-using Interval = std::pair<double, double>; // [start, end)
-using IntervalList = std::vector<Interval>;
-
-/** Sort + merge overlapping/adjacent intervals in place. */
-void
-mergeIntervals(IntervalList& intervals)
-{
-    std::sort(intervals.begin(), intervals.end());
-    IntervalList merged;
-    for (const auto& iv : intervals) {
-        if (iv.second <= iv.first)
-            continue;
-        if (!merged.empty() && iv.first <= merged.back().second)
-            merged.back().second =
-                std::max(merged.back().second, iv.second);
-        else
-            merged.push_back(iv);
-    }
-    intervals.swap(merged);
-}
-
-/** Is @p t inside a merged, sorted interval union? */
-bool
-covers(const IntervalList& intervals, double t)
-{
-    auto it = std::upper_bound(
-        intervals.begin(), intervals.end(), t,
-        [](double v, const Interval& iv) { return v < iv.first; });
-    return it != intervals.begin() && t < std::prev(it)->second;
-}
 
 /** One classified segment of a device's timeline. */
 struct Segment
@@ -218,18 +188,9 @@ attributePhases(
         std::vector<double> cuts;
         cuts.push_back(window_start);
         cuts.push_back(window_end);
-        auto addCuts = [&cuts, window_start,
-                        window_end](const IntervalList& list) {
-            for (const auto& iv : list) {
-                if (iv.first > window_start && iv.first < window_end)
-                    cuts.push_back(iv.first);
-                if (iv.second > window_start && iv.second < window_end)
-                    cuts.push_back(iv.second);
-            }
-        };
-        addCuts(compute[dev]);
-        addCuts(comm[dev]);
-        addCuts(anyActive);
+        addCuts(compute[dev], window_start, window_end, cuts);
+        addCuts(comm[dev], window_start, window_end, cuts);
+        addCuts(anyActive, window_start, window_end, cuts);
         std::sort(cuts.begin(), cuts.end());
         cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 

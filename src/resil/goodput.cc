@@ -4,57 +4,12 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/intervals.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 
 namespace charllm {
 namespace resil {
-
-namespace {
-
-using Interval = std::pair<double, double>; // [start, end)
-using IntervalList = std::vector<Interval>;
-
-/** Sort + merge overlapping/adjacent intervals in place. */
-void
-mergeIntervals(IntervalList& intervals)
-{
-    std::sort(intervals.begin(), intervals.end());
-    IntervalList merged;
-    for (const auto& iv : intervals) {
-        if (iv.second <= iv.first)
-            continue;
-        if (!merged.empty() && iv.first <= merged.back().second)
-            merged.back().second =
-                std::max(merged.back().second, iv.second);
-        else
-            merged.push_back(iv);
-    }
-    intervals.swap(merged);
-}
-
-bool
-covers(const IntervalList& intervals, double t)
-{
-    auto it = std::upper_bound(
-        intervals.begin(), intervals.end(), t,
-        [](double v, const Interval& iv) { return v < iv.first; });
-    return it != intervals.begin() && t < std::prev(it)->second;
-}
-
-void
-addCuts(const IntervalList& list, double lo, double hi,
-        std::vector<double>& cuts)
-{
-    for (const auto& iv : list) {
-        if (iv.first > lo && iv.first < hi)
-            cuts.push_back(iv.first);
-        if (iv.second > lo && iv.second < hi)
-            cuts.push_back(iv.second);
-    }
-}
-
-} // namespace
 
 const char*
 bucketName(Bucket bucket)

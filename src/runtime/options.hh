@@ -61,9 +61,6 @@ struct TrainOptions
      * divisible by pp.
      */
     int virtualStages = 1;
-
-    /** Seed for MoE routing-imbalance jitter. */
-    unsigned seed = 1;
 };
 
 } // namespace runtime

@@ -16,13 +16,17 @@ namespace {
 constexpr double kBwdFlopsFactor = 2.0;
 constexpr double kLoraBwdFlopsFactor = 1.35;
 
+constexpr double kElemBytes = model::TransformerConfig::kBytesPerElement;
+
 // Activation bytes streamed through HBM per token per layer visit
 // (reads + writes of intermediate tensors), per byte of element.
 constexpr double kActHbmFactor = 16.0;
 
 // MoE routing imbalance: the hottest local expert exceeds the mean
-// token load; drawn per (rank, microbatch, phase).
+// token load; drawn per (rank, microbatch, phase) from a stream seeded
+// by the routing seed and the iteration.
 constexpr double kMoeImbalanceSigma = 0.18;
+constexpr unsigned kMoeRoutingSeed = 1;
 
 // Optimizer arithmetic per trainable parameter (Adam: ~10 flops) and
 // bytes touched per parameter (read/write weights+grads+moments).
@@ -32,6 +36,54 @@ constexpr double kOptimizerBytesPerParam = 22.0;
 // Gradient buckets whose DP AllReduce can overlap backward compute
 // (the last microbatches' backwards, under ccOverlap).
 constexpr int kGradBuckets = 4;
+
+// Microbatch of the iteration tail's ops (gradient sync, optimizer
+// step, final drain), which run after the pipelined body.
+constexpr int kTail = -1;
+
+Op
+makeOp(OpType type, hw::KernelClass cls, const char* name, int mb)
+{
+    Op op;
+    op.type = type;
+    op.cls = cls;
+    op.name = name;
+    op.microbatch = mb;
+    op.tail = mb == kTail;
+    return op;
+}
+
+Op
+drainOp(const char* name, int mb)
+{
+    return makeOp(OpType::Drain, hw::KernelClass::Gemm, name, mb);
+}
+
+hw::KernelClass
+kernelClassOf(coll::CollectiveKind kind)
+{
+    switch (kind) {
+      case coll::CollectiveKind::AllReduce:
+        return hw::KernelClass::AllReduce;
+      case coll::CollectiveKind::AllGather:
+        return hw::KernelClass::AllGather;
+      case coll::CollectiveKind::ReduceScatter:
+        return hw::KernelClass::ReduceScatter;
+      case coll::CollectiveKind::AllToAll:
+        return hw::KernelClass::AllToAll;
+      default:
+        return hw::KernelClass::SendRecv;
+    }
+}
+
+// Data-parallel gradient sync: ZeRO-1 reduce-scatters to the shard
+// owners, plain DP all-reduces.
+coll::CollectiveKind
+gradSyncKind(bool zero1)
+{
+    return zero1 ? coll::CollectiveKind::ReduceScatter
+                 : coll::CollectiveKind::AllReduce;
+}
 
 } // namespace
 
@@ -147,48 +199,53 @@ ProgramBuilder::groupIdFor(BuildContext& ctx,
     return id;
 }
 
-int
-ProgramBuilder::tpGroupId(BuildContext& ctx, int rank) const
+/** One stage visit: @c rank runs microbatch @c mb through one model
+ *  chunk (or its iteration tail, at kTail), appending to its device's
+ *  op list. */
+struct ProgramBuilder::Visit
 {
-    const auto& par = map.config();
-    parallel::RankCoords c = map.coordsOf(rank);
-    int& id = ctx.tpGroupIds[static_cast<std::size_t>(
-        c.dpIdx + par.dp * c.ppIdx)];
+    BuildContext& ctx;
+    std::vector<Op>& ops;
+    int rank;
+    parallel::RankCoords coords;
+    int mb;
+    bool first; //!< first virtual stage: nothing upstream
+    bool last;  //!< last virtual stage: runs the head, nothing downstream
+    double ls;  //!< layers the visit covers
+};
+
+int
+ProgramBuilder::tpGroupId(const Visit& v) const
+{
+    const parallel::RankCoords& c = v.coords;
+    int& id = v.ctx.tpGroupIds[static_cast<std::size_t>(
+        c.dpIdx + map.config().dp * c.ppIdx)];
     if (id < 0)
-        id = groupIdFor(ctx, map.tpGroupDevices(rank));
+        id = groupIdFor(v.ctx, map.tpGroupDevices(v.rank));
     return id;
 }
 
 int
-ProgramBuilder::dpGroupId(BuildContext& ctx, int rank) const
+ProgramBuilder::dpGroupId(const Visit& v) const
 {
-    const auto& par = map.config();
-    parallel::RankCoords c = map.coordsOf(rank);
-    int& id = ctx.dpGroupIds[static_cast<std::size_t>(
-        c.tpIdx + par.tp * c.ppIdx)];
+    const parallel::RankCoords& c = v.coords;
+    int& id = v.ctx.dpGroupIds[static_cast<std::size_t>(
+        c.tpIdx + map.config().tp * c.ppIdx)];
     if (id < 0)
-        id = groupIdFor(ctx, dpGroupAlive(rank));
+        id = groupIdFor(v.ctx, dpGroupAlive(v.rank));
     return id;
 }
 
 int
-ProgramBuilder::epGroupId(BuildContext& ctx, int rank) const
+ProgramBuilder::epGroupId(const Visit& v) const
 {
     const auto& par = map.config();
-    parallel::RankCoords c = map.coordsOf(rank);
-    int& id = ctx.epGroupIds[static_cast<std::size_t>(
+    const parallel::RankCoords& c = v.coords;
+    int& id = v.ctx.epGroupIds[static_cast<std::size_t>(
         c.tpIdx + par.tp * (c.ppIdx + par.pp * (c.dpIdx / par.ep)))];
     if (id < 0)
-        id = groupIdFor(ctx, map.epGroupDevices(rank));
+        id = groupIdFor(v.ctx, map.epGroupDevices(v.rank));
     return id;
-}
-
-int
-ProgramBuilder::deviceAtStage(int rank, int stage) const
-{
-    parallel::RankCoords c = map.coordsOf(rank);
-    c.ppIdx = stage;
-    return map.deviceOf(map.rankFromCoords(c));
 }
 
 std::vector<int>
@@ -204,573 +261,289 @@ ProgramBuilder::dpGroupAlive(int rank) const
     return alive;
 }
 
-void
-ProgramBuilder::emitForward(BuildContext& ctx, int rank, int mb,
-                            int chunk) const
+ProgramBuilder::Visit
+ProgramBuilder::visit(BuildContext& ctx, int rank, int mb, int chunk) const
 {
     const auto& par = map.config();
-    int dev = map.deviceOf(rank);
-    auto& ops = ctx.program.deviceOps[opSlot(dev)];
-    int stage = map.coordsOf(rank).ppIdx;
+    parallel::RankCoords c = map.coordsOf(rank);
     int v = std::max(opts.virtualStages, 1);
-    int vstage = chunk * par.pp + stage;
-    int last_vstage = par.pp * v - 1;
-    double ls = v == 1 ? layersOnStage(stage) : layersPerChunk();
-    double t = tokensPerMicrobatch;
-    double el = model::TransformerConfig::kBytesPerElement;
-    bool cc = opts.ccOverlap;
-    bool moe = cfg.isMoe() && par.ep > 1;
+    int vstage = chunk * par.pp + c.ppIdx;
+    return Visit{ctx, ctx.program.deviceOps[opSlot(map.deviceOf(rank))],
+                 rank, c, mb, vstage == 0, vstage == par.pp * v - 1,
+                 v == 1 ? layersOnStage(c.ppIdx) : layersPerChunk()};
+}
 
-    // FSDP: gather this stage's full parameters for the microbatch.
-    if (par.fsdp && effectiveDp() > 1) {
-        Op ag;
-        ag.type = OpType::Collective;
-        ag.cls = hw::KernelClass::AllGather;
-        ag.name = "fsdp-allgather";
-        ag.ckind = coll::CollectiveKind::AllGather;
-        ag.groupId = dpGroupId(ctx, rank);
-        ag.bytes = stageParamBytes(stage);
-        ag.messages = static_cast<int>(layersOnStage(stage));
-        ag.topologyAware = opts.topologyAwareCollectives;
-        ag.microbatch = mb;
-        ops.push_back(ag);
-    }
+Op&
+ProgramBuilder::collective(const Visit& v, const char* name,
+                           coll::CollectiveKind kind, int group,
+                           Bytes bytes) const
+{
+    Op op = makeOp(OpType::Collective, kernelClassOf(kind), name, v.mb);
+    op.ckind = kind;
+    op.groupId = group;
+    op.bytes = bytes;
+    // Expert all-to-all has no hierarchical variant.
+    op.topologyAware = opts.topologyAwareCollectives &&
+                       kind != coll::CollectiveKind::AllToAll;
+    v.ops.push_back(op);
+    return v.ops.back();
+}
 
-    // Receive boundary activations from the previous virtual stage.
+Op&
+ProgramBuilder::layerCompute(const Visit& v, hw::KernelClass cls,
+                             const char* name, double flops,
+                             double weight_elems) const
+{
+    // The TP-sliced weights read once per visit plus the activations
+    // streamed through HBM; one kernel per layer.
+    Op op = makeOp(OpType::Compute, cls, name, v.mb);
+    op.flops = Flops(flops);
+    op.hbmBytes = Bytes(weight_elems / map.config().tp * kElemBytes +
+                        kActHbmFactor * tokensPerMicrobatch *
+                            cfg.hiddenSize * kElemBytes);
+    op.kernels = std::max(1, static_cast<int>(v.ls));
+    v.ops.push_back(op);
+    return v.ops.back();
+}
+
+void
+ProgramBuilder::attention(const Visit& v, const char* name,
+                          double flop_factor) const
+{
+    layerCompute(v, hw::KernelClass::Attention, name,
+                 flop_factor * v.ls * tokensPerMicrobatch *
+                     analytics.attnFwdFlopsPerToken() / map.config().tp,
+                 v.ls * analytics.attnParamsPerLayer());
+}
+
+void
+ProgramBuilder::expertBlock(const Visit& v, const char* dispatch,
+                            const char* name, const char* combine,
+                            double flop_factor) const
+{
+    // MoE all-to-all routes tokens to their experts' owners and back.
+    const auto& par = map.config();
+    auto all_to_all = [&](const char* a2a_name) {
+        if (!cfg.isMoe() || par.ep == 1)
+            return;
+        collective(v, a2a_name, coll::CollectiveKind::AllToAll,
+                   epGroupId(v),
+                   Bytes(v.ls * tokensPerMicrobatch * cfg.hiddenSize *
+                         kElemBytes * cfg.topK))
+            .messages = std::max(1, static_cast<int>(v.ls));
+    };
+    all_to_all(dispatch);
+    // Routing imbalance: the busiest rank of the EP group straggles
+    // into the combine.
+    double imbalance = 1.0;
+    if (cfg.isMoe())
+        imbalance = 1.0 + std::abs(v.ctx.rng.gaussian(0.0,
+                                                      kMoeImbalanceSigma));
+    double experts_local =
+        cfg.isMoe() ? static_cast<double>(cfg.numExperts) / par.ep : 1.0;
+    layerCompute(v,
+                 cfg.isMoe() ? hw::KernelClass::MoeGemm
+                             : hw::KernelClass::Gemm,
+                 name,
+                 flop_factor * v.ls * tokensPerMicrobatch *
+                     analytics.mlpFwdFlopsPerToken() / par.tp * imbalance,
+                 v.ls * experts_local * analytics.mlpParamsPerExpert());
+    all_to_all(combine);
+}
+
+void
+ProgramBuilder::tpAllReduce(const Visit& v, const char* name,
+                            bool closes_window) const
+{
+    // Megatron TP all-reduce after a block. Under cc the first of a
+    // layer's two overlaps the next block; the second closes the
+    // window before the visit ends.
+    const auto& par = map.config();
+    if (par.tp == 1)
+        return;
+    Op& ar = collective(v, name, coll::CollectiveKind::AllReduce,
+                        tpGroupId(v),
+                        Bytes(v.ls * tokensPerMicrobatch *
+                              cfg.hiddenSize * kElemBytes));
+    ar.messages = std::max(1, static_cast<int>(v.ls));
+    ar.async = opts.ccOverlap && !closes_window;
+    if (opts.ccOverlap && closes_window)
+        v.ops.push_back(drainOp("cc-drain", v.mb));
+}
+
+void
+ProgramBuilder::boundary(const Visit& v, OpType type, const char* name,
+                         bool downstream) const
+{
+    // Boundary activations (forward) or their gradients (backward).
     // The tensor is sliced across TP ranks, so TP+PP emits small,
     // un-chunked SendRecv messages (paper Sec. 4.2). Interleaving
     // wraps the last pipeline rank back to rank 0 for the next chunk.
-    if (vstage > 0) {
-        Op rx;
-        rx.type = OpType::Recv;
-        rx.cls = hw::KernelClass::SendRecv;
-        rx.name = "recv-fwd";
-        rx.peerDevice = stage > 0
-                            ? map.prevStageDevice(rank)
-                            : deviceAtStage(rank, par.pp - 1);
-        rx.bytes = Bytes(t * cfg.hiddenSize * el / par.tp);
-        rx.chunked = (par.tp == 1) || opts.chunkP2p;
-        rx.microbatch = mb;
-        ops.push_back(rx);
-    }
-
-    // Attention block (all layers of the chunk, fused).
-    Op attn;
-    attn.type = OpType::Compute;
-    attn.cls = hw::KernelClass::Attention;
-    attn.name = "fwd-attn";
-    attn.flops = Flops(ls * t * analytics.attnFwdFlopsPerToken() / par.tp);
-    attn.hbmBytes = Bytes(ls * analytics.attnParamsPerLayer() / par.tp *
-                              el +
-                          kActHbmFactor * t * cfg.hiddenSize * el);
-    attn.kernels = std::max(1, static_cast<int>(ls));
-    attn.microbatch = mb;
-    ops.push_back(attn);
-
-    // Megatron TP allreduce after the attention block.
-    int tp_group = -1;
-    if (par.tp > 1) {
-        tp_group = tpGroupId(ctx, rank);
-        Op ar;
-        ar.type = OpType::Collective;
-        ar.cls = hw::KernelClass::AllReduce;
-        ar.name = "tp-allreduce-attn";
-        ar.ckind = coll::CollectiveKind::AllReduce;
-        ar.groupId = tp_group;
-        ar.bytes = Bytes(ls * t * cfg.hiddenSize * el);
-        ar.messages = std::max(1, static_cast<int>(ls));
-        ar.topologyAware = opts.topologyAwareCollectives;
-        ar.async = cc; // overlapped with the MLP block under cc
-        ar.microbatch = mb;
-        ops.push_back(ar);
-    }
-
-    // MoE dispatch all-to-all (routes tokens to expert owners).
-    int ep_group = -1;
-    if (moe) {
-        ep_group = epGroupId(ctx, rank);
-        Op a2a;
-        a2a.type = OpType::Collective;
-        a2a.cls = hw::KernelClass::AllToAll;
-        a2a.name = "moe-dispatch";
-        a2a.ckind = coll::CollectiveKind::AllToAll;
-        a2a.groupId = ep_group;
-        a2a.bytes = Bytes(ls * t * cfg.hiddenSize * el * cfg.topK);
-        a2a.messages = std::max(1, static_cast<int>(ls));
-        a2a.microbatch = mb;
-        ops.push_back(a2a);
-    }
-
-    // MLP / expert block. MoE adds routing imbalance jitter: the
-    // busiest rank of the EP group straggles into the combine.
-    double imbalance = 1.0;
-    if (cfg.isMoe())
-        imbalance = 1.0 + std::abs(ctx.rng.gaussian(0.0,
-                                                    kMoeImbalanceSigma));
-    Op mlp;
-    mlp.type = OpType::Compute;
-    mlp.cls = cfg.isMoe() ? hw::KernelClass::MoeGemm
-                          : hw::KernelClass::Gemm;
-    mlp.name = "fwd-mlp";
-    mlp.flops = Flops(ls * t * analytics.mlpFwdFlopsPerToken() /
-                      par.tp * imbalance);
-    double experts_local =
-        cfg.isMoe() ? static_cast<double>(cfg.numExperts) / par.ep : 1.0;
-    mlp.hbmBytes = Bytes(ls * experts_local *
-                             analytics.mlpParamsPerExpert() / par.tp *
-                             el +
-                         kActHbmFactor * t * cfg.hiddenSize * el);
-    mlp.kernels = std::max(1, static_cast<int>(ls));
-    mlp.microbatch = mb;
-    ops.push_back(mlp);
-
-    if (moe) {
-        Op a2a;
-        a2a.type = OpType::Collective;
-        a2a.cls = hw::KernelClass::AllToAll;
-        a2a.name = "moe-combine";
-        a2a.ckind = coll::CollectiveKind::AllToAll;
-        a2a.groupId = ep_group;
-        a2a.bytes = Bytes(ls * t * cfg.hiddenSize * el * cfg.topK);
-        a2a.messages = std::max(1, static_cast<int>(ls));
-        a2a.microbatch = mb;
-        ops.push_back(a2a);
-    }
-
-    if (par.tp > 1) {
-        Op ar;
-        ar.type = OpType::Collective;
-        ar.cls = hw::KernelClass::AllReduce;
-        ar.name = "tp-allreduce-mlp";
-        ar.ckind = coll::CollectiveKind::AllReduce;
-        ar.groupId = tp_group;
-        ar.bytes = Bytes(ls * t * cfg.hiddenSize * el);
-        ar.messages = std::max(1, static_cast<int>(ls));
-        ar.topologyAware = opts.topologyAwareCollectives;
-        ar.microbatch = mb;
-        ops.push_back(ar);
-        if (cc) {
-            // Close the overlapped window before leaving the stage.
-            Op drain;
-            drain.type = OpType::Drain;
-            drain.name = "cc-drain";
-            drain.microbatch = mb;
-            ops.push_back(drain);
-        }
-    }
-
-    // Output head on the last virtual stage.
-    if (vstage == last_vstage) {
-        Op head;
-        head.type = OpType::Compute;
-        head.cls = hw::KernelClass::Gemm;
-        head.name = "fwd-head";
-        head.flops = Flops(t * analytics.headFlopsPerToken() / par.tp);
-        head.hbmBytes = Bytes(static_cast<double>(cfg.vocabSize) *
-                                  cfg.hiddenSize / par.tp * el +
-                              kActHbmFactor * t * cfg.hiddenSize * el);
-        head.microbatch = mb;
-        ops.push_back(head);
-    }
-
-    if (vstage < last_vstage) {
-        Op tx;
-        tx.type = OpType::Send;
-        tx.cls = hw::KernelClass::SendRecv;
-        tx.name = "send-fwd";
-        tx.peerDevice = stage < par.pp - 1
-                            ? map.nextStageDevice(rank)
-                            : deviceAtStage(rank, 0);
-        tx.bytes = Bytes(t * cfg.hiddenSize * el / par.tp);
-        tx.chunked = (par.tp == 1) || opts.chunkP2p;
-        tx.microbatch = mb;
-        ops.push_back(tx);
-    }
+    if (downstream ? v.last : v.first)
+        return;
+    const auto& par = map.config();
+    Op op = makeOp(type, hw::KernelClass::SendRecv, name, v.mb);
+    parallel::RankCoords peer = v.coords;
+    peer.ppIdx = (peer.ppIdx + (downstream ? 1 : par.pp - 1)) % par.pp;
+    op.peerDevice = map.deviceOf(map.rankFromCoords(peer));
+    op.bytes =
+        Bytes(tokensPerMicrobatch * cfg.hiddenSize * kElemBytes / par.tp);
+    op.chunked = (par.tp == 1) || opts.chunkP2p;
+    v.ops.push_back(op);
 }
 
 void
-ProgramBuilder::emitBackward(BuildContext& ctx, int rank, int mb,
-                             int chunk, bool overlap_grad_bucket,
-                             int bucket_count) const
+ProgramBuilder::emitForward(const Visit& v) const
 {
     const auto& par = map.config();
-    int dev = map.deviceOf(rank);
-    auto& ops = ctx.program.deviceOps[opSlot(dev)];
-    int stage = map.coordsOf(rank).ppIdx;
-    int v = std::max(opts.virtualStages, 1);
-    int vstage = chunk * par.pp + stage;
-    int last_vstage = par.pp * v - 1;
-    double ls = v == 1 ? layersOnStage(stage) : layersPerChunk();
-    double t = tokensPerMicrobatch;
-    double el = model::TransformerConfig::kBytesPerElement;
-    bool cc = opts.ccOverlap;
-    bool moe = cfg.isMoe() && par.ep > 1;
-    double bwd_factor =
+    int stage = v.coords.ppIdx;
+    // FSDP: gather this stage's full parameters for the microbatch.
+    if (par.fsdp && effectiveDp() > 1)
+        collective(v, "fsdp-allgather", coll::CollectiveKind::AllGather,
+                   dpGroupId(v), stageParamBytes(stage))
+            .messages = layersOnStage(stage);
+    boundary(v, OpType::Recv, "recv-fwd", false);
+    attention(v, "fwd-attn", 1.0);
+    tpAllReduce(v, "tp-allreduce-attn", false);
+    expertBlock(v, "moe-dispatch", "fwd-mlp", "moe-combine", 1.0);
+    tpAllReduce(v, "tp-allreduce-mlp", true);
+    // Output head on the last virtual stage: one kernel.
+    if (v.last)
+        layerCompute(v, hw::KernelClass::Gemm, "fwd-head",
+                     tokensPerMicrobatch * analytics.headFlopsPerToken() /
+                         par.tp,
+                     static_cast<double>(cfg.vocabSize) * cfg.hiddenSize)
+            .kernels = 1;
+    boundary(v, OpType::Send, "send-fwd", true);
+}
+
+void
+ProgramBuilder::emitBackward(const Visit& v, bool grad_bucket,
+                             int buckets) const
+{
+    const auto& par = map.config();
+    int stage = v.coords.ppIdx;
+    double flop_factor =
         cfg.isLora() ? kLoraBwdFlopsFactor : kBwdFlopsFactor;
-
-    // Receive loss gradients from the next virtual stage.
-    if (vstage < last_vstage) {
-        Op rx;
-        rx.type = OpType::Recv;
-        rx.cls = hw::KernelClass::SendRecv;
-        rx.name = "recv-bwd";
-        rx.peerDevice = stage < par.pp - 1
-                            ? map.nextStageDevice(rank)
-                            : deviceAtStage(rank, 0);
-        rx.bytes = Bytes(t * cfg.hiddenSize * el / par.tp);
-        rx.chunked = (par.tp == 1) || opts.chunkP2p;
-        rx.microbatch = mb;
-        ops.push_back(rx);
-    }
-
+    boundary(v, OpType::Recv, "recv-bwd", true);
     // Re-materialize stashed activations under recomputation.
-    if (opts.actRecompute && !opts.inference) {
-        Op rc;
-        rc.type = OpType::Compute;
-        rc.cls = hw::KernelClass::Recompute;
-        rc.name = "recompute";
-        rc.flops = Flops(ls * t *
+    if (opts.actRecompute)
+        layerCompute(v, hw::KernelClass::Recompute, "recompute",
+                     v.ls * tokensPerMicrobatch *
                          (analytics.attnFwdFlopsPerToken() +
                           analytics.mlpFwdFlopsPerToken()) /
-                         par.tp);
-        rc.hbmBytes = Bytes(kActHbmFactor * t * cfg.hiddenSize * el);
-        rc.kernels = std::max(1, static_cast<int>(ls));
-        rc.microbatch = mb;
-        ops.push_back(rc);
-    }
-
-    double imbalance = 1.0;
-    if (cfg.isMoe())
-        imbalance = 1.0 + std::abs(ctx.rng.gaussian(0.0,
-                                                    kMoeImbalanceSigma));
-
-    int ep_group = -1;
-    if (moe) {
-        ep_group = epGroupId(ctx, rank);
-        Op a2a;
-        a2a.type = OpType::Collective;
-        a2a.cls = hw::KernelClass::AllToAll;
-        a2a.name = "moe-bwd-dispatch";
-        a2a.ckind = coll::CollectiveKind::AllToAll;
-        a2a.groupId = ep_group;
-        a2a.bytes = Bytes(ls * t * cfg.hiddenSize * el * cfg.topK);
-        a2a.messages = std::max(1, static_cast<int>(ls));
-        a2a.microbatch = mb;
-        ops.push_back(a2a);
-    }
-
-    Op mlp;
-    mlp.type = OpType::Compute;
-    mlp.cls = cfg.isMoe() ? hw::KernelClass::MoeGemm
-                          : hw::KernelClass::Gemm;
-    mlp.name = "bwd-mlp";
-    mlp.flops = Flops(bwd_factor * ls * t *
-                      analytics.mlpFwdFlopsPerToken() / par.tp *
-                      imbalance);
-    double experts_local =
-        cfg.isMoe() ? static_cast<double>(cfg.numExperts) / par.ep : 1.0;
-    mlp.hbmBytes = Bytes(ls * experts_local *
-                             analytics.mlpParamsPerExpert() / par.tp *
-                             el +
-                         kActHbmFactor * t * cfg.hiddenSize * el);
-    mlp.kernels = std::max(1, static_cast<int>(ls));
-    mlp.microbatch = mb;
-    ops.push_back(mlp);
-
-    if (moe) {
-        Op a2a;
-        a2a.type = OpType::Collective;
-        a2a.cls = hw::KernelClass::AllToAll;
-        a2a.name = "moe-bwd-combine";
-        a2a.ckind = coll::CollectiveKind::AllToAll;
-        a2a.groupId = ep_group;
-        a2a.bytes = Bytes(ls * t * cfg.hiddenSize * el * cfg.topK);
-        a2a.messages = std::max(1, static_cast<int>(ls));
-        a2a.microbatch = mb;
-        ops.push_back(a2a);
-    }
-
-    int tp_group = -1;
-    if (par.tp > 1) {
-        tp_group = tpGroupId(ctx, rank);
-        Op ar;
-        ar.type = OpType::Collective;
-        ar.cls = hw::KernelClass::AllReduce;
-        ar.name = "tp-allreduce-bwd1";
-        ar.ckind = coll::CollectiveKind::AllReduce;
-        ar.groupId = tp_group;
-        ar.bytes = Bytes(ls * t * cfg.hiddenSize * el);
-        ar.messages = std::max(1, static_cast<int>(ls));
-        ar.topologyAware = opts.topologyAwareCollectives;
-        ar.async = cc;
-        ar.microbatch = mb;
-        ops.push_back(ar);
-    }
-
-    Op attn;
-    attn.type = OpType::Compute;
-    attn.cls = hw::KernelClass::Attention;
-    attn.name = "bwd-attn";
-    attn.flops = Flops(bwd_factor * ls * t *
-                       analytics.attnFwdFlopsPerToken() / par.tp);
-    attn.hbmBytes = Bytes(ls * analytics.attnParamsPerLayer() / par.tp *
-                              el +
-                          kActHbmFactor * t * cfg.hiddenSize * el);
-    attn.kernels = std::max(1, static_cast<int>(ls));
-    attn.microbatch = mb;
-    ops.push_back(attn);
-
-    if (par.tp > 1) {
-        Op ar;
-        ar.type = OpType::Collective;
-        ar.cls = hw::KernelClass::AllReduce;
-        ar.name = "tp-allreduce-bwd2";
-        ar.ckind = coll::CollectiveKind::AllReduce;
-        ar.groupId = tp_group;
-        ar.bytes = Bytes(ls * t * cfg.hiddenSize * el);
-        ar.messages = std::max(1, static_cast<int>(ls));
-        ar.topologyAware = opts.topologyAwareCollectives;
-        ar.microbatch = mb;
-        ops.push_back(ar);
-        if (cc) {
-            Op drain;
-            drain.type = OpType::Drain;
-            drain.name = "cc-drain";
-            drain.microbatch = mb;
-            ops.push_back(drain);
-        }
-    }
-
-    // Send input gradients to the previous virtual stage.
-    if (vstage > 0) {
-        Op tx;
-        tx.type = OpType::Send;
-        tx.cls = hw::KernelClass::SendRecv;
-        tx.name = "send-bwd";
-        tx.peerDevice = stage > 0
-                            ? map.prevStageDevice(rank)
-                            : deviceAtStage(rank, par.pp - 1);
-        tx.bytes = Bytes(t * cfg.hiddenSize * el / par.tp);
-        tx.chunked = (par.tp == 1) || opts.chunkP2p;
-        tx.microbatch = mb;
-        ops.push_back(tx);
-    }
-
+                         par.tp,
+                     0.0);
+    expertBlock(v, "moe-bwd-dispatch", "bwd-mlp", "moe-bwd-combine",
+                flop_factor);
+    tpAllReduce(v, "tp-allreduce-bwd1", false);
+    attention(v, "bwd-attn", flop_factor);
+    tpAllReduce(v, "tp-allreduce-bwd2", true);
+    boundary(v, OpType::Send, "send-bwd", false);
     // FSDP reduce-scatters this microbatch's gradients.
     if (par.fsdp && effectiveDp() > 1) {
-        Op rs;
-        rs.type = OpType::Collective;
-        rs.cls = hw::KernelClass::ReduceScatter;
-        rs.name = "fsdp-reducescatter";
-        rs.ckind = coll::CollectiveKind::ReduceScatter;
-        rs.groupId = dpGroupId(ctx, rank);
-        rs.bytes = gradBytesPerGpu(stage);
-        rs.messages = static_cast<int>(layersOnStage(stage));
-        rs.topologyAware = opts.topologyAwareCollectives;
-        rs.async = cc;
-        rs.microbatch = mb;
-        ops.push_back(rs);
+        Op& rs = collective(v, "fsdp-reducescatter",
+                            coll::CollectiveKind::ReduceScatter,
+                            dpGroupId(v), gradBytesPerGpu(stage));
+        rs.messages = layersOnStage(stage);
+        rs.async = opts.ccOverlap;
     }
-
     // Overlapped data-parallel gradient bucket (cc enabled): sync the
     // gradients of the tail microbatches while backward continues.
-    if (overlap_grad_bucket) {
-        Op gb;
-        gb.type = OpType::Collective;
-        gb.cls = opts.zero1 ? hw::KernelClass::ReduceScatter
-                            : hw::KernelClass::AllReduce;
-        gb.name = "dp-grad-bucket";
-        gb.ckind = opts.zero1 ? coll::CollectiveKind::ReduceScatter
-                              : coll::CollectiveKind::AllReduce;
-        gb.groupId = dpGroupId(ctx, rank);
-        gb.bytes = gradBytesPerGpu(stage) /
-                   std::max(bucket_count, 1);
-        gb.topologyAware = opts.topologyAwareCollectives;
-        gb.async = true;
-        gb.microbatch = mb;
-        ops.push_back(gb);
-    }
+    if (grad_bucket)
+        collective(v, "dp-grad-bucket", gradSyncKind(opts.zero1),
+                   dpGroupId(v),
+                   gradBytesPerGpu(stage) / std::max(buckets, 1))
+            .async = true;
 }
 
 void
-ProgramBuilder::emitIterationTail(BuildContext& ctx, int rank) const
+ProgramBuilder::emitIterationTail(const Visit& v) const
 {
     const auto& par = map.config();
-    int dev = map.deviceOf(rank);
-    auto& ops = ctx.program.deviceOps[opSlot(dev)];
-    int stage = map.coordsOf(rank).ppIdx;
-
-    if (opts.inference)
-        return;
-
+    int stage = v.coords.ppIdx;
     int dp = effectiveDp();
-    bool plain_dp = dp > 1 && !par.fsdp;
-    if (plain_dp) {
-        if (opts.ccOverlap) {
-            // Buckets were issued during the backward tail.
-            Op drain;
-            drain.type = OpType::Drain;
-            drain.name = "dp-grad-drain";
-            drain.tail = true;
-            ops.push_back(drain);
-        } else {
-            Op sync;
-            sync.type = OpType::Collective;
-            sync.cls = opts.zero1 ? hw::KernelClass::ReduceScatter
-                                  : hw::KernelClass::AllReduce;
-            sync.name = "dp-grad-sync";
-            sync.tail = true;
-            sync.ckind = opts.zero1
-                             ? coll::CollectiveKind::ReduceScatter
-                             : coll::CollectiveKind::AllReduce;
-            sync.groupId = dpGroupId(ctx, rank);
-            sync.bytes = gradBytesPerGpu(stage);
-            sync.topologyAware = opts.topologyAwareCollectives;
-            ops.push_back(sync);
-        }
-    }
+    bool plain_dp = !opts.inference && dp > 1 && !par.fsdp;
+    // Overlapped buckets were issued during the backward tail.
+    if (plain_dp && opts.ccOverlap)
+        v.ops.push_back(drainOp("dp-grad-drain", v.mb));
+    else if (plain_dp)
+        collective(v, "dp-grad-sync", gradSyncKind(opts.zero1),
+                   dpGroupId(v), gradBytesPerGpu(stage));
 
     // Optimizer step (HBM-bound). ZeRO-1 / FSDP shard the work; a
     // shrunk elastic world re-shards across the survivors.
-    double trainable_fraction =
-        analytics.trainableParams() / analytics.totalParams();
-    double trainable =
-        stageParamBytes(stage).value() /
-        model::TransformerConfig::kBytesPerElement * trainable_fraction;
-    double shard = 1.0;
-    if (par.fsdp || (opts.zero1 && dp > 1))
-        shard = dp;
-    Op opt;
-    opt.type = OpType::Compute;
-    opt.cls = hw::KernelClass::Optimizer;
-    opt.name = "optimizer-step";
-    opt.tail = true;
-    opt.flops = Flops(trainable * kOptimizerFlopsPerParam / shard);
-    opt.hbmBytes = Bytes(trainable * kOptimizerBytesPerParam / shard);
-    ops.push_back(opt);
-
-    // ZeRO-1 gathers the freshly updated parameter shards.
-    if (plain_dp && opts.zero1) {
-        Op ag;
-        ag.type = OpType::Collective;
-        ag.cls = hw::KernelClass::AllGather;
-        ag.name = "zero1-param-allgather";
-        ag.tail = true;
-        ag.ckind = coll::CollectiveKind::AllGather;
-        ag.groupId = dpGroupId(ctx, rank);
-        ag.bytes = stageParamBytes(stage) * trainable_fraction;
-        ag.topologyAware = opts.topologyAwareCollectives;
-        ops.push_back(ag);
+    if (!opts.inference) {
+        double trainable =
+            stageParamBytes(stage).value() / kElemBytes *
+            (analytics.trainableParams() / analytics.totalParams());
+        double shard = par.fsdp || (opts.zero1 && dp > 1) ? dp : 1.0;
+        Op opt = makeOp(OpType::Compute, hw::KernelClass::Optimizer,
+                        "optimizer-step", v.mb);
+        opt.flops = Flops(trainable * kOptimizerFlopsPerParam / shard);
+        opt.hbmBytes = Bytes(trainable * kOptimizerBytesPerParam / shard);
+        v.ops.push_back(opt);
     }
 
-    Op drain;
-    drain.type = OpType::Drain;
-    drain.name = "iteration-drain";
-    drain.tail = true;
-    ops.push_back(drain);
+    // ZeRO-1 gathers the freshly updated parameter shards.
+    if (plain_dp && opts.zero1)
+        collective(v, "zero1-param-allgather",
+                   coll::CollectiveKind::AllGather, dpGroupId(v),
+                   gradBytesPerGpu(stage));
+
+    v.ops.push_back(drainOp("iteration-drain", v.mb));
 }
 
 void
 ProgramBuilder::emitRank(BuildContext& ctx, int rank) const
 {
+    // Megatron-style interleaved 1F1B over v model chunks per rank
+    // (classic 1F1B at v = 1): warmup forwards, steady
+    // one-forward-one-backward, cooldown backwards. Microbatches
+    // advance in groups of pp, cycling through the chunks, so the
+    // pipeline fills with v*m smaller stage visits and the bubble
+    // shrinks accordingly.
     const auto& par = map.config();
-    int stage = map.coordsOf(rank).ppIdx;
-    int m = effectiveMicrobatches();
-    int buckets = std::min(kGradBuckets, m);
-    bool plain_dp = effectiveDp() > 1 && !par.fsdp;
-
-    if (std::max(opts.virtualStages, 1) > 1) {
-        emitRankInterleaved(ctx, rank);
-        return;
-    }
-
-    auto overlap_bucket = [&](int bwd_mb) {
-        return opts.ccOverlap && plain_dp && !opts.inference &&
-               bwd_mb >= m - buckets;
-    };
-
+    Visit tail = visit(ctx, rank, kTail, 0);
+    int stage = tail.coords.ppIdx;
+    int v = std::max(opts.virtualStages, 1);
+    int total = effectiveMicrobatches() * v;
     if (opts.inference) {
-        for (int mb = 0; mb < m; ++mb)
-            emitForward(ctx, rank, mb, 0);
-        Op drain;
-        drain.type = OpType::Drain;
-        drain.name = "iteration-drain";
-        drain.tail = true;
-        ctx.program.deviceOps[opSlot(map.deviceOf(rank))]
-            .push_back(drain);
+        for (int mb = 0; mb < total; ++mb)
+            emitForward(visit(ctx, rank, mb, 0));
+        emitIterationTail(tail);
         return;
     }
-
-    // 1F1B: warmup forwards, steady one-forward-one-backward,
-    // cooldown backwards.
-    int warmup = std::min(par.pp - 1 - stage, m);
-    for (int i = 0; i < warmup; ++i)
-        emitForward(ctx, rank, i, 0);
-    int bwd = 0;
-    for (int i = warmup; i < m; ++i) {
-        emitForward(ctx, rank, i, 0);
-        emitBackward(ctx, rank, bwd, 0, overlap_bucket(bwd), buckets);
-        ++bwd;
-    }
-    for (; bwd < m; ++bwd)
-        emitBackward(ctx, rank, bwd, 0, overlap_bucket(bwd), buckets);
-
-    emitIterationTail(ctx, rank);
-}
-
-void
-ProgramBuilder::emitRankInterleaved(BuildContext& ctx, int rank) const
-{
-    // Megatron-style interleaved 1F1B over v virtual chunks per rank:
-    // microbatches advance in groups of pp, cycling through the
-    // chunks, so the pipeline fills with v*m smaller stage-visits and
-    // the bubble shrinks accordingly.
-    const auto& par = map.config();
-    int stage = map.coordsOf(rank).ppIdx;
-    int m = effectiveMicrobatches();
-    int v = opts.virtualStages;
-    int total = m * v;
     int buckets = std::min(kGradBuckets, total);
-    bool plain_dp = effectiveDp() > 1 && !par.fsdp;
+    bool overlap = opts.ccOverlap && effectiveDp() > 1 && !par.fsdp;
 
-    // Forward/backward schedule-slot -> (chunk, microbatch). Both
-    // mappings are rank-independent, which keeps the per-channel
+    // Schedule slot k -> (chunk, microbatch), the identity at v = 1.
+    // Both maps are rank-independent, which keeps the per-channel
     // send/recv sequences FIFO-consistent across ranks.
-    auto fwd_loc = [&](int k) {
+    auto at = [&](int k, bool backward) {
         int chunk = (k / par.pp) % v;
         int mb = (k / (par.pp * v)) * par.pp + k % par.pp;
-        return std::pair<int, int>(chunk, mb);
+        return visit(ctx, rank, mb, backward ? v - 1 - chunk : chunk);
     };
-    auto bwd_loc = [&](int k) {
-        int chunk = v - 1 - (k / par.pp) % v;
-        int mb = (k / (par.pp * v)) * par.pp + k % par.pp;
-        return std::pair<int, int>(chunk, mb);
+    auto backward = [&](int k) {
+        emitBackward(at(k, true), overlap && k >= total - buckets,
+                     buckets);
     };
-
-    int warmup = std::min((par.pp - stage - 1) * 2 + (v - 1) * par.pp,
-                          total);
-    for (int k = 0; k < warmup; ++k) {
-        auto [chunk, mb] = fwd_loc(k);
-        emitForward(ctx, rank, mb, chunk);
-    }
-    int bwd_k = 0;
+    // Warmup forwards: 1F1B's pp-1-stage, Megatron's interleaved depth
+    // for v > 1.
+    int warmup = v == 1 ? par.pp - 1 - stage
+                        : 2 * (par.pp - 1 - stage) + (v - 1) * par.pp;
+    warmup = std::min(warmup, total);
+    for (int k = 0; k < warmup; ++k)
+        emitForward(at(k, false));
     for (int k = warmup; k < total; ++k) {
-        auto [fchunk, fmb] = fwd_loc(k);
-        emitForward(ctx, rank, fmb, fchunk);
-        auto [bchunk, bmb] = bwd_loc(bwd_k);
-        bool overlap = opts.ccOverlap && plain_dp &&
-                       bwd_k >= total - buckets;
-        emitBackward(ctx, rank, bmb, bchunk, overlap, buckets);
-        ++bwd_k;
+        emitForward(at(k, false));
+        backward(k - warmup);
     }
-    for (; bwd_k < total; ++bwd_k) {
-        auto [bchunk, bmb] = bwd_loc(bwd_k);
-        bool overlap = opts.ccOverlap && plain_dp &&
-                       bwd_k >= total - buckets;
-        emitBackward(ctx, rank, bmb, bchunk, overlap, buckets);
-    }
+    for (int k = total - warmup; k < total; ++k)
+        backward(k);
 
-    emitIterationTail(ctx, rank);
+    emitIterationTail(tail);
 }
 
 Program
@@ -780,7 +553,7 @@ ProgramBuilder::build(int iteration) const
     CHARLLM_ASSERT(fold == nullptr || elastic == nullptr,
                    "symmetry fold and elastic shrink are mutually "
                    "exclusive");
-    ctx.rng = Rng(opts.seed * 0x9e3779b9ULL +
+    ctx.rng = Rng(kMoeRoutingSeed * 0x9e3779b9ULL +
                   static_cast<unsigned>(iteration) * 0x85ebca6bULL + 1);
     ctx.program.deviceOps.resize(static_cast<std::size_t>(
         fold != nullptr ? fold->physWorld() : map.worldSize()));

@@ -42,7 +42,7 @@ class ProgramBuilder
     /** Tokens processed per iteration across the whole cluster. */
     double tokensPerIteration() const;
 
-    /** Transformer layers on pipeline stage @p stage (1F1B mode). */
+    /** Transformer layers on pipeline stage @p stage (v = 1). */
     int layersOnStage(int stage) const;
 
     /** Layers per virtual chunk under interleaved scheduling. */
@@ -107,13 +107,16 @@ class ProgramBuilder
 
     int groupIdFor(BuildContext& ctx, std::vector<int> devices) const;
 
-    /** @name @p rank's TP / DP (survivors only) / EP group id, resolved
-     *  once per build through groupIdFor, so ids keep first-encounter
-     *  order.
+    struct Visit;
+    Visit visit(BuildContext& ctx, int rank, int mb, int chunk) const;
+
+    /** @name The visiting rank's TP / DP (survivors only) / EP group
+     *  id, resolved once per build through groupIdFor, so ids keep
+     *  first-encounter order.
      * @{ */
-    int tpGroupId(BuildContext& ctx, int rank) const;
-    int dpGroupId(BuildContext& ctx, int rank) const;
-    int epGroupId(BuildContext& ctx, int rank) const;
+    int tpGroupId(const Visit& v) const;
+    int dpGroupId(const Visit& v) const;
+    int epGroupId(const Visit& v) const;
     /** @} */
 
     /** deviceOps slot of logical device @p dev (physical under fold). */
@@ -123,9 +126,6 @@ class ProgramBuilder
         return static_cast<std::size_t>(
             fold != nullptr ? fold->repOf(dev) : dev);
     }
-
-    /** Device hosting pipeline stage @p stage of @p rank's pipe. */
-    int deviceAtStage(int rank, int stage) const;
 
     /** Data-parallel width this iteration (survivors under elastic). */
     int
@@ -156,14 +156,32 @@ class ProgramBuilder
     /** @p rank's DP group restricted to surviving replicas. */
     std::vector<int> dpGroupAlive(int rank) const;
 
-    void emitForward(BuildContext& ctx, int rank, int mb,
-                     int chunk) const;
-    void emitBackward(BuildContext& ctx, int rank, int mb, int chunk,
-                      bool overlap_grad_bucket,
-                      int bucket_count) const;
-    void emitIterationTail(BuildContext& ctx, int rank) const;
+    /** @name One builder per op kind, shared by forward and backward.
+     * @{ */
+    /** Appends a collective (kernel class from @p kind) and returns
+     *  it for the caller's extra fields. */
+    Op& collective(const Visit& v, const char* name,
+                   coll::CollectiveKind kind, int group,
+                   Bytes bytes) const;
+    Op& layerCompute(const Visit& v, hw::KernelClass cls,
+                     const char* name, double flops,
+                     double weight_elems) const;
+    void attention(const Visit& v, const char* name,
+                   double flop_factor) const;
+    void expertBlock(const Visit& v, const char* dispatch,
+                     const char* name, const char* combine,
+                     double flop_factor) const;
+    void tpAllReduce(const Visit& v, const char* name,
+                     bool closes_window) const;
+    void boundary(const Visit& v, OpType type, const char* name,
+                  bool downstream) const;
+    /** @} */
+
+    void emitForward(const Visit& v) const;
+    void emitBackward(const Visit& v, bool grad_bucket,
+                      int buckets) const;
+    void emitIterationTail(const Visit& v) const;
     void emitRank(BuildContext& ctx, int rank) const;
-    void emitRankInterleaved(BuildContext& ctx, int rank) const;
 
     /** Trainable gradient bytes per GPU on this rank's stage. */
     Bytes gradBytesPerGpu(int stage) const;

@@ -370,8 +370,8 @@ TEST(SweepFlagsDeath, InvalidFaultScenariosExitTwo)
 
 TEST(SweepFlagsDeath, InvalidResilienceInputsExitTwo)
 {
-    // Each of these once aborted, grew a schedule without bound, or
-    // ran silently without failures.
+    // Each of these once aborted, grew a schedule until it ran out of
+    // memory, panicked, or ran silently without failures.
     const std::pair<void (*)(resil::ResilienceConfig&), const char*>
         probes[] = {
             {[](resil::ResilienceConfig& r) {
@@ -390,6 +390,19 @@ TEST(SweepFlagsDeath, InvalidResilienceInputsExitTwo)
                  r.mtbf.gpuMtbfSec = std::nan("");
              },
              "mtbf.gpuMtbfSec must not be NaN"},
+            {[](resil::ResilienceConfig& r) { r.mtbf.gpuMtbfSec = 1e-6; },
+             "mtbf.gpuMtbfSec \\(1e-06 s\\) over resilience.horizonSec"},
+            {[](resil::ResilienceConfig& r) {
+                 r.recovery.spares.replenishMean = Seconds(1e-6);
+             },
+             "recovery.spares.replenishMean \\(1e-06 s\\) over "
+             "resilience.horizonSec"},
+            {[](resil::ResilienceConfig& r) { r.horizonSec = 1e12; },
+             "resilience.horizonSec \\(1e\\+12 s\\) expands to"},
+            {[](resil::ResilienceConfig& r) {
+                 r.checkpoint.storeGBps = 1e-300;
+             },
+             "checkpoint.storeGBps 1e-300\\) does not fit the event clock"},
         };
     for (const auto& [edit, message] : probes) {
         SCOPED_TRACE(message);

@@ -211,7 +211,7 @@ oneFault(faults::FaultKind kind, int target, double start_s,
 }
 
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 22;
+constexpr std::size_t kProbeRows = 26;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
@@ -320,6 +320,32 @@ invalidConfigRows()
         {"NaN GPU MTBF",
          [](C c) { enableResilience(c).mtbf.gpuMtbfSec = std::nan(""); },
          "mtbf.gpuMtbfSec must not be NaN"},
+        // Schedules too long to expand and a checkpoint write the event
+        // clock cannot hold: before validate checked them, the first
+        // three died in std::bad_alloc, the last panicked scheduling
+        // into the past.
+        {"GPU MTBF of a microsecond",
+         [](C c) { enableResilience(c).mtbf.gpuMtbfSec = 1e-6; },
+         "mtbf.gpuMtbfSec (1e-06 s) over resilience.horizonSec (3600 s) "
+         "expands to ~2.88e+10 schedule entries, over the cap of 1e+06"},
+        {"spare replenish every microsecond",
+         [](C c) {
+             enableResilience(c).recovery.spares.replenishMean =
+                 Seconds(1e-6);
+         },
+         "recovery.spares.replenishMean (1e-06 s) over "
+         "resilience.horizonSec (3600 s) expands to ~3.6e+09 schedule "
+         "entries"},
+        {"failure horizon of 1e12 s",
+         [](C c) {
+             enableResilience(c).horizonSec = 1e12;
+             c.resilience.mtbf.gpuMtbfSec = 120.0;
+         },
+         "mtbf.gpuMtbfSec (120 s) over resilience.horizonSec (1e+12 s) "
+         "expands to ~6.66667e+10 schedule entries"},
+        {"checkpoint store at 1e-300 GB/s",
+         [](C c) { enableResilience(c).checkpoint.storeGBps = 1e-300; },
+         "(checkpoint.storeGBps 1e-300) does not fit the event clock"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <set>
 
 #include "coll/collective_engine.hh"
@@ -314,6 +317,181 @@ TEST(Builder, LoraShrinksGradTraffic)
     ASSERT_GT(full, 0.0);
     ASSERT_GT(lora, 0.0);
     EXPECT_LT(lora * 20.0, full);
+}
+
+/** FNV-1a over every field of every op of every device in order, then
+ *  the group tables: a program's identity, bit for bit. */
+std::uint64_t
+programDigest(const Program& p)
+{
+    static_assert(sizeof(Op) == 80, "a new Op field must be digested");
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](const void* data, std::size_t n) {
+        const auto* b = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i)
+            h = (h ^ b[i]) * 0x100000001b3ULL;
+    };
+    auto add = [&mix](auto v) { mix(&v, sizeof v); };
+    add(p.deviceOps.size());
+    for (const auto& ops : p.deviceOps) {
+        add(ops.size());
+        for (const Op& op : ops) {
+            add(op.type);
+            add(op.cls);
+            mix(op.name, std::strlen(op.name) + 1);
+            add(op.flops.value());
+            add(op.hbmBytes.value());
+            add(op.kernels);
+            add(op.ckind);
+            add(op.groupId);
+            add(op.bytes.value());
+            add(op.chunked);
+            add(op.messages);
+            add(op.async);
+            add(op.topologyAware);
+            add(op.tail);
+            add(op.peerDevice);
+            add(op.microbatch);
+        }
+    }
+    add(p.groups.size());
+    for (const auto& group : p.groups) {
+        add(group.size());
+        for (int d : group)
+            add(d);
+    }
+    for (int expected : p.groupExpected)
+        add(expected);
+    return h;
+}
+
+TEST(Builder, ProgramsMatchGoldenDigest)
+{
+    // Pins every program the builder emits: op order per device, group
+    // first-encounter order and the MoE imbalance draw order. A change
+    // that moves any of them re-records the digests and says why.
+    using P = parallel::ParallelConfig;
+    model::TransformerConfig deep = tinyModel();
+    deep.numLayers = 12; // pp 2 x v 3
+    struct Case
+    {
+        const char* name;
+        model::TransformerConfig model;
+        P par;
+        std::function<void(TrainOptions&)> tweak;
+        std::vector<std::uint64_t> golden; //!< one per built iteration
+    };
+    auto check = [](const Program& p, std::uint64_t golden,
+                    const std::string& name) {
+        std::uint64_t got = programDigest(p);
+        EXPECT_EQ(got, golden) << name << std::hex << " got 0x" << got;
+    };
+    auto none = [](TrainOptions&) {};
+    std::vector<Case> cases = {
+        {"base", tinyModel(), P::forWorld(16, 2, 4), none,
+         {0x67891835ec158b85}},
+        {"act", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) { o.actRecompute = true; },
+         {0x8537d0be4af295bd}},
+        {"cc", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) { o.ccOverlap = true; },
+         {0xf7634e60c0d86e15}},
+        {"act+cc zero1 off", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) {
+             o.actRecompute = o.ccOverlap = true;
+             o.zero1 = false;
+         },
+         {0x5ba0abbff6a2746d}},
+        {"fsdp cc", tinyModel(), P::forWorld(16, 2, 1, 1, true),
+         [](TrainOptions& o) { o.ccOverlap = true; },
+         {0x954d21e9920e505f}},
+        {"moe ep", tinyMoe(), P::forWorld(16, 2, 2, 4),
+         [](TrainOptions& o) { o.zero1 = false; },
+         {0x95fa981d6dbe96dc, 0x4ee5dc2a13f17cca, 0x733926af7e604af6}},
+        {"inference", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) { o.inference = true; },
+         {0xd15c0d5e3d93482d}},
+        {"interleaved v2 cc", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) {
+             o.virtualStages = 2;
+             o.ccOverlap = true;
+         },
+         {0x57e2615596075aa1}},
+        {"interleaved v3 cc", deep, P::forWorld(8, 2, 2),
+         [](TrainOptions& o) {
+             o.virtualStages = 3;
+             o.ccOverlap = true;
+         },
+         {0x52cdc1158bf62c05}},
+        {"interleaved moe", tinyMoe(), P::forWorld(16, 2, 2, 2),
+         [](TrainOptions& o) {
+             o.virtualStages = 2;
+             o.zero1 = false;
+         },
+         {0xf4b7a6222898c548, 0xf1673b03ba36c38c}},
+        {"stage layers", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) { o.stageLayers = {3, 1, 3, 1}; },
+         {0xa82da7203d946055}},
+        {"lora", model::withLora(tinyModel(), 16), P::forWorld(16, 2, 4),
+         none, {0x88fe7ef57bceb39d}},
+        {"chunk p2p", tinyModel(), P::forWorld(16, 2, 4),
+         [](TrainOptions& o) { o.chunkP2p = true; },
+         {0x9afc57db7598a215}},
+        {"topology aware", tinyModel(), P::forWorld(16, 2, 2),
+         [](TrainOptions& o) {
+             o.topologyAwareCollectives = o.ccOverlap = true;
+         },
+         {0x296b488053eff6c5}},
+    };
+    for (const Case& c : cases) {
+        parallel::RankMapper map(c.par);
+        TrainOptions opts;
+        opts.globalBatchSize = 32;
+        c.tweak(opts);
+        ProgramBuilder b(c.model, map, opts);
+        for (std::size_t it = 0; it < c.golden.size(); ++it)
+            check(b.build(static_cast<int>(it)), c.golden[it],
+                  c.name + std::string(" iteration ") +
+                      std::to_string(it));
+    }
+
+    // Placement variants on TP4-PP2-DP2 (16 GPUs, 4 per node).
+    P par = P::forWorld(16, 4, 2);
+    TrainOptions opts;
+    opts.globalBatchSize = 32;
+    opts.ccOverlap = true;
+    {
+        parallel::RankMapper map(par);
+        scale::SymmetryFold fold;
+        fold.tp = par.tp;
+        fold.dp = par.dp;
+        fold.pp = par.pp;
+        fold.gpusPerNode = 4;
+        ProgramBuilder b(tinyModel(), map, opts);
+        b.setFold(&fold);
+        check(b.build(0), 0xc149c8d89520b00b, "symmetry fold");
+    }
+    for (bool rebalance : {false, true}) {
+        P wide = P::forWorld(16, 2, 2); // dp 4
+        parallel::RankMapper map(wide);
+        parallel::ElasticWorld world(wide.dp, opts.globalBatchSize,
+                                     opts.microbatchSize, rebalance);
+        world.markDead(1);
+        ProgramBuilder b(tinyModel(), map, opts);
+        b.setElasticWorld(&world);
+        check(b.build(0),
+              rebalance ? 0x07034260a8656533 : 0xab5d84031f44f7ab,
+              rebalance ? "elastic rebalance" : "elastic");
+    }
+    {
+        parallel::RankMapper map(par);
+        std::vector<int> perm(16);
+        for (int d = 0; d < 16; ++d)
+            perm[static_cast<std::size_t>(d)] = (d * 5 + 3) % 16;
+        map.setDevicePermutation(perm);
+        check(ProgramBuilder(tinyModel(), map, opts).build(0),
+              0xf85cf2773213e941, "device permutation");
+    }
 }
 
 // ---- engine integration -----------------------------------------------------
