@@ -42,14 +42,8 @@ namespace {
 constexpr int kTp = 8;
 constexpr int kPp = 4;
 
-/** The analytical backend walks every logical rank (no collapse), so
- *  its cross-check stops where its per-device state gets expensive:
- *  ~150 MB at world 16384, ~600 MB at 65536. Beyond it the rows are
- *  gated on determinism and the projector. */
-constexpr int kAnalyticalCheckMaxWorld = 16384;
-
 /** Collapse contracts. Memory is O(distinct ranks): collapsed runs
- *  peak near 150 MB, while instantiating 65536 ranks would exceed the
+ *  peak near 20 MB, while instantiating 65536 ranks would exceed the
  *  cap by orders of magnitude. The aggregate rate counts physical
  *  pops times the DP multiplicity. */
 constexpr long kRssCapKb = 2'000'000;
@@ -131,7 +125,7 @@ struct MechRow
     double projIterSec = 0.0;
     double anaIterSec = 0.0;
     core::Comparison projCheck; //!< projector vs des (if projected)
-    core::Comparison anaCheck;  //!< analytical vs des (if run)
+    core::Comparison anaCheck;  //!< analytical vs des
     double wallSec = 0.0;
     double aggEventsPerSec = 0.0;
     long peakRssKb = 0;
@@ -172,16 +166,14 @@ runMechanistic(int dp, int microbatches, const scale::Projector* proj)
                   "collapsed run is not byte-deterministic at world ",
                   row.world, ": ", repeat.breaches.front());
 
-    // Cross-check 1: the analytical backend on the same config.
-    if (row.world <= kAnalyticalCheckMaxWorld) {
-        auto ana_cfg = cfg;
-        ana_cfg.backend = sim::BackendKind::Analytical;
-        ana_cfg.symmetryCollapse = false;
-        auto ana = core::Experiment::run(ana_cfg);
-        row.anaIterSec = ana.avgIterationSeconds;
-        row.anaCheck = core::compareResults(
-            ana, row.des, core::tolerance("fig22/analytical"));
-    }
+    // Cross-check 1: the analytical backend on the same config (it
+    // folds the DP replicas by the same proof, so every world is cheap).
+    auto ana_cfg = cfg;
+    ana_cfg.backend = sim::BackendKind::Analytical;
+    auto ana = core::Experiment::run(ana_cfg);
+    row.anaIterSec = ana.avgIterationSeconds;
+    row.anaCheck = core::compareResults(ana, row.des,
+                                        core::tolerance("fig22/analytical"));
 
     // Cross-check 2: the strong-scaling projector (when the DP point
     // shares the projector's fixed global batch), which predicts the

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "coll/collective_engine.hh"
 #include "common/logging.hh"
@@ -58,30 +59,22 @@ struct PricedCollective
     double seconds;
 };
 
-/** One program group's pricing state: the ascending member list and
- *  every distinct collective already priced on it. */
-struct GroupPricing
-{
-    std::vector<int> sorted;
-    std::vector<PricedCollective> priced;
-};
-
-/** A device's position in the sorted member list of one group. */
-struct RingSlot
-{
-    int group;
-    int position;
-};
-
 } // namespace
 
 void
 AnalyticalBackend::prepare()
 {
+    // Identical DP replicas price identically, so where the symmetry
+    // proof holds only the representative replica is lowered. Unlike
+    // the DES collapse this is not opt-in: no trace or critical path
+    // is lost, and result.symmetry stays unset.
+    folded = analyzeSymmetry(cfg, true, &fold).collapsed;
     parallel::RankMapper mapper(cfg.par);
     if (!cfg.devicePermutation.empty())
         mapper.setDevicePermutation(cfg.devicePermutation);
     runtime::ProgramBuilder builder(cfg.model, mapper, cfg.train);
+    if (folded)
+        builder.setFold(&fold);
     result.tokensPerIteration = builder.tokensPerIteration();
     bubbleFraction = builder.pipelineBubbleFraction();
 
@@ -245,14 +238,17 @@ AnalyticalBackend::collectiveSeconds(std::span<const int> sorted,
 
 void
 AnalyticalBackend::attributeRing(DeviceSummary& dev,
-                                 std::span<const int> sorted,
-                                 int position, Bytes wire) const
+                                 std::span<const int> sorted, int device,
+                                 Bytes wire) const
 {
     int gpn = cfg.cluster.network.gpusPerNode;
     int n = static_cast<int>(sorted.size());
     if (n < 2)
         return;
-    int device = sorted[static_cast<std::size_t>(position)];
+    auto it = std::lower_bound(sorted.begin(), sorted.end(), device);
+    CHARLLM_ASSERT(it != sorted.end() && *it == device, "device ", device,
+                   " is not a member of its collective's group");
+    int position = static_cast<int>(it - sorted.begin());
     int next = sorted[static_cast<std::size_t>((position + 1) % n)];
     int prev = sorted[static_cast<std::size_t>((position + n - 1) % n)];
     // A device's scale-up (or PCIe) ports carry its ring segment out
@@ -267,7 +263,7 @@ AnalyticalBackend::attributeRing(DeviceSummary& dev,
 }
 
 std::vector<AnalyticalBackend::DeviceSummary>
-AnalyticalBackend::summarize(const runtime::Program& program) const
+AnalyticalBackend::summarize(runtime::Program program) const
 {
     const hw::ComputeModel model(cfg.cluster.gpu);
     const auto& net = cfg.cluster.network;
@@ -278,65 +274,35 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
     // so each distinct (group, kind, bytes, chunking, launches,
     // topology) is priced once per program. Groups are deduplicated by
     // member list, so the memo is exact, not an approximation.
-    std::vector<GroupPricing> groups(program.groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        groups[g].sorted = program.groups[g];
-        std::sort(groups[g].sorted.begin(), groups[g].sorted.end());
-    }
-    auto price = [this](GroupPricing& group, const runtime::Op& op,
-                        Bytes bytes) {
+    for (std::vector<int>& members : program.groups)
+        std::sort(members.begin(), members.end());
+    std::vector<std::vector<PricedCollective>> priced(
+        program.groups.size());
+    auto price = [&](const runtime::Op& op, Bytes bytes) {
+        auto& memo = priced[static_cast<std::size_t>(op.groupId)];
         std::uint64_t bits = std::bit_cast<std::uint64_t>(bytes.value());
-        for (const PricedCollective& p : group.priced) {
+        for (const PricedCollective& p : memo) {
             if (p.kind == op.ckind && p.bytesBits == bits &&
                 p.chunked == op.chunked && p.messages == op.messages &&
                 p.topologyAware == op.topologyAware)
                 return p.seconds;
         }
-        double seconds = collectiveSeconds(group.sorted, op.ckind, bytes,
-                                           op.chunked, op.messages,
-                                           op.topologyAware);
-        group.priced.push_back({op.ckind, bits, op.chunked, op.messages,
-                                op.topologyAware, seconds});
+        double seconds = collectiveSeconds(
+            program.groups[static_cast<std::size_t>(op.groupId)], op.ckind,
+            bytes, op.chunked, op.messages, op.topologyAware);
+        memo.push_back({op.ckind, bits, op.chunked, op.messages,
+                        op.topologyAware, seconds});
         return seconds;
     };
 
-    // Each device's ring position in every group it belongs to, laid
-    // out CSR-style: device d owns slots [slotStart[d], slotStart[d+1]).
-    std::vector<int> slotStart(static_cast<std::size_t>(world) + 1, 0);
-    for (const GroupPricing& group : groups) {
-        for (int d : group.sorted)
-            ++slotStart[static_cast<std::size_t>(d) + 1];
-    }
-    for (int d = 0; d < world; ++d)
-        slotStart[static_cast<std::size_t>(d) + 1] +=
-            slotStart[static_cast<std::size_t>(d)];
-    std::vector<RingSlot> slots(
-        static_cast<std::size_t>(slotStart.back()));
-    {
-        std::vector<int> fill(slotStart.begin(), slotStart.end() - 1);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            const auto& sorted = groups[g].sorted;
-            for (std::size_t i = 0; i < sorted.size(); ++i) {
-                int& next = fill[static_cast<std::size_t>(sorted[i])];
-                slots[static_cast<std::size_t>(next++)] = {
-                    static_cast<int>(g), static_cast<int>(i)};
-            }
-        }
-    }
-    auto ring_position = [&](int d, int group) {
-        for (int k = slotStart[static_cast<std::size_t>(d)];
-             k < slotStart[static_cast<std::size_t>(d) + 1]; ++k) {
-            if (slots[static_cast<std::size_t>(k)].group == group)
-                return slots[static_cast<std::size_t>(k)].position;
-        }
-        CHARLLM_PANIC("device ", d, " is not a member of group ", group);
-    };
-
     std::vector<DeviceSummary> out(static_cast<std::size_t>(world));
-    for (int d = 0; d < world; ++d) {
-        DeviceSummary& dev = out[static_cast<std::size_t>(d)];
+    for (int s = 0; s < world; ++s) {
+        DeviceSummary& dev = out[static_cast<std::size_t>(s)];
         const auto& ops =
-            program.deviceOps[static_cast<std::size_t>(d)];
+            program.deviceOps[static_cast<std::size_t>(s)];
+        // Groups and peers keep logical ids; under the fold program
+        // device s is the representative of logical device d.
+        int d = folded ? fold.logicalOf(s) : s;
         dev.ops.reserve(ops.size());
         for (const auto& op : ops) {
             OpCost c;
@@ -361,15 +327,14 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                 break;
               }
               case runtime::OpType::Collective: {
-                GroupPricing& group =
-                    groups[static_cast<std::size_t>(op.groupId)];
-                const auto& sorted = group.sorted;
+                const auto& sorted =
+                    program.groups[static_cast<std::size_t>(op.groupId)];
                 Bytes bytes = op.bytes;
                 // Overlapped collectives contend with concurrent
                 // compute (engine applies kOverlapCommPenalty).
                 if (op.async)
                     bytes *= hw::calib::kOverlapCommPenalty;
-                c.commSec = price(group, op, bytes);
+                c.commSec = price(op, bytes);
                 c.powerActivity = profile.powerActivity;
                 if (op.ckind == coll::CollectiveKind::AllToAll) {
                     double per_pair = bytes.value() /
@@ -384,7 +349,7 @@ AnalyticalBackend::summarize(const runtime::Program& program) const
                     }
                 } else {
                     attributeRing(
-                        dev, sorted, ring_position(d, op.groupId),
+                        dev, sorted, d,
                         coll::CollectiveEngine::wireBytesPerRank(
                             op.ckind, bytes,
                             static_cast<int>(sorted.size())));
@@ -560,7 +525,11 @@ AnalyticalBackend::run()
 {
     using namespace hw::calib;
     const hw::GpuSpec& spec = cfg.cluster.gpu;
-    int world = cfg.cluster.numGpus();
+    // Under the fold every per-device vector covers the representative
+    // replica: it owns whole nodes (tp % gpusPerNode == 0) and the
+    // steady state is node-local, so physical node n stands for every
+    // replica image of its logical node.
+    int world = folded ? fold.physWorld() : cfg.cluster.numGpus();
     double tdp = spec.tdpWatts.value();
     double idle = spec.idleWatts.value();
 
@@ -573,7 +542,9 @@ AnalyticalBackend::run()
 
     std::vector<hw::DvfsGovernor> governors(
         static_cast<std::size_t>(world), hw::DvfsGovernor(spec));
-    hw::ThermalModel thermal(cfg.cluster.chassis, cfg.cluster.numNodes,
+    hw::ThermalModel thermal(cfg.cluster.chassis,
+                             folded ? fold.physNodes()
+                                    : cfg.cluster.numNodes,
                              spec.thermalResistance);
     std::vector<double> clocks(static_cast<std::size_t>(world), 1.0);
     std::vector<Watts> powers(static_cast<std::size_t>(world),
@@ -680,6 +651,7 @@ AnalyticalBackend::run()
     double iters = static_cast<double>(cfg.measuredIterations);
     result.avgIterationSeconds = measured_total / iters;
 
+    std::vector<GpuResult> gpus(static_cast<std::size_t>(world));
     for (int d = 0; d < world; ++d) {
         // Average the per-iteration walks over the measured window.
         DeviceWalk mean;
@@ -707,7 +679,7 @@ AnalyticalBackend::run()
         double t_avg = result.avgIterationSeconds;
         double clk = clocks[static_cast<std::size_t>(d)];
 
-        GpuResult& g = result.gpus.emplace_back();
+        GpuResult& g = gpus[static_cast<std::size_t>(d)];
         g.avgPowerW = powers[static_cast<std::size_t>(d)].value();
         double peak_act = std::min(mean.peakActivity, hw::kActivityCap);
         g.peakPowerW = hw::devicePower(spec, peak_act, clk).value();
@@ -725,6 +697,16 @@ AnalyticalBackend::run()
         g.pcieBytes = pcie / iters;
         g.scaleUpBytes = scale_up / iters;
         g.breakdown = mean.breakdown;
+    }
+    if (folded) {
+        // Every logical GPU reads its representative, in logical order,
+        // so execute() folds the same addition sequence as a full run.
+        result.gpus.reserve(static_cast<std::size_t>(fold.logicalWorld()));
+        for (int d = 0; d < fold.logicalWorld(); ++d)
+            result.gpus.push_back(
+                gpus[static_cast<std::size_t>(fold.repOf(d))]);
+    } else {
+        result.gpus = std::move(gpus);
     }
     // No event queue ran: telemetry series stay empty, the trace stays
     // null, and the simulator self-profiling counters stay zero.

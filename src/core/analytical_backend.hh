@@ -13,6 +13,12 @@
  * tolerance contract, and bench_backend_xval for the cross-validation
  * that enforces it.
  *
+ * Wherever scale::SymmetryAnalyzer proves the DP replicas identical
+ * (analyzeSymmetry, the proof the DES backend's collapse uses), it
+ * lowers and prices only the representative replica, tp*pp devices,
+ * and replays each representative's result for every logical GPU: the
+ * output is bitwise that of pricing every rank (DESIGN.md §12).
+ *
  * core::validate refuses what it cannot model, loudly: a fault
  * scenario, the resilience subsystem and the telemetry sampler, all
  * transient phenomena. It produces no kernel trace or critical path
@@ -81,8 +87,8 @@ class AnalyticalBackend final : public ExperimentBackend
         hw::KernelTimeBreakdown breakdown;
     };
 
-    std::vector<DeviceSummary> summarize(
-        const runtime::Program& program) const;
+    /** One summary per program device (physical under the fold). */
+    std::vector<DeviceSummary> summarize(runtime::Program program) const;
     /** Cost of one collective over the ascending member list
      *  @p sorted. Allocation-free. */
     double collectiveSeconds(std::span<const int> sorted,
@@ -90,9 +96,9 @@ class AnalyticalBackend final : public ExperimentBackend
                              bool chunked, int messages,
                              bool topology_aware) const;
     double hopBandwidth(int src, int dst, int local_members) const;
-    /** Ring traffic of the member at @p position of @p sorted. */
+    /** Ring traffic of logical @p device, a member of @p sorted. */
     void attributeRing(DeviceSummary& dev, std::span<const int> sorted,
-                       int position, Bytes wire) const;
+                       int device, Bytes wire) const;
     DeviceWalk walkDevice(const DeviceSummary& dev, double clock) const;
     double iterationSeconds(const std::vector<DeviceWalk>& walks) const;
 
@@ -101,6 +107,10 @@ class AnalyticalBackend final : public ExperimentBackend
     std::vector<std::vector<DeviceSummary>> iterationSummaries;
     std::vector<int> summaryOfIteration;
     double bubbleFraction = 0.0;
+    /** Set when the DP replicas are proven identical: summaries and
+     *  the fixed point then cover fold.physWorld() devices. */
+    bool folded = false;
+    scale::SymmetryFold fold;
 };
 
 } // namespace core

@@ -19,24 +19,7 @@ DesBackend::run()
 {
     // ---- rank-symmetry decision ----------------------------------------
     scale::SymmetryFold fold;
-    {
-        scale::SymmetryAnalyzer::Input sym;
-        sym.tp = cfg.par.tp;
-        sym.dp = cfg.par.dp;
-        sym.pp = cfg.par.pp;
-        sym.ep = cfg.par.ep;
-        sym.gpusPerNode = cfg.cluster.network.gpusPerNode;
-        sym.moe = cfg.model.isMoe();
-        sym.faults = !cfg.faultScenario.empty();
-        sym.resilience = cfg.resilience.enabled;
-        sym.elastic = cfg.resilience.enabled &&
-                      cfg.resilience.recovery.dryPolicy ==
-                          resil::DryPoolPolicy::ElasticShrink;
-        sym.powerCaps = !cfg.nodePowerCaps.empty();
-        sym.devicePermutation = !cfg.devicePermutation.empty();
-        sym.requested = cfg.symmetryCollapse;
-        result.symmetry = scale::SymmetryAnalyzer::analyze(sym, &fold);
-    }
+    result.symmetry = analyzeSymmetry(cfg, cfg.symmetryCollapse, &fold);
     const bool collapsed = result.symmetry.collapsed;
     if (result.symmetry.requested && !collapsed)
         CHARLLM_WARN("symmetry collapse refused (", result.symmetry.reason,

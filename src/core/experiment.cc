@@ -270,6 +270,15 @@ validate(const ExperimentConfig& config)
         require(write < clock_limit, "a checkpoint write of ", write,
                 " s (checkpoint.storeGBps ", res.checkpoint.storeGBps,
                 ") does not fit the event clock (", clock_limit, " s)");
+        // An async checkpoint commits quiesce + write after it starts,
+        // and it may start as late as the horizon.
+        double quiesce = res.checkpoint.quiesceSec;
+        require(!res.checkpoint.async || !(write < clock_limit) ||
+                    res.horizonSec + quiesce + write < clock_limit,
+                "an async checkpoint.quiesceSec of ", quiesce,
+                " s plus its ", write, " s write past resilience.horizonSec (",
+                res.horizonSec, " s) does not fit the event clock (",
+                clock_limit, " s)");
     }
     return problems;
 }
@@ -294,6 +303,28 @@ checkpointModelFor(const ExperimentConfig& cfg)
     return resil::CheckpointModel(state, storage,
                                   cfg.cluster.network.gpusPerNode,
                                   cfg.cluster.numGpus());
+}
+
+scale::SymmetryDecision
+analyzeSymmetry(const ExperimentConfig& cfg, bool requested,
+                scale::SymmetryFold* fold)
+{
+    scale::SymmetryAnalyzer::Input in;
+    in.tp = cfg.par.tp;
+    in.dp = cfg.par.dp;
+    in.pp = cfg.par.pp;
+    in.ep = cfg.par.ep;
+    in.gpusPerNode = cfg.cluster.network.gpusPerNode;
+    in.moe = cfg.model.isMoe();
+    in.faults = !cfg.faultScenario.empty();
+    in.resilience = cfg.resilience.enabled;
+    in.elastic = cfg.resilience.enabled &&
+                 cfg.resilience.recovery.dryPolicy ==
+                     resil::DryPoolPolicy::ElasticShrink;
+    in.powerCaps = !cfg.nodePowerCaps.empty();
+    in.devicePermutation = !cfg.devicePermutation.empty();
+    in.requested = requested;
+    return scale::SymmetryAnalyzer::analyze(in, fold);
 }
 
 parallel::MemoryOptions

@@ -105,11 +105,14 @@ struct ExperimentConfig
     bool checkMemory = true;
 
     /**
-     * Request rank-symmetry collapse (DES backend only): provably
+     * Request rank-symmetry collapse on the DES backend: provably
      * identical DP replicas fold onto one representative, making
      * memory and event count O(distinct ranks). Configs that break
      * replica symmetry fall back to full instantiation with the
      * reason recorded in ExperimentResult::symmetry (DESIGN.md §12).
+     * The analytical backend folds wherever the same proof holds
+     * without being asked (it has no trace or critical path to
+     * lose, and the fold is exact) and ignores this flag.
      */
     bool symmetryCollapse = false;
 
@@ -231,6 +234,16 @@ int microbatchesPerReplica(const ExperimentConfig& cfg);
 /** The checkpoint cost model of @p cfg's resilience config on its
  *  cluster (shared by validate and the DES backend). */
 resil::CheckpointModel checkpointModelFor(const ExperimentConfig& cfg);
+
+/**
+ * Whether @p cfg's DP replicas are provably identical
+ * (scale::SymmetryAnalyzer, DESIGN.md §12); on success fills @p fold.
+ * The one proof both fidelity backends fold by: the DES backend asks
+ * when cfg.symmetryCollapse is set, the analytical backend always.
+ */
+scale::SymmetryDecision analyzeSymmetry(const ExperimentConfig& cfg,
+                                        bool requested,
+                                        scale::SymmetryFold* fold);
 
 /**
  * Memory-planner options implied by an experiment config (shared by

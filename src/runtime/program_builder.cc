@@ -117,6 +117,13 @@ ProgramBuilder::ProgramBuilder(
     if (cfg.isMoe())
         CHARLLM_ASSERT(cfg.numExperts % par.ep == 0,
                        "experts not divisible by ep");
+    // The planner checks nothing the mapper and the asserts above have
+    // not, so every builder can hold its stages' parameter bytes.
+    parallel::MemoryPlanner planner(cfg, par);
+    stageParams.reserve(static_cast<std::size_t>(par.pp));
+    for (int stage = 0; stage < par.pp; ++stage)
+        stageParams.push_back(
+            Bytes(planner.paramsPerGpu(stage) * kElemBytes));
     int v = std::max(opts.virtualStages, 1);
     if (v > 1) {
         CHARLLM_ASSERT(par.pp > 1,
@@ -168,14 +175,6 @@ ProgramBuilder::pipelineBubbleFraction() const
     double m = microbatches;
     double v = std::max(opts.virtualStages, 1);
     return (p - 1.0) / (v * m + p - 1.0);
-}
-
-Bytes
-ProgramBuilder::stageParamBytes(int stage) const
-{
-    parallel::MemoryPlanner planner(cfg, map.config());
-    return Bytes(planner.paramsPerGpu(stage) *
-                 model::TransformerConfig::kBytesPerElement);
 }
 
 Bytes

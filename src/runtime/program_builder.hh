@@ -185,7 +185,12 @@ class ProgramBuilder
 
     /** Trainable gradient bytes per GPU on this rank's stage. */
     Bytes gradBytesPerGpu(int stage) const;
-    Bytes stageParamBytes(int stage) const;
+    /** Parameter bytes per GPU on pipeline stage @p stage. */
+    Bytes
+    stageParamBytes(int stage) const
+    {
+        return stageParams[static_cast<std::size_t>(stage)];
+    }
 
     model::TransformerConfig cfg;
     model::ModelAnalytics analytics;
@@ -193,6 +198,7 @@ class ProgramBuilder
     TrainOptions opts;
     int microbatches;
     double tokensPerMicrobatch;
+    std::vector<Bytes> stageParams; //!< per pipeline stage
     const scale::SymmetryFold* fold = nullptr;
     const parallel::ElasticWorld* elastic = nullptr;
 };

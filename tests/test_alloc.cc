@@ -346,6 +346,52 @@ TEST(AnalyticalAlloc, LoweringAllocatesLinearlyInDevices)
         << large;
 }
 
+/** Allocations of AnalyticalBackend::lower on the datacenter-scale
+ *  config at @p dp. An identity devicePermutation places nothing
+ *  differently but makes the symmetry analyzer refuse, so every rank
+ *  is lowered. */
+std::uint64_t
+datacenterLowerAllocs(int dp, bool identity_permutation)
+{
+    core::ExperimentConfig cfg;
+    int world = 8 * 4 * dp;
+    cfg.cluster = core::h200Cluster(world / 8);
+    cfg.model = model::gpt3_175b();
+    cfg.par = parallel::ParallelConfig::forWorld(world, 8, 4);
+    cfg.train.actRecompute = true;
+    cfg.train.globalBatchSize = 4 * dp;
+    cfg.warmupIterations = 1;
+    cfg.measuredIterations = 1;
+    cfg.backend = sim::BackendKind::Analytical;
+    if (identity_permutation) {
+        for (int d = 0; d < world; ++d)
+            cfg.devicePermutation.push_back(d);
+    }
+    core::AnalyticalBackend backend;
+    std::uint64_t before = allocationCount();
+    backend.lower(cfg);
+    return allocationCount() - before;
+}
+
+TEST(AnalyticalAlloc, FoldedLoweringAllocationsIndependentOfDp)
+{
+    // Folded, lowering holds one replica's programs and summaries: the
+    // DP groups grow with dp, but each is still one allocation.
+    std::uint64_t small = datacenterLowerAllocs(32, false);  // world 1024
+    std::uint64_t large = datacenterLowerAllocs(2048, false); // world 65536
+    EXPECT_EQ(small, large);
+}
+
+TEST(AnalyticalAlloc, UnfoldedLoweringAllocatesLinearlyInDevices)
+{
+    // The rank-by-rank path the fold replaces must stay linear too.
+    std::uint64_t small = datacenterLowerAllocs(32, true);  // world 1024
+    std::uint64_t large = datacenterLowerAllocs(128, true); // world 4096
+    EXPECT_LE(static_cast<double>(large), 4.5 * static_cast<double>(small))
+        << "world 1024: " << small << " allocations, world 4096: "
+        << large;
+}
+
 TEST(ValidateAlloc, ValidConfigAllocatesNothingAtAnyWorld)
 {
     // core::validate sits in front of every run: a valid config must

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "bench_util.hh"
@@ -302,6 +304,109 @@ TEST(AnalyticalBackend, MatchesGoldenValuesBitwise)
     }
 }
 
+/** Appends one line per GpuResult field whose bits differ. */
+void
+diffGpuBits(const GpuResult& a, const GpuResult& b, std::size_t gpu,
+            std::vector<std::string>& out)
+{
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const std::pair<const char*, std::pair<double, double>> fields[] = {
+        {"avgPowerW", {a.avgPowerW, b.avgPowerW}},
+        {"peakPowerW", {a.peakPowerW, b.peakPowerW}},
+        {"avgTempC", {a.avgTempC, b.avgTempC}},
+        {"peakTempC", {a.peakTempC, b.peakTempC}},
+        {"avgClockGhz", {a.avgClockGhz, b.avgClockGhz}},
+        {"throttleRatio", {a.throttleRatio, b.throttleRatio}},
+        {"avgOccupancy", {a.avgOccupancy, b.avgOccupancy}},
+        {"avgWarps", {a.avgWarps, b.avgWarps}},
+        {"avgThreadblocks", {a.avgThreadblocks, b.avgThreadblocks}},
+        {"energyJ", {a.energyJ, b.energyJ}},
+        {"pcieBytes", {a.pcieBytes, b.pcieBytes}},
+        {"scaleUpBytes", {a.scaleUpBytes, b.scaleUpBytes}},
+    };
+    for (const auto& [name, v] : fields) {
+        if (bits(v.first) != bits(v.second))
+            out.push_back("gpu " + std::to_string(gpu) + " " + name);
+    }
+    for (std::size_t k = 0; k < a.breakdown.seconds.size(); ++k) {
+        if (bits(a.breakdown.seconds[k]) != bits(b.breakdown.seconds[k]))
+            out.push_back("gpu " + std::to_string(gpu) + " breakdown[" +
+                          std::to_string(k) + "]");
+    }
+}
+
+TEST(AnalyticalBackend, FoldedMatchesUnfoldedBitwise)
+{
+    // Where the DP replicas are proven identical the backend prices one
+    // replica and replays it. An identity devicePermutation changes no
+    // placement but makes the symmetry analyzer refuse, so the same
+    // config priced rank by rank is the twin.
+    std::vector<std::pair<const char*, ExperimentConfig>> cases;
+    auto h200 = goldenConfig(h200Cluster(16), model::gpt3_175b(),
+                             parallel::ParallelConfig::forWorld(128, 8, 4));
+    h200.train.actRecompute = false;
+    auto add = [&cases, &h200](const char* name, auto edit) {
+        ExperimentConfig cfg = h200;
+        edit(cfg);
+        cases.emplace_back(name, cfg);
+    };
+    add("h200-tp8-pp4-dp4", [](ExperimentConfig&) {});
+    add("+cc", [](ExperimentConfig& c) { c.train.ccOverlap = true; });
+    add("+topology-aware", [](ExperimentConfig& c) {
+        c.train.topologyAwareCollectives = true;
+    });
+    add("+act-recompute mb2", [](ExperimentConfig& c) {
+        c.train.actRecompute = true;
+        c.train.microbatchSize = 2;
+    });
+    add("zero1 off", [](ExperimentConfig& c) { c.train.zero1 = false; });
+    add("inference", [](ExperimentConfig& c) { c.train.inference = true; });
+    add("v = 2", [](ExperimentConfig& c) { c.train.virtualStages = 2; });
+    add("chunkP2p", [](ExperimentConfig& c) { c.train.chunkP2p = true; });
+    cases.emplace_back(
+        "h200-tp8-fsdp4",
+        goldenConfig(h200Cluster(), model::gpt3_175b(),
+                     parallel::ParallelConfig::forWorld(32, 8, 1, 1, true)));
+    cases.emplace_back(
+        "lora",
+        goldenConfig(h200Cluster(), model::withLora(model::gpt3_30b(), 16),
+                     parallel::ParallelConfig::forWorld(32, 8, 2)));
+    cases.emplace_back(
+        "mi250-tp8",
+        goldenConfig(mi250Cluster(), model::llama3_30b(),
+                     parallel::ParallelConfig::forWorld(32, 8, 2)));
+    // TP spanning two nodes: ring positions decide which hops cross.
+    cases.emplace_back(
+        "h200-tp16-pp2-dp2",
+        goldenConfig(h200Cluster(8), model::gpt3_175b(),
+                     parallel::ParallelConfig::forWorld(64, 16, 2)));
+    cases.emplace_back(
+        "h100-tp8-pp2-dp4",
+        goldenConfig(h100Cluster(), model::gpt3_30b(),
+                     parallel::ParallelConfig::forWorld(64, 8, 2)));
+
+    for (const auto& [name, folded_cfg] : cases) {
+        SCOPED_TRACE(name);
+        ASSERT_TRUE(analyzeSymmetry(folded_cfg, true, nullptr).collapsed);
+        ExperimentConfig twin_cfg = folded_cfg;
+        for (int d = 0; d < twin_cfg.cluster.numGpus(); ++d)
+            twin_cfg.devicePermutation.push_back(d);
+        ASSERT_FALSE(analyzeSymmetry(twin_cfg, true, nullptr).collapsed);
+
+        auto folded = Experiment::run(folded_cfg);
+        auto twin = Experiment::run(twin_cfg);
+        ASSERT_TRUE(twin.feasible);
+        ASSERT_TRUE(folded.feasible);
+        ASSERT_EQ(folded.gpus.size(), twin.gpus.size());
+        std::vector<std::string> differ;
+        for (std::size_t g = 0; g < twin.gpus.size(); ++g)
+            diffGpuBits(folded.gpus[g], twin.gpus[g], g, differ);
+        EXPECT_EQ(differ, kNoBreaches);
+        EXPECT_EQ(compareResults(folded, twin, tolerance("bitwise")).breaches,
+                  kNoBreaches);
+    }
+}
+
 TEST(AnalyticalBackend, AppliesMemoryScreen)
 {
     auto cfg = smallConfig(1, 1, sim::BackendKind::Analytical);
@@ -403,6 +508,11 @@ TEST(SweepFlagsDeath, InvalidResilienceInputsExitTwo)
                  r.checkpoint.storeGBps = 1e-300;
              },
              "checkpoint.storeGBps 1e-300\\) does not fit the event clock"},
+            {[](resil::ResilienceConfig& r) {
+                 r.checkpoint.async = true;
+                 r.checkpoint.quiesceSec = 1e15;
+             },
+             "an async checkpoint.quiesceSec of 1e\\+15 s plus its"},
         };
     for (const auto& [edit, message] : probes) {
         SCOPED_TRACE(message);

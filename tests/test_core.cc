@@ -211,7 +211,7 @@ oneFault(faults::FaultKind kind, int target, double start_s,
 }
 
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 26;
+constexpr std::size_t kProbeRows = 27;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
@@ -320,10 +320,10 @@ invalidConfigRows()
         {"NaN GPU MTBF",
          [](C c) { enableResilience(c).mtbf.gpuMtbfSec = std::nan(""); },
          "mtbf.gpuMtbfSec must not be NaN"},
-        // Schedules too long to expand and a checkpoint write the event
+        // Schedules too long to expand and checkpoint delays the event
         // clock cannot hold: before validate checked them, the first
-        // three died in std::bad_alloc, the last panicked scheduling
-        // into the past.
+        // three died in std::bad_alloc, the last two panicked
+        // scheduling into the past.
         {"GPU MTBF of a microsecond",
          [](C c) { enableResilience(c).mtbf.gpuMtbfSec = 1e-6; },
          "mtbf.gpuMtbfSec (1e-06 s) over resilience.horizonSec (3600 s) "
@@ -346,6 +346,12 @@ invalidConfigRows()
         {"checkpoint store at 1e-300 GB/s",
          [](C c) { enableResilience(c).checkpoint.storeGBps = 1e-300; },
          "(checkpoint.storeGBps 1e-300) does not fit the event clock"},
+        {"async checkpoint quiesce of 1e15 s",
+         [](C c) {
+             enableResilience(c).checkpoint.async = true;
+             c.resilience.checkpoint.quiesceSec = 1e15;
+         },
+         "an async checkpoint.quiesceSec of 1e+15 s plus its"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
