@@ -47,7 +47,32 @@ Platform::start()
 {
     CHARLLM_ASSERT(!started, "Platform::start called twice");
     started = true;
-    sim.every(sim::toTicks(calib::kGovernorPeriodSec), [this] { tick(); });
+    tickPeriod = sim::toTicks(calib::kGovernorPeriodSec);
+    sim.every(tickPeriod, [this] { tick(); },
+              mode == TickMode::Lazy ? this : nullptr);
+}
+
+std::uint64_t
+Platform::quietFirings() const
+{
+    // The lazyTick early return, for the ticks after the one that just
+    // ran: same spacing, nothing marked, no search pending, no exit.
+    if (!changed.ids().empty() || !thermalNet.staleNodes().empty() ||
+        quietAtLastTick || tickSpacing != tickPeriod)
+        return 0;
+    if (nextExit == kNever)
+        return std::numeric_limits<std::uint64_t>::max();
+    // Tick ticks() + i is quiet while it comes before nextExit.
+    return static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, nextExit - thermalNet.ticks() - 1));
+}
+
+void
+Platform::skipFirings(std::uint64_t k)
+{
+    thermalNet.advance(static_cast<std::int64_t>(k));
+    lastTickAt += k * tickPeriod;
+    work.ticks += k;
 }
 
 void

@@ -58,7 +58,7 @@ struct GovernorCounters
  * is the eager twin's up to the integrators' rounding. Due devices run
  * in ascending id, as the eager twin runs all of them.
  */
-class Platform
+class Platform : private sim::TickerSkip
 {
   public:
     /** Callback fired when a device's clock changes (for re-timing). */
@@ -98,7 +98,14 @@ class Platform
 
     const GovernorCounters& counters() const { return work; }
 
-    /** Arm the periodic thermal/governor tick. */
+    /**
+     * Arm the periodic thermal/governor tick. Under TickMode::Lazy the
+     * ticker carries this platform's fast-forward hook: a run of ticks
+     * that would each return at once (nothing re-anchors, no search
+     * or band exit is due) is applied in one step instead of being
+     * dispatched, with the same counters and the same event order.
+     * The eager twin dispatches every tick.
+     */
     void start();
 
     /** Register the clock-change listener (at most one). */
@@ -125,6 +132,11 @@ class Platform
     sim::Simulator& simulator() { return sim; }
 
   private:
+    /** sim::TickerSkip: the next ticks that return at once, and
+     *  applying k of them (ticks, closed-form clock, last tick time). */
+    std::uint64_t quietFirings() const override;
+    void skipFirings(std::uint64_t k) override;
+
     void eagerTick();
     void lazyTick();
     /** Run device @p id's governor at tick @p n (lazy mode). */
@@ -146,6 +158,8 @@ class Platform
     std::vector<Watts> powers;
     ClockListener clockListener;
     bool started = false;
+    /** The ticker's period, set by start(). */
+    sim::Tick tickPeriod = 0;
     GovernorCounters work;
 
     // ---- lazy mode -------------------------------------------------------

@@ -85,8 +85,8 @@ class ThermalModel
     /** Governor periods advanced by advance(). */
     std::int64_t ticks() const { return tickCount; }
 
-    /** Advance the closed form by one governor period: O(1). */
-    void advance() { ++tickCount; }
+    /** Advance the closed form by @p k governor periods: O(1). */
+    void advance(std::int64_t k = 1) { tickCount += k; }
 
     /**
      * Re-anchor @p node at the current tick: record its temperatures

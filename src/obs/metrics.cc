@@ -103,6 +103,7 @@ SimCounters::capture(const sim::EventQueue& queue,
     eventsCancelled = queue.numCancelled();
     eventCompactions = queue.numCompactions();
     eventSlabSlots = queue.slabSize();
+    eventsRescheduled = queue.numRescheduled();
     flowsStarted = network.numFlowsStarted();
     flowFullRecomputes = network.numFullRecomputes();
     flowFastJoins = network.numFastJoins();
@@ -120,7 +121,9 @@ SimCounters::capture(const sim::Simulator& simulator,
         eventsCancelled += q.numCancelled();
         eventCompactions += q.numCompactions();
         eventSlabSlots += q.slabSize();
+        eventsRescheduled += q.numRescheduled();
     }
+    ticksFastForwarded = simulator.numFastForwarded();
 }
 
 void
@@ -138,6 +141,8 @@ SimCounters::addTo(MetricsRegistry& registry) const
     registry.counter("sim.events_cancelled").inc(eventsCancelled);
     registry.counter("sim.event_compactions").inc(eventCompactions);
     registry.counter("sim.event_slab_slots").inc(eventSlabSlots);
+    registry.counter("sim.ticks_fast_forwarded").inc(ticksFastForwarded);
+    registry.counter("sim.events_rescheduled").inc(eventsRescheduled);
     registry.counter("net.flows_started").inc(flowsStarted);
     registry.counter("net.full_recomputes").inc(flowFullRecomputes);
     registry.counter("net.fast_joins").inc(flowFastJoins);
@@ -155,6 +160,8 @@ SimCounters::merge(const SimCounters& other)
     eventsCancelled += other.eventsCancelled;
     eventCompactions += other.eventCompactions;
     eventSlabSlots += other.eventSlabSlots;
+    ticksFastForwarded += other.ticksFastForwarded;
+    eventsRescheduled += other.eventsRescheduled;
     flowsStarted += other.flowsStarted;
     flowFullRecomputes += other.flowFullRecomputes;
     flowFastJoins += other.flowFastJoins;

@@ -211,10 +211,16 @@ class MetricsRegistry
  */
 struct SimCounters
 {
+    /** Events fired, counting the ticker firings the simulator
+     *  fast-forwarded (ticksFastForwarded) as the pops they replace. */
     std::uint64_t eventsPopped = 0;
+    /** Pending events cancelled, counting each in-place reschedule
+     *  (eventsRescheduled) as the cancellation it replaces. */
     std::uint64_t eventsCancelled = 0;
     std::uint64_t eventCompactions = 0;
     std::uint64_t eventSlabSlots = 0;
+    std::uint64_t ticksFastForwarded = 0;
+    std::uint64_t eventsRescheduled = 0;
     std::uint64_t flowsStarted = 0;
     std::uint64_t flowFullRecomputes = 0;
     std::uint64_t flowFastJoins = 0;

@@ -261,6 +261,15 @@ TrainingEngine::scheduleComputeDone(int dev, double delay_sec)
 }
 
 void
+TrainingEngine::moveComputeDone(InFlightCompute& fl)
+{
+    // In place: the order cancel() + scheduleComputeDone would give.
+    bool moved = plat.simulator().reschedule(
+        fl.completion, sim::toTicks(fl.remainingNominal / fl.rate));
+    CHARLLM_ASSERT(moved, "in-flight compute without a pending completion");
+}
+
+void
 TrainingEngine::startCompute(int dev, const Op& op)
 {
     hw::Gpu& gpu = plat.gpu(dev);
@@ -364,9 +373,7 @@ TrainingEngine::retimeCompute(int dev)
         std::max(0.0, slot->remainingNominal - elapsed * slot->rate);
     slot->rate = computeRate(dev);
     slot->lastUpdate = now;
-    slot->completion.cancel();
-    slot->completion =
-        scheduleComputeDone(dev, slot->remainingNominal / slot->rate);
+    moveComputeDone(*slot);
 }
 
 void
@@ -723,9 +730,7 @@ TrainingEngine::injectTransientStall(int dev, Seconds stall)
         std::max(0.0, slot->remainingNominal - elapsed * slot->rate);
     slot->remainingNominal += stallSec * slot->rate;
     slot->lastUpdate = now;
-    slot->completion.cancel();
-    slot->completion =
-        scheduleComputeDone(dev, slot->remainingNominal / slot->rate);
+    moveComputeDone(*slot);
 }
 
 void

@@ -308,6 +308,10 @@ class TrainingEngine
      */
     sim::EventHandle scheduleComputeDone(int dev, double delay_sec);
 
+    /** Move @p fl's completion to its remaining work at its rate from
+     *  now (a retime or a stall). */
+    void moveComputeDone(InFlightCompute& fl);
+
     void joinCollective(int dev, const Op& op);
 
     /** The open instance for @p key, opened from the pool if new. */

@@ -12,7 +12,9 @@
  * ownership, and callbacks are stored in sim::EventFn — a move-only
  * callable with an inline small-buffer store sized so the simulator's
  * common lambda captures never touch the heap. Ordering is kept in a
- * 4-ary min-heap of plain {when, seq, slot} entries.
+ * binary min-heap of plain {when, seq, slot} entries, indexed: each
+ * slot knows its entry's heap position, so a pending event can be
+ * moved to a new time in place (EventHandle::reschedule).
  */
 
 #ifndef CHARLLM_SIM_EVENT_QUEUE_HH
@@ -22,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -39,12 +42,31 @@ using Tick = std::uint64_t;
 /** One simulated second, in ticks. */
 constexpr Tick kTicksPerSecond = 1'000'000'000ULL;
 
-/** Convert floating-point seconds to ticks (rounding to nearest). */
+/**
+ * Convert floating-point seconds to ticks (rounding to nearest). A
+ * negative, non-finite or too large input (a Tick holds ~1.8e10 s) is
+ * a fault reported here, with the value, not a wrapped time.
+ */
 inline Tick
 toTicks(double seconds)
 {
-    CHARLLM_ASSERT(seconds >= 0.0, "negative delay: ", seconds);
-    return static_cast<Tick>(seconds * 1e9 + 0.5);
+    // 2^64 ns: the first value a Tick cannot hold. NaN fails both
+    // comparisons, +inf the second.
+    constexpr double kTickLimitNs = 18446744073709551616.0;
+    const double ns = seconds * 1e9 + 0.5;
+    CHARLLM_ASSERT(seconds >= 0.0 && ns < kTickLimitNs,
+                   "time outside a Tick's range [0, 1.8e10 s]: ", seconds,
+                   " s");
+    return static_cast<Tick>(ns);
+}
+
+/** @p now + @p delay, checked: a sum past Tick's range is a fault. */
+inline Tick
+tickAfter(Tick now, Tick delay)
+{
+    CHARLLM_ASSERT(delay <= std::numeric_limits<Tick>::max() - now,
+                   "time overflows a Tick: ", now, " + ", delay, " ns");
+    return now + delay;
 }
 
 /** Convert ticks to floating-point seconds. */
@@ -224,6 +246,21 @@ class EventHandle
     /** Scheduled firing time; only meaningful while pending (else 0). */
     Tick when() const;
 
+    /**
+     * Move the pending event to absolute time @p when (>= now), in
+     * place: it gets a fresh sequence number, so it pops exactly where
+     * cancel() + EventQueue::scheduleAt(when, same callback) would put
+     * it, with no tombstone and no new slot. Every copy of this handle
+     * follows the moved event. Counted as a cancellation (and a
+     * reschedule). Returns false, and does nothing, if the event is no
+     * longer pending.
+     */
+    bool reschedule(Tick when);
+
+    /** The queue the event was scheduled on (null for a default
+     *  handle). */
+    EventQueue* queue() const { return owner; }
+
   private:
     friend class EventQueue;
 
@@ -269,12 +306,13 @@ class EventQueue
             if ((slot >> kChunkShift) >= chunks.size())
                 chunks.push_back(
                     std::make_unique<Record[]>(kChunkSize));
+            heapPos.push_back(0);
         }
         Record& record = recordAt(slot);
         record.fn = std::move(fn);
-        record.when = when;
         record.live = true;
         heap.push_back(HeapEntry{when, (*seqPtr)++, slot});
+        heapPos[slot] = static_cast<std::uint32_t>(heap.size() - 1);
         siftUp(heap.size() - 1);
         ++liveCount;
         return EventHandle(this, slot, record.generation);
@@ -284,7 +322,21 @@ class EventQueue
     EventHandle
     schedule(Tick delay, EventFn fn)
     {
-        return scheduleAt(currentTick + delay, std::move(fn));
+        return scheduleAt(tickAfter(currentTick, delay), std::move(fn));
+    }
+
+    /**
+     * Account for @p k firings of a periodic ticker that were proven
+     * no-ops and never dispatched (Simulator's ticker fast-forward):
+     * each counts as a popped event and consumes the one sequence
+     * number its re-arm would have taken, so every later (when, seq)
+     * pair and numPopped() match the dispatched schedule.
+     */
+    void
+    creditSkippedFirings(std::uint64_t k)
+    {
+        poppedEvents += k;
+        *seqPtr += k;
     }
 
     /**
@@ -396,10 +448,13 @@ class EventQueue
      * @{ */
     std::size_t slabSize() const { return slabCount; }
     std::uint64_t numCompactions() const { return compactions; }
-    /** Live events popped and fired so far. */
+    /** Live events popped and fired so far, plus ticker firings
+     *  credited by creditSkippedFirings(). */
     std::uint64_t numPopped() const { return poppedEvents; }
-    /** Pending events cancelled so far. */
+    /** Pending events cancelled so far, reschedules included. */
     std::uint64_t numCancelled() const { return cancelledEvents; }
+    /** Pending events moved in place by EventHandle::reschedule. */
+    std::uint64_t numRescheduled() const { return rescheduledEvents; }
     /** @} */
 
   private:
@@ -408,7 +463,6 @@ class EventQueue
     struct Record
     {
         EventFn fn;
-        Tick when = 0;
         std::uint32_t generation = 0;
         bool live = false;
     };
@@ -451,7 +505,7 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** @name Binary min-heap with bottom-up deletion
+    /** @name Indexed binary min-heap with bottom-up deletion
      * Push is the textbook sift-up. Pop uses Floyd's bottom-up trick:
      * sift the root hole all the way to a leaf (one child-vs-child
      * compare per level, which the compiler turns into a conditional
@@ -459,7 +513,15 @@ class EventQueue
      * usually a step or two, since that element came from leaf depth.
      * This roughly halves comparisons per pop versus the classic
      * top-down sift, and pop is the kernel's single hottest loop.
+     * Every write goes through put(), which keeps heapPos current.
      * @{ */
+    void
+    put(std::size_t i, const HeapEntry& entry)
+    {
+        heap[i] = entry;
+        heapPos[entry.slot] = static_cast<std::uint32_t>(i);
+    }
+
     void
     siftUp(std::size_t i)
     {
@@ -468,10 +530,10 @@ class EventQueue
             std::size_t parent = (i - 1) >> 1;
             if (!firesBefore(entry, heap[parent]))
                 break;
-            heap[i] = heap[parent];
+            put(i, heap[parent]);
             i = parent;
         }
-        heap[i] = entry;
+        put(i, entry);
     }
 
     void
@@ -487,10 +549,10 @@ class EventQueue
                 ++child;
             if (!firesBefore(heap[child], entry))
                 break;
-            heap[i] = heap[child];
+            put(i, heap[child]);
             i = child;
         }
-        heap[i] = entry;
+        put(i, entry);
     }
 
     HeapEntry
@@ -512,7 +574,7 @@ class EventQueue
                     child += firesBefore(heap[child + 1], heap[child]);
                 } else if (child >= n)
                     break;
-                heap[hole] = heap[child];
+                put(hole, heap[child]);
                 hole = child;
             }
             // Re-insert the last element at the hole, sifting up.
@@ -521,10 +583,10 @@ class EventQueue
                 std::size_t parent = (hole - 1) >> 1;
                 if (!firesBefore(entry, heap[parent]))
                     break;
-                heap[hole] = heap[parent];
+                put(hole, heap[parent]);
                 hole = parent;
             }
-            heap[hole] = entry;
+            put(hole, entry);
         }
         heap.pop_back();
         return top;
@@ -550,7 +612,28 @@ class EventQueue
     Tick
     handleWhen(std::uint32_t slot, std::uint32_t gen) const
     {
-        return handlePending(slot, gen) ? recordAt(slot).when : 0;
+        return handlePending(slot, gen) ? heap[heapPos[slot]].when : 0;
+    }
+
+    bool
+    rescheduleHandle(std::uint32_t slot, std::uint32_t gen, Tick when)
+    {
+        if (!handlePending(slot, gen))
+            return false;
+        CHARLLM_ASSERT(when >= currentTick,
+                       "rescheduling into the past: ", when, " < ",
+                       currentTick);
+        const std::size_t i = heapPos[slot];
+        const HeapEntry old = heap[i];
+        heap[i].when = when;
+        heap[i].seq = (*seqPtr)++;
+        if (firesBefore(heap[i], old))
+            siftUp(i);
+        else
+            siftDown(i);
+        ++cancelledEvents;
+        ++rescheduledEvents;
+        return true;
     }
 
     void
@@ -579,8 +662,10 @@ class EventQueue
     /**
      * Opportunistic compaction: once cancelled entries outnumber live
      * ones, filter them out and re-heapify, so long runs that cancel
-     * and reschedule (flow completions, DVFS retiming) keep the heap —
-     * and the slab — proportional to the live event count. Ordering is
+     * and re-create events (flow completions) keep the heap — and the
+     * slab — proportional to the live event count. A retime that moves
+     * its event in place (EventHandle::reschedule) leaves no entry to
+     * filter. Ordering is
      * unaffected: (when, seq) is a strict total order, so the rebuilt
      * heap pops in exactly the same sequence.
      */
@@ -590,14 +675,15 @@ class EventQueue
         if (heap.size() < kCompactMinHeap ||
             cancelledInHeap * 2 <= heap.size())
             return;
-        auto keep = heap.begin();
-        for (const HeapEntry& entry : heap) {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < heap.size(); ++i) {
+            const HeapEntry entry = heap[i];
             if (recordAt(entry.slot).live)
-                *keep++ = entry;
+                put(kept++, entry);
             else
                 freeSlot(entry.slot);
         }
-        heap.erase(keep, heap.end());
+        heap.resize(kept);
         rebuildHeap();
         cancelledInHeap = 0;
         ++compactions;
@@ -615,10 +701,16 @@ class EventQueue
     std::uint64_t compactions = 0;
     std::uint64_t poppedEvents = 0;
     std::uint64_t cancelledEvents = 0;
+    std::uint64_t rescheduledEvents = 0;
     std::vector<std::unique_ptr<Record[]>> chunks;
     std::size_t slabCount = 0;
     std::vector<std::uint32_t> freeSlots;
     std::vector<HeapEntry> heap;
+    /** Heap index of each slot's entry (meaningful while the slot is in
+     *  the heap; a slot has at most one entry). A dense side array: the
+     *  sifts write it on every move, and it stays in cache where the
+     *  one-line records would not. */
+    std::vector<std::uint32_t> heapPos;
 };
 
 inline bool
@@ -638,6 +730,12 @@ inline Tick
 EventHandle::when() const
 {
     return owner ? owner->handleWhen(slot, generation) : 0;
+}
+
+inline bool
+EventHandle::reschedule(Tick when)
+{
+    return owner && owner->rescheduleHandle(slot, generation, when);
 }
 
 } // namespace sim

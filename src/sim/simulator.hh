@@ -13,11 +13,22 @@
  * another domain. All queues share one sequence counter, so the
  * global (when, seq) order — and therefore every simulation output —
  * is byte-identical to the single-queue serial schedule.
+ *
+ * Ticker fast-forward: a periodic ticker may carry a TickerSkip hook.
+ * After each firing it dispatches, the simulator asks the hook how
+ * many of the next firings are no-ops and applies, in one call, those
+ * that sort strictly before the next live event (and within a
+ * runUntil limit). Nothing can make a skipped firing due: anything
+ * that could runs inside an event, and every event bounds the skip.
+ * The skipped firings are credited as popped events and consumed
+ * sequence numbers, so every later (when, seq) pair is the periodic
+ * ticker's.
  */
 
 #ifndef CHARLLM_SIM_SIMULATOR_HH
 #define CHARLLM_SIM_SIMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -27,6 +38,28 @@
 
 namespace charllm {
 namespace sim {
+
+/**
+ * Fast-forward hook of a periodic ticker (Simulator::every). A plain
+ * interface, called once per dispatched firing, so it allocates
+ * nothing.
+ */
+class TickerSkip
+{
+  public:
+    /**
+     * How many of the ticker's next firings would change nothing but
+     * what skipFirings() advances, if no other event ran in between
+     * (UINT64_MAX for no limit). Called right after a firing.
+     */
+    virtual std::uint64_t quietFirings() const = 0;
+
+    /** Apply the effect of the next @p k <= quietFirings() firings. */
+    virtual void skipFirings(std::uint64_t k) = 0;
+
+  protected:
+    ~TickerSkip() = default;
+};
 
 /**
  * Top-level simulation context. Components hold a reference and use it
@@ -51,7 +84,7 @@ class Simulator
     EventHandle
     schedule(Tick delay, EventFn fn)
     {
-        return scheduleOn(events, now() + delay, std::move(fn));
+        return scheduleOn(events, tickAfter(now(), delay), std::move(fn));
     }
 
     EventHandle
@@ -109,23 +142,47 @@ class Simulator
              domain > static_cast<int>(shards.size()))
                 ? events
                 : *shards[static_cast<std::size_t>(domain - 1)];
-        return scheduleOn(q, now() + delay, std::move(fn));
+        return scheduleOn(q, tickAfter(now(), delay), std::move(fn));
+    }
+
+    /**
+     * Move pending event @p h to @p delay from now, in place, in
+     * whichever domain queue holds it (EventHandle::reschedule: the
+     * order cancel() + scheduling the same callback would give). A
+     * move in a queue other than the dispatching one counts as a
+     * cross-insert, since it may bring that domain's head earlier.
+     * Returns false, and does nothing, if @p h is no longer pending.
+     */
+    bool
+    reschedule(EventHandle& h, Tick delay)
+    {
+        if (h.queue() != active)
+            ++crossInserts;
+        return h.reschedule(tickAfter(now(), delay));
     }
 
     /**
      * Register a periodic ticker firing every @p period ticks, starting
      * one period from now. Tickers keep firing while other live events
      * exist; they stop themselves once the rest of the simulation has
-     * drained, so runAll() terminates.
+     * drained, so runAll() terminates. With a @p skip hook, the
+     * firings it reports as no-ops are fast-forwarded instead of
+     * dispatched (see the file comment); every observable result,
+     * numPopped() included, is the one the plain ticker gives, as long
+     * as the simulation is driven through run() / runUntil() here.
+     * @p skip must outlive the simulator's run.
      */
     void
-    every(Tick period, EventFn fn)
+    every(Tick period, EventFn fn, TickerSkip* skip = nullptr)
     {
         CHARLLM_ASSERT(period > 0, "ticker period must be positive");
         tickers.push_back(std::make_unique<Ticker>(
-            Ticker{period, std::move(fn), EventHandle()}));
-        armTicker(tickers.back().get());
+            Ticker{period, std::move(fn), skip}));
+        armTicker(tickers.back().get(), period);
     }
+
+    /** Ticker firings fast-forwarded instead of dispatched. */
+    std::uint64_t numFastForwarded() const { return fastForwarded; }
 
     /** Live events pending across all domains. */
     std::size_t
@@ -157,8 +214,10 @@ class Simulator
     void
     runUntil(Tick until)
     {
+        runLimit = until;
         if (shards.empty()) {
             events.runUntil(until);
+            runLimit = std::numeric_limits<Tick>::max();
             return;
         }
         for (;;) {
@@ -174,6 +233,7 @@ class Simulator
         }
         if (until > globalTick)
             globalTick = until;
+        runLimit = std::numeric_limits<Tick>::max();
     }
 
   private:
@@ -181,7 +241,7 @@ class Simulator
     {
         Tick period;
         EventFn fn;
-        EventHandle handle;
+        TickerSkip* skip;
     };
 
     EventHandle
@@ -273,21 +333,55 @@ class Simulator
     }
 
     void
-    armTicker(Ticker* t)
+    armTicker(Ticker* t, Tick delay)
     {
         // A raw pointer capture is safe: the tickers vector owns every
         // Ticker for the Simulator's lifetime, and the event queue is
         // destroyed (callbacks dropped, never invoked) alongside it.
         ++pendingTickerEvents;
-        t->handle = schedule(t->period, [this, t] {
+        schedule(delay, [this, t] {
             --pendingTickerEvents;
             t->fn();
             // Re-arm only while non-ticker work remains; otherwise
             // tickers would keep the simulation (and each other)
-            // alive forever.
+            // alive forever. A skipped firing would decide the same:
+            // nothing else runs before it.
             if (totalPending() > pendingTickerEvents)
-                armTicker(t);
+                armTicker(t, t->period * (1 + fastForward(*t)));
         });
+    }
+
+    /**
+     * Skip the quiet firings of @p t that sort before the next live
+     * event and fall within the runUntil limit; returns how many. The
+     * ticker is being re-armed, so some non-ticker event is live.
+     * Firing i (i >= 1) would come at now + i period with a sequence
+     * number above every live event's, so it sorts first exactly when
+     * its time is strictly earlier.
+     */
+    std::uint64_t
+    fastForward(Ticker& t)
+    {
+        if (t.skip == nullptr)
+            return 0;
+        std::uint64_t k = t.skip->quietFirings();
+        if (k == 0)
+            return 0;
+        Tick head = 0;
+        std::uint64_t seq = 0;
+        const bool live = shards.empty()
+                              ? events.peekNext(&head, &seq)
+                              : earliest(&head, &seq, nullptr, nullptr) !=
+                                    nullptr;
+        const Tick at = now();
+        if (!live || head <= at || runLimit < at)
+            return 0;
+        k = std::min(k, (head - 1 - at) / t.period);
+        k = std::min(k, (runLimit - at) / t.period);
+        t.skip->skipFirings(k);
+        events.creditSkippedFirings(k);
+        fastForwarded += k;
+        return k;
     }
 
     EventQueue events;
@@ -304,6 +398,10 @@ class Simulator
     std::uint64_t crossInserts = 0;
     std::vector<std::unique_ptr<Ticker>> tickers;
     std::size_t pendingTickerEvents = 0;
+    /** Latest time a skipped ticker firing may have: runUntil's
+     *  limit while it runs. */
+    Tick runLimit = std::numeric_limits<Tick>::max();
+    std::uint64_t fastForwarded = 0;
 };
 
 } // namespace sim

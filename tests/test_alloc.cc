@@ -87,6 +87,30 @@ operator new[](std::size_t size)
     return countedAlloc(size);
 }
 
+// The nothrow forms are replaced too: left to a sanitizer's runtime,
+// they return its memory to the free() below (std::stable_sort's
+// temporary buffer does), which AddressSanitizer reports as an
+// alloc-dealloc mismatch.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    try {
+        return countedAlloc(size);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    try {
+        return countedAlloc(size);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+
 void
 operator delete(void* p) noexcept
 {

@@ -1067,4 +1067,208 @@ TEST(Platform, ReasonOnlyChangeKeepsDeviceDue)
                                                  ThrottleReason::PowerCap}));
 }
 
+/**
+ * The ticker fast-forward against the periodic ticker. One lazy
+ * platform is armed by start(), so its quiet ticks are fast-forwarded;
+ * its twin is ticked by a plain Simulator::every. A seeded schedule of
+ * kernel begin/end, slowdowns, node power caps and thermal faults hits
+ * both, inside events (a third of them exactly on the tick grid, where
+ * the tick and the event tie) and between runUntil calls, next to a
+ * second ticker at a sampler period, with quiet stretches long enough
+ * for temperatures to cross governor bands unprompted. After every
+ * runUntil, temperatures, clocks, reasons, temperature statistics,
+ * governor counters, clock-listener calls and popped events are equal
+ * bit for bit.
+ */
+class TickerTwinSide
+{
+  public:
+    TickerTwinSide(const GpuSpec& spec, const ChassisLayout& layout,
+                   int nodes, bool fast_forward)
+        : p(s, spec, layout, nodes),
+          live(static_cast<std::size_t>(p.numGpus()))
+    {
+        p.setClockListener([this](int id, ClockRel c) {
+            calls.emplace_back(id, c.value());
+        });
+        if (fast_forward)
+            p.start();
+        else
+            s.every(sim::toTicks(calib::kGovernorPeriodSec),
+                    [this] { p.tick(); });
+        s.every(sim::toTicks(0.25), [this] {
+            for (int i = 0; i < p.numGpus(); ++i)
+                samples.push_back(p.temperature(i).value());
+        });
+        // Keeps the tickers armed for the whole schedule.
+        s.schedule(sim::toTicks(1e4), [] {});
+    }
+
+    /** One seeded action, drawn once and applied to both twins. */
+    struct Action
+    {
+        int kind;
+        int id;
+        double x;
+    };
+
+    void
+    apply(const Action& a)
+    {
+        double now = s.nowSeconds();
+        auto& mine = live[static_cast<std::size_t>(a.id)];
+        switch (a.kind) {
+          case 0:
+            if (mine.size() < 4)
+                mine.push_back(p.gpu(a.id).kernelBegin(
+                    a.x < 0.5 ? KernelClass::Gemm : KernelClass::AllReduce,
+                    0.3 + a.x * 0.7, now));
+            break;
+          case 1:
+            if (!mine.empty()) {
+                p.gpu(a.id).kernelEnd(mine.back(), now);
+                mine.pop_back();
+            }
+            break;
+          case 2:
+            p.setGpuSlowdown(a.id, a.x < 0.5 ? 1.0 : 0.4 + a.x * 0.5);
+            break;
+          case 3:
+            p.capNodePower(p.nodeOf(a.id),
+                           a.x < 0.5 ? p.gpu(a.id).spec().tdpWatts
+                                     : Watts(300.0));
+            break;
+          case 4:
+            p.thermal().setInletOffset(a.id,
+                                       CelsiusDelta(a.x < 0.5 ? 0.0 : 15.0));
+            break;
+          default:
+            p.thermal().setResistanceScale(a.id, a.x < 0.5 ? 1.0 : 1.8);
+            break;
+        }
+    }
+
+    void
+    endAll()
+    {
+        for (int id = 0; id < p.numGpus(); ++id) {
+            for (std::uint64_t token : live[static_cast<std::size_t>(id)])
+                p.gpu(id).kernelEnd(token, s.nowSeconds());
+            live[static_cast<std::size_t>(id)].clear();
+        }
+    }
+
+    sim::Simulator s;
+    Platform p;
+    std::vector<std::vector<std::uint64_t>> live;
+    std::vector<std::pair<int, double>> calls;
+    std::vector<double> samples;
+};
+
+void
+expectTwinTickersEqual(TickerTwinSide& a, TickerTwinSide& b, int step)
+{
+    ASSERT_EQ(a.s.now(), b.s.now());
+    for (int i = 0; i < a.p.numGpus(); ++i) {
+        ASSERT_EQ(a.p.temperature(i).value(), b.p.temperature(i).value())
+            << "device " << i << " step " << step;
+        ASSERT_EQ(a.p.gpu(i).clockRel().value(),
+                  b.p.gpu(i).clockRel().value())
+            << "device " << i << " step " << step;
+        ASSERT_EQ(a.p.gpu(i).throttleReason(), b.p.gpu(i).throttleReason());
+        const auto& ta = a.p.gpu(i).tempStats();
+        const auto& tb = b.p.gpu(i).tempStats();
+        ASSERT_EQ(ta.mean(), tb.mean()) << "device " << i << " step " << step;
+        ASSERT_EQ(ta.max(), tb.max());
+        ASSERT_EQ(ta.min(), tb.min());
+        ASSERT_EQ(ta.duration(), tb.duration());
+    }
+    ASSERT_EQ(a.p.counters().ticks, b.p.counters().ticks) << "step " << step;
+    ASSERT_EQ(a.p.counters().deviceEvals, b.p.counters().deviceEvals);
+    ASSERT_EQ(a.p.counters().clockChanges, b.p.counters().clockChanges);
+    ASSERT_EQ(a.s.queue().numPopped(), b.s.queue().numPopped())
+        << "step " << step;
+    ASSERT_EQ(a.calls, b.calls) << "step " << step;
+    ASSERT_EQ(a.samples, b.samples) << "step " << step;
+    for (TickerTwinSide* side : {&a, &b}) {
+        side->calls.clear();
+        side->samples.clear();
+    }
+}
+
+void
+expectFastForwardTracksTicker(const GpuSpec& spec,
+                              const ChassisLayout& layout, int nodes,
+                              std::uint64_t seed)
+{
+    TickerTwinSide ff(spec, layout, nodes, true);
+    TickerTwinSide tw(spec, layout, nodes, false);
+    const sim::Tick period = sim::toTicks(calib::kGovernorPeriodSec);
+    Rng rng(seed);
+    const auto n = static_cast<std::uint64_t>(ff.p.numGpus());
+    sim::Tick at = 0;
+    for (int step = 1; step <= 3000; ++step) {
+        // Busy stretches, then a long idle tail that cools every
+        // device through the governor bands.
+        int actions = step < 2000 && rng.uniform() < 0.3
+                          ? 1 + static_cast<int>(rng.below(6))
+                          : 0;
+        for (int k = 0; k < actions; ++k) {
+            TickerTwinSide::Action a{
+                static_cast<int>(rng.below(12) < 6 ? rng.below(2)
+                                                   : rng.below(6)),
+                static_cast<int>(rng.below(n)), rng.uniform()};
+            double where = rng.uniform();
+            if (where < 0.4) {
+                ff.apply(a);
+                tw.apply(a);
+                continue;
+            }
+            // Inside an event, on the grid or off it.
+            sim::Tick now = ff.s.now();
+            sim::Tick d = where < 0.7
+                              ? (now / period + 1 + rng.below(20)) * period -
+                                    now
+                              : rng.below(40 * period);
+            for (TickerTwinSide* side : {&ff, &tw})
+                side->s.schedule(d, [side, a] { side->apply(a); });
+        }
+        if (step == 1200) {
+            ff.p.resetStats();
+            tw.p.resetStats();
+        }
+        if (step == 2000) {
+            for (TickerTwinSide* side : {&ff, &tw})
+                side->endAll();
+        }
+        at += rng.below(4) == 0 ? rng.below(400 * period)
+                                : rng.below(20 * period);
+        ff.s.runUntil(at);
+        tw.s.runUntil(at);
+        expectTwinTickersEqual(ff, tw, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    ff.p.finishStats();
+    tw.p.finishStats();
+    expectTwinTickersEqual(ff, tw, 0);
+    EXPECT_EQ(tw.s.numFastForwarded(), 0u);
+    EXPECT_GT(ff.p.counters().clockChanges, 0u);
+    // Over a quarter of the ticks (mostly in the idle tail) were
+    // fast-forwarded, not dispatched.
+    EXPECT_GT(ff.s.numFastForwarded(), ff.p.counters().ticks / 4)
+        << ff.s.numFastForwarded() << " of " << ff.p.counters().ticks;
+}
+
+TEST(Platform, FastForwardedTicksMatchPeriodicTickerHgx)
+{
+    for (std::uint64_t seed : {1, 2})
+        expectFastForwardTracksTicker(h100Spec(), hgxLayout(), 2, seed);
+}
+
+TEST(Platform, FastForwardedTicksMatchPeriodicTickerMi250)
+{
+    expectFastForwardTracksTicker(mi250GcdSpec(), mi250Layout(), 1, 3);
+}
+
 } // namespace

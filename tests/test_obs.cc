@@ -659,6 +659,9 @@ TEST(Metrics, SimCountersMergeAndAddTo)
     a.deviceEvals = 7;
     b.deviceEvals = 4;
     b.governorTicks = 9;
+    a.ticksFastForwarded = 6;
+    b.ticksFastForwarded = 2;
+    b.eventsRescheduled = 5;
     a.merge(b);
     EXPECT_EQ(a.eventsPopped, 15u);
     EXPECT_EQ(a.flowsStarted, 3u);
@@ -673,6 +676,8 @@ TEST(Metrics, SimCountersMergeAndAddTo)
     EXPECT_EQ(reg.findCounter("hw.governor_ticks")->value(), 9u);
     EXPECT_EQ(reg.findCounter("hw.device_evals")->value(), 11u);
     EXPECT_EQ(reg.findCounter("hw.clock_changes")->value(), 0u);
+    EXPECT_EQ(reg.findCounter("sim.ticks_fast_forwarded")->value(), 8u);
+    EXPECT_EQ(reg.findCounter("sim.events_rescheduled")->value(), 5u);
 }
 
 // ---- end-to-end through core::Experiment --------------------------------

@@ -5,7 +5,8 @@
  * temperatures, only devices with a decision pending evaluated) and
  * once with the eager forward-Euler twin, through core::compareResults
  * under the "thermal" tolerance row (ThermalTwin.*). The count gate
- * (GovernorWork.*) bounds how many devices the lazy tick evaluates.
+ * (GovernorWork.*) bounds how many devices the lazy tick evaluates,
+ * and how few ticks and retimes still cost a dispatch or a tombstone.
  */
 
 #include <gtest/gtest.h>
@@ -151,6 +152,17 @@ TEST(GovernorWork, FsdpThermalEvaluatesFewDevices)
         << c.deviceEvals << " evaluations over " << c.governorTicks
         << " ticks";
     EXPECT_LE(c.clockChanges, c.deviceEvals);
+    // The kernel fast-forwards the ticks that would return at once
+    // (measured: 97.6% of them) instead of dispatching them.
+    EXPECT_GE(static_cast<double>(c.ticksFastForwarded),
+              0.9 * static_cast<double>(c.governorTicks))
+        << c.ticksFastForwarded << " of " << c.governorTicks
+        << " ticks fast-forwarded";
+    // A clock change moves its compute completion in place, leaving
+    // no tombstone (measured: 0 compactions; 33,106 at full batch
+    // when each retime cancelled and rescheduled).
+    EXPECT_GE(c.eventsRescheduled, c.clockChanges / 2);
+    EXPECT_LE(c.eventCompactions, 10u);
 }
 
 } // namespace
