@@ -3,6 +3,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -219,8 +221,10 @@ sweepFlags(int argc, char** argv, const std::vector<ExtraFlag>& extra)
         if (skip > 0) {
             std::string value = arg.substr(skip);
             char* end = nullptr;
+            errno = 0;
             long parsed = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || parsed < 0) {
+            if (end == value.c_str() || *end != '\0' || parsed < 0 ||
+                errno == ERANGE || parsed > INT_MAX) {
                 std::fprintf(stderr,
                              "invalid thread count '%s' (want "
                              "--threads=N, N >= 0; 0 = one per "

@@ -186,7 +186,7 @@ struct ExperimentResult
      *  trace's iteration marker track and phase windows. */
     std::vector<runtime::IterationSpan> iterationSpans;
     /** Simulator self-profiling counters for this run (event-queue
-     *  pops/compactions, flow-solver fast/full recomputes, faults). */
+     *  pops/cancellations, flow-solver fast/full recomputes, faults). */
     obs::SimCounters counters;
 
     /** Whether rank-symmetry collapse was requested / applied and,

@@ -101,7 +101,6 @@ SimCounters::capture(const sim::EventQueue& queue,
 {
     eventsPopped = queue.numPopped();
     eventsCancelled = queue.numCancelled();
-    eventCompactions = queue.numCompactions();
     eventSlabSlots = queue.slabSize();
     eventsRescheduled = queue.numRescheduled();
     flowsStarted = network.numFlowsStarted();
@@ -119,7 +118,6 @@ SimCounters::capture(const sim::Simulator& simulator,
         const sim::EventQueue& q = simulator.domainQueue(d);
         eventsPopped += q.numPopped();
         eventsCancelled += q.numCancelled();
-        eventCompactions += q.numCompactions();
         eventSlabSlots += q.slabSize();
         eventsRescheduled += q.numRescheduled();
     }
@@ -139,7 +137,6 @@ SimCounters::addTo(MetricsRegistry& registry) const
 {
     registry.counter("sim.events_popped").inc(eventsPopped);
     registry.counter("sim.events_cancelled").inc(eventsCancelled);
-    registry.counter("sim.event_compactions").inc(eventCompactions);
     registry.counter("sim.event_slab_slots").inc(eventSlabSlots);
     registry.counter("sim.ticks_fast_forwarded").inc(ticksFastForwarded);
     registry.counter("sim.events_rescheduled").inc(eventsRescheduled);
@@ -158,7 +155,6 @@ SimCounters::merge(const SimCounters& other)
 {
     eventsPopped += other.eventsPopped;
     eventsCancelled += other.eventsCancelled;
-    eventCompactions += other.eventCompactions;
     eventSlabSlots += other.eventSlabSlots;
     ticksFastForwarded += other.ticksFastForwarded;
     eventsRescheduled += other.eventsRescheduled;

@@ -203,11 +203,11 @@ class MetricsRegistry
 };
 
 /**
- * End-of-run snapshot of the PR-3 hot-path internals: event-kernel
- * pops/cancellations/compactions and flow-solver incremental-vs-full
- * recompute counts. Captured per experiment (the counters live on the
- * per-run Simulator/FlowNetwork) and summed into a MetricsRegistry
- * for dumping.
+ * End-of-run snapshot of the hot-path internals: event-kernel
+ * pops/cancellations/reschedules, slab size and ticker fast-forwards,
+ * and flow-solver incremental-vs-full recompute counts. Captured per
+ * experiment (the counters live on the per-run Simulator/FlowNetwork)
+ * and summed into a MetricsRegistry for dumping.
  */
 struct SimCounters
 {
@@ -217,7 +217,6 @@ struct SimCounters
     /** Pending events cancelled, counting each in-place reschedule
      *  (eventsRescheduled) as the cancellation it replaces. */
     std::uint64_t eventsCancelled = 0;
-    std::uint64_t eventCompactions = 0;
     std::uint64_t eventSlabSlots = 0;
     std::uint64_t ticksFastForwarded = 0;
     std::uint64_t eventsRescheduled = 0;

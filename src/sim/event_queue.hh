@@ -14,7 +14,10 @@
  * common lambda captures never touch the heap. Ordering is kept in a
  * binary min-heap of plain {when, seq, slot} entries, indexed: each
  * slot knows its entry's heap position, so a pending event can be
- * moved to a new time in place (EventHandle::reschedule).
+ * moved to a new time in place (EventHandle::reschedule) or taken out
+ * where it sits (EventHandle::cancel). The heap holds exactly the
+ * pending events, and a slot is free from the moment its event fires
+ * or is cancelled.
  */
 
 #ifndef CHARLLM_SIM_EVENT_QUEUE_HH
@@ -250,10 +253,10 @@ class EventHandle
      * Move the pending event to absolute time @p when (>= now), in
      * place: it gets a fresh sequence number, so it pops exactly where
      * cancel() + EventQueue::scheduleAt(when, same callback) would put
-     * it, with no tombstone and no new slot. Every copy of this handle
-     * follows the moved event. Counted as a cancellation (and a
-     * reschedule). Returns false, and does nothing, if the event is no
-     * longer pending.
+     * it, with no slot churn and no rebuilt closure. Every copy of
+     * this handle follows the moved event. Counted as a cancellation
+     * (and a reschedule). Returns false, and does nothing, if the
+     * event is no longer pending.
      */
     bool reschedule(Tick when);
 
@@ -310,11 +313,8 @@ class EventQueue
         }
         Record& record = recordAt(slot);
         record.fn = std::move(fn);
-        record.live = true;
         heap.push_back(HeapEntry{when, (*seqPtr)++, slot});
-        heapPos[slot] = static_cast<std::uint32_t>(heap.size() - 1);
         siftUp(heap.size() - 1);
-        ++liveCount;
         return EventHandle(this, slot, record.generation);
     }
 
@@ -356,87 +356,56 @@ class EventQueue
     }
 
     /**
-     * Report the next live event without firing it. Prunes cancelled
-     * heap tops as a side effect. Returns false when no live event
-     * remains; otherwise fills @p when / @p seq with the head's
-     * firing time and global sequence number.
+     * Report the next pending event without firing it. Returns false
+     * when none remains; otherwise fills @p when / @p seq with the
+     * head's firing time and global sequence number.
      */
     bool
-    peekNext(Tick* when, std::uint64_t* seq)
+    peekNext(Tick* when, std::uint64_t* seq) const
     {
-        while (!heap.empty()) {
-            const HeapEntry& top = heap.front();
-            if (!recordAt(top.slot).live) {
-                HeapEntry dead = popTop();
-                --cancelledInHeap;
-                freeSlot(dead.slot);
-                continue;
-            }
-            *when = top.when;
-            *seq = top.seq;
-            return true;
-        }
-        return false;
+        if (heap.empty())
+            return false;
+        *when = heap.front().when;
+        *seq = heap.front().seq;
+        return true;
     }
 
-    /** Any live events pending? */
-    bool empty() const { return liveCount == 0; }
+    /** Any events pending? */
+    bool empty() const { return heap.empty(); }
 
-    std::size_t numPending() const { return liveCount; }
+    std::size_t numPending() const { return heap.size(); }
 
-    /**
-     * Pop and run the next live event; returns false if none remain.
-     * Cancelled events are discarded silently.
-     */
+    /** Pop and run the next event; returns false if none remain. */
     bool
     runOne()
     {
-        while (!heap.empty()) {
-            // Pull the record toward the cache while the sift runs.
-            __builtin_prefetch(&recordAt(heap.front().slot));
-            HeapEntry top = popTop();
-            Record& record = recordAt(top.slot);
-            if (!record.live) {
-                --cancelledInHeap;
-                freeSlot(top.slot);
-                continue;
-            }
-            currentTick = top.when;
-            --liveCount;
-            ++poppedEvents;
-            record.live = false;
-            // Move the closure out and recycle the slot before firing:
-            // the callback may schedule new events (which may reuse
-            // this very slot) without ever touching the allocator.
-            EventFn fn = std::move(record.fn);
-            freeSlot(top.slot);
-            fn();
-            return true;
-        }
-        return false;
+        if (heap.empty())
+            return false;
+        // Pull the record toward the cache while the sift runs.
+        __builtin_prefetch(&recordAt(heap.front().slot));
+        HeapEntry top = popTop();
+        currentTick = top.when;
+        ++poppedEvents;
+        // Move the closure out and recycle the slot before firing:
+        // the callback may schedule new events (which may reuse this
+        // very slot) without ever touching the allocator.
+        EventFn fn = std::move(recordAt(top.slot).fn);
+        freeSlot(top.slot);
+        fn();
+        return true;
     }
 
     /** Run events with time <= @p until; advance the clock to @p until. */
     void
     runUntil(Tick until)
     {
-        while (!heap.empty()) {
-            HeapEntry top = heap.front();
-            if (!recordAt(top.slot).live) {
-                popTop();
-                --cancelledInHeap;
-                freeSlot(top.slot);
-                continue;
-            }
-            if (top.when > until)
-                break;
+        while (!heap.empty() && heap.front().when <= until)
             runOne();
-        }
         if (until > currentTick)
             currentTick = until;
     }
 
-    /** Run until no live events remain. */
+    /** Run until no events remain. */
     void
     runAll()
     {
@@ -446,9 +415,9 @@ class EventQueue
 
     /** @name Pool introspection (tests, benches, obs::SimCounters)
      * @{ */
+    /** Slots ever allocated: the peak number of pending events. */
     std::size_t slabSize() const { return slabCount; }
-    std::uint64_t numCompactions() const { return compactions; }
-    /** Live events popped and fired so far, plus ticker firings
+    /** Events popped and fired so far, plus ticker firings
      *  credited by creditSkippedFirings(). */
     std::uint64_t numPopped() const { return poppedEvents; }
     /** Pending events cancelled so far, reschedules included. */
@@ -463,8 +432,9 @@ class EventQueue
     struct Record
     {
         EventFn fn;
+        /** Bumped when the event fires or is cancelled: a handle is
+         *  pending while its generation matches. */
         std::uint32_t generation = 0;
-        bool live = false;
     };
 
     struct HeapEntry
@@ -473,9 +443,6 @@ class EventQueue
         std::uint64_t seq;
         std::uint32_t slot;
     };
-
-    /** Compaction threshold: never compact tiny heaps. */
-    static constexpr std::size_t kCompactMinHeap = 64;
 
     /** Records live in fixed chunks so slab growth never moves (or
      *  copies) existing records; a slot index resolves with one extra
@@ -506,7 +473,9 @@ class EventQueue
     }
 
     /** @name Indexed binary min-heap with bottom-up deletion
-     * Push is the textbook sift-up. Pop uses Floyd's bottom-up trick:
+     * Push is the textbook sift-up; removal from the middle (cancel)
+     * fills the hole with the last entry and sifts it whichever way it
+     * belongs. Pop uses Floyd's bottom-up trick:
      * sift the root hole all the way to a leaf (one child-vs-child
      * compare per level, which the compiler turns into a conditional
      * move), drop the last element into the hole, and sift it up —
@@ -592,12 +561,22 @@ class EventQueue
         return top;
     }
 
+    /** Take out the entry at heap index @p i. The last entry fills the
+     *  hole: if it fires before the removed one it can only move up
+     *  (the hole's subtree fires after the removed entry), otherwise
+     *  only down (the hole's ancestors fire before it). */
     void
-    rebuildHeap()
+    removeAt(std::size_t i)
     {
-        if (heap.size() < 2)
+        const HeapEntry removed = heap[i];
+        const HeapEntry last = heap.back();
+        heap.pop_back();
+        if (i == heap.size())
             return;
-        for (std::size_t i = (heap.size() - 2) / 2 + 1; i-- > 0;)
+        put(i, last);
+        if (firesBefore(last, removed))
+            siftUp(i);
+        else
             siftDown(i);
     }
     /** @} */
@@ -605,8 +584,7 @@ class EventQueue
     bool
     handlePending(std::uint32_t slot, std::uint32_t gen) const
     {
-        return slot < slabCount && recordAt(slot).live &&
-               recordAt(slot).generation == gen;
+        return slot < slabCount && recordAt(slot).generation == gen;
     }
 
     Tick
@@ -641,52 +619,23 @@ class EventQueue
     {
         if (!handlePending(slot, gen))
             return;
-        Record& record = recordAt(slot);
-        record.live = false;
-        record.fn.reset(); // release captures eagerly
-        --liveCount;
-        ++cancelledInHeap;
+        // Cancelling takes no sequence number and (when, seq) is a
+        // strict total order, so the other events pop exactly as they
+        // would have with this one left to fire as a no-op.
+        removeAt(heapPos[slot]);
+        freeSlot(slot);
         ++cancelledEvents;
-        maybeCompact();
     }
 
+    /** Recycle @p slot. The generation moves first, so no handle reads
+     *  the slot as pending while the closure's captures are released. */
     void
     freeSlot(std::uint32_t slot)
     {
         Record& record = recordAt(slot);
-        record.fn.reset();
         ++record.generation; // invalidates outstanding handles
+        record.fn.reset();
         freeSlots.push_back(slot);
-    }
-
-    /**
-     * Opportunistic compaction: once cancelled entries outnumber live
-     * ones, filter them out and re-heapify, so long runs that cancel
-     * and re-create events (flow completions) keep the heap — and the
-     * slab — proportional to the live event count. A retime that moves
-     * its event in place (EventHandle::reschedule) leaves no entry to
-     * filter. Ordering is
-     * unaffected: (when, seq) is a strict total order, so the rebuilt
-     * heap pops in exactly the same sequence.
-     */
-    void
-    maybeCompact()
-    {
-        if (heap.size() < kCompactMinHeap ||
-            cancelledInHeap * 2 <= heap.size())
-            return;
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < heap.size(); ++i) {
-            const HeapEntry entry = heap[i];
-            if (recordAt(entry.slot).live)
-                put(kept++, entry);
-            else
-                freeSlot(entry.slot);
-        }
-        heap.resize(kept);
-        rebuildHeap();
-        cancelledInHeap = 0;
-        ++compactions;
     }
 
     Tick currentTick = 0;
@@ -696,9 +645,6 @@ class EventQueue
      *  self-reference is safe: EventQueue is non-copyable and
      *  non-movable, so the address never goes stale. */
     std::uint64_t* seqPtr = &nextSeq;
-    std::size_t liveCount = 0;
-    std::size_t cancelledInHeap = 0;
-    std::uint64_t compactions = 0;
     std::uint64_t poppedEvents = 0;
     std::uint64_t cancelledEvents = 0;
     std::uint64_t rescheduledEvents = 0;
@@ -706,10 +652,10 @@ class EventQueue
     std::size_t slabCount = 0;
     std::vector<std::uint32_t> freeSlots;
     std::vector<HeapEntry> heap;
-    /** Heap index of each slot's entry (meaningful while the slot is in
-     *  the heap; a slot has at most one entry). A dense side array: the
-     *  sifts write it on every move, and it stays in cache where the
-     *  one-line records would not. */
+    /** Heap index of each slot's entry (meaningful while the slot's
+     *  event is pending; a slot has at most one entry). A dense side
+     *  array: the sifts write it on every move, and it stays in cache
+     *  where the one-line records would not. */
     std::vector<std::uint32_t> heapPos;
 };
 

@@ -448,6 +448,19 @@ TEST(SweepFlagsDeath, EmptyBackendExitsTwo)
                 testing::ExitedWithCode(2), "unknown backend");
 }
 
+TEST(SweepFlagsDeath, OutOfRangeThreadCountExitsTwo)
+{
+    // Each once narrowed silently: 2^32 + 1 to one thread, 2^31 to
+    // INT_MIN (one thread per core). Parsing alone: no sweep runs.
+    for (const char* arg : {"--threads=4294967297", "--threads=2147483648",
+                            "-j99999999999999999999", "--threads=-1"}) {
+        SCOPED_TRACE(arg);
+        const char* argv[] = {"bench", arg};
+        EXPECT_EXIT(benchutil::sweepFlags(2, const_cast<char**>(argv)),
+                    testing::ExitedWithCode(2), "invalid thread count");
+    }
+}
+
 TEST(SweepFlagsDeath, InvalidFaultScenariosExitTwo)
 {
     // Each of these once crashed the run (a segfault or an abort).

@@ -73,6 +73,30 @@ TEST(EventQueue, CancelUpdatesPendingCount)
     (void)b;
 }
 
+TEST(EventQueue, CancelFreesItsSlotAtOnce)
+{
+    EventQueue q;
+    std::vector<EventHandle> first;
+    for (Tick t = 0; t < 10; ++t)
+        first.push_back(q.scheduleAt(t, [] {}));
+    for (EventHandle& h : first)
+        h.cancel();
+    EXPECT_TRUE(q.empty());
+    int fired = 0;
+    for (Tick t = 0; t < 10; ++t)
+        q.scheduleAt(t, [&fired] { ++fired; });
+    EXPECT_EQ(q.slabSize(), 10u);
+    // The old handles name their own events, not the slots' new ones.
+    for (EventHandle& h : first) {
+        EXPECT_FALSE(h.pending());
+        h.cancel();
+    }
+    EXPECT_EQ(q.numPending(), 10u);
+    q.runAll();
+    EXPECT_EQ(fired, 10);
+    EXPECT_EQ(q.numCancelled(), 10u);
+}
+
 TEST(EventQueue, ScheduleFromWithinEvent)
 {
     EventQueue q;
@@ -167,7 +191,9 @@ TEST(EventQueue, RescheduleMovesInPlace)
  * A seeded script of schedule, cancel, retime and pop. Retimes go
  * through cancel() + a fresh schedule on one side of the twin and in
  * place on the other; both must fire the same (when, id) sequence.
- * Delays come from a small set, so equal-time ties are common.
+ * Delays come from a small set, so equal-time ties are common. The
+ * script also records each queue's peak numPending(), which its slab
+ * must match: a fired or cancelled event frees its slot at once.
  */
 class RescheduleScript
 {
@@ -181,11 +207,20 @@ class RescheduleScript
             schedule;
         std::function<bool(EventHandle& h, Tick delay)> reschedule;
         std::function<void()> run;
+        std::function<std::size_t(int domain)> pending;
     };
 
     RescheduleScript(bool in_place, int domains, std::uint64_t seed)
-        : inPlace(in_place), numDomains(domains), rng(seed)
+        : inPlace(in_place), numDomains(domains), rng(seed),
+          peaks(static_cast<std::size_t>(domains), 0)
     {
+    }
+
+    /** The most events @p domain's queue held pending at once. */
+    std::size_t
+    peakPending(int domain) const
+    {
+        return peaks[static_cast<std::size_t>(domain)];
     }
 
     std::vector<std::pair<Tick, int>>
@@ -212,13 +247,24 @@ class RescheduleScript
         return kDelays[rng.below(9)];
     }
 
+    /** Every schedule goes through here: it is where a queue's
+     *  pending count peaks. */
+    EventHandle
+    schedule(int domain, Tick d, EventFn fn)
+    {
+        EventHandle h = drv.schedule(domain, d, std::move(fn));
+        std::size_t& peak = peaks[static_cast<std::size_t>(domain)];
+        peak = std::max(peak, drv.pending(domain));
+        return h;
+    }
+
     void
     add(Tick d)
     {
         int id = static_cast<int>(slots.size());
         int domain = static_cast<int>(rng.below(
             static_cast<std::uint64_t>(numDomains)));
-        slots.push_back(Slot{drv.schedule(domain, d, fire(id)), domain});
+        slots.push_back(Slot{schedule(domain, d, fire(id)), domain});
     }
 
     EventFn
@@ -232,12 +278,15 @@ class RescheduleScript
     {
         fired.emplace_back(drv.now(), id);
         if (fired.size() == 500) {
-            // A burst of events mixed in among the live ones, cancelled
-            // at once: the heap compacts, moving live entries, between
-            // in-place moves.
+            // A burst of events mixed in among the pending ones, then
+            // cancelled: each is taken out of the heap from wherever it
+            // sits, between in-place moves.
             std::vector<EventHandle> doomed;
             for (int i = 0; i < 1000; ++i)
-                doomed.push_back(drv.schedule(0, delay(), [] {}));
+                doomed.push_back(schedule(0, delay(), [this] {
+                    ADD_FAILURE() << "cancelled event fired at "
+                                  << drv.now();
+                }));
             for (EventHandle& h : doomed)
                 h.cancel();
         }
@@ -274,7 +323,7 @@ class RescheduleScript
             EXPECT_EQ(copy.when(), target.handle.when());
         } else if (was_pending) {
             target.handle.cancel();
-            target.handle = drv.schedule(target.domain, d, fire(id));
+            target.handle = schedule(target.domain, d, fire(id));
             EXPECT_FALSE(copy.pending());
         }
         if (rng.uniform() < 0.1) {
@@ -289,6 +338,7 @@ class RescheduleScript
     int numDomains;
     Rng rng;
     Driver drv;
+    std::vector<std::size_t> peaks;
     std::vector<Slot> slots;
     std::vector<std::pair<Tick, int>> fired;
 };
@@ -306,19 +356,21 @@ TEST(EventQueue, RescheduleMatchesCancelAndScheduleTwin)
                 [&q](EventHandle& h, Tick d) {
                     return h.reschedule(q.now() + d);
                 },
-                [&q] { q.runAll(); }};
+                [&q] { q.runAll(); },
+                [&q](int) { return q.numPending(); }};
         };
-        auto a = RescheduleScript(false, 1, seed).play(driver(twin));
-        auto b = RescheduleScript(true, 1, seed).play(driver(moved));
+        RescheduleScript twin_script(false, 1, seed);
+        RescheduleScript moved_script(true, 1, seed);
+        auto a = twin_script.play(driver(twin));
+        auto b = moved_script.play(driver(moved));
         ASSERT_GT(a.size(), 1000u);
         EXPECT_EQ(a, b) << "seed " << seed;
         EXPECT_EQ(twin.numPopped(), moved.numPopped());
         EXPECT_EQ(twin.numCancelled(), moved.numCancelled());
         EXPECT_GT(moved.numRescheduled(), 100u);
         EXPECT_EQ(twin.numRescheduled(), 0u);
-        // Cancels still leave tombstones, so both sides compact.
-        EXPECT_GT(moved.numCompactions(), 0u);
-        EXPECT_LT(moved.slabSize(), twin.slabSize());
+        EXPECT_EQ(twin.slabSize(), twin_script.peakPending(0));
+        EXPECT_EQ(moved.slabSize(), moved_script.peakPending(0));
     }
 }
 
@@ -338,10 +390,15 @@ TEST(Simulator, PartitionedRescheduleMatchesCancelAndScheduleTwin)
                     return s.scheduleInDomain(domain, d, std::move(fn));
                 },
                 [&s](EventHandle& h, Tick d) { return s.reschedule(h, d); },
-                [&s] { s.run(); }};
+                [&s] { s.run(); },
+                [&s](int domain) {
+                    return s.domainQueue(domain).numPending();
+                }};
         };
-        auto a = RescheduleScript(false, 4, seed).play(driver(twin));
-        auto b = RescheduleScript(true, 4, seed).play(driver(moved));
+        RescheduleScript twin_script(false, 4, seed);
+        RescheduleScript moved_script(true, 4, seed);
+        auto a = twin_script.play(driver(twin));
+        auto b = moved_script.play(driver(moved));
         ASSERT_GT(a.size(), 1000u);
         EXPECT_EQ(a, b) << "seed " << seed;
         std::uint64_t resched = 0;
@@ -349,6 +406,10 @@ TEST(Simulator, PartitionedRescheduleMatchesCancelAndScheduleTwin)
             EXPECT_EQ(twin.domainQueue(d).numPopped(),
                       moved.domainQueue(d).numPopped());
             resched += moved.domainQueue(d).numRescheduled();
+            EXPECT_EQ(twin.domainQueue(d).slabSize(),
+                      twin_script.peakPending(d));
+            EXPECT_EQ(moved.domainQueue(d).slabSize(),
+                      moved_script.peakPending(d));
         }
         EXPECT_GT(resched, 100u);
     }

@@ -6,7 +6,8 @@
  * once with the eager forward-Euler twin, through core::compareResults
  * under the "thermal" tolerance row (ThermalTwin.*). The count gate
  * (GovernorWork.*) bounds how many devices the lazy tick evaluates,
- * and how few ticks and retimes still cost a dispatch or a tombstone.
+ * how few ticks still cost a dispatch, and that retimes move their
+ * event in place.
  */
 
 #include <gtest/gtest.h>
@@ -158,11 +159,9 @@ TEST(GovernorWork, FsdpThermalEvaluatesFewDevices)
               0.9 * static_cast<double>(c.governorTicks))
         << c.ticksFastForwarded << " of " << c.governorTicks
         << " ticks fast-forwarded";
-    // A clock change moves its compute completion in place, leaving
-    // no tombstone (measured: 0 compactions; 33,106 at full batch
-    // when each retime cancelled and rescheduled).
+    // A clock change moves its compute completion in place instead of
+    // cancelling it and scheduling a new one.
     EXPECT_GE(c.eventsRescheduled, c.clockChanges / 2);
-    EXPECT_LE(c.eventCompactions, 10u);
 }
 
 } // namespace
