@@ -2,15 +2,16 @@
  * @file
  * Unions of half-open time intervals [start, end), as the phase and
  * goodput reports use them to classify a timeline: merge into a sorted
- * union, test a point against it, and collect its boundaries inside a
- * window (the cuts between which a classification is constant).
+ * union, test a rising sequence of points against it, and collect its
+ * boundaries inside a window (the cuts between which a classification
+ * is constant).
  */
 
 #ifndef CHARLLM_COMMON_INTERVALS_HH
 #define CHARLLM_COMMON_INTERVALS_HH
 
 #include <algorithm>
-#include <iterator>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -37,15 +38,30 @@ mergeIntervals(IntervalList& intervals)
     intervals.swap(merged);
 }
 
-/** Is @p t inside a merged, sorted interval union? */
-inline bool
-covers(const IntervalList& intervals, double t)
+/** Tests ascending points against a merged, sorted interval union,
+ *  walking it once over all of them. */
+class IntervalCursor
 {
-    auto it = std::upper_bound(
-        intervals.begin(), intervals.end(), t,
-        [](double v, const Interval& iv) { return v < iv.first; });
-    return it != intervals.begin() && t < std::prev(it)->second;
-}
+  public:
+    explicit IntervalCursor(const IntervalList& intervals)
+        : intervals(intervals)
+    {
+    }
+
+    /** Is @p t inside the union? @p t must not fall below the previous
+     *  query's point. */
+    bool
+    covers(double t)
+    {
+        while (next < intervals.size() && intervals[next].second <= t)
+            ++next;
+        return next < intervals.size() && intervals[next].first <= t;
+    }
+
+  private:
+    const IntervalList& intervals;
+    std::size_t next = 0; //!< first interval that ends after the point
+};
 
 /** Append every boundary of @p list strictly inside (lo, hi). */
 inline void

@@ -15,11 +15,14 @@ namespace charllm {
 /**
  * Compact double formatting: trims trailing zeros ("1.5", "3", "0.25").
  * Byte-identical to printf's "%.*g" with @p max_precision, but
- * locale-free (std::to_chars general form).
+ * locale-free: exact integer arithmetic for normal doubles at
+ * precision 0..17 whose scaling fits 128 bits, std::to_chars' general
+ * form for everything else.
  */
 std::string formatDouble(double value, int max_precision = 6);
 
-/** Append formatDouble(@p value, @p max_precision) to @p out. */
+/** Append formatDouble(@p value, @p max_precision) to @p out; at
+ *  precision up to 40 it allocates nothing beyond @p out's growth. */
 void appendDouble(std::string& out, double value, int max_precision);
 
 /** Fixed-precision formatting ("12.34"). */

@@ -11,7 +11,7 @@ namespace charllm {
 namespace core {
 
 CsvWriter
-summaryCsv(const std::vector<ExperimentResult>& results)
+summaryCsv(std::span<const ExperimentResult> results)
 {
     CsvWriter csv;
     csv.header({"label", "feasible", "iteration_s", "tokens_per_s",
@@ -325,7 +325,7 @@ writeReports(const ExperimentResult& result,
         if (out && (out << text))
             written.push_back(path);
     };
-    emit("_summary.csv", summaryCsv({result}));
+    emit("_summary.csv", summaryCsv({&result, 1}));
     emit("_gpus.csv", gpuMetricsCsv(result));
     emit("_breakdown.csv", breakdownCsv(result));
     if (!result.series.empty())

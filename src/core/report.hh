@@ -10,6 +10,7 @@
 #ifndef CHARLLM_CORE_REPORT_HH
 #define CHARLLM_CORE_REPORT_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,7 @@ namespace core {
  * One row per experiment: label, feasibility, timing, throughput,
  * energy, and cluster-level power/thermal aggregates.
  */
-CsvWriter summaryCsv(const std::vector<ExperimentResult>& results);
+CsvWriter summaryCsv(std::span<const ExperimentResult> results);
 
 /** Per-GPU metrics of one experiment (one row per device). */
 CsvWriter gpuMetricsCsv(const ExperimentResult& result);

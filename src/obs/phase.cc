@@ -1,6 +1,7 @@
 #include "obs/phase.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/intervals.hh"
@@ -177,6 +178,15 @@ attributePhases(
         mergeIntervals(list);
     mergeIntervals(anyActive);
 
+    // The global union's cuts are every device's; each device merges
+    // them with its own two lists. All three ascend strictly (merged
+    // unions have strictly ascending boundaries), so a linear union
+    // replaces sorting.
+    std::vector<double> anyCuts;
+    addCuts(anyActive, window_start, window_end, anyCuts);
+    std::vector<double> computeCuts, commCuts, ownCuts, cuts;
+    std::vector<Segment> segments;
+
     report.gpus.resize(maxDevice + 1);
     for (int dev = 0; dev <= maxDevice; ++dev) {
         GpuPhaseBreakdown& out = report.gpus[dev];
@@ -185,27 +195,35 @@ attributePhases(
         // Subdivide the window at every boundary of the three unions;
         // inside one segment the phase is constant, so classifying
         // the midpoint classifies the whole segment.
-        std::vector<double> cuts;
+        computeCuts.clear();
+        commCuts.clear();
+        ownCuts.clear();
+        cuts.clear();
+        addCuts(compute[dev], window_start, window_end, computeCuts);
+        addCuts(comm[dev], window_start, window_end, commCuts);
+        std::set_union(computeCuts.begin(), computeCuts.end(),
+                       commCuts.begin(), commCuts.end(),
+                       std::back_inserter(ownCuts));
         cuts.push_back(window_start);
+        std::set_union(ownCuts.begin(), ownCuts.end(), anyCuts.begin(),
+                       anyCuts.end(), std::back_inserter(cuts));
         cuts.push_back(window_end);
-        addCuts(compute[dev], window_start, window_end, cuts);
-        addCuts(comm[dev], window_start, window_end, cuts);
-        addCuts(anyActive, window_start, window_end, cuts);
-        std::sort(cuts.begin(), cuts.end());
-        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-        std::vector<Segment> segments;
-        segments.reserve(cuts.size());
+        // The midpoints ascend, so each union is walked once.
+        IntervalCursor inCompute(compute[dev]);
+        IntervalCursor inComm(comm[dev]);
+        IntervalCursor inAny(anyActive);
+        segments.clear();
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
             double a = cuts[i];
             double b = cuts[i + 1];
             double mid = a + (b - a) / 2.0;
             Phase phase = Phase::Idle;
-            if (covers(compute[dev], mid))
+            if (inCompute.covers(mid))
                 phase = Phase::Compute;
-            else if (covers(comm[dev], mid))
+            else if (inComm.covers(mid))
                 phase = Phase::ExposedComm;
-            else if (covers(anyActive, mid))
+            else if (inAny.covers(mid))
                 phase = Phase::Bubble;
             segments.push_back(Segment{a, b, phase});
             out.phases[static_cast<std::size_t>(phase)].seconds +=

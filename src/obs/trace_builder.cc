@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <numeric>
-#include <set>
+#include <utility>
 
+#include "common/logging.hh"
 #include "common/strings.hh"
 #include "hw/kernel.hh"
 
@@ -99,8 +99,11 @@ class TraceBuilder::Writer
         close("}");
     }
 
+    /** One counter sample; @p ts is its formatted timestamp, shared
+     *  by every track of the sample. */
     void
-    counter(const char* name, int pid, double tSec, double value)
+    counter(const char* name, int pid, const std::string& ts,
+            double value)
     {
         open();
         text += "{\"name\":\"";
@@ -108,7 +111,7 @@ class TraceBuilder::Writer
         text += "\",\"ph\":\"C\",\"pid\":";
         integer(pid);
         text += ",\"ts\":";
-        number(tSec * 1e6);
+        text += ts;
         text += ",\"args\":{\"value\":";
         number(value);
         close("}}");
@@ -211,21 +214,34 @@ TraceBuilder::writeTo(const std::string& path) const
 void
 TraceBuilder::emit(Writer& w) const
 {
-    // The set of GPU "processes": everything that produced a kernel
-    // span, a fault overlay, or a counter series. Device -1 (an
-    // unattributed fault) is kept and labelled as such.
-    std::set<int> devices;
+    // The GPU "processes": everything that produced a kernel span, a
+    // fault overlay, or a counter series. Device -1 (an unattributed
+    // fault, or span) is kept and labelled as such. Both tables are
+    // indexed device + 1.
+    std::vector<char> present;
+    std::vector<std::size_t> spansOf; // kernel spans per device
+    auto mark = [&present, &spansOf](int dev) {
+        CHARLLM_ASSERT(dev >= -1, "trace device ", dev);
+        auto slot = static_cast<std::size_t>(dev + 1);
+        if (slot >= present.size()) {
+            present.resize(slot + 1, 0);
+            spansOf.resize(slot + 1, 0);
+        }
+        present[slot] = 1;
+        return slot;
+    };
     if (kernels != nullptr) {
         for (const auto& e : kernels->all())
-            devices.insert(e.device);
+            ++spansOf[mark(e.device)];
         for (const auto& f : kernels->faultSpans())
-            devices.insert(f.device);
+            mark(f.device);
     }
     for (const auto& [gpu, series] : counters)
-        devices.insert(gpu);
+        mark(gpu);
 
-    int maxDevice = devices.empty() ? -1 : *devices.rbegin();
-    const int runPid = maxDevice + 1;
+    // The run process follows the highest device (the last slot is
+    // always marked), or is 0 without devices.
+    const int runPid = std::max(static_cast<int>(present.size()) - 1, 0);
     const double horizon = horizonSec();
 
     // Run-span categories ("iteration", "resilience",
@@ -248,7 +264,10 @@ TraceBuilder::emit(Writer& w) const
     // (tid 1); counter tracks attach to the process directly. A
     // trailing "run" process carries cluster-wide marker spans.
     int sortIndex = 0;
-    for (int dev : devices) {
+    for (std::size_t slot = 0; slot < present.size(); ++slot) {
+        if (!present[slot])
+            continue;
+        const int dev = static_cast<int>(slot) - 1;
         std::string label =
             dev < 0 ? std::string("cluster")
                     : "GPU" + std::to_string(dev);
@@ -265,22 +284,30 @@ TraceBuilder::emit(Writer& w) const
                          runCats[t].c_str());
     }
 
-    // Kernel spans, time-sorted per device. The stable sort keeps the
-    // recording order for identical (device, start) pairs, so output
-    // is byte-deterministic. Sorting indices, not event copies, keeps
-    // the sort's memory a small fraction of the text it orders.
+    // Kernel spans, time-sorted per device: a stable bucket pass by
+    // device, then a stable sort of each bucket by start, which keeps
+    // the recording order for identical (device, start) pairs, so
+    // output is byte-deterministic. Sorting indices, not event copies,
+    // keeps the sort's memory a small fraction of the text it orders.
     if (kernels != nullptr) {
         const auto& events = kernels->all();
         std::vector<std::size_t> order(events.size());
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&events](std::size_t a, std::size_t b) {
-                             if (events[a].device != events[b].device)
-                                 return events[a].device <
-                                        events[b].device;
-                             return events[a].startSec <
-                                    events[b].startSec;
-                         });
+        std::size_t begin = 0;
+        for (auto& n : spansOf)
+            begin += std::exchange(n, begin); // now each bucket's start
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            auto slot = static_cast<std::size_t>(events[i].device + 1);
+            order[spansOf[slot]++] = i; // ends as the bucket's end
+        }
+        begin = 0;
+        for (std::size_t end : spansOf) {
+            std::stable_sort(order.begin() + begin, order.begin() + end,
+                             [&events](std::size_t a, std::size_t b) {
+                                 return events[a].startSec <
+                                        events[b].startSec;
+                             });
+            begin = end;
+        }
         for (std::size_t i : order) {
             const auto& e = events[i];
             w.span(e.name, hw::kernelClassName(e.cls), e.device, 0,
@@ -310,17 +337,20 @@ TraceBuilder::emit(Writer& w) const
 
     // Counter tracks, per GPU in device order, each series already in
     // time order. Link rates are converted bytes/s -> Gbit/s to match
-    // the paper's interconnect plots.
+    // the paper's interconnect plots. A sample's timestamp is
+    // formatted once for its six tracks.
+    std::string ts;
     for (const auto& [gpu, series] : counters) {
         for (const auto& s : *series) {
-            double t = s.time.value();
-            w.counter("power_w", gpu, t, s.powerWatts.value());
-            w.counter("temp_c", gpu, t, s.tempC.value());
-            w.counter("clock_ghz", gpu, t, s.clockGhz);
-            w.counter("occupancy", gpu, t, s.occupancy);
-            w.counter("pcie_gbps", gpu, t,
+            ts.clear();
+            appendDouble(ts, s.time.value() * 1e6, 17);
+            w.counter("power_w", gpu, ts, s.powerWatts.value());
+            w.counter("temp_c", gpu, ts, s.tempC.value());
+            w.counter("clock_ghz", gpu, ts, s.clockGhz);
+            w.counter("occupancy", gpu, ts, s.occupancy);
+            w.counter("pcie_gbps", gpu, ts,
                       s.pcieRate.value() * 8.0 / 1e9);
-            w.counter("scaleup_gbps", gpu, t,
+            w.counter("scaleup_gbps", gpu, ts,
                       s.scaleUpRate.value() * 8.0 / 1e9);
         }
     }

@@ -154,6 +154,9 @@ GoodputLedger::finalize(
         return cur;
     };
 
+    // The midpoints ascend, so each union is walked once.
+    IntervalCursor inDetect(detect), inRetry(retry), inRollback(rollback),
+        inReconf(reconf), inCkpt(ckpt), inLost(lost), inUseful(useful);
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
         double a = cuts[i];
         double b = cuts[i + 1];
@@ -165,19 +168,19 @@ GoodputLedger::finalize(
         // is degraded: the seconds stay raw in the bucket, and the
         // capacity-weighted credit accrues separately.
         Bucket bucket = Bucket::Idle;
-        if (covers(detect, mid))
+        if (inDetect.covers(mid))
             bucket = Bucket::Detection;
-        else if (covers(retry, mid))
+        else if (inRetry.covers(mid))
             bucket = Bucket::Retry;
-        else if (covers(rollback, mid))
+        else if (inRollback.covers(mid))
             bucket = Bucket::RollbackReplay;
-        else if (covers(reconf, mid))
+        else if (inReconf.covers(mid))
             bucket = Bucket::Reconfig;
-        else if (covers(ckpt, mid))
+        else if (inCkpt.covers(mid))
             bucket = Bucket::Checkpoint;
-        else if (covers(lost, mid))
+        else if (inLost.covers(mid))
             bucket = Bucket::RollbackReplay;
-        else if (covers(useful, mid)) {
+        else if (inUseful.covers(mid)) {
             bucket = Bucket::Useful;
             const CapacityEpoch* epoch = epochAt(mid);
             if (epoch != nullptr && epoch->activeGpus < full_gpus) {

@@ -14,7 +14,8 @@
  *  - the analytical backend's lowering allocates linearly in devices,
  *    not in devices x group size;
  *  - writing a run's reports never makes one allocation anywhere near
- *    the size of its unified trace (the trace is streamed to disk).
+ *    the size of its unified trace (the trace is streamed to disk),
+ *    and its one-row summary copies no sampler series.
  */
 
 #include <gtest/gtest.h>
@@ -468,6 +469,36 @@ TEST(ReportAlloc, WriteReportsNeverHoldsTheTraceWhole)
         << "largest allocation " << largest << " B, trace "
         << traceBytes << " B";
     std::filesystem::remove_all(dir);
+}
+
+TEST(ReportAlloc, SummaryCsvCopiesNoSeries)
+{
+    // A one-row summary of a sampled result: the row's text is a few
+    // hundred bytes, while a copy of the result would copy every GPU's
+    // sampler series (and the goodput timeline) along with it.
+    core::ExperimentConfig cfg;
+    cfg.cluster = core::h100Cluster(2);
+    cfg.model = smallModel();
+    cfg.par = parallel::ParallelConfig::forWorld(16, 2, 2);
+    cfg.train = denseOptions();
+    cfg.warmupIterations = 1;
+    cfg.measuredIterations = 2;
+    cfg.enableSampler = true;
+    cfg.samplePeriodSec = 0.002;
+    auto result = core::Experiment::run(cfg);
+    ASSERT_TRUE(result.feasible);
+    ASSERT_FALSE(result.series.empty());
+    std::size_t seriesBytes =
+        result.series[0].size() * sizeof(telemetry::Sample);
+    ASSERT_GE(seriesBytes, std::size_t{16} << 10);
+
+    takeLargestRequest();
+    auto csv = core::summaryCsv({&result, 1});
+    std::size_t largest = takeLargestRequest();
+    EXPECT_EQ(csv.numRows(), 1u);
+    EXPECT_LT(largest, seriesBytes)
+        << "largest allocation " << largest << " B, one GPU's series "
+        << seriesBytes << " B";
 }
 
 } // namespace

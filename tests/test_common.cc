@@ -228,18 +228,43 @@ TEST(Strings, JsonEscape)
 
 TEST(Strings, FormatDoubleMatchesPrintf)
 {
-    // Reports promise printf's "%.*g" bytes; every random bit pattern
-    // (all exponents, subnormals, NaN payloads) and every edge value
-    // must format identically, whether returned or appended.
+    // Reports promise printf's "%.*g" bytes at every precision, whether
+    // returned or appended. Besides random bit patterns (all exponents,
+    // subnormals, NaN payloads) and report magnitudes, the values aim
+    // at the exact integer path: binary-fraction ties (round half to
+    // even), carries into the next decade, both edges of its 128-bit
+    // window (every binary exponent and its neighbours) and the
+    // unified trace's own values.
+    const double inf = std::numeric_limits<double>::infinity();
     std::vector<double> values = {
-        0.0, -0.0, std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::quiet_NaN(),
+        0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
         -std::numeric_limits<double>::quiet_NaN(), DBL_MAX, -DBL_MAX,
-        DBL_MIN, std::numeric_limits<double>::denorm_min(),
+        DBL_MIN, -DBL_MIN, std::numeric_limits<double>::denorm_min(),
         -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
         DBL_EPSILON, 0.1, 1e-5, 1e-4, 123456.0, 1234567.0, 0.5, 9.5,
-        99999.95, 1e16, 1e17, 1e21};
+        0.95, 0.125, 2.5, 99999.95, 1e16, 1e17, 1e21};
+    for (int k = -300; k <= 300; ++k) {
+        values.push_back(k + 0.5);  // ties at precision 1..3
+        values.push_back(k / 8.0);  // ties a few digits down
+        values.push_back(k);        // small integers
+        values.push_back(std::ldexp(k, -30)); // long exact fractions
+    }
+    for (int e = -30; e <= 30; ++e) {
+        double p = std::pow(10.0, e);
+        for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, inf),
+                         9.5 * p, 0.95 * p, 9.95 * p, 99999.95 * p})
+            values.push_back(v);
+    }
+    for (int e = -1074; e <= 1023; ++e) {
+        double p = std::ldexp(1.0, e);
+        for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, inf),
+                         -1.5 * p})
+            values.push_back(v);
+    }
+    for (int k = 0; k < 5000; ++k) {
+        values.push_back(k * 0.02 * 1e6); // sample timestamps in us
+        values.push_back(k * 0.002);      // and in seconds
+    }
     Rng rng(2024);
     for (int i = 0; i < 50000; ++i) {
         std::uint64_t bits = rng.next();
@@ -252,7 +277,7 @@ TEST(Strings, FormatDoubleMatchesPrintf)
     }
     std::size_t mismatches = 0;
     std::string first;
-    for (int precision : {0, 1, 6, 17}) {
+    for (int precision = 0; precision <= 20; ++precision) {
         for (double v : values) {
             char expected[64];
             std::snprintf(expected, sizeof(expected), "%.*g", precision,
@@ -270,18 +295,6 @@ TEST(Strings, FormatDoubleMatchesPrintf)
     }
     EXPECT_GE(values.size(), 100000u);
     EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
-    for (int precision = 0; precision <= 20; ++precision) {
-        for (double v : {0.0, -0.0, DBL_MAX, -DBL_MIN,
-                         std::numeric_limits<double>::denorm_min(),
-                         std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::quiet_NaN()}) {
-            char expected[64];
-            std::snprintf(expected, sizeof(expected), "%.*g", precision,
-                          v);
-            EXPECT_EQ(formatDouble(v, precision), expected)
-                << "precision " << precision;
-        }
-    }
 }
 
 TEST(Units, GbitConversion)

@@ -972,7 +972,7 @@ TEST_F(CoreFixture, ReportCsvExports)
     auto r = Experiment::run(cfg);
     ASSERT_TRUE(r.feasible);
 
-    auto summary = summaryCsv({r, r});
+    auto summary = summaryCsv(std::vector<ExperimentResult>{r, r});
     EXPECT_EQ(summary.numRows(), 2u);
     EXPECT_NE(summary.str().find("tokens_per_s"), std::string::npos);
     EXPECT_NE(summary.str().find(r.label), std::string::npos);
@@ -1055,6 +1055,68 @@ TEST_F(CoreFixture, WriteReportsStreamsTheSameTrace)
     std::string blocker = dir + "/obs_summary.csv";
     EXPECT_TRUE(writeReports(r, blocker + "/sub", "obs").empty());
     EXPECT_FALSE(writeUnifiedTrace(r, blocker + "/trace.json"));
+    std::filesystem::remove_all(dir);
+}
+
+/** FNV-1a over @p text: a report file's identity, byte for byte. */
+std::uint64_t
+textDigest(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text)
+        h = (h ^ c) * 0x100000001b3ULL;
+    return h;
+}
+
+struct Report : CoreFixture
+{
+};
+
+TEST_F(Report, ObservedRunReportsMatchGoldenDigest)
+{
+    // Pins every byte an observed run (sampler, kernel trace, critical
+    // path, resilience) writes: each writeReports file and the string
+    // form of the unified trace. A change to number formatting or
+    // event order that moves any byte fails here; one that means to
+    // must re-record the digests and say why.
+    auto cfg = smallConfig(2, 4);
+    cfg.enableSampler = true;
+    cfg.samplePeriodSec = 0.02;
+    cfg.enableTrace = true;
+    cfg.enableCriticalPath = true;
+    cfg.resilience.enabled = true;
+    cfg.resilience.seed = 3;
+    cfg.resilience.mtbf.gpuMtbfSec = 60.0;
+    cfg.resilience.checkpoint.intervalSec = 1.5;
+    auto r = Experiment::run(cfg);
+    ASSERT_TRUE(r.goodputValid);
+    ASSERT_TRUE(r.critPath);
+
+    const std::vector<std::pair<const char*, std::uint64_t>> golden = {
+        {"_summary.csv", 0xbac1efeffb279a44},
+        {"_gpus.csv", 0xd3624715aee083e4},
+        {"_breakdown.csv", 0x0e43444ea5510953},
+        {"_series.csv", 0x7d55a5336675024a},
+        {"_trace.json", 0x5dbaa5a945a0b1d3},
+        {"_phases.csv", 0x22ee874022839a99},
+        {"_goodput.csv", 0xdd83545cf6b170be},
+        {"_critpath.csv", 0x9046cc5d3d35ebba},
+        {"_report.json", 0xac0320edc78859d9},
+    };
+    std::string dir = ::testing::TempDir() + "charllm_golden_reports";
+    auto paths = writeReports(r, dir, "g");
+    EXPECT_EQ(paths.size(), golden.size());
+    for (const auto& [suffix, digest] : golden) {
+        std::ifstream in(dir + "/g" + suffix, std::ios::binary);
+        ASSERT_TRUE(in.good()) << suffix;
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        std::uint64_t got = textDigest(text);
+        EXPECT_EQ(got, digest) << suffix << std::hex << " got 0x" << got;
+    }
+    std::uint64_t trace = textDigest(unifiedTraceJson(r));
+    EXPECT_EQ(trace, 0x5dbaa5a945a0b1d3u)
+        << std::hex << "unifiedTraceJson got 0x" << trace;
     std::filesystem::remove_all(dir);
 }
 

@@ -326,8 +326,8 @@ TEST(CriticalPathEngine, EnablingTracingIsByteInvisible)
                   .breaches,
               std::vector<std::string>{});
     EXPECT_EQ(core::toJson(off), core::toJson(on));
-    EXPECT_EQ(core::summaryCsv({off}).str(),
-              core::summaryCsv({on}).str());
+    EXPECT_EQ(core::summaryCsv({&off, 1}).str(),
+              core::summaryCsv({&on, 1}).str());
 }
 
 TEST(CriticalPathEngine, DoubleRunArtifactsAreByteIdentical)

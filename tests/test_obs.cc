@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "faults/scenarios.hh"
@@ -444,6 +445,96 @@ TEST(TraceBuilder, SpansSortedPerDeviceAndDeterministic)
         }
         lastTs[key] = ts;
     }
+}
+
+TEST(TraceBuilder, SpanOrderMatchesStableSort)
+{
+    // Seeded spans on interleaved devices (one of them -1), starts out
+    // of order within a device and equal (device, start) pairs, each
+    // span uniquely named: the emitted order must be a stable sort on
+    // (device, start) of the recording order.
+    Rng rng(29);
+    telemetry::KernelTrace trace;
+    const int devices[] = {5, 0, 2, -1, 0, 2, 5, 0};
+    for (int i = 0; i < 600; ++i) {
+        int dev = devices[rng.next() % std::size(devices)];
+        double start = static_cast<double>(rng.next() % 40) * 0.125;
+        trace.record(dev, hw::KernelClass::Gemm,
+                     trace.intern("k" + std::to_string(i)), start, 0.1);
+    }
+    trace.recordFault(-1, "link-down", 1.0, 0.5);
+    trace.recordFault(2, "gpu-slowdown", 0.5, -1.0);
+    trace.recordFault(-1, "link-down", 0.25, 0.5);
+    // Device 4 has only counters; device 3 has nothing at all.
+    std::vector<telemetry::Sample> s0 = {makeSample(0.0, 300.0),
+                                         makeSample(0.02, 301.5)};
+    std::vector<telemetry::Sample> s4 = {makeSample(0.0, 250.0),
+                                         makeSample(0.02, 251.0),
+                                         makeSample(0.04, 252.25)};
+
+    // The reference order: event copies, stable-sorted.
+    std::vector<telemetry::TraceEvent> sorted = trace.all();
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const telemetry::TraceEvent& a,
+                        const telemetry::TraceEvent& b) {
+                         if (a.device != b.device)
+                             return a.device < b.device;
+                         return a.startSec < b.startSec;
+                     });
+    telemetry::KernelTrace presorted;
+    for (const auto& e : sorted)
+        presorted.record(e.device, e.cls, e.name, e.startSec, e.durSec);
+    for (const auto& f : trace.faultSpans())
+        presorted.recordFault(f.device, f.name, f.startSec, f.durSec);
+
+    auto json = [&](const telemetry::KernelTrace& kernels) {
+        obs::TraceBuilder builder;
+        builder.addKernels(kernels);
+        builder.addCounters(0, s0);
+        builder.addCounters(4, s4);
+        builder.addRunSpan("iteration", "iteration 0", 0.0, 5.0);
+        return builder.toJson();
+    };
+    std::string got = json(trace);
+    EXPECT_TRUE(got == json(presorted))
+        << "span order differs from a stable (device, start) sort";
+
+    JsonValue doc = parseJson(got);
+    std::vector<std::string> spanNames;
+    std::vector<int> processes;
+    std::map<std::pair<int, int>, double> lastSpan;
+    std::map<std::pair<int, std::string>, double> lastCounter;
+    for (const auto& e : doc.at("traceEvents").items) {
+        const std::string& ph = e.at("ph").str;
+        int pid = static_cast<int>(e.at("pid").number);
+        if (ph == "M" && e.at("name").str == "process_name")
+            processes.push_back(pid);
+        if (ph == "X" && e.at("cat").str == "GEMM")
+            spanNames.push_back(e.at("name").str);
+        // validate_trace.py's contract: every span track and every
+        // counter track is time-sorted.
+        if (ph == "X") {
+            auto key = std::make_pair(
+                pid, static_cast<int>(e.at("tid").number));
+            auto it = lastSpan.find(key);
+            if (it != lastSpan.end())
+                EXPECT_GE(e.at("ts").number, it->second);
+            lastSpan[key] = e.at("ts").number;
+            EXPECT_GE(e.at("dur").number, 0.0);
+        }
+        if (ph == "C") {
+            auto key = std::make_pair(pid, e.at("name").str);
+            auto it = lastCounter.find(key);
+            if (it != lastCounter.end())
+                EXPECT_GE(e.at("ts").number, it->second);
+            lastCounter[key] = e.at("ts").number;
+        }
+    }
+    ASSERT_EQ(spanNames.size(), sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        EXPECT_EQ(spanNames[i], sorted[i].name) << "span " << i;
+    // One process per device that has any track, then the run process.
+    EXPECT_EQ(processes, (std::vector<int>{-1, 0, 2, 4, 5, 6}));
 }
 
 TEST(TraceBuilder, CounterTracksCarryGpuPid)
