@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace charllm {
 
@@ -42,6 +43,18 @@ exitPanic(const char* file, int line, const std::string& msg)
 }
 
 } // namespace detail
+
+/** A config problems list: one message per broken range (DESIGN §9). */
+using Problems = std::vector<std::string>;
+
+/** Append the message composed of @p why to @p problems unless @p ok. */
+template <typename... Args>
+void
+require(Problems& problems, bool ok, const Args&... why)
+{
+    if (!ok)
+        problems.push_back(detail::composeMessage(why...));
+}
 
 } // namespace charllm
 

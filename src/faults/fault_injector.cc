@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "hw/calibration.hh"
+#include "sim/event_queue.hh"
 
 namespace charllm {
 namespace faults {
@@ -17,6 +18,10 @@ constexpr int kMaxEccRetries = 6;
 
 /** Probability that an ECC stall needs one more (doubled) retry. */
 constexpr double kEccRetryProb = 0.35;
+
+/** Most cycles (flap) or stalls (ECC) one periodic fault may expand to
+ *  (expected, durationSec / periodSec); each is a record and events. */
+constexpr double kMaxPeriodicEvents = 1e6;
 
 /** Open-ended interval sentinel in FaultRecord::endSec. */
 constexpr double kOpenEnded = -1.0;
@@ -37,25 +42,49 @@ addFaultProblems(std::vector<std::string>& problems, std::size_t index,
     double start = spec.startSec;
     double duration = spec.durationSec;
     double m = spec.magnitude;
-    require(std::isfinite(start) && start >= 0.0,
-            "startSec must be finite and >= 0 (got ", start, ")");
-    require(std::isfinite(duration) && duration >= 0.0,
-            "durationSec must be finite and >= 0 (got ", duration, ")");
+    bool start_ok = std::isfinite(start) && start >= 0.0;
+    bool duration_ok = std::isfinite(duration) && duration >= 0.0;
+    require(start_ok, "startSec must be finite and >= 0 (got ", start, ")");
+    require(duration_ok, "durationSec must be finite and >= 0 (got ",
+            duration, ")");
+    bool window_fits = start_ok && duration_ok &&
+                       sim::fitsTick(start + duration);
+    require(!start_ok || !duration_ok || window_fits,
+            "startSec + durationSec (", start + duration,
+            " s) does not fit the event clock (1.8e10 s)");
+    // Past the window apply() schedules a fail-stop's restart cost and
+    // an ECC stall's longest retry chain.
+    double tail = spec.kind == FaultKind::GpuFailStop ? m
+                  : spec.kind == FaultKind::EccStall
+                      ? m * (std::pow(2.0, kMaxEccRetries) - 1.0)
+                      : 0.0;
+    require(!window_fits || !(tail > 0.0 && std::isfinite(tail)) ||
+                sim::fitsTick(start + duration + tail),
+            "magnitude (", m, " s) puts a ", tail,
+            " s stall or restart past startSec + durationSec, beyond the "
+            "event clock (1.8e10 s)");
     bool link = spec.kind == FaultKind::LinkDerate ||
                 spec.kind == FaultKind::LinkFlap;
     int targets = link ? num_links : num_gpus;
     require(spec.target >= 0 && spec.target < targets, "target ",
             spec.target, " is not one of the cluster's ", targets,
             link ? " links" : " GPUs");
-    bool periodic = spec.periodSec > 0.0 && duration > 0.0;
-    const char* needs_period = "needs periodSec > 0 and durationSec > 0";
+    auto require_periodic = [&] {
+        bool periodic = spec.periodSec > 0.0 && duration > 0.0;
+        require(periodic, "needs periodSec > 0 and durationSec > 0");
+        double cycles = duration / spec.periodSec;
+        require(!periodic || cycles <= kMaxPeriodicEvents, "durationSec (",
+                duration, " s) over periodSec (", spec.periodSec,
+                " s) expands to ~", cycles, " events, over the cap of ",
+                kMaxPeriodicEvents);
+    };
     switch (spec.kind) {
       case FaultKind::GpuSlowdown:
         require(m > 0.0 && m < 1.0, "magnitude must be in (0, 1) (got ", m,
                 ")");
         break;
       case FaultKind::LinkFlap:
-        require(periodic, needs_period);
+        require_periodic();
         require(spec.dutyCycle > 0.0 && spec.dutyCycle < 1.0,
                 "dutyCycle must be in (0, 1) (got ", spec.dutyCycle, ")");
         [[fallthrough]];
@@ -69,7 +98,7 @@ addFaultProblems(std::vector<std::string>& problems, std::size_t index,
                 ")");
         break;
       case FaultKind::EccStall:
-        require(periodic, needs_period);
+        require_periodic();
         [[fallthrough]];
       case FaultKind::GpuFailStop:
       case FaultKind::HotInlet:

@@ -5,18 +5,30 @@
 namespace charllm {
 namespace model {
 
+void
+addModelProblems(Problems& problems, const TransformerConfig& m)
+{
+    require(problems,
+            m.numLayers > 0 && m.hiddenSize > 0 && m.numHeads > 0 &&
+                m.seqLength > 0,
+            "model numLayers, hiddenSize, numHeads and seqLength must be "
+            "positive (got ", m.numLayers, ", ", m.hiddenSize, ", ",
+            m.numHeads, ", ", m.seqLength, ")");
+    require(problems,
+            m.numQueryGroups > 0 && m.numHeads % m.numQueryGroups == 0,
+            "model numQueryGroups (", m.numQueryGroups,
+            ") must divide numHeads (", m.numHeads, ")");
+    require(problems, !m.isMoe() || (m.topK > 0 && m.topK <= m.numExperts),
+            "MoE topK (", m.topK, ") must be in 1..numExperts (",
+            m.numExperts, ")");
+}
+
 ModelAnalytics::ModelAnalytics(const TransformerConfig& config)
     : cfg(config)
 {
-    CHARLLM_ASSERT(cfg.numLayers > 0 && cfg.hiddenSize > 0 &&
-                       cfg.numHeads > 0 && cfg.seqLength > 0,
-                   "incomplete TransformerConfig: ", cfg.name);
-    CHARLLM_ASSERT(cfg.numQueryGroups > 0 &&
-                       cfg.numHeads % cfg.numQueryGroups == 0,
-                   "GQA groups must divide heads");
-    if (cfg.isMoe())
-        CHARLLM_ASSERT(cfg.topK > 0 && cfg.topK <= cfg.numExperts,
-                       "invalid MoE topK");
+    Problems problems;
+    addModelProblems(problems, cfg);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
 }
 
 double

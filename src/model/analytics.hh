@@ -9,10 +9,14 @@
 #ifndef CHARLLM_MODEL_ANALYTICS_HH
 #define CHARLLM_MODEL_ANALYTICS_HH
 
+#include "common/logging.hh"
 #include "model/transformer_config.hh"
 
 namespace charllm {
 namespace model {
+
+/** Append to @p problems each shape range of @p config it breaks. */
+void addModelProblems(Problems& problems, const TransformerConfig& config);
 
 /**
  * Closed-form per-model quantities. FLOPs use the 2*MACs convention;

@@ -18,9 +18,18 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "parallel/parallel_config.hh"
 
 namespace charllm {
 namespace parallel {
+
+/** Append to @p problems a line if a DP width of @p dp cannot shrink. */
+inline void
+addElasticProblems(Problems& problems, int dp)
+{
+    require(problems, dp >= 2, "elastic DP shrink requires dp >= 2 (got dp=",
+            dp, "): a single replica cannot shrink");
+}
 
 class ElasticWorld
 {
@@ -35,17 +44,14 @@ class ElasticWorld
      */
     ElasticWorld(int dp, int global_batch, int microbatch_size,
                  bool rebalance_batch)
-        : dead(static_cast<std::size_t>(dp), 0), dpWidth(dp),
+        : dead(static_cast<std::size_t>(std::max(dp, 0)), 0), dpWidth(dp),
           globalBatch(global_batch), microbatch(microbatch_size),
           rebalanceBatch(rebalance_batch)
     {
-        CHARLLM_ASSERT(dp >= 2, "elastic shrink needs dp >= 2, got ",
-                       dp);
-        CHARLLM_ASSERT(global_batch % dp == 0 &&
-                           (global_batch / dp) % microbatch_size == 0,
-                       "global batch ", global_batch,
-                       " does not divide into dp=", dp,
-                       " replicas of microbatch ", microbatch_size);
+        Problems problems;
+        addElasticProblems(problems, dp);
+        addBatchProblems(problems, dp, global_batch, microbatch_size);
+        CHARLLM_ASSERT(problems.empty(), problems.front());
     }
 
     int dpSize() const { return dpWidth; }

@@ -14,15 +14,26 @@ constexpr double kAdamBytes = 12.0; // fp32 momentum + variance + master
 constexpr double kBaseWorkspace = 3.0e9; // CUDA ctx, cuDNN, NCCL, frag
 } // namespace
 
+void
+addExpertProblems(Problems& problems,
+                  const model::TransformerConfig& model_config,
+                  const ParallelConfig& par)
+{
+    require(problems,
+            !par.positiveWidths() || !model_config.isMoe() ||
+                model_config.numExperts % par.ep == 0,
+            "ep (", par.ep, ") must divide the expert count (",
+            model_config.numExperts, ")");
+}
+
 MemoryPlanner::MemoryPlanner(const model::TransformerConfig& model_config,
                              const ParallelConfig& parallel_config)
     : analytics(model_config), par(parallel_config)
 {
     par.validate();
-    if (model_config.isMoe()) {
-        CHARLLM_ASSERT(model_config.numExperts % par.ep == 0,
-                       "experts must divide ep");
-    }
+    Problems problems;
+    addExpertProblems(problems, model_config, par);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
 }
 
 int

@@ -43,6 +43,11 @@ struct MemoryOptions
     bool inference = false; //!< no gradients/optimizer/backward stash
 };
 
+/** Append to @p problems a line if ep does not divide the experts. */
+void addExpertProblems(Problems& problems,
+                       const model::TransformerConfig& model_config,
+                       const ParallelConfig& par);
+
 /**
  * Computes the worst-stage per-GPU footprint of a (model, parallelism)
  * pair.

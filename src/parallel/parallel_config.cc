@@ -24,15 +24,39 @@ ParallelConfig::label() const
 }
 
 void
+addParallelProblems(Problems& problems, const ParallelConfig& par)
+{
+    bool widths = par.positiveWidths();
+    require(problems, widths, "parallel widths must be positive (tp=",
+            par.tp, " pp=", par.pp, " dp=", par.dp, " ep=", par.ep, ")");
+    require(problems, !widths || par.dp % par.ep == 0, "ep (", par.ep,
+            ") must divide dp (", par.dp, ")");
+    require(problems, !par.fsdp || par.pp == 1,
+            "FSDP configs use pp == 1 (got pp=", par.pp, ")");
+}
+
+void
+addBatchProblems(Problems& problems, int dp, int global_batch,
+                 int microbatch_size)
+{
+    if (dp < 1)
+        return;
+    bool split = global_batch >= 1 && global_batch % dp == 0;
+    require(problems, split, "global batch (", global_batch,
+            ") not a positive multiple of dp (", dp, ")");
+    int replica = global_batch / dp;
+    require(problems,
+            !split || (microbatch_size >= 1 && replica % microbatch_size == 0),
+            "replica batch (", replica,
+            ") not divisible by microbatch size (", microbatch_size, ")");
+}
+
+void
 ParallelConfig::validate() const
 {
-    CHARLLM_ASSERT(tp >= 1 && pp >= 1 && dp >= 1 && ep >= 1,
-                   "non-positive parallel width");
-    CHARLLM_ASSERT(dp % ep == 0,
-                   "expert parallelism (", ep,
-                   ") must divide data parallelism (", dp, ")");
-    if (fsdp)
-        CHARLLM_ASSERT(pp == 1, "FSDP configs use pp == 1");
+    Problems problems;
+    addParallelProblems(problems, *this);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
 }
 
 ParallelConfig

@@ -10,6 +10,8 @@
 
 #include <string>
 
+#include "common/logging.hh"
+
 namespace charllm {
 namespace parallel {
 
@@ -28,10 +30,17 @@ struct ParallelConfig
 
     int worldSize() const { return tp * dp * pp; }
 
+    /** Every width is at least one (a check dividing by one needs it). */
+    bool
+    positiveWidths() const
+    {
+        return tp >= 1 && pp >= 1 && dp >= 1 && ep >= 1;
+    }
+
     /** Paper-style label, e.g. "EP8-TP1-PP4" or "TP8-FSDP4". */
     std::string label() const;
 
-    /** Validate divisibility constraints; fatal on violation. */
+    /** Assert that addParallelProblems finds nothing. */
     void validate() const;
 
     /**
@@ -41,6 +50,14 @@ struct ParallelConfig
     static ParallelConfig forWorld(int world_size, int tp, int pp,
                                    int ep = 1, bool fsdp = false);
 };
+
+/** Append to @p problems each range of @p par it breaks. */
+void addParallelProblems(Problems& problems, const ParallelConfig& par);
+
+/** Append to @p problems each way @p global_batch fails to split into
+ *  @p dp replicas of whole microbatches (silent for dp < 1). */
+void addBatchProblems(Problems& problems, int dp, int global_batch,
+                      int microbatch_size);
 
 } // namespace parallel
 } // namespace charllm

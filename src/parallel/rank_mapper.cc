@@ -1,11 +1,32 @@
 #include "parallel/rank_mapper.hh"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/logging.hh"
 
 namespace charllm {
 namespace parallel {
+
+void
+addPermutationProblems(Problems& problems, const std::vector<int>& perm,
+                       const ParallelConfig& par)
+{
+    // In double: exact below 2^53, and no overflow on absurd widths.
+    const double world = 1.0 * par.tp * par.dp * par.pp;
+    bool sized = static_cast<double>(perm.size()) == world;
+    require(problems, sized, "devicePermutation has ", perm.size(),
+            " entries for a world of ", world);
+    if (!sized || perm.empty())
+        return;
+    std::vector<int> ids = perm;
+    std::sort(ids.begin(), ids.end());
+    require(problems,
+            ids.front() == 0 && ids.back() == world - 1 &&
+                std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+            "devicePermutation is not a permutation of devices 0..",
+            world - 1);
+}
 
 RankMapper::RankMapper(const ParallelConfig& config) : cfg(config)
 {
@@ -18,19 +39,14 @@ RankMapper::RankMapper(const ParallelConfig& config) : cfg(config)
 void
 RankMapper::setDevicePermutation(std::vector<int> perm)
 {
-    CHARLLM_ASSERT(static_cast<int>(perm.size()) == cfg.worldSize(),
-                   "permutation size mismatch");
+    Problems problems;
+    addPermutationProblems(problems, perm, cfg);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
     devicePerm = std::move(perm);
     deviceRank.assign(devicePerm.size(), -1);
-    for (std::size_t r = 0; r < devicePerm.size(); ++r) {
-        int dev = devicePerm[r];
-        CHARLLM_ASSERT(dev >= 0 && dev < cfg.worldSize() &&
-                           deviceRank[static_cast<std::size_t>(dev)] ==
-                               -1,
-                       "invalid device permutation");
-        deviceRank[static_cast<std::size_t>(dev)] =
+    for (std::size_t r = 0; r < devicePerm.size(); ++r)
+        deviceRank[static_cast<std::size_t>(devicePerm[r])] =
             static_cast<int>(r);
-    }
     ++placementChanges;
 }
 

@@ -31,6 +31,11 @@ struct RankCoords
     }
 };
 
+/** Append to @p problems a line if @p perm does not permute @p par's
+ *  devices (O(n log n), one copy of @p perm). */
+void addPermutationProblems(Problems& problems, const std::vector<int>& perm,
+                            const ParallelConfig& par);
+
 /**
  * Maps logical ranks to devices and enumerates communication groups.
  * An optional device permutation supports thermal-aware placement

@@ -9,19 +9,33 @@
 namespace charllm {
 namespace resil {
 
+void
+addCheckpointProblems(Problems& problems, Bytes rank_state,
+                      const StoragePath& path, int gpus_per_node,
+                      int world_size)
+{
+    require(problems, rank_state.value() > 0.0,
+            "a checkpoint needs a positive rank state (got ",
+            rank_state.value(), " bytes)");
+    require(problems, gpus_per_node >= 1 && world_size >= 1,
+            "a checkpoint needs >= 1 GPU per node and in the world (got ",
+            gpus_per_node, " and ", world_size, ")");
+    require(problems,
+            path.storeBw.value() > 0.0 && path.pcieBw.value() > 0.0 &&
+                path.nicBw.value() > 0.0,
+            "checkpoint.storeGBps and the PCIe and NIC bandwidths must be "
+            "positive (got ", path.storeBw.value() / 1e9, " GB/s)");
+}
+
 CheckpointModel::CheckpointModel(Bytes rank_state,
                                  const StoragePath& storage_path,
                                  int gpus_per_node, int world_size)
     : state(rank_state), path(storage_path),
       gpusPerNode(gpus_per_node), worldSize(world_size)
 {
-    CHARLLM_ASSERT(state.value() > 0.0, "empty checkpoint state");
-    CHARLLM_ASSERT(gpusPerNode >= 1 && worldSize >= 1,
-                   "bad cluster shape: ", gpusPerNode, "x", worldSize);
-    CHARLLM_ASSERT(path.pcieBw.value() > 0.0 &&
-                       path.nicBw.value() > 0.0 &&
-                       path.storeBw.value() > 0.0,
-                   "storage path needs positive bandwidths");
+    Problems problems;
+    addCheckpointProblems(problems, state, path, gpusPerNode, worldSize);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
 }
 
 Bytes

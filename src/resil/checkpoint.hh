@@ -43,6 +43,12 @@ struct CheckpointPolicy
     double storeGBps = 100.0;
 };
 
+/** Append to @p problems each range CheckpointModel needs of its
+ *  arguments. */
+void addCheckpointProblems(Problems& problems, Bytes rank_state,
+                           const StoragePath& path, int gpus_per_node,
+                           int world_size);
+
 /**
  * Cost model for one (model, parallelism, storage path) combination.
  * Pure arithmetic — all scheduling lives in RecoveryManager.
@@ -58,6 +64,8 @@ class CheckpointModel
     static Bytes rankStateBytes(const model::TransformerConfig& m,
                                 const parallel::ParallelConfig& par,
                                 const parallel::MemoryOptions& opts);
+
+    const StoragePath& storagePath() const { return path; }
 
     /** Per-rank bottleneck bandwidth along the storage path: all
      *  ranks write concurrently, so the NIC splits per node and the

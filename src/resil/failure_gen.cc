@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "sim/event_queue.hh"
 
 namespace charllm {
 namespace resil {
@@ -74,6 +77,67 @@ domainCount(int num_nodes, int nodes_per_domain)
 
 } // namespace
 
+void
+addExpansionProblems(Problems& problems, const char* name, double mean_sec,
+                     int components, double horizon_sec)
+{
+    double entries = horizon_sec / mean_sec * components;
+    require(problems,
+            !(mean_sec > 0.0) || !std::isfinite(horizon_sec) ||
+                entries <= kMaxScheduleEntries,
+            name, " (", mean_sec, " s) over resilience.horizonSec (",
+            horizon_sec, " s) expands to ~", entries,
+            " schedule entries, over the cap of ", kMaxScheduleEntries);
+}
+
+void
+addHorizonProblems(Problems& problems, double horizon_sec)
+{
+    require(problems, horizon_sec > 0.0,
+            "resilience.horizonSec must be positive (got ", horizon_sec,
+            ")");
+    require(problems, !std::isinf(horizon_sec),
+            "resilience.horizonSec must be finite (got ", horizon_sec, ")");
+    require(problems,
+            !(horizon_sec > 0.0) || std::isinf(horizon_sec) ||
+                sim::fitsTick(horizon_sec),
+            "resilience.horizonSec (", horizon_sec,
+            " s) does not fit the event clock (1.8e10 s)");
+}
+
+void
+addFailureProblems(Problems& problems, const MtbfProfile& profile,
+                   int num_gpus, int num_nodes, double horizon_sec)
+{
+    require(problems, num_gpus >= 1 && num_nodes >= 1,
+            "a failure schedule needs >= 1 GPU and node (got ", num_gpus,
+            " GPUs, ", num_nodes, " nodes)");
+    const std::pair<const char*, double> mtbfs[] = {
+        {"mtbf.gpuMtbfSec", profile.gpuMtbfSec},
+        {"mtbf.linkMtbfSec", profile.linkMtbfSec},
+        {"mtbf.nodeMtbfSec", profile.nodeMtbfSec},
+        {"mtbf.switchMtbfSec", profile.switchMtbfSec},
+        {"mtbf.pduMtbfSec", profile.pduMtbfSec},
+    };
+    // NaN passes every "<= 0 disables" test downstream.
+    for (const auto& [name, mtbf] : mtbfs)
+        require(problems, !std::isnan(mtbf), name, " must not be NaN");
+    require(problems,
+            (profile.switchMtbfSec <= 0.0 || profile.nodesPerSwitch >= 1) &&
+                (profile.pduMtbfSec <= 0.0 || profile.nodesPerPdu >= 1),
+            "mtbf failure domains need >= 1 node");
+    // About horizon / mean entries per component covered.
+    auto domains = [num_nodes](int per_domain) {
+        return per_domain >= 1 ? domainCount(num_nodes, per_domain) : 0;
+    };
+    const int components[] = {num_gpus, num_nodes, num_nodes,
+                              domains(profile.nodesPerSwitch),
+                              domains(profile.nodesPerPdu)};
+    for (std::size_t i = 0; i < std::size(mtbfs); ++i)
+        addExpansionProblems(problems, mtbfs[i].first, mtbfs[i].second,
+                             components[i], horizon_sec);
+}
+
 double
 MtbfProfile::clusterFatalMtbfSec(int num_gpus, int num_nodes) const
 {
@@ -98,10 +162,11 @@ FailureGenerator::generate(const MtbfProfile& profile, int num_gpus,
                            int num_nodes, Seconds horizon,
                            std::uint64_t seed)
 {
-    CHARLLM_ASSERT(num_gpus >= 1 && num_nodes >= 1,
-                   "bad cluster shape: ", num_gpus, " gpus / ",
-                   num_nodes, " nodes");
-    CHARLLM_ASSERT(horizon.value() > 0.0, "non-positive failure horizon");
+    Problems problems;
+    addHorizonProblems(problems, horizon.value());
+    addFailureProblems(problems, profile, num_gpus, num_nodes,
+                       horizon.value());
+    CHARLLM_ASSERT(problems.empty(), problems.front());
     std::vector<FailureEvent> events;
     if (profile.empty())
         return events;
@@ -137,9 +202,6 @@ FailureGenerator::generate(const MtbfProfile& profile, int num_gpus,
                              int nodes_per_domain) {
         if (mtbf <= 0.0)
             return;
-        CHARLLM_ASSERT(nodes_per_domain >= 1,
-                       "failure domains need >= 1 node, got ",
-                       nodes_per_domain);
         std::size_t first_event = events.size();
         int domains = domainCount(num_nodes, nodes_per_domain);
         for (int d = 0; d < domains; ++d) {

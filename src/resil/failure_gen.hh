@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/quantity.hh"
 
 namespace charllm {
@@ -84,6 +85,25 @@ struct MtbfProfile
      */
     double clusterFatalMtbfSec(int num_gpus, int num_nodes) const;
 };
+
+/** Most expected entries of one failure class's or the depot's
+ *  schedule; the benches reach about 21,000, a few dozen bytes each. */
+constexpr double kMaxScheduleEntries = 1e6;
+
+/** Append to @p problems a line if @p components draws of mean
+ *  @p mean_sec over @p horizon_sec pass kMaxScheduleEntries. */
+void addExpansionProblems(Problems& problems, const char* name,
+                          double mean_sec, int components,
+                          double horizon_sec);
+
+/** Append to @p problems each range of the horizon it breaks. */
+void addHorizonProblems(Problems& problems, double horizon_sec);
+
+/** Append to @p problems each range FailureGenerator::generate needs of
+ *  @p profile on the cluster shape over @p horizon_sec, past the
+ *  horizon's own. */
+void addFailureProblems(Problems& problems, const MtbfProfile& profile,
+                        int num_gpus, int num_nodes, double horizon_sec);
 
 class FailureGenerator
 {

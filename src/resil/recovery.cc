@@ -1,6 +1,7 @@
 #include "resil/recovery.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -29,6 +30,48 @@ SparePool::replenishSchedule(Seconds horizon,
     return arrivals;
 }
 
+void
+addRecoveryProblems(Problems& problems, double interval_sec,
+                    double quiesce_sec, const RecoveryConfig& config,
+                    double horizon_sec)
+{
+    double replenish = config.spares.replenishMean.value();
+    require(problems, !std::isnan(interval_sec),
+            "checkpoint.intervalSec must not be NaN");
+    require(problems, !std::isnan(replenish),
+            "recovery.spares.replenishMean must not be NaN");
+    addExpansionProblems(problems, "recovery.spares.replenishMean",
+                         replenish, 1, horizon_sec);
+    require(problems, quiesce_sec >= 0.0 && std::isfinite(quiesce_sec),
+            "checkpoint.quiesceSec must be finite and >= 0 (got ",
+            quiesce_sec, ")");
+    require(problems, config.spares.capacity >= 0,
+            "recovery.spares.capacity must be >= 0 (got ",
+            config.spares.capacity, ")");
+}
+
+void
+addCheckpointClockProblems(Problems& problems, const CheckpointModel& ckpt,
+                           bool async, double quiesce_sec,
+                           double horizon_sec)
+{
+    double write = ckpt.writeSeconds().value();
+    bool write_fits = sim::fitsTick(write);
+    require(problems, write_fits, "a checkpoint write of ", write,
+            " s (checkpoint.storeGBps ",
+            ckpt.storagePath().storeBw.value() / 1e9,
+            ") does not fit the event clock (1.8e10 s)");
+    // The latest commit startCheckpointPause schedules: a write started
+    // at the horizon, after an async checkpoint's quiesce.
+    double quiesce = async ? quiesce_sec : 0.0;
+    require(problems,
+            !write_fits || sim::fitsTick(horizon_sec + quiesce + write),
+            async ? "an async" : "a sync", " checkpoint.quiesceSec of ",
+            quiesce, " s plus its ", write,
+            " s write past resilience.horizonSec (", horizon_sec,
+            " s) does not fit the event clock (1.8e10 s)");
+}
+
 RecoveryManager::RecoveryManager(sim::Simulator& simulator,
                                  hw::Platform& platform,
                                  net::FlowNetwork& netw,
@@ -45,11 +88,17 @@ RecoveryManager::RecoveryManager(sim::Simulator& simulator,
       plan(std::move(schedule)), horizonSec(horizon.value()),
       scheduleSeed(seed)
 {
+    Problems problems;
+    addHorizonProblems(problems, horizonSec);
+    addRecoveryProblems(problems, ckptIntervalSec, quiesceSec, cfg,
+                        horizonSec);
+    addCheckpointClockProblems(problems, ckpt, ckptAsync, quiesceSec,
+                               horizonSec);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
+    // The config's interval (<= 0 selects Young/Daly) arrives resolved.
     CHARLLM_ASSERT(ckptIntervalSec > 0.0,
                    "checkpoint interval must be positive (use "
                    "youngDalyInterval or an explicit value)");
-    CHARLLM_ASSERT(cfg.spares.capacity >= 0, "negative spare capacity");
-    CHARLLM_ASSERT(horizonSec > 0.0, "non-positive failure horizon");
     sparesFree = cfg.spares.capacity;
     // The depot's arrival stream is salted off the failure-schedule
     // seed so pool economics and fault timing stay independent draws.
@@ -660,13 +709,14 @@ RecoveryManager::finalize(
     const std::vector<std::vector<telemetry::Sample>>& series) const
 {
     CHARLLM_ASSERT(runDone, "finalize before the run completed");
-    CHARLLM_CHECK(wallEnd <= horizonSec + 1e-9,
-                  "failure-schedule horizon (", horizonSec,
-                  " s) is shorter than the run (", wallEnd,
-                  " s): failures past the horizon were never "
-                  "generated, so the tail of the run is silently "
-                  "failure-free — raise ResilienceConfig::horizonSec "
-                  "to cover the full run");
+    // A config error only the finished run can show.
+    if (wallEnd > horizonSec + 1e-9)
+        CHARLLM_FATAL("resilience.horizonSec (", horizonSec,
+                      " s) is shorter than the run (", wallEnd,
+                      " s): failures past the horizon were never "
+                      "generated, so the tail of the run would be "
+                      "silently failure-free; raise it to cover the "
+                      "full run");
     ResilienceStats stats = runStats;
     for (const auto& span : engine.iterationSpans()) {
         if (span.aborted)

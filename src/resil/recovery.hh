@@ -142,13 +142,25 @@ struct ResilienceConfig
     bool enabled = false;
     std::uint64_t seed = 0x5eed0fa1u;
     /** Failure-schedule horizon; must cover the simulated run
-     *  (RecoveryManager::finalize hard-checks it — a shorter horizon
-     *  would silently under-count late failures). */
+     *  (RecoveryManager::finalize exits with a message otherwise: a
+     *  shorter horizon would silently under-count late failures). */
     double horizonSec = 3600.0;
     MtbfProfile mtbf;
     CheckpointPolicy checkpoint;
     RecoveryConfig recovery;
 };
+
+/** Append to @p problems each range RecoveryManager needs of its
+ *  checkpoint cadence and @p config, past the horizon's own. */
+void addRecoveryProblems(Problems& problems, double interval_sec,
+                         double quiesce_sec, const RecoveryConfig& config,
+                         double horizon_sec);
+
+/** Append to @p problems a line if a checkpoint started at the horizon
+ *  cannot commit within the event clock. */
+void addCheckpointClockProblems(Problems& problems,
+                                const CheckpointModel& ckpt, bool async,
+                                double quiesce_sec, double horizon_sec);
 
 /**
  * Drives one engine run. Construct after the TrainingEngine (the

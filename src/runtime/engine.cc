@@ -44,8 +44,10 @@ TrainingEngine::TrainingEngine(hw::Platform& platform,
     : plat(platform), network(netw), coll(collectives),
       builder(program_builder), opts(options)
 {
-    CHARLLM_ASSERT(opts.measuredIterations >= 1,
-                   "need at least one measured iteration");
+    Problems problems;
+    addIterationProblems(problems, opts.warmupIterations,
+                         opts.measuredIterations);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
     plat.setClockListener([this](int dev, ClockRel clk) {
         onClockChange(dev, clk);
     });

@@ -31,6 +31,12 @@ struct EngineOptions
     int measuredIterations = 3;
 };
 
+/** Append to @p problems each iteration count TrainingEngine rejects.
+ *  Defined in program_builder.cc: in engine.cc its message code would
+ *  cost the event-queue calls there their inlining. */
+void addIterationProblems(Problems& problems, int warmup_iterations,
+                          int measured_iterations);
+
 /** One executed training iteration (attempt) on the simulated clock. */
 struct IterationSpan
 {

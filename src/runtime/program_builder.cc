@@ -87,6 +87,65 @@ gradSyncKind(bool zero1)
 
 } // namespace
 
+void
+addScheduleProblems(Problems& problems,
+                    const model::TransformerConfig& model_config,
+                    const parallel::ParallelConfig& par,
+                    const TrainOptions& options)
+{
+    const bool widths = par.positiveWidths();
+    const int layers = model_config.numLayers;
+    std::size_t before = problems.size();
+    parallel::addBatchProblems(problems, par.dp, options.globalBatchSize,
+                               options.microbatchSize);
+    // The microbatch count is defined once the batch splits.
+    const bool split = widths && problems.size() == before;
+    int microbatches =
+        split ? options.globalBatchSize / par.dp / options.microbatchSize
+              : 0;
+    const std::vector<int>& stages = options.stageLayers;
+    long long layer_sum = 0;
+    int fewest = 0;
+    for (int l : stages) {
+        layer_sum += l;
+        fewest = std::min(fewest, l);
+    }
+    require(problems, fewest >= 0,
+            "stageLayers must not be negative (got ", fewest, ")");
+    require(problems,
+            stages.empty() || (static_cast<int>(stages.size()) == par.pp &&
+                               layer_sum == layers),
+            "stageLayers must give pp (", par.pp,
+            ") stages summing to numLayers (", layers, ")");
+    int v = options.virtualStages;
+    if (v > 1) {
+        require(problems, par.pp > 1,
+                "interleaved scheduling (virtualStages > 1) needs pp > 1");
+        require(problems, stages.empty(),
+                "interleaving is incompatible with asymmetric stageLayers");
+        require(problems, !options.inference,
+                "interleaving applies to training pipelines, not inference");
+        require(problems, !widths || layers % (1LL * par.pp * v) == 0,
+                "pp * virtualStages (", 1LL * par.pp * v,
+                ") must divide numLayers (", layers, ")");
+        require(problems, !split || microbatches % par.pp == 0,
+                "interleaved 1F1B needs the microbatch count (",
+                microbatches, ") divisible by pp (", par.pp, ")");
+    }
+    parallel::addExpertProblems(problems, model_config, par);
+}
+
+void
+addIterationProblems(Problems& problems, int warmup_iterations,
+                     int measured_iterations)
+{
+    require(problems, warmup_iterations >= 0,
+            "warmupIterations must be >= 0 (got ", warmup_iterations, ")");
+    require(problems, measured_iterations >= 1,
+            "measuredIterations must be >= 1 (got ", measured_iterations,
+            ")");
+}
+
 ProgramBuilder::ProgramBuilder(
     const model::TransformerConfig& model_config,
     const parallel::RankMapper& mapper, const TrainOptions& options)
@@ -94,53 +153,17 @@ ProgramBuilder::ProgramBuilder(
       opts(options)
 {
     const auto& par = map.config();
-    int per_replica = opts.globalBatchSize / par.dp;
-    CHARLLM_ASSERT(opts.globalBatchSize % par.dp == 0,
-                   "global batch not divisible by dp");
-    CHARLLM_ASSERT(per_replica % opts.microbatchSize == 0,
-                   "replica batch ", per_replica,
-                   " not divisible by microbatch ", opts.microbatchSize);
-    microbatches = per_replica / opts.microbatchSize;
-    CHARLLM_ASSERT(microbatches >= 1, "need at least one microbatch");
+    Problems problems;
+    addScheduleProblems(problems, cfg, par, opts);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
+    microbatches = opts.globalBatchSize / par.dp / opts.microbatchSize;
     tokensPerMicrobatch =
         static_cast<double>(opts.microbatchSize) * cfg.seqLength;
-    if (!opts.stageLayers.empty()) {
-        CHARLLM_ASSERT(static_cast<int>(opts.stageLayers.size()) ==
-                           par.pp,
-                       "stageLayers size must equal pp");
-        int sum = 0;
-        for (int l : opts.stageLayers)
-            sum += l;
-        CHARLLM_ASSERT(sum == cfg.numLayers,
-                       "stageLayers must sum to numLayers");
-    }
-    if (cfg.isMoe())
-        CHARLLM_ASSERT(cfg.numExperts % par.ep == 0,
-                       "experts not divisible by ep");
-    // The planner checks nothing the mapper and the asserts above have
-    // not, so every builder can hold its stages' parameter bytes.
     parallel::MemoryPlanner planner(cfg, par);
     stageParams.reserve(static_cast<std::size_t>(par.pp));
     for (int stage = 0; stage < par.pp; ++stage)
         stageParams.push_back(
             Bytes(planner.paramsPerGpu(stage) * kElemBytes));
-    int v = std::max(opts.virtualStages, 1);
-    if (v > 1) {
-        CHARLLM_ASSERT(par.pp > 1,
-                       "interleaved scheduling needs pp > 1");
-        CHARLLM_ASSERT(opts.stageLayers.empty(),
-                       "interleaving is incompatible with asymmetric "
-                       "stage layers");
-        CHARLLM_ASSERT(cfg.numLayers % (par.pp * v) == 0,
-                       "layers (", cfg.numLayers,
-                       ") must divide pp*v (", par.pp * v, ")");
-        CHARLLM_ASSERT(microbatches % par.pp == 0,
-                       "interleaved 1F1B needs microbatch count (",
-                       microbatches, ") divisible by pp (", par.pp,
-                       ")");
-        CHARLLM_ASSERT(!opts.inference,
-                       "interleaving applies to training pipelines");
-    }
 }
 
 double

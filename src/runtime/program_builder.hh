@@ -23,6 +23,13 @@
 namespace charllm {
 namespace runtime {
 
+/** Append to @p problems each way the schedule @p options asks of
+ *  @p model_config on @p par cannot be built. */
+void addScheduleProblems(Problems& problems,
+                         const model::TransformerConfig& model_config,
+                         const parallel::ParallelConfig& par,
+                         const TrainOptions& options);
+
 /**
  * Program construction. One builder per experiment; build() is called
  * once per iteration when the program varies by iteration (MoE

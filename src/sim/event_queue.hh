@@ -45,22 +45,33 @@ using Tick = std::uint64_t;
 /** One simulated second, in ticks. */
 constexpr Tick kTicksPerSecond = 1'000'000'000ULL;
 
+/** Fewest ticks in a Simulator::every period. */
+constexpr Tick kMinPeriodTicks = 1;
+
+/** The one range test of simulated time: whether toTicks(@p seconds)
+ *  is defined (a Tick holds ~1.8e10 s) and at least @p min_ticks. */
+constexpr bool
+fitsTick(double seconds, Tick min_ticks = 0)
+{
+    // 2^64 ns: the first value a Tick cannot hold. NaN fails every
+    // comparison, +inf the second.
+    constexpr double kTickLimitNs = 18446744073709551616.0;
+    const double ns = seconds * 1e9 + 0.5;
+    return seconds >= 0.0 && ns < kTickLimitNs &&
+           static_cast<Tick>(ns) >= min_ticks;
+}
+
 /**
- * Convert floating-point seconds to ticks (rounding to nearest). A
- * negative, non-finite or too large input (a Tick holds ~1.8e10 s) is
- * a fault reported here, with the value, not a wrapped time.
+ * Convert floating-point seconds to ticks (rounding to nearest). An
+ * input fitsTick rejects is a fault reported here, with the value.
  */
 inline Tick
 toTicks(double seconds)
 {
-    // 2^64 ns: the first value a Tick cannot hold. NaN fails both
-    // comparisons, +inf the second.
-    constexpr double kTickLimitNs = 18446744073709551616.0;
-    const double ns = seconds * 1e9 + 0.5;
-    CHARLLM_ASSERT(seconds >= 0.0 && ns < kTickLimitNs,
+    CHARLLM_ASSERT(fitsTick(seconds),
                    "time outside a Tick's range [0, 1.8e10 s]: ", seconds,
                    " s");
-    return static_cast<Tick>(ns);
+    return static_cast<Tick>(seconds * 1e9 + 0.5);
 }
 
 /** @p now + @p delay, checked: a sum past Tick's range is a fault. */

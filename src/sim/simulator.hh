@@ -175,7 +175,8 @@ class Simulator
     void
     every(Tick period, EventFn fn, TickerSkip* skip = nullptr)
     {
-        CHARLLM_ASSERT(period > 0, "ticker period must be positive");
+        CHARLLM_ASSERT(period >= kMinPeriodTicks,
+                       "ticker period must be at least one tick");
         tickers.push_back(std::make_unique<Ticker>(
             Ticker{period, std::move(fn), skip}));
         armTicker(tickers.back().get(), period);
@@ -345,9 +346,13 @@ class Simulator
             // Re-arm only while non-ticker work remains; otherwise
             // tickers would keep the simulation (and each other)
             // alive forever. A skipped firing would decide the same:
-            // nothing else runs before it.
-            if (totalPending() > pendingTickerEvents)
-                armTicker(t, t->period * (1 + fastForward(*t)));
+            // nothing else runs before it. A firing past the clock's
+            // end never comes: everything else is due before it.
+            if (totalPending() > pendingTickerEvents) {
+                Tick delay = t->period * (1 + fastForward(*t));
+                if (delay <= std::numeric_limits<Tick>::max() - now())
+                    armTicker(t, delay);
+            }
         });
     }
 

@@ -1,18 +1,30 @@
 #include "telemetry/sampler.hh"
 
 #include "common/logging.hh"
+#include "sim/event_queue.hh"
 
 namespace charllm {
 namespace telemetry {
+
+void
+addSamplerProblems(Problems& problems, double period_sec,
+                   std::size_t max_samples_per_gpu)
+{
+    require(problems, sim::fitsTick(period_sec, sim::kMinPeriodTicks),
+            "samplePeriodSec must be positive: one tick (1 ns) to a "
+            "Tick's range (1.8e10 s) (got ", period_sec, ")");
+    require(problems, max_samples_per_gpu != 1,
+            "maxSamplesPerGpu must be 0 (unbounded) or >= 2");
+}
 
 Sampler::Sampler(hw::Platform& platform, net::FlowNetwork& netw,
                  Seconds period, std::size_t max_samples_per_gpu)
     : plat(platform), network(netw), periodSec(period.value()),
       maxPerGpu(max_samples_per_gpu)
 {
-    CHARLLM_ASSERT(periodSec > 0.0, "non-positive sample period");
-    CHARLLM_ASSERT(maxPerGpu == 0 || maxPerGpu >= 2,
-                   "sample cap too small: ", maxPerGpu);
+    Problems problems;
+    addSamplerProblems(problems, periodSec, maxPerGpu);
+    CHARLLM_ASSERT(problems.empty(), problems.front());
     perGpu.resize(static_cast<std::size_t>(plat.numGpus()));
     plat.simulator().every(sim::toTicks(periodSec),
                            [this] { sampleNow(); });

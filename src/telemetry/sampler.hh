@@ -20,6 +20,11 @@
 namespace charllm {
 namespace telemetry {
 
+/** Append to @p problems each range a Sampler of @p period_sec and
+ *  @p max_samples_per_gpu breaks. */
+void addSamplerProblems(Problems& problems, double period_sec,
+                        std::size_t max_samples_per_gpu);
+
 /** One telemetry sample of one GPU. */
 struct Sample
 {

@@ -538,6 +538,44 @@ TEST(SweepFlagsDeath, InvalidResilienceInputsExitTwo)
     }
 }
 
+TEST(SweepFlagsDeath, TimesPastTheEventClockExitTwo)
+{
+    // Each of these once passed validate and aborted in the event
+    // kernel: a sample period under one tick or past a Tick's range, a
+    // fault window that starts or ends past it.
+    const std::pair<void (*)(ExperimentConfig&), const char*> probes[] = {
+        {[](ExperimentConfig& c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = 1e-10;
+         },
+         "samplePeriodSec must be positive: .* \\(got 1e-10\\)"},
+        {[](ExperimentConfig& c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = 1e11;
+         },
+         "samplePeriodSec must be positive: .* \\(got 1e\\+11\\)"},
+        {[](ExperimentConfig& c) {
+             c.faultScenario.faults = {
+                 {faults::FaultKind::GpuSlowdown, 0, 1e11, 0.0, 0.5}};
+         },
+         "fault 0 \\(gpu-slowdown\\) startSec \\+ durationSec "
+         "\\(1e\\+11 s\\) does not fit the event clock"},
+        {[](ExperimentConfig& c) {
+             c.faultScenario.faults = {
+                 {faults::FaultKind::GpuSlowdown, 0, 0.0, 1e11, 0.5}};
+         },
+         "fault 0 \\(gpu-slowdown\\) startSec \\+ durationSec "
+         "\\(1e\\+11 s\\) does not fit the event clock"},
+    };
+    for (const auto& [edit, message] : probes) {
+        SCOPED_TRACE(message);
+        ExperimentConfig cfg = smallConfig(2, 4, sim::BackendKind::Des);
+        edit(cfg);
+        EXPECT_EXIT(benchutil::runSweep({cfg}, benchutil::SweepFlags{}),
+                    testing::ExitedWithCode(2), message);
+    }
+}
+
 TEST(SweepFlags, ParsesBackendValues)
 {
     const char* argv[] = {"bench", "--backend=analytical"};

@@ -14,6 +14,7 @@
 #include <limits>
 #include <numeric>
 
+#include "common/rng.hh"
 #include "common/strings.hh"
 #include "core/catalog.hh"
 #include "core/cluster.hh"
@@ -22,6 +23,8 @@
 #include "core/report.hh"
 #include "core/thermal_placement.hh"
 #include "faults/scenarios.hh"
+
+#include <sys/wait.h>
 
 #include <cstring>
 #include <filesystem>
@@ -211,7 +214,7 @@ oneFault(faults::FaultKind kind, int target, double start_s,
 }
 
 /** The first rows of invalidConfigRows(): the hand-written probes. */
-constexpr std::size_t kProbeRows = 27;
+constexpr std::size_t kProbeRows = 37;
 
 const std::vector<InvalidConfigRow>&
 invalidConfigRows()
@@ -352,6 +355,79 @@ invalidConfigRows()
              c.resilience.checkpoint.quiesceSec = 1e15;
          },
          "an async checkpoint.quiesceSec of 1e+15 s plus its"},
+        // Times past the event clock: before the sampler and fault
+        // problems lists bounded them with sim::fitsTick, each passed
+        // validate and aborted in Simulator::every or sim::toTicks.
+        {"sample period under one tick",
+         [](C c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = 1e-10;
+         },
+         "samplePeriodSec must be positive: one tick (1 ns) to a Tick's "
+         "range (1.8e10 s) (got 1e-10)"},
+        {"sample period past the event clock",
+         [](C c) {
+             c.enableSampler = true;
+             c.samplePeriodSec = 1e11;
+         },
+         "samplePeriodSec must be positive: one tick (1 ns) to a Tick's "
+         "range (1.8e10 s) (got 1e+11)"},
+        {"slowdown starting past the event clock",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 0.5, 1e11);
+         },
+         "fault 0 (gpu-slowdown) startSec + durationSec (1e+11 s) does not "
+         "fit the event clock"},
+        {"slowdown lasting past the event clock",
+         [](C c) {
+             c.faultScenario = faults::scenarios::straggler(0, 0.5);
+             c.faultScenario.faults[0].durationSec = 1e11;
+         },
+         "fault 0 (gpu-slowdown) startSec + durationSec (1e+11 s) does not "
+         "fit the event clock"},
+        // Found probing the seconds-valued fields ConfigFuzzNeverAborts
+        // draws from: the periodic faults expanded without bound (the
+        // run hung); the stall, the restart and a failure past the
+        // clock aborted in sim::toTicks. A negative stage summed to the
+        // right layer count and aborted on a negative collective size.
+        {"link flap every picosecond",
+         [](C c) {
+             c.faultScenario = faults::scenarios::flappingLink(
+                 0, 0.25, Seconds(1e-12), Seconds(1.0));
+         },
+         "fault 0 (link-flap) durationSec (1 s) over periodSec (1e-12 s) "
+         "expands to ~1e+12 events, over the cap of 1e+06"},
+        {"ECC stall every 0.1 ns",
+         [](C c) {
+             c.faultScenario = faults::scenarios::eccStorm(
+                 0, Seconds(0.01), Seconds(1e-10), Seconds(1.0));
+         },
+         "fault 0 (ecc-stall) durationSec (1 s) over periodSec (1e-10 s) "
+         "expands to ~1e+10 events"},
+        {"ECC stall of 1e10 s",
+         [](C c) {
+             c.faultScenario = faults::scenarios::eccStorm(
+                 0, Seconds(1e10), Seconds(0.1), Seconds(1.0));
+         },
+         "fault 0 (ecc-stall) magnitude (1e+10 s) puts a 6.3e+11 s stall or "
+         "restart past startSec + durationSec"},
+        {"fail-stop restart of 1e11 s",
+         [](C c) {
+             c.faultScenario =
+                 faults::scenarios::failStop(0, Seconds(1e11), 0.0);
+         },
+         "fault 0 (gpu-fail-stop) magnitude (1e+11 s) puts a 1e+11 s stall "
+         "or restart past startSec + durationSec"},
+        {"failure horizon past the event clock",
+         [](C c) {
+             enableResilience(c).horizonSec = 1e11;
+             c.resilience.mtbf.gpuMtbfSec = 1e11;
+         },
+         "resilience.horizonSec (1e+11 s) does not fit the event clock "
+         "(1.8e10 s)"},
+        {"stage layers with a negative stage",
+         [](C c) { c.train.stageLayers = {20, -4}; },
+         "stageLayers must not be negative (got -4)"},
         // The rest of validate's checks.
         {"device permutation with a repeat",
          [](C c) { c.devicePermutation = {0, 1, 2, 3, 4, 5, 6, 6}; },
@@ -665,6 +741,171 @@ TEST_F(CoreFixture, RunExitsWithEveryProblemListed)
                 "fatal: config 'Small-3B H200 TP2-PP2-DP2' cannot run: "
                 "measuredIterations must be >= 1 \\(got 0\\); "
                 "nodePowerCaps names node 7 of a 1-node cluster");
+}
+
+TEST_F(CoreFixture, RunExitsWhenTheHorizonIsShorterThanTheRun)
+{
+    // Only the finished run knows its length: a message, not an abort.
+    ExperimentConfig cfg = smallConfig(2, 2);
+    enableResilience(cfg).horizonSec = 1e-12;
+    ASSERT_TRUE(validate(cfg).empty());
+    EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                "fatal: resilience.horizonSec \\(1e-12 s\\) is shorter "
+                "than the run");
+}
+
+// ---- seeded config fuzzer --------------------------------------------------
+
+/** The first fault of @p c; a straggler on GPU 0 if it has none. */
+faults::FaultSpec&
+firstFault(ExperimentConfig& c)
+{
+    if (c.faultScenario.empty())
+        c.faultScenario = faults::scenarios::straggler(0, 0.5);
+    return c.faultScenario.faults.front();
+}
+
+/** A seconds-valued config field; setting it turns on what owns it. */
+struct SecondsField
+{
+    const char* name;
+    void (*set)(ExperimentConfig&, double);
+};
+
+const SecondsField kSecondsFields[] = {
+    {"samplePeriodSec",
+     [](ExperimentConfig& c, double s) {
+         c.enableSampler = true;
+         c.samplePeriodSec = s;
+     }},
+    {"fault startSec",
+     [](ExperimentConfig& c, double s) { firstFault(c).startSec = s; }},
+    {"fault durationSec",
+     [](ExperimentConfig& c, double s) { firstFault(c).durationSec = s; }},
+    {"link flap periodSec",
+     [](ExperimentConfig& c, double s) {
+         c.faultScenario = faults::scenarios::flappingLink(
+             0, 0.25, Seconds(0.1), Seconds(1.0));
+         c.faultScenario.faults[0].periodSec = s;
+     }},
+    {"ECC storm periodSec",
+     [](ExperimentConfig& c, double s) {
+         c.faultScenario = faults::scenarios::eccStorm(
+             0, Seconds(0.01), Seconds(0.1), Seconds(1.0));
+         c.faultScenario.faults[0].periodSec = s;
+     }},
+    {"ECC stall magnitude",
+     [](ExperimentConfig& c, double s) {
+         c.faultScenario = faults::scenarios::eccStorm(
+             0, Seconds(s), Seconds(0.1), Seconds(1.0));
+     }},
+    {"fail-stop restart magnitude",
+     [](ExperimentConfig& c, double s) {
+         c.faultScenario = faults::scenarios::failStop(0, Seconds(s), 0.0);
+     }},
+    {"resilience.horizonSec",
+     [](ExperimentConfig& c, double s) { enableResilience(c).horizonSec = s; }},
+    {"mtbf.gpuMtbfSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).mtbf.gpuMtbfSec = s;
+     }},
+    {"mtbf.linkMtbfSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).mtbf.linkMtbfSec = s;
+     }},
+    {"mtbf.nodeMtbfSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).mtbf.nodeMtbfSec = s;
+     }},
+    {"mtbf.switchMtbfSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).mtbf.switchMtbfSec = s;
+     }},
+    {"mtbf.pduMtbfSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).mtbf.pduMtbfSec = s;
+     }},
+    {"checkpoint.intervalSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).checkpoint.intervalSec = s;
+     }},
+    {"checkpoint.quiesceSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).checkpoint.quiesceSec = s;
+     }},
+    {"async checkpoint.quiesceSec",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).checkpoint.async = true;
+         c.resilience.checkpoint.quiesceSec = s;
+     }},
+    {"recovery.spares.replenishMean",
+     [](ExperimentConfig& c, double s) {
+         enableResilience(c).recovery.spares.replenishMean = Seconds(s);
+     }},
+};
+
+const double kExtremeSeconds[] = {0.0,
+                                  1e-12,
+                                  1e-10,
+                                  1e10,
+                                  1e11,
+                                  std::numeric_limits<double>::infinity(),
+                                  std::nan(""),
+                                  -1.0};
+
+TEST_F(CoreFixture, ConfigFuzzNeverAborts)
+{
+    // Each seed composes 1-3 edits of a one-iteration smallConfig(2, 2),
+    // drawn from invalidConfigRows() and every extreme value of every
+    // seconds-valued field. validate rejects the config and the run
+    // exits 1 with its message, or the run completes. The one exit a
+    // valid config may take is the horizon check only a finished run
+    // can make.
+    const std::vector<InvalidConfigRow>& rows = invalidConfigRows();
+    const std::size_t values = std::size(kExtremeSeconds);
+    const std::size_t choices =
+        rows.size() + std::size(kSecondsFields) * values;
+    auto ran = [](int status) {
+        return WIFEXITED(status) &&
+               (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+    };
+    int valid = 0;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        Rng rng(seed);
+        ExperimentConfig cfg = smallConfig(2, 2);
+        cfg.measuredIterations = 1;
+        std::string edits = "seed " + std::to_string(seed) + ":";
+        for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {
+            std::size_t pick = rng.below(choices);
+            if (pick < rows.size()) {
+                rows[pick].edit(cfg);
+                edits += std::string(" [") + rows[pick].name + "]";
+                continue;
+            }
+            pick -= rows.size();
+            const SecondsField& field = kSecondsFields[pick / values];
+            double value = kExtremeSeconds[pick % values];
+            field.set(cfg, value);
+            edits += std::string(" [") + field.name + " = " +
+                     formatDouble(value) + "]";
+        }
+        SCOPED_TRACE(edits);
+        if (validate(cfg).empty()) {
+            ++valid;
+            EXPECT_EXIT(
+                {
+                    Experiment::run(cfg);
+                    std::exit(0);
+                },
+                ran, "^$|resilience.horizonSec .* is shorter than the run");
+        } else {
+            EXPECT_EXIT(Experiment::run(cfg), ::testing::ExitedWithCode(1),
+                        "cannot run: ");
+        }
+    }
+    // Both halves are exercised.
+    EXPECT_GT(valid, 8);
+    EXPECT_LT(valid, 56);
 }
 
 // ---- fast-vs-reference comparison ------------------------------------------

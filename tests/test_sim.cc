@@ -449,6 +449,34 @@ TEST(Simulator, TickerDoesNotKeepSimulationAlive)
     EXPECT_LE(ticks, 2);
 }
 
+TEST(Simulator, TickerStopsAtTheEndOfTheClock)
+{
+    // The second firing would come past a Tick's range; the event still
+    // pending is due before it, so the ticker stops instead of aborting.
+    Simulator s;
+    int ticks = 0;
+    s.every(toTicks(1e10), [&] { ++ticks; });
+    bool late = false;
+    s.schedule(toTicks(1.5e10), [&] { late = true; });
+    s.run();
+    EXPECT_EQ(ticks, 1);
+    EXPECT_TRUE(late);
+}
+
+TEST(EventQueue, FitsTickIsToTicksRange)
+{
+    EXPECT_TRUE(fitsTick(0.0));
+    EXPECT_TRUE(fitsTick(1.8e10));
+    EXPECT_FALSE(fitsTick(1.9e10));
+    EXPECT_FALSE(fitsTick(-1.0));
+    EXPECT_FALSE(fitsTick(std::numeric_limits<double>::infinity()));
+    EXPECT_FALSE(fitsTick(std::numeric_limits<double>::quiet_NaN()));
+    // At least one tick, as a ticker period: 0.5 ns rounds up to one.
+    EXPECT_FALSE(fitsTick(1e-10, kMinPeriodTicks));
+    EXPECT_TRUE(fitsTick(0.5e-9, kMinPeriodTicks));
+    EXPECT_TRUE(fitsTick(1e-9, kMinPeriodTicks));
+}
+
 /**
  * A ticker whose every firing only bumps a counter: all firings are
  * quiet, so with the hook every firing between two other events is
