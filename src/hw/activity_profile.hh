@@ -72,16 +72,24 @@ stackedActivity(double compute_act, double comm_act)
     return std::min(compute_act + kCommStackWeight * comm_act, kActivityCap);
 }
 
+/** Board power from the clock's power scale @p clk_scale =
+ *  clk^kClockPowerExp: idle + (TDP - idle) * act * clk_scale, capped at
+ *  kPeakPowerCap * TDP. */
+inline Watts
+scaledPower(const GpuSpec& spec, double act, double clk_scale)
+{
+    double range = (spec.tdpWatts - spec.idleWatts).value();
+    double p = spec.idleWatts.value() + range * act * clk_scale;
+    return Watts(
+        std::min(p, calib::kPeakPowerCap * spec.tdpWatts.value()));
+}
+
 /** Board power: idle + (TDP - idle) * act * clk^kClockPowerExp, capped
  *  at kPeakPowerCap * TDP. */
 inline Watts
 devicePower(const GpuSpec& spec, double act, double clk)
 {
-    using namespace calib;
-    double range = (spec.tdpWatts - spec.idleWatts).value();
-    double p = spec.idleWatts.value() +
-               range * act * std::pow(clk, kClockPowerExp);
-    return Watts(std::min(p, kPeakPowerCap * spec.tdpWatts.value()));
+    return scaledPower(spec, act, std::pow(clk, calib::kClockPowerExp));
 }
 
 } // namespace hw

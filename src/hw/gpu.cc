@@ -1,6 +1,7 @@
 #include "hw/gpu.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "hw/activity_profile.hh"
@@ -107,11 +108,29 @@ Gpu::aggregate(double now)
 void
 Gpu::refresh(double now)
 {
+    ++refreshCount;
     double clk = clockRel().value();
-    Watts p = devicePower(gpuSpec, activity.power, clk);
+    Watts p = scaledPower(gpuSpec, activity.power, clockScale(clk));
     record.set(now, {p.value(), clk, activity.occupancy, activity.warps,
                      activity.threadblocks});
     noteChange();
+}
+
+double
+Gpu::clockScale(double clk)
+{
+    for (std::size_t i = 0; i < memoClk.size(); ++i) {
+        if (memoClk[i] == clk) {
+            memoVictim = 1 - i;
+            return memoScale[i];
+        }
+    }
+    ++powerEvalCount;
+    std::size_t i = memoVictim;
+    memoClk[i] = clk;
+    memoScale[i] = std::pow(clk, calib::kClockPowerExp);
+    memoVictim = 1 - i;
+    return memoScale[i];
 }
 
 Gpu::GovernorStep

@@ -231,6 +231,13 @@ class Gpu
     /** Time-weighted fraction of time spent below nominal clock. */
     double throttleRatio() const { return record.throttleRatio(); }
 
+    /** Record refreshes over the device's life, each one reading the
+     *  power formula. */
+    std::uint64_t refreshes() const { return refreshCount; }
+    /** Refreshes that evaluated clk^kClockPowerExp: the clock memo's
+     *  misses. */
+    std::uint64_t powerEvals() const { return powerEvalCount; }
+
     /** Close all statistics intervals at @p now (end of measurement). */
     void finishStats(double now);
 
@@ -270,6 +277,10 @@ class Gpu
     /** Set the record's signals from the aggregate and the clock. */
     void refresh(double now);
 
+    /** clk^kClockPowerExp, from the memo when @p clk is one of the two
+     *  clocks it holds; a miss replaces the least recently used one. */
+    double clockScale(double clk);
+
     void
     noteChange()
     {
@@ -297,6 +308,16 @@ class Gpu
 
     GpuRecord record;
     TimeWeightedStats tempTw; //!< recorded on the governor's cadence
+
+    // The power-cap limit cycle moves the clock between two values, so
+    // a two-entry memo spares refresh the pow of nearly every change.
+    std::array<double, 2> memoClk = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::quiet_NaN()};
+    std::array<double, 2> memoScale = {};
+    std::size_t memoVictim = 0; //!< the entry the next miss replaces
+    std::uint64_t refreshCount = 0;
+    std::uint64_t powerEvalCount = 0;
 };
 
 } // namespace hw

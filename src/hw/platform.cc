@@ -75,10 +75,15 @@ Platform::skipFirings(std::uint64_t k)
     work.ticks += k;
 }
 
-void
-Platform::setClockListener(ClockListener listener)
+GovernorCounters
+Platform::counters() const
 {
-    clockListener = std::move(listener);
+    GovernorCounters c = work;
+    for (const auto& d : devices) {
+        c.refreshes += d->refreshes();
+        c.powerEvals += d->powerEvals();
+    }
+    return c;
 }
 
 void
@@ -93,8 +98,8 @@ void
 Platform::setGpuSlowdown(int gpu_id, double factor)
 {
     if (gpu(gpu_id).setSlowdown(factor, sim.nowSeconds()) &&
-        clockListener) {
-        clockListener(gpu_id, gpu(gpu_id).clockRel());
+        clockObserver) {
+        clockObserver->onClockChange(gpu_id);
     }
 }
 
@@ -123,8 +128,8 @@ Platform::eagerTick()
             thermalNet.temperature(static_cast<int>(i)), now);
         if (changed) {
             ++work.clockChanges;
-            if (clockListener)
-                clockListener(static_cast<int>(i), devices[i]->clockRel());
+            if (clockObserver)
+                clockObserver->onClockChange(static_cast<int>(i));
         }
     }
 }
@@ -206,8 +211,8 @@ Platform::evaluate(int id, std::int64_t n, double now)
     Gpu::GovernorStep step = g.governorUpdate(temp, now);
     if (step.clockChanged) {
         ++work.clockChanges;
-        if (clockListener)
-            clockListener(id, g.clockRel());
+        if (clockObserver)
+            clockObserver->onClockChange(id);
     }
     auto d = static_cast<std::size_t>(id);
     exitTick[d] = -1;

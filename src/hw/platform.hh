@@ -8,7 +8,6 @@
 #define CHARLLM_HW_PLATFORM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,12 +33,31 @@ enum class TickMode
     Eager,
 };
 
-/** What the governor ticks did over a run. */
+/** What the governor ticks and the devices' power reads did over a
+ *  run. */
 struct GovernorCounters
 {
     std::uint64_t ticks = 0;        //!< governor ticks
     std::uint64_t deviceEvals = 0;  //!< per-device governor evaluations
     std::uint64_t clockChanges = 0; //!< evaluations that moved a clock
+    std::uint64_t refreshes = 0;    //!< Gpu::refreshes, summed
+    std::uint64_t powerEvals = 0;   //!< Gpu::powerEvals, summed
+};
+
+/**
+ * Told of each change of a device's effective clock, by a governor
+ * evaluation or an injected slowdown, in the order the platform makes
+ * them (the engine re-times the device's running kernel). A plain
+ * interface called once per change, so it allocates nothing.
+ */
+class ClockObserver
+{
+  public:
+    /** Device @p gpu_id's effective clock changed. */
+    virtual void onClockChange(int gpu_id) = 0;
+
+  protected:
+    ~ClockObserver() = default;
 };
 
 /**
@@ -61,9 +79,6 @@ struct GovernorCounters
 class Platform : private sim::TickerSkip
 {
   public:
-    /** Callback fired when a device's clock changes (for re-timing). */
-    using ClockListener = std::function<void(int gpu_id, ClockRel clock)>;
-
     Platform(sim::Simulator& sim, const GpuSpec& spec,
              const ChassisLayout& layout, int num_nodes,
              TickMode mode = TickMode::Lazy);
@@ -96,7 +111,9 @@ class Platform : private sim::TickerSkip
     /** Node index of a device. */
     int nodeOf(int gpu_id) const { return gpu_id / gpusPerNode(); }
 
-    const GovernorCounters& counters() const { return work; }
+    /** The governor's counters, with the devices' refresh counts
+     *  summed in. */
+    GovernorCounters counters() const;
 
     /**
      * Arm the periodic thermal/governor tick. Under TickMode::Lazy the
@@ -108,15 +125,20 @@ class Platform : private sim::TickerSkip
      */
     void start();
 
-    /** Register the clock-change listener (at most one). */
-    void setClockListener(ClockListener listener);
+    /** Register the clock observer (at most one; nullptr for none).
+     *  It must outlive the platform's ticks. */
+    void
+    setClockObserver(ClockObserver* observer)
+    {
+        clockObserver = observer;
+    }
 
     /** Simulate a node-level power-delivery fault: cap all its GPUs. */
     void capNodePower(int node, Watts watts_per_gpu);
 
     /**
      * Inject (or clear, with factor 1.0) a performance derate on one
-     * GPU; notifies the clock listener so in-flight work is re-timed.
+     * GPU; notifies the clock observer so in-flight work is re-timed.
      */
     void setGpuSlowdown(int gpu_id, double factor);
 
@@ -156,7 +178,7 @@ class Platform : private sim::TickerSkip
     TickMode mode;
     /** Per-tick power snapshot, sized once so tick() never allocates. */
     std::vector<Watts> powers;
-    ClockListener clockListener;
+    ClockObserver* clockObserver = nullptr;
     bool started = false;
     /** The ticker's period, set by start(). */
     sim::Tick tickPeriod = 0;

@@ -127,9 +127,12 @@ SimCounters::capture(const sim::Simulator& simulator,
 void
 SimCounters::capture(const hw::Platform& platform)
 {
-    governorTicks = platform.counters().ticks;
-    deviceEvals = platform.counters().deviceEvals;
-    clockChanges = platform.counters().clockChanges;
+    hw::GovernorCounters c = platform.counters();
+    governorTicks = c.ticks;
+    deviceEvals = c.deviceEvals;
+    clockChanges = c.clockChanges;
+    refreshes = c.refreshes;
+    powerEvals = c.powerEvals;
 }
 
 void
@@ -148,6 +151,8 @@ SimCounters::addTo(MetricsRegistry& registry) const
     registry.counter("hw.governor_ticks").inc(governorTicks);
     registry.counter("hw.device_evals").inc(deviceEvals);
     registry.counter("hw.clock_changes").inc(clockChanges);
+    registry.counter("hw.refreshes").inc(refreshes);
+    registry.counter("hw.power_evals").inc(powerEvals);
 }
 
 SimCounters&
@@ -166,6 +171,8 @@ SimCounters::merge(const SimCounters& other)
     governorTicks += other.governorTicks;
     deviceEvals += other.deviceEvals;
     clockChanges += other.clockChanges;
+    refreshes += other.refreshes;
+    powerEvals += other.powerEvals;
     return *this;
 }
 

@@ -228,6 +228,10 @@ struct SimCounters
     std::uint64_t governorTicks = 0;
     std::uint64_t deviceEvals = 0;
     std::uint64_t clockChanges = 0;
+    /** Device power reads (Gpu::refresh), and those that evaluated
+     *  clk^kClockPowerExp rather than hit the clock memo. */
+    std::uint64_t refreshes = 0;
+    std::uint64_t powerEvals = 0;
 
     /** Read the live counters out of a simulation stack. */
     void capture(const sim::EventQueue& queue,

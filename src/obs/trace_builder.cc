@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.hh"
@@ -99,20 +100,28 @@ class TraceBuilder::Writer
         close("}");
     }
 
-    /** One counter sample; @p ts is its formatted timestamp, shared
-     *  by every track of the sample. */
+    /** A counter event's text up to its timestamp, for track @p name
+     *  of process @p pid, into @p out (replacing its text). */
+    static void
+    counterPrefix(std::string& out, const char* name, int pid)
+    {
+        out = "{\"name\":\"";
+        out += name;
+        out += "\",\"ph\":\"C\",\"pid\":";
+        appendInt(out, pid);
+        out += ",\"ts\":";
+    }
+
+    /** One counter sample: @p prefix is its track's counterPrefix,
+     *  @p ts its formatted timestamp with the args key appended,
+     *  shared by every track of the sample. */
     void
-    counter(const char* name, int pid, const std::string& ts,
+    counter(const std::string& prefix, const std::string& ts,
             double value)
     {
         open();
-        text += "{\"name\":\"";
-        text += name;
-        text += "\",\"ph\":\"C\",\"pid\":";
-        integer(pid);
-        text += ",\"ts\":";
+        text += prefix;
         text += ts;
-        text += ",\"args\":{\"value\":";
         number(value);
         close("}}");
     }
@@ -138,13 +147,15 @@ class TraceBuilder::Writer
             flush();
     }
 
-    void
-    integer(int value)
+    static void
+    appendInt(std::string& out, int value)
     {
         char buf[16];
         auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-        text.append(buf, end);
+        out.append(buf, end);
     }
+
+    void integer(int value) { appendInt(text, value); }
 
     /** Round-trippable number formatting for timestamps/values. */
     void number(double value) { appendDouble(text, value, 17); }
@@ -337,21 +348,27 @@ TraceBuilder::emit(Writer& w) const
 
     // Counter tracks, per GPU in device order, each series already in
     // time order. Link rates are converted bytes/s -> Gbit/s to match
-    // the paper's interconnect plots. A sample's timestamp is
-    // formatted once for its six tracks.
+    // the paper's interconnect plots. A track's text up to the
+    // timestamp is built once per GPU, a sample's timestamp once for
+    // its six tracks.
+    static constexpr const char* kTracks[] = {
+        "power_w",   "temp_c",    "clock_ghz",
+        "occupancy", "pcie_gbps", "scaleup_gbps"};
+    std::string prefix[std::size(kTracks)];
     std::string ts;
     for (const auto& [gpu, series] : counters) {
+        for (std::size_t t = 0; t < std::size(kTracks); ++t)
+            Writer::counterPrefix(prefix[t], kTracks[t], gpu);
         for (const auto& s : *series) {
             ts.clear();
             appendDouble(ts, s.time.value() * 1e6, 17);
-            w.counter("power_w", gpu, ts, s.powerWatts.value());
-            w.counter("temp_c", gpu, ts, s.tempC.value());
-            w.counter("clock_ghz", gpu, ts, s.clockGhz);
-            w.counter("occupancy", gpu, ts, s.occupancy);
-            w.counter("pcie_gbps", gpu, ts,
-                      s.pcieRate.value() * 8.0 / 1e9);
-            w.counter("scaleup_gbps", gpu, ts,
-                      s.scaleUpRate.value() * 8.0 / 1e9);
+            ts += ",\"args\":{\"value\":";
+            w.counter(prefix[0], ts, s.powerWatts.value());
+            w.counter(prefix[1], ts, s.tempC.value());
+            w.counter(prefix[2], ts, s.clockGhz);
+            w.counter(prefix[3], ts, s.occupancy);
+            w.counter(prefix[4], ts, s.pcieRate.value() * 8.0 / 1e9);
+            w.counter(prefix[5], ts, s.scaleUpRate.value() * 8.0 / 1e9);
         }
     }
 

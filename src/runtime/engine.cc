@@ -48,9 +48,7 @@ TrainingEngine::TrainingEngine(hw::Platform& platform,
     addIterationProblems(problems, opts.warmupIterations,
                          opts.measuredIterations);
     CHARLLM_ASSERT(problems.empty(), problems.front());
-    plat.setClockListener([this](int dev, ClockRel clk) {
-        onClockChange(dev, clk);
-    });
+    plat.setClockObserver(this);
     network.setTrafficSink(
         [this](int gpu, hw::TrafficClass cls, Bytes bytes) {
         plat.gpu(gpu).addTraffic(cls, bytes);
@@ -323,13 +321,6 @@ TrainingEngine::finishCompute(int dev)
     }
     slot.reset();
     advance(dev);
-}
-
-void
-TrainingEngine::onClockChange(int dev, ClockRel clock)
-{
-    (void)clock;
-    retimeCompute(dev);
 }
 
 void

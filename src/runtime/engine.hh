@@ -79,7 +79,7 @@ class ResilienceController
  * experiment: warmup + measured iterations, chained inside a single
  * simulator run so thermal state persists across iterations.
  */
-class TrainingEngine
+class TrainingEngine : private hw::ClockObserver
 {
   public:
     /** Kernel-trace callback: (device, class, name, start_s, dur_s). */
@@ -284,7 +284,8 @@ class TrainingEngine
     void advance(int dev);
     void startCompute(int dev, const Op& op);
     void finishCompute(int dev);
-    void onClockChange(int dev, ClockRel clock);
+    /** hw::ClockObserver: re-time @p dev's running compute. */
+    void onClockChange(int dev) override { retimeCompute(dev); }
 
     /**
      * Effective progress rate of compute on a device: relative clock,

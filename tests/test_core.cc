@@ -1342,7 +1342,7 @@ TEST_F(Report, ObservedRunReportsMatchGoldenDigest)
         {"_phases.csv", 0x22ee874022839a99},
         {"_goodput.csv", 0xdd83545cf6b170be},
         {"_critpath.csv", 0x9046cc5d3d35ebba},
-        {"_report.json", 0xac0320edc78859d9},
+        {"_report.json", 0x5d91f577c03c47c3},
     };
     std::string dir = ::testing::TempDir() + "charllm_golden_reports";
     auto paths = writeReports(r, dir, "g");

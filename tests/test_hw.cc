@@ -700,6 +700,11 @@ TEST(GpuRecord, MatchesPerSignalReference)
     Rng rng(23);
     double now = 0.0;
     int clock_moves = 0;
+    // The last two clocks held: a move back to the one before is a
+    // clock memo hit on a change.
+    double clk_now = gpu.clockRel().value();
+    double clk_before = -1.0;
+    int clock_returns = 0;
     int resets = 0;
     int finishes = 0;
     std::size_t most_active = 0;
@@ -771,6 +776,11 @@ TEST(GpuRecord, MatchesPerSignalReference)
         if (changed)
             hold(now);
         most_active = std::max(most_active, ks.size());
+        if (double clk = gpu.clockRel().value(); clk != clk_now) {
+            clock_returns += clk == clk_before;
+            clk_before = clk_now;
+            clk_now = clk;
+        }
 
         ASSERT_EQ(gpu.occupancy(), refOccupancy(ks));
         ASSERT_EQ(gpu.warpsPerSm(), refWarps(ks));
@@ -793,6 +803,11 @@ TEST(GpuRecord, MatchesPerSignalReference)
         ASSERT_EQ(gpu.tempStats().max(), ref.temp.max());
     }
     EXPECT_GT(clock_moves, 0);
+    // Both memo branches ran under the bitwise refPower check: moves
+    // back hit it, and more misses than its two entries evicted.
+    EXPECT_GT(clock_returns, 0);
+    EXPECT_LT(gpu.powerEvals(), gpu.refreshes());
+    EXPECT_GT(gpu.powerEvals(), 2u);
     EXPECT_GT(resets, 0);
     EXPECT_GT(finishes, 0);
     EXPECT_GE(most_active, 3u);
@@ -853,18 +868,36 @@ TEST(Platform, NodePowerCapForcesThrottle)
               plat.gpu(0).clockRel().value());
 }
 
-TEST(Platform, ClockListenerFires)
+/** Records each clock change a platform reports: (device, new clock). */
+class ClockLog : public ClockObserver
+{
+  public:
+    explicit ClockLog(const Platform& platform) : plat(platform) {}
+
+    void
+    onClockChange(int id) override
+    {
+        calls.emplace_back(id, plat.gpu(id).clockRel().value());
+    }
+
+    std::vector<std::pair<int, double>> calls;
+
+  private:
+    const Platform& plat;
+};
+
+TEST(Platform, ClockObserverFires)
 {
     sim::Simulator s;
     Platform plat(s, h100Spec(), hgxLayout(), 1);
-    int changes = 0;
-    plat.setClockListener([&](int, ClockRel) { ++changes; });
+    ClockLog log(plat);
+    plat.setClockObserver(&log);
     plat.start();
     for (int i = 0; i < plat.numGpus(); ++i)
         plat.gpu(i).kernelBegin(KernelClass::Gemm, 1.0, 0.0);
     s.schedule(sim::toTicks(30.0), [] {});
     s.run();
-    EXPECT_GT(changes, 0);
+    EXPECT_GT(log.calls.size(), 0u);
 }
 
 /**
@@ -872,7 +905,7 @@ TEST(Platform, ClockListenerFires)
  * of kernel begin/end, slowdowns, node power caps and thermal faults,
  * with quiet stretches long enough for temperatures to cross governor
  * bands unprompted and a change of tick spacing: at every tick the
- * clocks, throttle reasons and clock-listener calls are identical and
+ * clocks, throttle reasons and clock-observer calls are identical and
  * temperatures agree to 1e-9; so do the statistics at the end.
  */
 void
@@ -882,13 +915,11 @@ expectLazyTracksEager(const GpuSpec& spec, const ChassisLayout& layout,
     sim::Simulator s_lazy, s_eager;
     Platform lazy(s_lazy, spec, layout, nodes);
     Platform eager(s_eager, spec, layout, nodes, TickMode::Eager);
-    std::vector<std::pair<int, double>> calls_lazy, calls_eager;
-    lazy.setClockListener([&](int id, ClockRel c) {
-        calls_lazy.emplace_back(id, c.value());
-    });
-    eager.setClockListener([&](int id, ClockRel c) {
-        calls_eager.emplace_back(id, c.value());
-    });
+    ClockLog log_lazy(lazy), log_eager(eager);
+    lazy.setClockObserver(&log_lazy);
+    eager.setClockObserver(&log_eager);
+    auto& calls_lazy = log_lazy.calls;
+    auto& calls_eager = log_eager.calls;
     const int n = lazy.numGpus();
     std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> live(
         static_cast<std::size_t>(n));
@@ -1077,7 +1108,7 @@ TEST(Platform, ReasonOnlyChangeKeepsDeviceDue)
  * second ticker at a sampler period, with quiet stretches long enough
  * for temperatures to cross governor bands unprompted. After every
  * runUntil, temperatures, clocks, reasons, temperature statistics,
- * governor counters, clock-listener calls and popped events are equal
+ * governor counters, clock-observer calls and popped events are equal
  * bit for bit.
  */
 class TickerTwinSide
@@ -1086,11 +1117,9 @@ class TickerTwinSide
     TickerTwinSide(const GpuSpec& spec, const ChassisLayout& layout,
                    int nodes, bool fast_forward)
         : p(s, spec, layout, nodes),
-          live(static_cast<std::size_t>(p.numGpus()))
+          live(static_cast<std::size_t>(p.numGpus())), clocks(p)
     {
-        p.setClockListener([this](int id, ClockRel c) {
-            calls.emplace_back(id, c.value());
-        });
+        p.setClockObserver(&clocks);
         if (fast_forward)
             p.start();
         else
@@ -1161,7 +1190,7 @@ class TickerTwinSide
     sim::Simulator s;
     Platform p;
     std::vector<std::vector<std::uint64_t>> live;
-    std::vector<std::pair<int, double>> calls;
+    ClockLog clocks;
     std::vector<double> samples;
 };
 
@@ -1188,10 +1217,10 @@ expectTwinTickersEqual(TickerTwinSide& a, TickerTwinSide& b, int step)
     ASSERT_EQ(a.p.counters().clockChanges, b.p.counters().clockChanges);
     ASSERT_EQ(a.s.queue().numPopped(), b.s.queue().numPopped())
         << "step " << step;
-    ASSERT_EQ(a.calls, b.calls) << "step " << step;
+    ASSERT_EQ(a.clocks.calls, b.clocks.calls) << "step " << step;
     ASSERT_EQ(a.samples, b.samples) << "step " << step;
     for (TickerTwinSide* side : {&a, &b}) {
-        side->calls.clear();
+        side->clocks.calls.clear();
         side->samples.clear();
     }
 }

@@ -753,6 +753,8 @@ TEST(Metrics, SimCountersMergeAndAddTo)
     a.ticksFastForwarded = 6;
     b.ticksFastForwarded = 2;
     b.eventsRescheduled = 5;
+    a.refreshes = 12;
+    b.powerEvals = 3;
     a.merge(b);
     EXPECT_EQ(a.eventsPopped, 15u);
     EXPECT_EQ(a.flowsStarted, 3u);
@@ -769,6 +771,8 @@ TEST(Metrics, SimCountersMergeAndAddTo)
     EXPECT_EQ(reg.findCounter("hw.clock_changes")->value(), 0u);
     EXPECT_EQ(reg.findCounter("sim.ticks_fast_forwarded")->value(), 8u);
     EXPECT_EQ(reg.findCounter("sim.events_rescheduled")->value(), 5u);
+    EXPECT_EQ(reg.findCounter("hw.refreshes")->value(), 12u);
+    EXPECT_EQ(reg.findCounter("hw.power_evals")->value(), 3u);
 }
 
 // ---- end-to-end through core::Experiment --------------------------------
