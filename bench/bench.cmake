@@ -67,3 +67,29 @@ charllm_add_bench(bench_ablation_interleaved)
 charllm_add_bench(bench_ablation_chunking)
 charllm_add_bench(bench_ablation_resilience)
 charllm_add_bench(bench_ablation_elastic)
+
+# Golden stdout (tools/golden.py against bench/golden/<bench>.txt): one
+# `<bench>.golden` row per bench that runs in under ~1 s at default
+# flags on a 4-core host. CI's release job checks all of them.
+find_package(Python3 COMPONENTS Interpreter QUIET)
+if(Python3_Interpreter_FOUND)
+    foreach(name IN ITEMS
+            bench_table1_models bench_table2_techniques bench_table3_clusters
+            bench_fig03_kernel_time bench_fig05_traffic_heatmap
+            bench_fig06_pcie_timeseries bench_fig07_recompute_breakdown
+            bench_fig08_one_gpu_per_node bench_fig11_cc_overlap_ranks
+            bench_fig12_lora bench_fig13_h200_microbatch
+            bench_fig14_mi250_microbatch bench_fig15_microbatch_breakdown
+            bench_fig16_airflow_layout bench_fig17_h200_thermal_heatmap
+            bench_fig18_mi250_thermal_heatmap bench_fig19_thermal_timeseries
+            bench_fig20_throttle_metrics bench_fig21_thermal_placement
+            bench_fig22_datacenter_projection bench_fig23_inference
+            bench_ablation_topology bench_ablation_airflow
+            bench_ablation_straggler bench_ablation_faults
+            bench_ablation_interleaved bench_ablation_chunking)
+        add_test(NAME ${name}.golden
+            COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/golden.py
+                    --check --build ${CMAKE_BINARY_DIR} ${name})
+        set_tests_properties(${name}.golden PROPERTIES TIMEOUT 60)
+    endforeach()
+endif()

@@ -35,12 +35,8 @@ main(int argc, char** argv)
                                           cfg.topK)
                               : std::string("-")});
     };
-    add(model::gpt3_175b());
-    add(model::gpt3_30b());
-    add(model::llama3_70b());
-    add(model::llama3_30b());
-    add(model::mixtral_8x22b());
-    add(model::mixtral_8x7b());
+    for (const model::TransformerConfig& cfg : model::table1Models())
+        add(cfg);
     t.addSeparator();
     // Reduced variants used by the Fig. 8 single-GPU-per-node study.
     add(model::gpt3_13b());

@@ -302,22 +302,6 @@ formatFixed(double value, int precision)
 }
 
 std::string
-formatBytes(double bytes)
-{
-    static const char* suffixes[] = {"B", "KiB", "MiB", "GiB", "TiB", "PiB"};
-    double v = std::fabs(bytes);
-    int idx = 0;
-    while (v >= 1024.0 && idx < 5) {
-        v /= 1024.0;
-        ++idx;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2f %s",
-                  bytes < 0 ? -v : v, suffixes[idx]);
-    return buf;
-}
-
-std::string
 formatSeconds(double seconds)
 {
     char buf[64];

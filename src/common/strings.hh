@@ -28,9 +28,6 @@ void appendDouble(std::string& out, double value, int max_precision);
 /** Fixed-precision formatting ("12.34"). */
 std::string formatFixed(double value, int precision);
 
-/** Human-readable byte count ("1.50 GiB"). */
-std::string formatBytes(double bytes);
-
 /** Human-readable duration from seconds ("12.3 ms"). */
 std::string formatSeconds(double seconds);
 

@@ -233,12 +233,6 @@ metricName(Metric m)
     return kNames[std::size_t(m)];
 }
 
-double R::*
-metricField(Metric m)
-{
-    return kMetricFields[std::size_t(m)];
-}
-
 double
 relativeError(double fast, double reference)
 {

@@ -38,9 +38,6 @@ inline constexpr std::size_t kNumMetrics = 8;
 /** Readable metric name, as breaches report it. */
 const char* metricName(Metric m);
 
-/** The ExperimentResult field metric @p m reads. */
-double ExperimentResult::*metricField(Metric m);
-
 /** |fast - reference| / max(|reference|, 1e-12). */
 double relativeError(double fast, double reference);
 

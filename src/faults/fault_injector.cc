@@ -351,22 +351,5 @@ FaultInjector::applyEccStall(const FaultSpec& spec, Rng& rng)
     }
 }
 
-CsvWriter
-FaultInjector::logCsv() const
-{
-    CsvWriter csv;
-    csv.header({"kind", "target", "start_s", "end_s", "magnitude"});
-    for (const FaultRecord& r : records) {
-        csv.beginRow();
-        csv.cell(std::string(faultKindName(r.kind)));
-        csv.cell(r.target);
-        csv.cell(r.startSec);
-        csv.cell(r.endSec);
-        csv.cell(r.magnitude);
-        csv.endRow();
-    }
-    return csv;
-}
-
 } // namespace faults
 } // namespace charllm

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "common/csv.hh"
 #include "faults/fault.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
@@ -58,9 +57,6 @@ class FaultInjector
      * for a given scenario + seed). Available right after apply().
      */
     const std::vector<FaultRecord>& log() const { return records; }
-
-    /** Fault log as CSV (kind, target, start, end, magnitude). */
-    CsvWriter logCsv() const;
 
     /**
      * Name of the fault currently affecting @p gpu ("" if healthy).

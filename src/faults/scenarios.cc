@@ -35,16 +35,6 @@ hotInlet(int gpu, CelsiusDelta excess, double start_s)
 }
 
 FaultScenario
-fanFailure(int gpu, double r_scale, double start_s)
-{
-    FaultScenario s;
-    s.name = "fan-failure";
-    s.faults.push_back(FaultSpec{FaultKind::FanFailure, gpu, start_s,
-                                 0.0, r_scale, 0.0, 0.5});
-    return s;
-}
-
-FaultScenario
 flappingLink(net::LinkId link, double derate, Seconds period,
              Seconds window, double start_s)
 {
@@ -74,13 +64,12 @@ degradedPod(const net::Topology& topo, Seconds window)
     FaultScenario s;
     s.name = "degraded-pod";
     // Thermal leg: GPU 0 breathes hot-aisle air for the whole run.
-    s.faults.push_back(FaultSpec{FaultKind::HotInlet, 0, 0.0, 0.0,
-                                 14.0, 0.0, 0.5});
     // Network leg: node 0's IB egress flaps between 100% and 25%
     // capacity, roughly 20 cycles across the window.
-    s.faults.push_back(FaultSpec{FaultKind::LinkFlap,
-                                 topo.nicOutLink(0), 0.0, window.value(),
-                                 0.25, window.value() / 20.0, 0.4});
+    for (const FaultScenario& leg :
+         {hotInlet(0, CelsiusDelta(14.0)),
+          flappingLink(topo.nicOutLink(0), 0.25, window / 20.0, window)})
+        s.faults.push_back(leg.faults.front());
     return s;
 }
 

@@ -34,10 +34,6 @@ FaultScenario failStop(int gpu, Seconds restart_cost, double start_s);
 /** Machine-room hot spot: @p gpu's inlet air runs @p excess hotter. */
 FaultScenario hotInlet(int gpu, CelsiusDelta excess, double start_s = 0.0);
 
-/** Degraded airflow: @p gpu's junction-to-air resistance scaled by
- * @p r_scale (> 1). */
-FaultScenario fanFailure(int gpu, double r_scale, double start_s = 0.0);
-
 /**
  * Flapping link: @p link oscillates between full capacity and
  * @p derate with a jittered @p period cycle over @p window.

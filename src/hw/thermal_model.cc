@@ -57,15 +57,6 @@ ThermalModel::setInletOffset(int i, CelsiusDelta delta)
     markStale(nodeOf(i));
 }
 
-CelsiusDelta
-ThermalModel::inletOffset(int i) const
-{
-    CHARLLM_ASSERT(i >= 0 && static_cast<std::size_t>(i) <
-                                 inletOffsets.size(),
-                   "device id ", i, " out of range");
-    return CelsiusDelta(inletOffsets[static_cast<std::size_t>(i)]);
-}
-
 void
 ThermalModel::setResistanceScale(int i, double scale)
 {

@@ -156,7 +156,6 @@ class ThermalModel
      * zero delta to clear. Both fault setters mark the node stale.
      */
     void setInletOffset(int i, CelsiusDelta delta);
-    CelsiusDelta inletOffset(int i) const;
 
     /**
      * Fault injection: multiply device @p i's junction-to-inlet

@@ -120,14 +120,6 @@ ModelAnalytics::headFlopsPerToken() const
 }
 
 double
-ModelAnalytics::fwdFlopsPerToken() const
-{
-    return cfg.numLayers *
-               (attnFwdFlopsPerToken() + mlpFwdFlopsPerToken()) +
-           headFlopsPerToken();
-}
-
-double
 ModelAnalytics::activationBytesPerTokenPerLayer() const
 {
     // Flash-attention-era stash: ~34 bytes/token/hidden-unit at BF16

@@ -61,9 +61,6 @@ class ModelAnalytics
     /** Output head (vocabulary projection) FLOPs per token. */
     double headFlopsPerToken() const;
 
-    /** Full-model forward FLOPs per token (all layers + head). */
-    double fwdFlopsPerToken() const;
-
     // ---- memory ---------------------------------------------------------
     /**
      * Stashed activation bytes per token per layer under full

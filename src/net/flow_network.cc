@@ -242,8 +242,9 @@ FlowNetwork::progress(double now)
             // run's per-replica accumulation bitwise.
             for (int w = hopWeight(flow, i); w > 0; --w) {
                 linkByteCount[static_cast<std::size_t>(l)] += moved;
-                if (spec.ownerGpu >= 0 && sink)
-                    sink(spec.ownerGpu, spec.cls, Bytes(moved));
+                if (spec.ownerGpu >= 0 && trafficObserver)
+                    trafficObserver->onTraffic(spec.ownerGpu, spec.cls,
+                                               Bytes(moved));
             }
         }
     }

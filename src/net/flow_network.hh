@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -52,6 +51,22 @@ namespace charllm {
 namespace net {
 
 /**
+ * Told of the bytes flows move over each GPU-owned link, as the network
+ * accounts them (the engine adds them to the owning device's traffic
+ * counters). A plain interface called once per hop, so it allocates
+ * nothing.
+ */
+class TrafficObserver
+{
+  public:
+    /** @p bytes crossed a link of class @p cls that GPU @p gpu owns. */
+    virtual void onTraffic(int gpu, hw::TrafficClass cls, Bytes bytes) = 0;
+
+  protected:
+    ~TrafficObserver() = default;
+};
+
+/**
  * Event-driven flow network. Transfers complete via callback after a
  * per-message latency plus a contention-dependent serialization time.
  */
@@ -59,13 +74,16 @@ class FlowNetwork
 {
   public:
     using FlowId = std::uint64_t;
-    /** Receives per-GPU byte attribution as flows progress. */
-    using TrafficSink =
-        std::function<void(int gpu, hw::TrafficClass cls, Bytes bytes)>;
 
     FlowNetwork(sim::Simulator& sim, const Topology& topo);
 
-    void setTrafficSink(TrafficSink sink_fn) { sink = std::move(sink_fn); }
+    /** Attribute moved bytes to @p observer (nullptr: nobody). It
+     *  must outlive the network's transfers. */
+    void
+    setTrafficObserver(TrafficObserver* observer)
+    {
+        trafficObserver = observer;
+    }
 
     /**
      * Start a point-to-point transfer of @p bytes from @p src to
@@ -245,7 +263,7 @@ class FlowNetwork
 
     sim::Simulator& sim;
     const Topology& topo;
-    TrafficSink sink;
+    TrafficObserver* trafficObserver = nullptr;
 
     std::vector<Flow> flowSlab;
     std::vector<std::uint32_t> freeFlowSlots;

@@ -29,20 +29,6 @@ MetricsRegistry::histogram(const std::string& name)
     return histograms[name];
 }
 
-const Counter*
-MetricsRegistry::findCounter(const std::string& name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? nullptr : &it->second;
-}
-
-const Histogram*
-MetricsRegistry::findHistogram(const std::string& name) const
-{
-    auto it = histograms.find(name);
-    return it == histograms.end() ? nullptr : &it->second;
-}
-
 bool
 MetricsRegistry::empty() const
 {

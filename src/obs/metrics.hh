@@ -185,10 +185,6 @@ class MetricsRegistry
     Gauge& gauge(const std::string& name);
     Histogram& histogram(const std::string& name);
 
-    /** Lookup without creating; nullptr when absent. */
-    const Counter* findCounter(const std::string& name) const;
-    const Histogram* findHistogram(const std::string& name) const;
-
     bool empty() const;
     std::size_t size() const;
 

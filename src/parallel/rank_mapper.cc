@@ -140,59 +140,6 @@ RankMapper::epGroupDevices(int rank) const
     return devices;
 }
 
-std::vector<int>
-RankMapper::ppGroupDevices(int rank) const
-{
-    RankCoords c = coordsOf(rank);
-    std::vector<int> devices;
-    devices.reserve(static_cast<std::size_t>(cfg.pp));
-    for (int p = 0; p < cfg.pp; ++p) {
-        RankCoords peer = c;
-        peer.ppIdx = p;
-        devices.push_back(deviceOf(rankFromCoords(peer)));
-    }
-    return devices;
-}
-
-int
-RankMapper::nextStageDevice(int rank) const
-{
-    RankCoords c = coordsOf(rank);
-    if (c.ppIdx + 1 >= cfg.pp)
-        return -1;
-    RankCoords peer = c;
-    ++peer.ppIdx;
-    return deviceOf(rankFromCoords(peer));
-}
-
-int
-RankMapper::prevStageDevice(int rank) const
-{
-    RankCoords c = coordsOf(rank);
-    if (c.ppIdx == 0)
-        return -1;
-    RankCoords peer = c;
-    --peer.ppIdx;
-    return deviceOf(rankFromCoords(peer));
-}
-
-double
-RankMapper::nodeLocality(const std::vector<int>& devices,
-                         int gpus_per_node)
-{
-    if (devices.size() < 2)
-        return 1.0;
-    std::size_t same = 0, total = 0;
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        for (std::size_t j = i + 1; j < devices.size(); ++j) {
-            ++total;
-            if (devices[i] / gpus_per_node == devices[j] / gpus_per_node)
-                ++same;
-        }
-    }
-    return static_cast<double>(same) / static_cast<double>(total);
-}
-
 int
 failoverPeer(const RankMapper& mapper, int gpu, int gpus_per_node)
 {

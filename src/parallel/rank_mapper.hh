@@ -77,19 +77,7 @@ class RankMapper
     std::vector<int> tpGroupDevices(int rank) const;
     std::vector<int> dpGroupDevices(int rank) const;
     std::vector<int> epGroupDevices(int rank) const;
-    std::vector<int> ppGroupDevices(int rank) const;
     /** @} */
-
-    /** Device of the next/previous pipeline stage peer (-1 if none). */
-    int nextStageDevice(int rank) const;
-    int prevStageDevice(int rank) const;
-
-    /**
-     * Fraction of a group's rank pairs that live on the same node
-     * (locality score used for topology-awareness analysis).
-     */
-    static double nodeLocality(const std::vector<int>& devices,
-                               int gpus_per_node);
 
   private:
     ParallelConfig cfg;

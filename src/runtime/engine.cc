@@ -49,10 +49,7 @@ TrainingEngine::TrainingEngine(hw::Platform& platform,
                          opts.measuredIterations);
     CHARLLM_ASSERT(problems.empty(), problems.front());
     plat.setClockObserver(this);
-    network.setTrafficSink(
-        [this](int gpu, hw::TrafficClass cls, Bytes bytes) {
-        plat.gpu(gpu).addTraffic(cls, bytes);
-    });
+    network.setTrafficObserver(this);
 }
 
 double

@@ -79,7 +79,8 @@ class ResilienceController
  * experiment: warmup + measured iterations, chained inside a single
  * simulator run so thermal state persists across iterations.
  */
-class TrainingEngine : private hw::ClockObserver
+class TrainingEngine : private hw::ClockObserver,
+                       private net::TrafficObserver
 {
   public:
     /** Kernel-trace callback: (device, class, name, start_s, dur_s). */
@@ -90,6 +91,9 @@ class TrainingEngine : private hw::ClockObserver
                    coll::CollectiveEngine& collectives,
                    const ProgramBuilder& builder,
                    const EngineOptions& options);
+    /** The platform and the network hold this engine's address. */
+    TrainingEngine(const TrainingEngine&) = delete;
+    TrainingEngine& operator=(const TrainingEngine&) = delete;
 
     void setTraceSink(TraceSink sink) { trace = std::move(sink); }
 
@@ -286,6 +290,12 @@ class TrainingEngine : private hw::ClockObserver
     void finishCompute(int dev);
     /** hw::ClockObserver: re-time @p dev's running compute. */
     void onClockChange(int dev) override { retimeCompute(dev); }
+    /** net::TrafficObserver: count the bytes on @p gpu's link. */
+    void
+    onTraffic(int gpu, hw::TrafficClass cls, Bytes bytes) override
+    {
+        plat.gpu(gpu).addTraffic(cls, bytes);
+    }
 
     /**
      * Effective progress rate of compute on a device: relative clock,

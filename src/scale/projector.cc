@@ -96,16 +96,5 @@ Projector::project(int dp, double bandwidth_multiplier) const
     return p;
 }
 
-std::vector<ProjectionPoint>
-Projector::sweep(const std::vector<int>& dps,
-                 double bandwidth_multiplier) const
-{
-    std::vector<ProjectionPoint> points;
-    points.reserve(dps.size());
-    for (int dp : dps)
-        points.push_back(project(dp, bandwidth_multiplier));
-    return points;
-}
-
 } // namespace scale
 } // namespace charllm

@@ -71,11 +71,6 @@ class Projector
     ProjectionPoint project(int dp,
                             double bandwidth_multiplier = 1.0) const;
 
-    /** Project a DP sweep at one bandwidth. */
-    std::vector<ProjectionPoint>
-    sweep(const std::vector<int>& dps,
-          double bandwidth_multiplier = 1.0) const;
-
     const ProjectionInput& input() const { return in; }
 
   private:

@@ -71,20 +71,6 @@ deviceGetClockInfo(const DeviceHandle& handle, unsigned int* mhz)
 }
 
 Return
-deviceGetUtilizationRates(const DeviceHandle& handle,
-                          unsigned int* gpu_percent)
-{
-    if (!valid(handle) || !gpu_percent)
-        return SIMNVML_ERROR_INVALID_ARGUMENT;
-    const hw::Gpu& gpu = handle.platform->gpu(handle.index);
-    bool busy = gpu.computeActive() || gpu.commActive();
-    *gpu_percent = busy ? static_cast<unsigned int>(std::lround(
-                              gpu.occupancy() * 100.0))
-                        : 0u;
-    return SIMNVML_SUCCESS;
-}
-
-Return
 deviceGetTotalEnergyConsumption(const DeviceHandle& handle,
                                 std::uint64_t* millijoules)
 {

@@ -55,10 +55,6 @@ Return deviceGetPowerUsage(const DeviceHandle& handle,
 Return deviceGetClockInfo(const DeviceHandle& handle,
                           unsigned int* mhz);
 
-/** nvmlDeviceGetUtilizationRates (gpu busy percent). */
-Return deviceGetUtilizationRates(const DeviceHandle& handle,
-                                 unsigned int* gpu_percent);
-
 /** nvmlDeviceGetTotalEnergyConsumption (millijoules). */
 Return deviceGetTotalEnergyConsumption(const DeviceHandle& handle,
                                        std::uint64_t* millijoules);

@@ -5,24 +5,6 @@
 namespace charllm {
 namespace telemetry {
 
-const char*
-KernelTrace::intern(const std::string& name)
-{
-    ownedNames.push_back(name);
-    return ownedNames.back().c_str();
-}
-
-std::vector<TraceEvent>
-KernelTrace::forDevice(int device) const
-{
-    std::vector<TraceEvent> out;
-    for (const auto& e : events) {
-        if (e.device == device)
-            out.push_back(e);
-    }
-    return out;
-}
-
 hw::KernelTimeBreakdown
 KernelTrace::breakdown(int device, double from) const
 {

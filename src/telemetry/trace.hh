@@ -6,17 +6,14 @@
  * execution traces with the Chakra profiler; this is the
  * simulation-side equivalent.
  *
- * Event names are interned `const char*` pointers: the runtime always
- * emits string literals, so the common record() path stores the
- * pointer verbatim and never allocates. Dynamic names go through
- * intern(), which copies them into trace-owned stable storage.
+ * Event names are `const char*` pointers that outlive the trace: the
+ * runtime always emits string literals, so record() stores the pointer
+ * verbatim and never allocates.
  */
 
 #ifndef CHARLLM_TELEMETRY_TRACE_HH
 #define CHARLLM_TELEMETRY_TRACE_HH
 
-#include <deque>
-#include <string>
 #include <vector>
 
 #include "hw/kernel.hh"
@@ -29,8 +26,8 @@ struct TraceEvent
 {
     int device = 0;
     hw::KernelClass cls = hw::KernelClass::Gemm;
-    /** Interned name: a string literal or a pointer into the owning
-     *  KernelTrace's intern store. Never owned by the event. */
+    /** Outlives the trace (the runtime passes string literals); never
+     *  owned by the event. */
     const char* name = "";
     double startSec = 0.0;
     double durSec = 0.0;
@@ -40,7 +37,7 @@ struct TraceEvent
 struct FaultSpan
 {
     int device = 0;      //!< attributed GPU (-1 if unattributed)
-    const char* name = ""; //!< fault kind label (static or interned)
+    const char* name = ""; //!< fault kind label (outlives the trace)
     double startSec = 0.0;
     double durSec = 0.0; //!< < 0 means "until end of run"
 };
@@ -48,23 +45,13 @@ struct FaultSpan
 /**
  * Kernel trace sink. Wire record() into
  * TrainingEngine::setTraceSink.
- *
- * Move-only: events hold pointers into the intern store, so copying
- * the trace would silently alias the original's storage.
  */
 class KernelTrace
 {
   public:
-    KernelTrace() = default;
-    KernelTrace(const KernelTrace&) = delete;
-    KernelTrace& operator=(const KernelTrace&) = delete;
-    KernelTrace(KernelTrace&&) = default;
-    KernelTrace& operator=(KernelTrace&&) = default;
-
     /**
-     * Record one kernel span. @p name must outlive the trace: pass a
-     * string literal (the runtime's convention) or intern() dynamic
-     * names first. No allocation on this path.
+     * Record one kernel span. @p name must outlive the trace (the
+     * runtime passes string literals). No allocation on this path.
      */
     void
     record(int device, hw::KernelClass cls, const char* name,
@@ -72,12 +59,6 @@ class KernelTrace
     {
         events.push_back(TraceEvent{device, cls, name, start, dur});
     }
-
-    /**
-     * Copy a dynamic name into trace-owned stable storage and return
-     * the interned pointer (valid for the trace's lifetime).
-     */
-    const char* intern(const std::string& name);
 
     /** Overlay one fault interval (shown as a "fault" category row).
      *  @p name follows the same lifetime contract as record(). */
@@ -92,15 +73,11 @@ class KernelTrace
     {
         events.clear();
         faults.clear();
-        ownedNames.clear();
     }
 
     const std::vector<TraceEvent>& all() const { return events; }
     const std::vector<FaultSpan>& faultSpans() const { return faults; }
     std::size_t size() const { return events.size(); }
-
-    /** Events of one device, in recorded order. */
-    std::vector<TraceEvent> forDevice(int device) const;
 
     /** Per-class busy time for one device over [from, inf). */
     hw::KernelTimeBreakdown breakdown(int device,
@@ -112,8 +89,6 @@ class KernelTrace
   private:
     std::vector<TraceEvent> events;
     std::vector<FaultSpan> faults;
-    /** Stable storage for intern(): deque never moves elements. */
-    std::deque<std::string> ownedNames;
 };
 
 } // namespace telemetry

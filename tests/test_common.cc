@@ -187,12 +187,6 @@ TEST(Rng, GaussianMoments)
 
 // ---- strings/units ---------------------------------------------------------
 
-TEST(Strings, FormatBytes)
-{
-    EXPECT_EQ(formatBytes(1536.0), "1.50 KiB");
-    EXPECT_EQ(formatBytes(2.0 * units::kGiB), "2.00 GiB");
-}
-
 TEST(Strings, FormatSeconds)
 {
     EXPECT_EQ(formatSeconds(0.0123), "12.300 ms");

@@ -294,7 +294,8 @@ invalidConfigRows()
          "fault 0 (hot-inlet) startSec must be finite and >= 0 (got -1)"},
         {"fan failure that cools",
          [](C c) {
-             c.faultScenario = faults::scenarios::fanFailure(0, 0.5);
+             c.faultScenario.faults = {
+                 {faults::FaultKind::FanFailure, 0, 0.0, 0.0, 0.5}};
          },
          "fault 0 (fan-failure) magnitude must be a finite resistance "
          "scale > 1 (got 0.5)"},
@@ -689,7 +690,10 @@ TEST_F(CoreFixture, ValidateAcceptsValidConfigs)
     namespace fs = faults::scenarios;
     for (const faults::FaultScenario& scenario :
          {fs::straggler(7, 0.5), fs::failStop(0, Seconds(2.0), 0.0),
-          fs::hotInlet(7, CelsiusDelta(14.0)), fs::fanFailure(0, 1.8),
+          fs::hotInlet(7, CelsiusDelta(14.0)),
+          faults::FaultScenario{
+              .name = "fan-failure",
+              .faults = {{faults::FaultKind::FanFailure, 0, 0.0, 0.0, 1.8}}},
           fs::flappingLink(net::Topology::linkCount(topo.params()) - 1,
                            0.25, Seconds(0.1), Seconds(1.0)),
           fs::eccStorm(0, Seconds(0.01), Seconds(0.1), Seconds(1.0)),
@@ -964,6 +968,14 @@ TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
                                 }))
             << metricName(m);
     };
+    // Each metric's field as compare.hh documents it. The test spells
+    // the mapping itself, so a wrong entry in compare.cc's table shows
+    // up as a breach under another metric.
+    using R = ExperimentResult;
+    constexpr double R::*kFields[kNumMetrics] = {
+        &R::avgIterationSeconds, &R::tokensPerSecond, &R::totalEnergyJ,
+        &R::avgPowerW,           &R::peakTempC,       &R::avgTempC,
+        &R::throttleRatio,       &R::avgClockGhz};
     for (const ToleranceRow& row : toleranceTable()) {
         SCOPED_TRACE(row.name);
         EXPECT_EQ(compareResults(ref, ref, row).breaches, kNoBreaches);
@@ -973,7 +985,7 @@ TEST_F(CoreFixture, CompareReportsEachMetricBeyondItsBound)
                 continue;
             // The throttle ratio's error is absolute, the others'
             // relative.
-            double ExperimentResult::*field = metricField(m);
+            double R::*field = kFields[i];
             double unit = m == Metric::ThrottleRatio ? 1.0 : ref.*field;
             ExperimentResult within = ref;
             within.*field += 0.5 * row[m] * unit;

@@ -103,7 +103,10 @@ TEST(Analytics, FwdFlopsApproxTwoParamsPerToken)
     // score terms and head).
     auto cfg = gpt3_175b();
     ModelAnalytics a(cfg);
-    double ratio = a.fwdFlopsPerToken() / a.totalParams();
+    double fwd = cfg.numLayers * (a.attnFwdFlopsPerToken() +
+                                  a.mlpFwdFlopsPerToken()) +
+                 a.headFlopsPerToken();
+    double ratio = fwd / a.totalParams();
     EXPECT_GT(ratio, 1.9);
     EXPECT_LT(ratio, 2.6);
 }

@@ -199,21 +199,29 @@ TEST_F(NetFixture, ExtraLatencyDelaysCompletion)
 
 TEST_F(NetFixture, TrafficSinkAttributesBytes)
 {
+    // Sums GPU 0's PCIe and NVLink bytes.
+    struct Gpu0Bytes : TrafficObserver
+    {
+        double pcie = 0.0;
+        double nvlink = 0.0;
+        void
+        onTraffic(int gpu, hw::TrafficClass cls, Bytes b) override
+        {
+            if (gpu == 0 && cls == hw::TrafficClass::Pcie)
+                pcie += b.value();
+            if (gpu == 0 && cls == hw::TrafficClass::NvLink)
+                nvlink += b.value();
+        }
+    };
     Topology topo(Topology::hgxParams(2));
     FlowNetwork netw(sim, topo);
-    double pcie_bytes_gpu0 = 0.0;
-    double nvlink_bytes_gpu0 = 0.0;
-    netw.setTrafficSink([&](int gpu, hw::TrafficClass cls, Bytes b) {
-        if (gpu == 0 && cls == hw::TrafficClass::Pcie)
-            pcie_bytes_gpu0 += b.value();
-        if (gpu == 0 && cls == hw::TrafficClass::NvLink)
-            nvlink_bytes_gpu0 += b.value();
-    });
+    Gpu0Bytes bytes;
+    netw.setTrafficObserver(&bytes);
     netw.transfer(0, 8, Bytes(1e8), [] {});
     netw.transfer(0, 1, Bytes(1e8), [] {});
     sim.run();
-    EXPECT_NEAR(pcie_bytes_gpu0, 1e8, 1.0);
-    EXPECT_NEAR(nvlink_bytes_gpu0, 1e8, 1.0);
+    EXPECT_NEAR(bytes.pcie, 1e8, 1.0);
+    EXPECT_NEAR(bytes.nvlink, 1e8, 1.0);
 }
 
 TEST_F(NetFixture, LinkByteCountersMatchVolume)

@@ -17,6 +17,23 @@ namespace {
 using namespace charllm;
 using namespace charllm::parallel;
 
+/** Fraction of a group's device pairs that live on the same node. */
+double
+nodeLocality(const std::vector<int>& devices, int gpus_per_node)
+{
+    if (devices.size() < 2)
+        return 1.0;
+    std::size_t same = 0, total = 0;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        for (std::size_t j = i + 1; j < devices.size(); ++j) {
+            ++total;
+            if (devices[i] / gpus_per_node == devices[j] / gpus_per_node)
+                ++same;
+        }
+    }
+    return static_cast<double>(same) / static_cast<double>(total);
+}
+
 // ---- config -----------------------------------------------------------------
 
 TEST(ParallelConfig, Labels)
@@ -68,7 +85,7 @@ TEST(RankMapper, TpGroupIsConsecutiveAndIntraNode)
     for (int r = 0; r < 32; r += 8) {
         auto g = m.tpGroupDevices(r);
         ASSERT_EQ(g.size(), 8u);
-        EXPECT_EQ(RankMapper::nodeLocality(g, 8), 1.0);
+        EXPECT_EQ(nodeLocality(g, 8), 1.0);
     }
 }
 
@@ -80,7 +97,7 @@ TEST(RankMapper, Ep8Tp1StaysIntraNode)
     for (int r = 0; r < 32; ++r) {
         auto g = m.epGroupDevices(r);
         ASSERT_EQ(g.size(), 8u);
-        EXPECT_EQ(RankMapper::nodeLocality(g, 8), 1.0)
+        EXPECT_EQ(nodeLocality(g, 8), 1.0)
             << "rank " << r;
     }
 }
@@ -92,17 +109,16 @@ TEST(RankMapper, Ep8Tp4SpansNodes)
     RankMapper m(ParallelConfig::forWorld(32, 4, 1, 8));
     auto g = m.epGroupDevices(0);
     ASSERT_EQ(g.size(), 8u);
-    EXPECT_LT(RankMapper::nodeLocality(g, 8), 0.5);
+    EXPECT_LT(nodeLocality(g, 8), 0.5);
 }
 
 TEST(RankMapper, PpNeighborsCrossNodesForTp8)
 {
     RankMapper m(ParallelConfig::forWorld(32, 8, 4));
     // Stage boundary from rank 0 (node 0) to its pp-peer on node 1.
-    int next = m.nextStageDevice(0);
-    EXPECT_EQ(next / 8, 1);
-    EXPECT_EQ(m.prevStageDevice(0), -1);
-    EXPECT_EQ(m.nextStageDevice(24), -1);
+    RankCoords next = m.coordsOf(0);
+    ++next.ppIdx;
+    EXPECT_EQ(m.deviceOf(m.rankFromCoords(next)) / 8, 1);
 }
 
 TEST(RankMapper, DpGroupStridesByTp)
@@ -127,9 +143,9 @@ TEST(RankMapper, DevicePermutationRemaps)
 
 TEST(RankMapper, NodeLocalityMetric)
 {
-    EXPECT_DOUBLE_EQ(RankMapper::nodeLocality({0, 1, 2, 3}, 8), 1.0);
-    EXPECT_DOUBLE_EQ(RankMapper::nodeLocality({0, 8}, 8), 0.0);
-    EXPECT_DOUBLE_EQ(RankMapper::nodeLocality({5}, 8), 1.0);
+    EXPECT_DOUBLE_EQ(nodeLocality({0, 1, 2, 3}, 8), 1.0);
+    EXPECT_DOUBLE_EQ(nodeLocality({0, 8}, 8), 0.0);
+    EXPECT_DOUBLE_EQ(nodeLocality({5}, 8), 1.0);
 }
 
 // ---- memory planner -----------------------------------------------------------

@@ -205,15 +205,14 @@ TEST_P(MapperProperty, GroupsPartitionTheWorld)
     int world = cfg.worldSize();
 
     // Each group family partitions all devices.
-    for (auto family : {0, 1, 2, 3}) {
+    for (auto family : {0, 1, 2}) {
         std::vector<int> seen(static_cast<std::size_t>(world), 0);
         for (int r = 0; r < world; ++r) {
             std::vector<int> group;
             switch (family) {
               case 0: group = map.tpGroupDevices(r); break;
               case 1: group = map.dpGroupDevices(r); break;
-              case 2: group = map.epGroupDevices(r); break;
-              default: group = map.ppGroupDevices(r); break;
+              default: group = map.epGroupDevices(r); break;
             }
             // The rank's own device must be in its group.
             EXPECT_NE(std::find(group.begin(), group.end(),
@@ -223,10 +222,7 @@ TEST_P(MapperProperty, GroupsPartitionTheWorld)
                 ++seen[static_cast<std::size_t>(d)];
         }
         // Every device seen exactly group-size times.
-        int expected = family == 0   ? tp
-                       : family == 1 ? dp
-                       : family == 2 ? ep
-                                     : pp;
+        int expected = family == 0 ? tp : family == 1 ? dp : ep;
         for (int d = 0; d < world; ++d)
             EXPECT_EQ(seen[static_cast<std::size_t>(d)], expected);
     }

@@ -130,7 +130,6 @@ TEST(KernelTrace, RecordsAndFilters)
     trace.record(1, hw::KernelClass::AllReduce, "ar", 0.1, 0.2);
     trace.record(0, hw::KernelClass::Gemm, "fwd", 1.0, 0.25);
     EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.forDevice(0).size(), 2u);
     auto b = trace.breakdown(0);
     EXPECT_DOUBLE_EQ(b[hw::KernelClass::Gemm], 0.75);
     auto late = trace.breakdown(0, 0.9);
@@ -157,17 +156,11 @@ TEST(KernelTrace, ChromeJsonWellFormed)
     EXPECT_NE(json.find("\"cat\":\"SendRecv\""), std::string::npos);
 }
 
-TEST(KernelTrace, InternedNamesAreStableAndEscaped)
+TEST(KernelTrace, NamesAreEscaped)
 {
     KernelTrace trace;
-    const char* a = trace.intern("layer \"0\" attn");
-    const char* b = trace.intern("tail\n");
-    trace.record(0, hw::KernelClass::Gemm, a, 0.0, 0.1);
-    trace.record(0, hw::KernelClass::Gemm, b, 0.2, 0.1);
-    // Interned pointers stay valid after further interning (deque
-    // storage never moves).
-    for (int i = 0; i < 100; ++i)
-        trace.intern("pad" + std::to_string(i));
+    trace.record(0, hw::KernelClass::Gemm, "layer \"0\" attn", 0.0, 0.1);
+    trace.record(0, hw::KernelClass::Gemm, "tail\n", 0.2, 0.1);
     EXPECT_STREQ(trace.all()[0].name, "layer \"0\" attn");
     EXPECT_STREQ(trace.all()[1].name, "tail\n");
     // Export escapes the quotes and the newline.
@@ -204,21 +197,17 @@ TEST_F(TelemetryFixture, NvmlFacadeReadsDeviceState)
     DeviceHandle h;
     ASSERT_EQ(deviceGetHandleByIndex(plat, 0, &h), SIMNVML_SUCCESS);
 
-    unsigned int temp = 0, mw = 0, mhz = 0, util = 0;
+    unsigned int temp = 0, mw = 0, mhz = 0;
     EXPECT_EQ(deviceGetTemperature(h, &temp), SIMNVML_SUCCESS);
     EXPECT_NEAR(temp, 27, 3);
     EXPECT_EQ(deviceGetPowerUsage(h, &mw), SIMNVML_SUCCESS);
     EXPECT_GT(mw, 50000u); // idle ~75 W in milliwatts
     EXPECT_EQ(deviceGetClockInfo(h, &mhz), SIMNVML_SUCCESS);
     EXPECT_NEAR(mhz, 1830, 200);
-    EXPECT_EQ(deviceGetUtilizationRates(h, &util), SIMNVML_SUCCESS);
-    EXPECT_EQ(util, 0u);
 
+    // One second of GEMM accrues energy.
     auto tok = plat.gpu(0).kernelBegin(hw::KernelClass::Gemm, 1.0, 0.0);
-    EXPECT_EQ(deviceGetUtilizationRates(h, &util), SIMNVML_SUCCESS);
-    EXPECT_GT(util, 30u);
     plat.gpu(0).kernelEnd(tok, 1.0);
-
     std::uint64_t mj = 0;
     EXPECT_EQ(deviceGetTotalEnergyConsumption(h, &mj),
               SIMNVML_SUCCESS);

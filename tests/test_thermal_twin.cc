@@ -135,8 +135,8 @@ TEST(ThermalTwin, HotInletFanFailureAndNodePowerCap)
                            parallel::ParallelConfig::forWorld(32, 4, 8));
     cfg.faultScenario = faults::scenarios::hotInlet(1, 14.0_dC, 3.0);
     cfg.faultScenario.faults.front().durationSec = 20.0;
-    auto fan = faults::scenarios::fanFailure(10, 1.8, 7.5);
-    cfg.faultScenario.faults.push_back(fan.faults.front());
+    cfg.faultScenario.faults.push_back(
+        {faults::FaultKind::FanFailure, 10, 7.5, 0.0, 1.8});
     cfg.nodePowerCaps = {{2, 450.0}};
     expectTwins(cfg);
 }

@@ -663,6 +663,10 @@ class _Parser:
                     toks[k].text not in KEYWORDS:
                 name = toks[k].text
                 nxt = toks[k + 1].text if k + 1 < end else ""
+                # Outside a body, `std::vector<T> name(` declares a
+                # function: leave it to _try_function.
+                if nxt == "(" and fn is None:
+                    return None
                 if nxt in (";", "=", "{", "(", ",", ")"):
                     ty = _type_text(type_toks)
                     self._record_decl(name, ty, toks[k].line, cls,

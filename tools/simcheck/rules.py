@@ -26,6 +26,10 @@ Library hygiene (token rules):
                          src/net or src/obs
   obs-header-alloc       allocation-prone construct in a src/obs header,
                          where the inline metric increment paths live
+  dead-export            function defined in a src/ .cc file whose name
+                         nothing in src/, bench/, examples/ or
+                         hostbench/ mentions outside its own
+                         declaration and definition (tests do not count)
 
 tests/test_alloc.cc backs the allocation rules dynamically: a
 steady-state iteration must make zero heap allocations.
@@ -36,8 +40,8 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from cxxlex import DIRECTIVE, ID, match_seq
-from ir import FileModel, Finding
+from cxxlex import DIRECTIVE, ID, Token, match_seq
+from ir import FileModel, Finding, Function
 
 UNORDERED_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
 ORDERED_ASSOC_RE = re.compile(
@@ -127,6 +131,62 @@ def _obs_header_alloc(toks, i: int) -> str | None:
     return None
 
 
+# dead-export: a name followed by `(` declares or defines a function
+# when everything back to the statement's start is specifiers and a
+# return type (identifiers, `::`, template brackets, `*`, `&`). Any
+# other occurrence (a call, `&Class::fn`, `using`, a macro body) is a
+# use; an unsure reading counts as a use, so the rule errs quiet.
+DECL_PUNCT = frozenset(("::", "<", ">", ">>", ",", "*", "&", "&&", "[", "]",
+                        "..."))
+STMT_BOUNDARY = frozenset((";", "{", "}", ":"))
+NOT_TYPE = frozenset(("return", "throw", "else", "do", "case", "goto",
+                      "new", "delete", "co_return", "co_yield",
+                      "co_await", "sizeof", "using"))
+INCLUDE_RE = re.compile(r"#\s*include\b")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _declares(toks: list[Token], k: int) -> bool:
+    """toks[k] is the name in a function declaration or definition."""
+    if not match_seq(toks, k + 1, ["("]):
+        return False
+    j = k - 1
+    while j >= 1 and toks[j].text == "::" and toks[j - 1].kind == ID:
+        j -= 2  # out-of-line `Class::` qualification
+    typed = False
+    while j >= 0 and toks[j].text not in STMT_BOUNDARY and \
+            toks[j].kind != DIRECTIVE:
+        t = toks[j]
+        if t.kind == ID:
+            if t.text in NOT_TYPE:
+                return False
+            typed = True
+        elif t.text not in DECL_PUNCT:
+            return False
+        j -= 1
+    return typed
+
+
+def _uses(path: str, toks: list[Token]):
+    """(name, path, line) of every occurrence that is not a
+    declaration, macro bodies included."""
+    for k, t in enumerate(toks):
+        if t.kind == ID and not _declares(toks, k):
+            yield t.text, path, t.line
+        elif t.kind == DIRECTIVE and not INCLUDE_RE.match(t.text):
+            for name in IDENT_RE.findall(t.text):
+                yield name, path, t.line
+
+
+def _export_candidate(fm: FileModel, fn: Function) -> bool:
+    """A named, non-special function defined (with a body) in a .cc."""
+    parts = fn.qname.split("::")
+    return fm.path.endswith(".cc") and not fn.is_lambda and \
+        bool(fn.tokens) and fn.name != "main" and \
+        not fn.name.startswith(("operator", "~", "<")) and \
+        not (len(parts) >= 2 and parts[-2] == fn.name)
+
+
 # rule -> (which files it applies to, message for a hit at token i).
 TOKEN_RULES = {
     "det-ambient-entropy": (lambda fm: True, _ambient_entropy),
@@ -157,6 +217,9 @@ RULES = [
     ("lib-iostream", "std stream header included in library code"),
     ("hot-path-alloc", "std::function or make_shared on the hot path"),
     ("obs-header-alloc", "allocation-prone construct in a src/obs header"),
+    ("dead-export",
+     "function defined in src/ that no src/bench/examples/hostbench "
+     "code names"),
 ]
 
 
@@ -168,9 +231,13 @@ def _snippet(fm: FileModel, line: int, source_lines: list[str]) -> str:
 
 class Analyzer:
     def __init__(self, models: list[FileModel],
-                 sources: dict[str, list[str]]):
+                 sources: dict[str, list[str]],
+                 callers: dict[str, list[Token]] | None = None):
         self.models = models
         self.sources = sources  # path -> source lines (for snippets)
+        # path -> tokens of the non-library code that may call src/
+        # (bench/, examples/, hostbench/); only dead-export reads them.
+        self.callers = callers or {}
         self.findings: list[Finding] = []
 
     # -- helpers --------------------------------------------------------
@@ -190,6 +257,7 @@ class Analyzer:
             "det-unseeded-rng": self.check_unseeded_rng,
             "unit-raw-double": self.check_unit_raw_double,
             "unit-value-escape": self.check_value_escape,
+            "dead-export": self.check_dead_export,
         } | {rule: partial(self.scan_tokens, rule, *spec)
              for rule, spec in TOKEN_RULES.items()}
         for rule, fn in checks.items():
@@ -435,3 +503,28 @@ class Analyzer:
                             "typed quantity (escape hatches belong at "
                             "CSV/trace/NVML writers)",
                             fn.qname)
+
+    # -- library surface ------------------------------------------------
+
+    def check_dead_export(self) -> None:
+        streams = [(fm.path, fm.tokens) for fm in self.models] + \
+            list(self.callers.items())
+        uses: dict[str, list[tuple[str, int]]] = {}
+        for path, toks in streams:
+            for name, where, line in _uses(path, toks):
+                uses.setdefault(name, []).append((where, line))
+        for fm in self.models:
+            for fn in fm.functions:
+                if not _export_candidate(fm, fn):
+                    continue
+                last = max(t.line for t in fn.tokens)
+                if any(not (path == fm.path and fn.line <= line <= last)
+                       for path, line in uses.get(fn.name, ())):
+                    continue
+                self._emit(
+                    "dead-export", fm, fn.line,
+                    f"'{fn.name}' is defined here, but nothing in src/, "
+                    "bench/, examples/ or hostbench/ names it outside its "
+                    "own declaration and definition; give it a caller or "
+                    "delete it with the tests that check only it",
+                    fn.qname)

@@ -4,7 +4,9 @@
 Enforces determinism (container iteration order, pointer ordering, RNG
 seeding, ambient entropy), unit soundness (unit-suffixed raw doubles,
 Quantity::value() escapes on public APIs) and library hygiene (std
-streams, hot-path and obs-header allocations) over src/.
+streams, hot-path and obs-header allocations, functions nothing calls)
+over src/. The dead-export rule also reads bench/, examples/ and
+hostbench/ under --repo-root as callers; tests/ never count.
 
 Frontends (--frontend):
   auto      libclang (clang.cindex over compile_commands.json) when
@@ -30,6 +32,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import internal_frontend  # noqa: E402
+from cxxlex import tokenize  # noqa: E402
 from ir import FileModel, Finding  # noqa: E402
 from rules import RULES, Analyzer  # noqa: E402
 
@@ -38,6 +41,8 @@ REPO = os.path.dirname(os.path.dirname(
 CXX_SUFFIXES = (".hh", ".h", ".cc", ".cpp", ".hpp")
 
 SCHEMA_VERSION = 1
+# Trees under --repo-root whose code may call the library (dead-export).
+CALLER_DIRS = ("bench", "examples", "hostbench")
 
 
 def collect_files(src_root: str) -> list[str]:
@@ -170,7 +175,14 @@ def main() -> int:
                   file=sys.stderr)
             return 2
 
-    analyzer = Analyzer(models, sources)
+    callers = {}
+    for sub in CALLER_DIRS:
+        for path in collect_files(os.path.join(repo_root, sub)):
+            rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
+            with open(path, encoding="utf-8", errors="replace") as f:
+                callers[rel] = tokenize(f.read())
+
+    analyzer = Analyzer(models, sources, callers)
     findings = analyzer.run(only)
 
     entries = load_allowlist(args.allowlist)

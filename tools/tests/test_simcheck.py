@@ -13,6 +13,7 @@ checks the clang path agrees on the fixtures.
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -33,7 +34,7 @@ ALL_RULES = (
     "det-unordered-iter", "det-pointer-key", "det-pointer-compare",
     "det-unseeded-rng", "det-ambient-entropy", "unit-raw-double",
     "unit-value-escape", "lib-iostream", "hot-path-alloc",
-    "obs-header-alloc",
+    "obs-header-alloc", "dead-export",
 )
 
 
@@ -69,6 +70,7 @@ class BadFixtureTest(unittest.TestCase):
             "det_pointer_key.cc:11: [det-pointer-key]",
             "det_unordered.cc:11: [det-unordered-iter]",
             "det_unseeded_rng.cc:9: [det-unseeded-rng]",
+            "dead_export.cc:9: [dead-export]",
             "obs/bad_counter.hh:11: [obs-header-alloc]",
             "sim/bad_hot_path.cc:11: [hot-path-alloc]",
             "sim/bad_hot_path.cc:16: [hot-path-alloc]",
@@ -77,6 +79,16 @@ class BadFixtureTest(unittest.TestCase):
         ]
         for site in sites:
             self.assertIn(f"src/{site}", r.stdout)
+
+    def test_dead_export_spares_called_functions(self):
+        # read (called from bench/), helper (called by read) and
+        # viaMacro (called in a macro body) are used; unused only names
+        # itself.
+        r = run_simcheck(*bad_tree_args(), "--rules", "dead-export")
+        hits = [line for line in r.stdout.splitlines()
+                if line.startswith("src/dead_export.cc:")]
+        self.assertEqual(len(hits), 1, r.stdout)
+        self.assertIn("'unused'", hits[0])
 
     def test_rule_filter(self):
         r = run_simcheck(*bad_tree_args(), "--rules", "det-unseeded-rng")
@@ -137,6 +149,20 @@ class CleanFixtureTest(unittest.TestCase):
                          "--allowlist", "/dev/null")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("clean", r.stdout)
+
+
+    def test_callers_outside_src_count(self):
+        # The clean tree's functions are called only from its bench/;
+        # without that tree every one of them is dead.
+        with tempfile.TemporaryDirectory() as root:
+            shutil.copytree(FIXTURES / "clean" / "src", Path(root) / "src")
+            r = run_simcheck("--frontend", "internal",
+                             "--src", str(Path(root) / "src"),
+                             "--repo-root", root,
+                             "--allowlist", "/dev/null")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        for name in ("roll", "countById", "sortThem", "runOne"):
+            self.assertIn(f"'{name}' is defined here", r.stdout)
 
 
 class AllowlistTest(unittest.TestCase):
